@@ -171,11 +171,11 @@ pub fn sat_batch_streamed<T: DeviceElem>(
 /// work stealing ([`StealPolicy::StealOnIdle`]).
 ///
 /// Whole images are the unit of scheduling: each image's k1 → k2 → k3
-/// chain runs as three blocking launches on one device, so the only
-/// cross-device interaction is the host handing out jobs. Returns the
-/// usual [`BatchReport`] (totals are bit-identical to [`sat_batch_serial`]
-/// on the deterministic subset, for any device count and steal schedule)
-/// plus the group's per-device [`GroupMetrics`].
+/// chain runs as three launches inline on one device's resident lane
+/// driver, so the only cross-device interaction is the host handing out
+/// jobs. Returns the usual [`BatchReport`] (totals are bit-identical to
+/// [`sat_batch_serial`] on the deterministic subset, for any device count
+/// and steal schedule) plus the group's per-device [`GroupMetrics`].
 pub fn sat_batch_multi_device<T: DeviceElem>(
     group: &DeviceGroup,
     params: SatParams,
@@ -194,7 +194,7 @@ pub fn sat_batch_multi_device_policy<T: DeviceElem>(
     policy: StealPolicy,
 ) -> (BatchReport, GroupMetrics) {
     let jobs: Vec<&BatchImage<T>> = images.iter().collect();
-    let gm = group.run_batch_policy(jobs, policy, |gpu, img| {
+    let gm = group.run_batch(jobs, policy, |gpu, img| {
         let grid = TileGrid::new(img.n, params.w);
         let aux = TwoROneWAux::<T>::new(grid);
         let [lc1, lc2, lc3] = launch_plan(grid, tpb(gpu, params));

@@ -4,8 +4,8 @@
 //! module scales a *single* SAT that is too large (or too slow) for one
 //! device. The `n x n` image is cut into horizontal **row bands** — each
 //! band a contiguous range of tile rows — and each band becomes one job of
-//! a [`DeviceGroup::run_batch_policy`] run, executing the existing kernels
-//! over its rows on whichever device the scheduler lands it on.
+//! a [`DeviceGroup::run_batch`] run, executing the existing kernels over
+//! its rows on whichever device the scheduler lands it on.
 //!
 //! A SAT is not row-separable: every band below the first needs the column
 //! sums of everything above it. The two cooperative pipelines resolve that
@@ -49,34 +49,27 @@
 //! bands run in ascending order and every cross-band wait is pre-satisfied.
 //!
 //! Host cost of waiting: both pipelines funnel every cross-band wait
-//! through `StatusBoard`, so they inherit its parked-wait path for free —
-//! a band blocked on an earlier band's flag registers as a waiter, hands
-//! its execution token back to the device's worker pool, and burns no
-//! host CPU until the publishing band wakes it (see the gpu-sim module
-//! docs on host execution vs modeled time; `GPU_SIM_NO_PARK=1` restores
-//! the spinning ladder). Parking changes *when* a look-back walk observes
-//! remote flags, so schedule-dependent traffic counters (`d2d_transfers`
-//! on the look-back read side, poll/backoff/park events) may shift; the
-//! deterministic counter subset and the numeric output must not — the
-//! carry accumulation in `TwoROneW` reads bands in ascending order
-//! regardless of wake order, and the look-back sum order is fixed by the
-//! walk itself.
+//! through `StatusBoard`, so a band blocked on an earlier band's flag
+//! parks, hands its execution token back to the device's worker pool, and
+//! burns no host CPU until the publishing band wakes it. Parking changes
+//! *when* a look-back walk observes remote flags, so schedule-dependent
+//! traffic counters (`d2d_transfers` on the look-back read side,
+//! poll/backoff/park events) may shift; the deterministic counter subset
+//! and the numeric output must not — the carry accumulation in `TwoROneW`
+//! reads bands in ascending order regardless of wake order, and the
+//! look-back sum order is fixed by the walk itself.
 //!
 //! ## Persistent execution
 //!
-//! By default both pipelines run their band sequences as **persistent
-//! per-device jobs** ([`DeviceGroup::run_batch_resident`]): one resident
-//! driver per device iterates its assigned bands in place, executing every
-//! band's blocks inline against a per-lane scratch arena that survives
-//! from band to band, instead of the host issuing one pool launch per
-//! band. Cross-band ordering needs no launch boundaries — it is carried
-//! entirely by the `StatusBoard` flags above — and work stealing becomes a
-//! band-index handoff between the resident drivers. The per-band-launch
-//! path is kept fully functional behind `GPU_SIM_NO_PERSISTENT=1` /
-//! [`set_force_no_persistent`](gpu_sim::group::set_force_no_persistent),
-//! and the two paths execute the same block bodies in the same dispatch
-//! order, so all deterministic counters are bit-identical between them
-//! (the scheduling-parity suite asserts this).
+//! Both pipelines run their band sequences as **persistent per-device
+//! jobs**: one resident lane driver per device iterates its assigned bands
+//! in place, executing every band's blocks inline against a per-lane
+//! scratch arena that survives from band to band, instead of the host
+//! issuing one pool launch per band. Cross-band ordering needs no launch
+//! boundaries — it is carried entirely by the `StatusBoard` flags above —
+//! and work stealing becomes a band-index handoff between the drivers. A
+//! band that panics aborts the batch, and bands on other devices waiting
+//! on its flags fail fast instead of waiting out the deadlock limit.
 //!
 //! [`BlockStats::charge_d2d`]: gpu_sim::metrics::BlockStats::charge_d2d
 //! [`charge_d2d`]: gpu_sim::metrics::BlockStats::charge_d2d
@@ -86,9 +79,9 @@
 
 use gpu_sim::elem::DeviceElem;
 use gpu_sim::global::GlobalBuffer;
-use gpu_sim::group::{persistent_enabled, DeviceGroup, GroupMetrics, StealPolicy};
-use gpu_sim::launch::{BlockCtx, Gpu, LaunchConfig, ScratchArena};
-use gpu_sim::metrics::{BlockStats, CriticalPath, KernelMetrics, RunMetrics};
+use gpu_sim::group::{DeviceGroup, GroupMetrics, StealPolicy};
+use gpu_sim::launch::{Gpu, LaunchConfig};
+use gpu_sim::metrics::{BlockStats, CriticalPath, RunMetrics};
 use gpu_sim::shared::Arrangement;
 use gpu_sim::sync::{DeviceCounter, StatusBoard};
 
@@ -165,30 +158,6 @@ impl CoopReport {
 pub fn even_bands(t: usize, bands: usize) -> Vec<usize> {
     let b = bands.clamp(1, t);
     (0..b).map(|d| (d + 1) * t / b - d * t / b).collect()
-}
-
-/// How a band job issues its kernels: one pool launch per kernel (the
-/// classic path), or inline on the resident lane driver against the
-/// lane's long-lived arena ([`Gpu::launch_resident`]). Both run the same
-/// body closures over the same dispatch permutation, so the counters they
-/// produce are identical by construction; only host mechanics differ.
-enum Exec<'a> {
-    Pooled,
-    Resident(&'a mut ScratchArena),
-}
-
-impl Exec<'_> {
-    fn launch<F: Fn(&mut BlockCtx) + Sync>(
-        &mut self,
-        gpu: &Gpu,
-        lc: LaunchConfig,
-        body: F,
-    ) -> KernelMetrics {
-        match self {
-            Exec::Pooled => gpu.launch(lc, body),
-            Exec::Resident(arena) => gpu.launch_resident(lc, arena, body),
-        }
-    }
 }
 
 /// One band: tile rows `[r0, r1)` of the grid, plus its claim state for
@@ -311,7 +280,7 @@ fn run_coop_2r1w<T: DeviceElem>(
     let bounds = GlobalBuffer::<T>::zeroed(bands.len() * n);
     let flags = StatusBoard::new(bands.len());
 
-    let run_band = |gpu: &Gpu, exec: &mut Exec, band: &BandPlan| -> RunMetrics {
+    let run_band = |gpu: &Gpu, band: &BandPlan| -> RunMetrics {
         let (d, r0, r1) = (band.d, band.r0, band.r1);
         let h = r1 - r0;
         let tpb = params.threads_per_block.min(gpu.config().max_threads_per_block);
@@ -319,14 +288,14 @@ fn run_coop_2r1w<T: DeviceElem>(
         let mut rm = RunMetrics::default();
 
         // k1 over the band's h*t tiles.
-        rm.push(exec.launch(gpu, LaunchConfig::new("coop_2r1w_k1", h * t, tpb), |ctx| {
+        rm.push(gpu.launch(LaunchConfig::new("coop_2r1w_k1", h * t, tpb), |ctx| {
             let b = ctx.block_idx();
             two_r_one_w::k1_tile(ctx, input, &aux, r0 + b / t, b % t);
         }));
 
         // Band-local k2: h full-width row scans (GRS is already global),
         // t column scans over the band's rows, one band GS grid scan.
-        rm.push(exec.launch(gpu, LaunchConfig::new("coop_2r1w_k2", h + t + 1, stpb), |ctx| {
+        rm.push(gpu.launch(LaunchConfig::new("coop_2r1w_k2", h + t + 1, stpb), |ctx| {
             let b = ctx.block_idx();
             if b < h {
                 two_r_one_w::k2_row_scan(ctx, &aux, r0 + b);
@@ -338,7 +307,7 @@ fn run_coop_2r1w<T: DeviceElem>(
         }));
 
         // Publish the band's total column sums to the bounds buffer.
-        rm.push(exec.launch(gpu, LaunchConfig::new("coop_publish", 1, stpb), |ctx| {
+        rm.push(gpu.launch(LaunchConfig::new("coop_publish", 1, stpb), |ctx| {
             let mut row: Vec<T> = ctx.scratch(w);
             for tj in 0..t {
                 aux.gcs.read_vec_into(ctx, r1 - 1, tj, &mut row);
@@ -354,7 +323,7 @@ fn run_coop_2r1w<T: DeviceElem>(
         // Pull every earlier band's boundary row, accumulate the carry,
         // and upgrade the band-local GCS/GS rows to global in place.
         if d > 0 {
-            rm.push(exec.launch(gpu, LaunchConfig::new("coop_carry", 1, stpb), |ctx| {
+            rm.push(gpu.launch(LaunchConfig::new("coop_carry", 1, stpb), |ctx| {
                 let mut carry: Vec<T> = ctx.scratch(n);
                 for e in 0..d {
                     flags.wait_at_least_remote(ctx, e, 1);
@@ -393,21 +362,14 @@ fn run_coop_2r1w<T: DeviceElem>(
         }
 
         // k3 unchanged: every border row it reads is global by now.
-        rm.push(exec.launch(gpu, LaunchConfig::new("coop_2r1w_k3", h * t, tpb), |ctx| {
+        rm.push(gpu.launch(LaunchConfig::new("coop_2r1w_k3", h * t, tpb), |ctx| {
             let b = ctx.block_idx();
             two_r_one_w::k3_tile(ctx, input, output, &aux, r0 + b / t, b % t);
         }));
         rm
     };
 
-    let jobs: Vec<&BandPlan> = bands.iter().collect();
-    if persistent_enabled() {
-        group.run_batch_resident(jobs, policy, |gpu, arena, band| {
-            run_band(gpu, &mut Exec::Resident(arena), band)
-        })
-    } else {
-        group.run_batch_policy(jobs, policy, |gpu, band| run_band(gpu, &mut Exec::Pooled, band))
-    }
+    group.run_batch(bands.iter().collect(), policy, run_band)
 }
 
 /// The cross-device look-back pipeline: one shared [`State`], one kernel
@@ -432,7 +394,7 @@ fn run_coop_skss<T: DeviceElem>(
     let label = kernel.name();
     let window = DEFAULT_LOOKBACK_WINDOW;
 
-    let run_band = |gpu: &Gpu, exec: &mut Exec, band: &BandPlan| -> RunMetrics {
+    let run_band = |gpu: &Gpu, band: &BandPlan| -> RunMetrics {
         let h = band.r1 - band.r0;
         let tpb = if systolic { w } else { params.threads_per_block.min(gpu.config().max_threads_per_block) };
         // The band's own wavefront spans h + t - 1 anti-diagonals; the
@@ -444,7 +406,7 @@ fn run_coop_skss<T: DeviceElem>(
             lc = lc.with_ilp(w);
         }
         let mut rm = RunMetrics::default();
-        rm.push(exec.launch(gpu, lc, |ctx| loop {
+        rm.push(gpu.launch(lc, |ctx| loop {
             let s = band.counter.next(ctx) as usize;
             if s >= band.order.len() {
                 return;
@@ -470,14 +432,7 @@ fn run_coop_skss<T: DeviceElem>(
         rm
     };
 
-    let jobs: Vec<&BandPlan> = bands.iter().collect();
-    if persistent_enabled() {
-        group.run_batch_resident(jobs, policy, |gpu, arena, band| {
-            run_band(gpu, &mut Exec::Resident(arena), band)
-        })
-    } else {
-        group.run_batch_policy(jobs, policy, |gpu, band| run_band(gpu, &mut Exec::Pooled, band))
-    }
+    group.run_batch(bands.iter().collect(), policy, run_band)
 }
 
 #[cfg(test)]
@@ -544,57 +499,6 @@ mod tests {
                     "{devices} devices, {policy:?}"
                 );
                 assert_eq!(gm.d2d_transfers(), gm1.d2d_transfers());
-            }
-        }
-    }
-
-    #[test]
-    fn coop_counters_identical_with_and_without_parking() {
-        // The park/wake path may change host scheduling but must not leak
-        // into results: outputs, deterministic counters, and (for the
-        // eager-exchange pipeline, whose transfers are schedule-free)
-        // d2d traffic all match between a parked and a spinning run.
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                gpu_sim::sync::set_force_no_park(false);
-            }
-        }
-        let _restore = Restore;
-        let n = 64;
-        let w = 8;
-        let mat = Matrix::<u64>::random(n, n, 53, 100);
-        let want = reference::sat(&mat);
-        let bands = even_bands(n / w, 4);
-        for kernel in [CoopKernel::TwoROneW, CoopKernel::SkssLb] {
-            gpu_sim::sync::set_force_no_park(false);
-            let (out_park, rep_park, gm_park) =
-                coop_run(kernel, 2, StealPolicy::StealOnIdle, &mat, &bands, w);
-            gpu_sim::sync::set_force_no_park(true);
-            let (out_spin, rep_spin, gm_spin) =
-                coop_run(kernel, 2, StealPolicy::StealOnIdle, &mat, &bands, w);
-            gpu_sim::sync::set_force_no_park(false);
-            assert_eq!(out_park, want, "{kernel:?} parked");
-            assert_eq!(out_spin, want, "{kernel:?} spinning");
-            // Look-back read-side counters are schedule noise (see
-            // `deterministic_lookback`); everything else must match
-            // bit-for-bit between the parked and spinning hosts.
-            let (det_park, det_spin) = if kernel == CoopKernel::SkssLb {
-                (rep_park.deterministic_lookback(), rep_spin.deterministic_lookback())
-            } else {
-                (rep_park.deterministic(), rep_spin.deterministic())
-            };
-            assert_eq!(
-                det_park, det_spin,
-                "{kernel:?}: parking must not change deterministic counters"
-            );
-            assert_eq!(
-                rep_spin.stats.park_events, 0,
-                "{kernel:?}: the kill-switch must suppress parking entirely"
-            );
-            if kernel == CoopKernel::TwoROneW {
-                assert_eq!(gm_park.d2d_transfers(), gm_spin.d2d_transfers(), "{kernel:?}");
-                assert_eq!(gm_park.d2d_bytes(), gm_spin.d2d_bytes(), "{kernel:?}");
             }
         }
     }

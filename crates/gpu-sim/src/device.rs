@@ -70,10 +70,11 @@ pub struct DeviceConfig {
     pub host_workers: usize,
     /// Number of poll iterations after which a concurrent soft-sync wait
     /// ([`crate::sync::StatusBoard::wait_at_least`]) panics with a
-    /// deadlock diagnostic. Waits back off adaptively (spin, then yield,
-    /// then sleep), so the limit bounds wall-clock hang time; legitimate
-    /// waits complete within a few thousand iterations. Stress tests
-    /// lower this to trigger the panic quickly.
+    /// deadlock diagnostic. Waits spin, back off, then park, and each
+    /// 200 µs park cycle counts as ten iterations, so the limit bounds
+    /// wall-clock hang time; legitimate waits complete within a few
+    /// thousand iterations. Stress tests lower this to trigger the panic
+    /// quickly.
     pub deadlock_limit: u64,
     /// Sustained device-to-device interconnect bandwidth in bytes/second
     /// (peer copies over NVLink/PCIe, not DRAM). Zhang et al.'s single- vs
@@ -87,25 +88,6 @@ pub struct DeviceConfig {
     /// a cross-device flag or boundary row crosses the interconnect and
     /// the remote copy engine, not just the local L2.
     pub d2d_latency: f64,
-    /// Period of one timed park cycle in a parked flag wait, in
-    /// microseconds ([`crate::sync::StatusBoard::wait_at_least`]). Expiry
-    /// re-checks the flag, abort, and deadlock budget, so correctness
-    /// never depends on a wake arriving — publications only make it
-    /// prompt. Host-scheduling tunable: it shapes wall-clock behavior and
-    /// schedule-noise counters, never deterministic model outputs.
-    pub park_cycle_us: u64,
-    /// Poll iterations a flag wait spends in its bounded hot-spin phase
-    /// before escalating to exponential backoff. Host tunable like
-    /// `park_cycle_us`.
-    pub hot_spin_polls: u64,
-    /// Cap of a flag wait's exponential backoff pause, in `spin_loop`
-    /// hints per poll. Once the doubling pause exceeds this the wait
-    /// escalates to parking (or the yield/sleep ladder under
-    /// `GPU_SIM_NO_PARK`). Host tunable.
-    pub backoff_max_pause: u32,
-    /// Poll count at which the non-parking fallback ladder escalates from
-    /// `yield_now` to 20 µs sleeps. Host tunable.
-    pub sleep_after_polls: u64,
 }
 
 impl DeviceConfig {
@@ -133,10 +115,6 @@ impl DeviceConfig {
             deadlock_limit: 5_000_000,
             d2d_bandwidth: 12.0e9,
             d2d_latency: 1.5e-6,
-            park_cycle_us: 200,
-            hot_spin_polls: 64,
-            backoff_max_pause: 512,
-            sleep_after_polls: 4096,
         }
     }
 
@@ -211,10 +189,6 @@ impl DeviceConfig {
             deadlock_limit: 5_000_000,
             d2d_bandwidth: 4.0e9,
             d2d_latency: 2.0e-6,
-            park_cycle_us: 200,
-            hot_spin_polls: 64,
-            backoff_max_pause: 512,
-            sleep_after_polls: 4096,
         }
     }
 
@@ -337,24 +311,6 @@ mod tests {
         assert_eq!(DeviceConfig::by_name("v100").unwrap().name, "Tesla V100 (projected)");
         assert_eq!(DeviceConfig::by_name("gtx1080").unwrap().sm_count, 20);
         assert!(DeviceConfig::by_name("nope").is_none());
-    }
-
-    #[test]
-    fn wait_ladder_tunables_default_to_the_calibrated_values() {
-        // The parked-wait thresholds became per-device tunables; the
-        // defaults must stay at the values the cooperative sweeps were
-        // calibrated with, on every preset (projection presets inherit
-        // from titan_v).
-        for d in [DeviceConfig::titan_v(), DeviceConfig::v100(), DeviceConfig::gtx1080(), DeviceConfig::tiny()] {
-            assert_eq!(d.park_cycle_us, 200, "{}", d.name);
-            assert_eq!(d.hot_spin_polls, 64, "{}", d.name);
-            assert_eq!(d.backoff_max_pause, 512, "{}", d.name);
-            assert_eq!(d.sleep_after_polls, 4096, "{}", d.name);
-        }
-        // And they survive the group-member worker split untouched.
-        let m = DeviceConfig::titan_v().for_group_member(4);
-        assert_eq!(m.park_cycle_us, 200);
-        assert_eq!(m.hot_spin_polls, 64);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::time::Instant;
 
 use crate::device::DeviceConfig;
 use crate::launch::{BlockCtx, LaunchConfig, ScratchArena};
-use crate::metrics::{BlockStats, CriticalPath, KernelAccumulator, KernelMetrics};
+use crate::metrics::{BlockStats, KernelAccumulator, KernelMetrics};
 use crate::stream::StreamShared;
 use crate::trace::{EventKind, Tracer};
 
@@ -90,33 +90,6 @@ impl Body {
     }
 }
 
-/// A type-erased tracer reference carried by a job.
-pub(crate) enum TracerRef {
-    /// No tracing.
-    None,
-    /// Borrowed from a blocking caller, lifetime-erased under the same
-    /// contract as [`BorrowedBody`].
-    Borrowed(&'static Tracer),
-    /// Shared tracer for asynchronous stream jobs.
-    Shared(Arc<Tracer>),
-}
-
-impl TracerRef {
-    pub(crate) fn borrowed(t: &Tracer) -> Self {
-        // SAFETY: lifetime erasure under the `BorrowedBody` contract — the
-        // submitter owns the tracer and blocks until the job completes.
-        TracerRef::Borrowed(unsafe { std::mem::transmute::<&Tracer, &'static Tracer>(t) })
-    }
-
-    fn get(&self) -> Option<&Tracer> {
-        match self {
-            TracerRef::None => None,
-            TracerRef::Borrowed(t) => Some(t),
-            TracerRef::Shared(t) => Some(t),
-        }
-    }
-}
-
 #[derive(Default)]
 struct JobState {
     complete: bool,
@@ -125,16 +98,12 @@ struct JobState {
 
 /// One kernel launch in flight on the pool.
 pub(crate) struct LaunchJob {
-    label: String,
-    blocks: usize,
-    threads_per_block: usize,
-    critical_path: CriticalPath,
-    ilp: usize,
+    lc: LaunchConfig,
     cfg: DeviceConfig,
     /// Dispatch permutation; empty means identity (in-order dispatch).
     order: Vec<usize>,
     body: Body,
-    tracer: TracerRef,
+    tracer: Option<Arc<Tracer>>,
     /// Next unclaimed dispatch position.
     cursor: AtomicUsize,
     /// Number of blocks fully executed (or skipped after an abort).
@@ -160,16 +129,12 @@ impl LaunchJob {
         cfg: DeviceConfig,
         order: Vec<usize>,
         body: Body,
-        tracer: TracerRef,
+        tracer: Option<Arc<Tracer>>,
         stream: Option<Weak<StreamShared>>,
         record_in_stream: bool,
     ) -> Self {
         LaunchJob {
-            label: lc.label,
-            blocks: lc.blocks,
-            threads_per_block: lc.threads_per_block,
-            critical_path: lc.critical_path,
-            ilp: lc.ilp,
+            lc,
             cfg,
             order,
             body,
@@ -187,7 +152,7 @@ impl LaunchJob {
     }
 
     pub(crate) fn blocks(&self) -> usize {
-        self.blocks
+        self.lc.blocks
     }
 
     pub(crate) fn record_in_stream(&self) -> bool {
@@ -197,7 +162,7 @@ impl LaunchJob {
     /// Whether every dispatch position has been claimed by some worker
     /// (the job may still be executing its last blocks).
     fn exhausted(&self) -> bool {
-        self.cursor.load(Ordering::Relaxed) >= self.blocks
+        self.cursor.load(Ordering::Relaxed) >= self.lc.blocks
     }
 
     /// Whether any block of this job panicked.
@@ -229,7 +194,7 @@ impl LaunchJob {
         let mut ran = 0usize;
         loop {
             let k = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if k >= self.blocks {
+            if k >= self.lc.blocks {
                 break;
             }
             ran += 1;
@@ -238,9 +203,9 @@ impl LaunchJob {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     let mut ctx = BlockCtx::for_worker(
                         block_idx,
-                        self.threads_per_block,
+                        self.lc.threads_per_block,
                         &self.cfg,
-                        self.tracer.get(),
+                        self.tracer.as_deref(),
                         arena,
                         &self.aborted,
                         Some(pool),
@@ -264,7 +229,7 @@ impl LaunchJob {
         }
         if ran > 0 {
             self.acc.absorb(&local);
-            if self.finished.fetch_add(ran, Ordering::AcqRel) + ran == self.blocks {
+            if self.finished.fetch_add(ran, Ordering::AcqRel) + ran == self.lc.blocks {
                 return self.complete(pool);
             }
         }
@@ -327,15 +292,7 @@ impl LaunchJob {
     /// completion, so for stream jobs it includes time queued behind
     /// earlier launches of the same stream.
     pub(crate) fn metrics(&self) -> KernelMetrics {
-        KernelMetrics {
-            label: self.label.clone(),
-            blocks: self.blocks,
-            threads_per_block: self.threads_per_block,
-            stats: self.acc.snapshot(),
-            critical_path: self.critical_path,
-            ilp: self.ilp,
-            host_seconds: self.started.elapsed().as_secs_f64(),
-        }
+        self.lc.clone().finish(self.acc.snapshot(), self.started.elapsed().as_secs_f64())
     }
 }
 
@@ -388,8 +345,8 @@ impl PoolShared {
     /// parking again) used to cost more than the launch itself for tiny
     /// grids.
     pub(crate) fn submit(&self, job: Arc<LaunchJob>) {
-        debug_assert!(job.blocks > 0, "zero-block jobs complete inline");
-        let wake = job.blocks.min(self.workers);
+        debug_assert!(job.blocks() > 0, "zero-block jobs complete inline");
+        let wake = job.blocks().min(self.workers);
         let mut q = self.queue.lock().unwrap();
         q.jobs.push_back(job);
         drop(q);

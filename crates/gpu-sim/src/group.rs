@@ -20,12 +20,12 @@
 //!
 //! [`DeviceGroup::run_batch`] shards a batch of independent jobs
 //! contiguously across the devices (device *d* seeds jobs
-//! `[d·m/N, (d+1)·m/N)`), then drives one host thread per device:
+//! `[d·m/N, (d+1)·m/N)`), then drives one resident host thread per device:
 //!
 //! * the owner pops jobs off the **front** of its own shard;
-//! * a device whose shard has drained **steals** from the **back** of a
-//!   victim's shard — the classic deque discipline, so owner and thief
-//!   rarely contend for the same job;
+//! * under [`StealPolicy::StealOnIdle`], a device whose shard has drained
+//!   **steals** from the **back** of a victim's shard — the classic deque
+//!   discipline, so owner and thief rarely contend for the same job;
 //! * batch completion becomes max-of-balanced instead of
 //!   max-of-static-shards.
 //!
@@ -38,17 +38,24 @@
 //! balanced even when the OS runs one driver thread far ahead of the
 //! others, which is what makes [`GroupMetrics`] reproducible anywhere.
 //!
-//! ## Persistent batches
+//! ## Resident lane drivers
 //!
-//! [`DeviceGroup::run_batch_resident`] is the **persistent-grid** variant:
-//! the same sharding and steal discipline, but each driver thread stays
-//! resident for the whole sequence, executes its jobs' blocks inline
-//! ([`Gpu::launch_resident`](crate::launch::Gpu::launch_resident)) against
-//! a per-lane [`ScratchArena`] reused across jobs, and participates in its
-//! device pool's worker-token economy (`driver_begin` / `DriverPark`).
-//! Idle lanes block on the event-driven `Progress` condvar — bumped on
-//! every job completion — rather than any fixed-period poll, in both
-//! variants.
+//! Each driver thread stays resident for the whole batch and hands its jobs
+//! a lane handle: a clone of its device's [`Gpu`] whose launches run their
+//! blocks inline on the driver, against one scratch arena reused from job
+//! to job. A job is just an index into the sequence, so a steal moves
+//! the index, not a launch; cross-job ordering is whatever the jobs enforce
+//! themselves (e.g. `StatusBoard` flags). The driver claims one worker
+//! token from its device pool for the batch — it executes blocks, so it
+//! takes a worker's place — and hands it back whenever it blocks (a parked
+//! flag wait inside a block, or the driver waiting for steal eligibility),
+//! so pool launches on the same device always make progress. Idle drivers
+//! block on the event-driven `Progress` condvar, bumped on every job
+//! completion, never on a fixed-period poll.
+//!
+//! A job that panics aborts the batch: the lanes' blocks carry the batch's
+//! abort flag, so a peer waiting on the dead job's flag fails fast, and
+//! the first panic is re-raised to the caller.
 //!
 //! ## Accounting
 //!
@@ -64,49 +71,14 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 use crate::device::DeviceConfig;
 use crate::executor::PoolShared;
-use crate::launch::{DispatchOrder, ExecMode, Gpu, ScratchArena};
+use crate::launch::{DispatchOrder, ExecMode, Gpu};
 use crate::metrics::{BlockStats, RunMetrics};
 use crate::timing::run_seconds;
-
-static NO_PERSISTENT_ENV: AtomicBool = AtomicBool::new(false);
-static NO_PERSISTENT_INIT: Once = Once::new();
-static FORCE_NO_PERSISTENT: AtomicBool = AtomicBool::new(false);
-
-/// Whether callers that support it should use persistent (resident)
-/// cooperative execution ([`DeviceGroup::run_batch_resident`]) instead of
-/// one pool launch per band. `false` when the `GPU_SIM_NO_PERSISTENT`
-/// environment variable is set (to anything but `0`) or while
-/// [`set_force_no_persistent`] is on — mirroring the `GPU_SIM_NO_VECTOR` /
-/// `force_scalar` and `GPU_SIM_NO_PARK` /
-/// [`set_force_no_park`](crate::sync::set_force_no_park) pairs, and
-/// composing with both: the switches gate independent mechanisms (host
-/// vectorization, parked waits, resident grids) and any combination is
-/// legal.
-///
-/// This is advisory for *algorithm* code choosing between two equivalent
-/// execution strategies; the [`DeviceGroup`] APIs themselves always do
-/// exactly what they are told.
-#[inline]
-pub fn persistent_enabled() -> bool {
-    NO_PERSISTENT_INIT.call_once(|| {
-        let off = std::env::var_os("GPU_SIM_NO_PERSISTENT").is_some_and(|v| v != "0");
-        NO_PERSISTENT_ENV.store(off, Ordering::SeqCst);
-    });
-    !NO_PERSISTENT_ENV.load(Ordering::Relaxed) && !FORCE_NO_PERSISTENT.load(Ordering::Relaxed)
-}
-
-/// Process-global test switch disabling persistent cooperative execution
-/// (the per-band-launch path runs instead). Like `force_scalar` and
-/// `set_force_no_park`, only flip this while no cooperative run is in
-/// flight.
-pub fn set_force_no_persistent(on: bool) {
-    FORCE_NO_PERSISTENT.store(on, Ordering::SeqCst);
-}
 
 /// Whether an idle device may take jobs from a peer's shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -145,12 +117,7 @@ impl DeviceGroup {
     /// # Panics
     /// If `count` is zero.
     pub fn new(cfg: DeviceConfig, count: usize) -> Self {
-        assert!(count > 0, "a DeviceGroup needs at least one device");
-        let member = cfg.for_group_member(count);
-        let devices = (0..count)
-            .map(|d| Gpu::new(member.clone()).with_mode(ExecMode::Concurrent).with_ordinal(d))
-            .collect();
-        DeviceGroup { devices }
+        Self::with_member_config(cfg.for_group_member(count), count)
     }
 
     /// A group of `count` devices each using `cfg` **exactly** — no
@@ -196,34 +163,16 @@ impl DeviceGroup {
         self.devices.is_empty()
     }
 
-    /// Run a batch of independent jobs with work stealing
-    /// ([`StealPolicy::StealOnIdle`]).
+    /// Run a batch of independent jobs on the group's resident lane
+    /// drivers under `policy`; see the [module docs](self) for the
+    /// scheduling discipline.
     ///
-    /// `run` executes one job on one device and reports its metrics; it
-    /// must not assume *which* device it gets — jobs migrate. Panics
-    /// inside a job abort the whole batch and are re-raised here, like a
-    /// failed launch poisoning a stream.
-    pub fn run_batch<J, F>(&self, jobs: Vec<J>, run: F) -> GroupMetrics
-    where
-        J: Send,
-        F: Fn(&Gpu, J) -> RunMetrics + Sync,
-    {
-        self.run_batch_policy(jobs, StealPolicy::StealOnIdle, run)
-    }
-
-    /// Run a batch with static shards ([`StealPolicy::Disabled`]): the
-    /// baseline the skewed-shard tests compare stealing against.
-    pub fn run_batch_static<J, F>(&self, jobs: Vec<J>, run: F) -> GroupMetrics
-    where
-        J: Send,
-        F: Fn(&Gpu, J) -> RunMetrics + Sync,
-    {
-        self.run_batch_policy(jobs, StealPolicy::Disabled, run)
-    }
-
-    /// Run a batch of independent jobs under an explicit [`StealPolicy`];
-    /// see the [module docs](self) for the scheduling discipline.
-    pub fn run_batch_policy<J, F>(&self, jobs: Vec<J>, policy: StealPolicy, run: F) -> GroupMetrics
+    /// `run` executes one job on the lane handle of whichever device the
+    /// scheduler lands it on and reports its metrics; it must not assume
+    /// *which* device it gets — jobs migrate. Its launches run inline on
+    /// the lane. A panic inside a job aborts the whole batch and is
+    /// re-raised here, like a failed launch poisoning a stream.
+    pub fn run_batch<J, F>(&self, jobs: Vec<J>, policy: StealPolicy, run: F) -> GroupMetrics
     where
         J: Send,
         F: Fn(&Gpu, J) -> RunMetrics + Sync,
@@ -231,46 +180,25 @@ impl DeviceGroup {
         let nd = self.devices.len();
         let m = jobs.len();
         let started = Instant::now();
-
-        // Contiguous static shards: device d seeds jobs [d*m/nd, (d+1)*m/nd).
         let mut iter = jobs.into_iter();
-        let shards: Vec<Mutex<VecDeque<J>>> = (0..nd)
-            .map(|d| {
-                let span = (d + 1) * m / nd - d * m / nd;
-                Mutex::new(iter.by_ref().take(span).collect())
-            })
-            .collect();
-
-        // Per-lane simulated clocks (f64 seconds as bits; non-negative
-        // floats order identically to their bit patterns).
-        let clocks: Vec<AtomicU64> = (0..nd).map(|_| AtomicU64::new(0f64.to_bits())).collect();
-        let abort = AtomicBool::new(false);
-        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let progress = Progress::default();
-
+        let batch = Batch {
+            shards: (0..nd)
+                .map(|d| Mutex::new(iter.by_ref().take((d + 1) * m / nd - d * m / nd).collect()))
+                .collect(),
+            clocks: (0..nd).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
+            policy,
+            abort: Arc::new(AtomicBool::new(false)),
+            first_panic: Mutex::new(None),
+            progress: Progress::default(),
+        };
         let lanes: Vec<DeviceLane> = std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .devices
                 .iter()
                 .enumerate()
                 .map(|(d, gpu)| {
-                    let (shards, clocks, abort, first_panic, progress, run) =
-                        (&shards, &clocks, &abort, &first_panic, &progress, &run);
-                    s.spawn(move || {
-                        let mut call = |gpu: &Gpu, j: J| run(gpu, j);
-                        drive_lane(
-                            d,
-                            gpu,
-                            shards,
-                            clocks,
-                            policy,
-                            abort,
-                            first_panic,
-                            progress,
-                            None,
-                            &mut call,
-                        )
-                    })
+                    let (batch, run) = (&batch, &run);
+                    s.spawn(move || batch.drive(d, gpu, run))
                 })
                 .collect();
             handles
@@ -278,98 +206,7 @@ impl DeviceGroup {
                 .map(|h| h.join().expect("device driver thread died outside a job"))
                 .collect()
         });
-
-        if let Some(p) = first_panic.into_inner().unwrap() {
-            resume_unwind(p);
-        }
-        GroupMetrics { lanes, wall_seconds: started.elapsed().as_secs_f64() }
-    }
-
-    /// Run a batch as **persistent per-device jobs**: one driver per device
-    /// stays resident for the whole band sequence instead of the host
-    /// re-launching per job, and each driver owns a [`ScratchArena`] that
-    /// jobs reuse across the sequence (blocks run inline on the driver via
-    /// [`Gpu::launch_resident`](crate::launch::Gpu::launch_resident), so
-    /// scratch allocations survive from band to band instead of being
-    /// rebuilt at every launch boundary).
-    ///
-    /// Work stealing is the same band-index handoff as
-    /// [`run_batch_policy`] — a job is just an index into the sequence,
-    /// and migrating it between resident drivers moves the index, not a
-    /// launch. Cross-band ordering is whatever the jobs themselves enforce
-    /// (e.g. `StatusBoard` publication flags); there are no launch
-    /// boundaries left to order by.
-    ///
-    /// Each resident driver claims one worker token from its device pool
-    /// (`PoolShared::driver_begin`) for the duration of the batch — it
-    /// executes blocks itself, so it takes a worker's place — and hands
-    /// the token back whenever it blocks waiting for steal eligibility
-    /// (`DriverPark`), exactly like a parked flag wait inside a pool
-    /// block. Jobs may still submit ordinary pool launches; those compose
-    /// with the resident driver's token discipline.
-    pub fn run_batch_resident<J, F>(&self, jobs: Vec<J>, policy: StealPolicy, run: F) -> GroupMetrics
-    where
-        J: Send,
-        F: Fn(&Gpu, &mut ScratchArena, J) -> RunMetrics + Sync,
-    {
-        let nd = self.devices.len();
-        let m = jobs.len();
-        let started = Instant::now();
-
-        let mut iter = jobs.into_iter();
-        let shards: Vec<Mutex<VecDeque<J>>> = (0..nd)
-            .map(|d| {
-                let span = (d + 1) * m / nd - d * m / nd;
-                Mutex::new(iter.by_ref().take(span).collect())
-            })
-            .collect();
-
-        let clocks: Vec<AtomicU64> = (0..nd).map(|_| AtomicU64::new(0f64.to_bits())).collect();
-        let abort = AtomicBool::new(false);
-        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let progress = Progress::default();
-
-        let lanes: Vec<DeviceLane> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(d, gpu)| {
-                    let (shards, clocks, abort, first_panic, progress, run) =
-                        (&shards, &clocks, &abort, &first_panic, &progress, &run);
-                    s.spawn(move || {
-                        // The driver executes blocks inline for the whole
-                        // batch: claim a worker token up front and return
-                        // it at exit, so the device pool's concurrency
-                        // budget counts this thread like one of its own.
-                        let pool = Arc::clone(gpu.pool_shared());
-                        pool.driver_begin();
-                        let mut arena = ScratchArena::default();
-                        let mut call = |gpu: &Gpu, j: J| run(gpu, &mut arena, j);
-                        let lane = drive_lane(
-                            d,
-                            gpu,
-                            shards,
-                            clocks,
-                            policy,
-                            abort,
-                            first_panic,
-                            progress,
-                            Some(&pool),
-                            &mut call,
-                        );
-                        pool.driver_end();
-                        lane
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("device driver thread died outside a job"))
-                .collect()
-        });
-
-        if let Some(p) = first_panic.into_inner().unwrap() {
+        if let Some(p) = batch.first_panic.into_inner().expect(POISONED) {
             resume_unwind(p);
         }
         GroupMetrics { lanes, wall_seconds: started.elapsed().as_secs_f64() }
@@ -378,10 +215,8 @@ impl DeviceGroup {
 
 /// Batch progress signal: a generation counter bumped (with a broadcast
 /// wake) whenever any lane completes a job or the batch aborts. Lanes
-/// whose simulated clock is ahead of every victim's wait here instead of
-/// sleeping blind — the same parked-over-spinning trade
-/// [`sync::parking_enabled`](crate::sync::parking_enabled) governs for
-/// flag waits, so the same kill-switch reverts it.
+/// whose simulated clock is ahead of every victim's wait here, parked
+/// like a flag wait, instead of polling.
 ///
 /// The wait is purely **event-driven**: no timeout, no fixed-period
 /// polling. That is safe because `bump` takes the same mutex the waiter
@@ -442,158 +277,152 @@ impl Drop for DriverPark<'_> {
     }
 }
 
-/// The per-device driver loop: pop own shard from the front, steal from
-/// eligible victims' backs, block on the progress condvar when neither
-/// applies.
-///
-/// `token` is `Some` for **resident** drivers ([`DeviceGroup::run_batch_resident`]): the driver holds one of its device pool's
-/// worker tokens for the whole batch (claimed by the caller via
-/// `PoolShared::driver_begin`) and hands it back through a
-/// `DriverPark` guard for the duration of every idle wait, so pool
-/// launches submitted by resident jobs on the same device can always
-/// make progress even on a one-worker pool.
-#[allow(clippy::too_many_arguments)]
-fn drive_lane<J: Send>(
-    d: usize,
-    gpu: &Gpu,
-    shards: &[Mutex<VecDeque<J>>],
-    clocks: &[AtomicU64],
+/// Jobs run under `catch_unwind` and never while a batch lock is held, so
+/// a poisoned lock means the scheduler itself panicked.
+const POISONED: &str = "batch scheduler panicked while holding a batch lock";
+
+/// The state the lane drivers of one batch share.
+struct Batch<J> {
+    /// Device `d`'s remaining seeded (and not yet stolen) jobs.
+    shards: Vec<Mutex<VecDeque<J>>>,
+    /// Per-lane simulated clocks (f64 seconds as bits; non-negative floats
+    /// order identically to their bit patterns).
+    clocks: Vec<AtomicU64>,
     policy: StealPolicy,
-    abort: &AtomicBool,
-    first_panic: &Mutex<Option<Box<dyn Any + Send>>>,
-    progress: &Progress,
-    token: Option<&Arc<PoolShared>>,
-    run: &mut dyn FnMut(&Gpu, J) -> RunMetrics,
-) -> DeviceLane {
-    let mut lane = DeviceLane {
-        ordinal: d,
-        jobs: 0,
-        stolen: 0,
-        kernel_calls: 0,
-        stats: BlockStats::default(),
-        modeled_seconds: 0.0,
-        busy_seconds: 0.0,
-    };
-    loop {
-        if abort.load(Ordering::Relaxed) {
-            break;
-        }
-        // The pop must be a standalone statement: as a match scrutinee the
-        // guard temporary would live for the whole match, so `steal_from`
-        // would lock other shards while this lane's shard is still held —
-        // two lanes stealing at once then deadlock ABBA on each other's
-        // shard mutex.
-        let own = shards[d].lock().unwrap().pop_front();
-        let (job, stolen) = match own {
-            Some(j) => (Some(j), false),
-            None if policy == StealPolicy::StealOnIdle => (steal_from(d, shards, clocks), true),
-            None => (None, false),
-        };
-        match job {
-            Some(j) => {
-                let t0 = Instant::now();
-                match catch_unwind(AssertUnwindSafe(|| run(gpu, j))) {
-                    Ok(rm) => {
-                        lane.busy_seconds += t0.elapsed().as_secs_f64();
-                        lane.jobs += 1;
-                        lane.stolen += stolen as usize;
-                        lane.kernel_calls += rm.kernel_calls();
-                        lane.stats.merge(&rm.total_stats());
-                        lane.modeled_seconds += run_seconds(gpu.config(), &rm);
-                        clocks[d].store(lane.modeled_seconds.to_bits(), Ordering::Release);
-                        // Clock advance may make this lane a legal victim:
-                        // broadcast after the store so a waiter that wakes
-                        // is guaranteed to see the new clock.
-                        progress.bump();
-                        if policy == StealPolicy::StealOnIdle {
-                            // Give the waiters just woken a scheduling
-                            // window to observe eligibility and steal
-                            // before this lane claims its next job. The
-                            // per-launch path got this interleave for free
-                            // from the submit/complete round-trip of every
-                            // job; a resident lane runs inline and would
-                            // otherwise drain its whole shard in one
-                            // scheduler slice on a loaded single-core
-                            // host, starving thieves of the window.
-                            std::thread::yield_now();
-                        }
-                    }
-                    Err(p) => {
-                        abort.store(true, Ordering::Relaxed);
-                        let mut fp = first_panic.lock().unwrap();
-                        if fp.is_none() {
-                            *fp = Some(p);
-                        }
-                        progress.bump();
-                        break;
-                    }
-                }
-            }
-            None => {
-                // Capture the generation before re-checking the shards:
-                // any progress after this point bumps it, so the wait
-                // below cannot sleep through the wake that would have
-                // made a victim eligible.
-                let seen = progress.current();
-                if shards.iter().all(|sh| sh.lock().unwrap().is_empty()) {
-                    break;
-                }
-                if policy == StealPolicy::Disabled {
-                    // Static shards: remaining jobs belong to other
-                    // devices; this lane is done.
-                    break;
-                }
-                // Work exists but this lane's simulated clock is ahead of
-                // every victim's: wait for another lane to report progress
-                // (their clocks advance and eligibility returns, or the
-                // shards empty and the loop exits). Under GPU_SIM_NO_PARK
-                // fall back to the original blind yield + sleep poll. A
-                // resident driver hands its worker token back for the
-                // whole wait — including the NO_PARK fallback, which is
-                // pool bookkeeping rather than condvar parking, so the
-                // kill-switch does not apply to it (and must not: a blind
-                // sleep holding the only token would starve pool launches
-                // submitted by jobs on other lanes).
-                let _handoff = token.map(|p| {
-                    lane.stats.token_handoffs += 1;
-                    DriverPark::engage(p)
-                });
-                if crate::sync::parking_enabled() {
-                    progress.wait_past(seen);
-                } else {
-                    std::thread::yield_now();
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-        }
-    }
-    lane
+    /// Set by the first job to panic; every lane's blocks poll it.
+    abort: Arc<AtomicBool>,
+    first_panic: Mutex<Option<Box<dyn Any + Send>>>,
+    progress: Progress,
 }
 
-/// Take a job from the back of the most-loaded victim whose simulated
-/// clock is at or ahead of the thief's, or `None` if no victim is
-/// eligible right now.
-fn steal_from<J>(
-    thief: usize,
-    shards: &[Mutex<VecDeque<J>>],
-    clocks: &[AtomicU64],
-) -> Option<J> {
-    let my_clock = f64::from_bits(clocks[thief].load(Ordering::Acquire));
-    let mut best: Option<(usize, usize)> = None; // (victim, backlog)
-    for (v, shard) in shards.iter().enumerate() {
-        if v == thief {
-            continue;
+impl<J: Send> Batch<J> {
+    /// The resident driver loop of device `d`: pop own shard from the
+    /// front, steal from eligible victims' backs, block on the progress
+    /// condvar when neither applies.
+    ///
+    /// The driver holds one of its device pool's worker tokens for the
+    /// whole batch and hands it back through a `DriverPark` guard for the
+    /// duration of every idle wait, so pool launches submitted on the same
+    /// device can always make progress even on a one-worker pool.
+    fn drive<F>(&self, d: usize, device: &Gpu, run: &F) -> DeviceLane
+    where
+        F: Fn(&Gpu, J) -> RunMetrics,
+    {
+        let pool = device.pool_shared();
+        pool.driver_begin();
+        let gpu = device.for_lane(Arc::clone(&self.abort));
+        let mut lane = DeviceLane {
+            ordinal: d,
+            jobs: 0,
+            stolen: 0,
+            kernel_calls: 0,
+            stats: BlockStats::default(),
+            modeled_seconds: 0.0,
+            busy_seconds: 0.0,
+        };
+        loop {
+            if self.abort.load(Ordering::Relaxed) {
+                break;
+            }
+            // The pop must be a standalone statement: as a match scrutinee the
+            // guard temporary would live for the whole match, so `steal`
+            // would lock other shards while this lane's shard is still held —
+            // two lanes stealing at once then deadlock ABBA on each other's
+            // shard mutex.
+            let own = self.shards[d].lock().expect(POISONED).pop_front();
+            let (job, stolen) = match own {
+                Some(j) => (Some(j), false),
+                None if self.policy == StealPolicy::StealOnIdle => (self.steal(d), true),
+                None => (None, false),
+            };
+            match job {
+                Some(j) => {
+                    let t0 = Instant::now();
+                    match catch_unwind(AssertUnwindSafe(|| run(&gpu, j))) {
+                        Ok(rm) => {
+                            lane.busy_seconds += t0.elapsed().as_secs_f64();
+                            lane.jobs += 1;
+                            lane.stolen += stolen as usize;
+                            lane.kernel_calls += rm.kernel_calls();
+                            lane.stats.merge(&rm.total_stats());
+                            lane.modeled_seconds += run_seconds(gpu.config(), &rm);
+                            self.clocks[d].store(lane.modeled_seconds.to_bits(), Ordering::Release);
+                            // Clock advance may make this lane a legal victim:
+                            // broadcast after the store so a waiter that wakes
+                            // is guaranteed to see the new clock.
+                            self.progress.bump();
+                            if self.policy == StealPolicy::StealOnIdle {
+                                // Give the waiters just woken a scheduling
+                                // window to observe eligibility and steal
+                                // before this lane claims its next job: a
+                                // resident lane runs inline and would
+                                // otherwise drain its whole shard in one
+                                // scheduler slice on a loaded single-core
+                                // host, starving thieves of the window.
+                                std::thread::yield_now();
+                            }
+                        }
+                        Err(p) => {
+                            self.abort.store(true, Ordering::Relaxed);
+                            let mut fp = self.first_panic.lock().expect(POISONED);
+                            if fp.is_none() {
+                                *fp = Some(p);
+                            }
+                            self.progress.bump();
+                            break;
+                        }
+                    }
+                }
+                None => {
+                    // Capture the generation before re-checking the shards:
+                    // any progress after this point bumps it, so the wait
+                    // below cannot sleep through the wake that would have
+                    // made a victim eligible.
+                    let seen = self.progress.current();
+                    if self.shards.iter().all(|sh| sh.lock().expect(POISONED).is_empty()) {
+                        break;
+                    }
+                    if self.policy == StealPolicy::Disabled {
+                        // Static shards: remaining jobs belong to other
+                        // devices; this lane is done.
+                        break;
+                    }
+                    // Work exists but this lane's simulated clock is ahead of
+                    // every victim's: wait, without the worker token, for
+                    // another lane to report progress (their clocks advance
+                    // and eligibility returns, or the shards empty and the
+                    // loop exits).
+                    lane.stats.token_handoffs += 1;
+                    let _handoff = DriverPark::engage(pool);
+                    self.progress.wait_past(seen);
+                }
+            }
         }
-        let victim_clock = f64::from_bits(clocks[v].load(Ordering::Acquire));
-        if my_clock > victim_clock {
-            continue; // stealing would unbalance the simulated schedule
-        }
-        let backlog = shard.lock().unwrap().len();
-        if backlog > 0 && best.is_none_or(|(_, b)| backlog > b) {
-            best = Some((v, backlog));
-        }
+        pool.driver_end();
+        lane
     }
-    best.and_then(|(v, _)| shards[v].lock().unwrap().pop_back())
+
+    /// Take a job from the back of the most-loaded victim whose simulated
+    /// clock is at or ahead of the thief's, or `None` if no victim is
+    /// eligible right now.
+    fn steal(&self, thief: usize) -> Option<J> {
+        let my_clock = f64::from_bits(self.clocks[thief].load(Ordering::Acquire));
+        let mut best: Option<(usize, usize)> = None; // (victim, backlog)
+        for (v, shard) in self.shards.iter().enumerate() {
+            if v == thief {
+                continue;
+            }
+            let victim_clock = f64::from_bits(self.clocks[v].load(Ordering::Acquire));
+            if my_clock > victim_clock {
+                continue; // stealing would unbalance the simulated schedule
+            }
+            let backlog = shard.lock().expect(POISONED).len();
+            if backlog > 0 && best.is_none_or(|(_, b)| backlog > b) {
+                best = Some((v, backlog));
+            }
+        }
+        best.and_then(|(v, _)| self.shards[v].lock().expect(POISONED).pop_back())
+    }
 }
 
 /// What one device of a group did during a batch.
@@ -758,24 +587,30 @@ mod tests {
 
     #[test]
     fn batch_totals_are_independent_of_device_count() {
+        // Reference: the same jobs one after another on a sequential device.
         let jobs = || (0..12u64).map(|i| i + 1).collect::<Vec<_>>();
-        let reference = DeviceGroup::new(DeviceConfig::tiny(), 1).run_batch(jobs(), fill_job);
-        assert_eq!(reference.total_jobs(), 12);
-        assert_eq!(reference.steal_events(), 0, "one device has nobody to steal from");
-        for nd in [2, 4] {
+        let seq = Gpu::new(DeviceConfig::tiny());
+        let (mut want, mut want_seconds) = (BlockStats::default(), 0.0);
+        for v in jobs() {
+            let rm = fill_job(&seq, v);
+            want.merge(&rm.total_stats());
+            want_seconds += run_seconds(seq.config(), &rm);
+        }
+        let one = DeviceGroup::new(DeviceConfig::tiny(), 1).run_batch(jobs(), StealPolicy::StealOnIdle, fill_job);
+        assert_eq!(one.steal_events(), 0, "one device has nobody to steal from");
+        for nd in [1, 2, 4] {
             let g = DeviceGroup::new(DeviceConfig::tiny(), nd);
             for policy in [StealPolicy::Disabled, StealPolicy::StealOnIdle] {
-                let got = g.run_batch_policy(jobs(), policy, fill_job);
+                let got = g.run_batch(jobs(), policy, fill_job);
                 assert_eq!(got.total_jobs(), 12, "{nd} devices, {policy:?}");
                 assert_eq!(got.kernel_calls(), 12, "{nd} devices, {policy:?}");
                 assert_eq!(
                     got.deterministic(),
-                    reference.deterministic(),
+                    want.deterministic(),
                     "{nd} devices, {policy:?}: totals must not depend on the schedule"
                 );
                 assert!(
-                    (got.modeled_device_seconds() - reference.modeled_device_seconds()).abs()
-                        < 1e-12,
+                    (got.modeled_device_seconds() - want_seconds).abs() < 1e-12,
                     "{nd} devices, {policy:?}: modeled work is a per-job sum"
                 );
             }
@@ -785,7 +620,7 @@ mod tests {
     #[test]
     fn static_sharding_splits_contiguously() {
         let g = DeviceGroup::new(DeviceConfig::tiny(), 4);
-        let m = g.run_batch_static((0..10u64).collect(), fill_job);
+        let m = g.run_batch((0..10u64).collect(), StealPolicy::Disabled, fill_job);
         let per_lane: Vec<usize> = m.lanes.iter().map(|l| l.jobs).collect();
         // 10 jobs over 4 devices: [2, 3, 2, 3] by the [d*m/nd, (d+1)*m/nd) rule.
         assert_eq!(per_lane, vec![2, 3, 2, 3]);
@@ -795,7 +630,7 @@ mod tests {
     #[test]
     fn empty_batch_completes() {
         let g = DeviceGroup::new(DeviceConfig::tiny(), 2);
-        let m = g.run_batch(Vec::<u64>::new(), fill_job);
+        let m = g.run_batch(Vec::<u64>::new(), StealPolicy::StealOnIdle, fill_job);
         assert_eq!(m.total_jobs(), 0);
         assert_eq!(m.lanes.len(), 2);
         assert_eq!(m.modeled_completion_seconds(), 0.0);
@@ -805,7 +640,7 @@ mod tests {
     fn job_panic_aborts_the_batch_and_reraises() {
         let g = DeviceGroup::new(DeviceConfig::tiny(), 2);
         let err = catch_unwind(AssertUnwindSafe(|| {
-            g.run_batch((0..8u64).collect(), |gpu, i| {
+            g.run_batch((0..8u64).collect(), StealPolicy::StealOnIdle, |gpu, i| {
                 if i == 3 {
                     panic!("job fault");
                 }
@@ -818,47 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_batches_match_pooled_batches() {
-        // The persistent-driver variant must be observably identical to
-        // the per-launch path: same totals, same deterministic counters,
-        // same modeled work — across device counts and steal policies.
-        let jobs = || (0..12u64).map(|i| i + 1).collect::<Vec<_>>();
-        let reference = DeviceGroup::new(DeviceConfig::tiny(), 1).run_batch(jobs(), fill_job);
-        for nd in [1, 2, 4] {
-            let g = DeviceGroup::new(DeviceConfig::tiny(), nd);
-            for policy in [StealPolicy::Disabled, StealPolicy::StealOnIdle] {
-                let got = g.run_batch_resident(jobs(), policy, |gpu, arena, v| {
-                    // fill_job, with the launch run inline on the driver.
-                    let buf = GlobalBuffer::<u64>::zeroed(64);
-                    let mut rm = RunMetrics::default();
-                    rm.push(gpu.launch_resident(
-                        LaunchConfig::new("fill", 4, 32),
-                        arena,
-                        |ctx| {
-                            let base = ctx.block_idx() * 16;
-                            buf.fill(ctx, base, 16, v);
-                        },
-                    ));
-                    assert_eq!(buf.to_vec(), vec![v; 64]);
-                    rm
-                });
-                assert_eq!(got.total_jobs(), 12, "{nd} devices, {policy:?}");
-                assert_eq!(got.kernel_calls(), 12, "{nd} devices, {policy:?}");
-                assert_eq!(
-                    got.deterministic(),
-                    reference.deterministic(),
-                    "{nd} devices, {policy:?}: resident execution must not change counters"
-                );
-                assert!(
-                    (got.modeled_device_seconds() - reference.modeled_device_seconds()).abs()
-                        < 1e-12,
-                    "{nd} devices, {policy:?}: modeled work is schedule-independent"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn all_work_on_one_shard_is_stolen_to_balance() {
         // Seed everything on device 0 by making the batch shorter than the
         // group... not possible directly; instead use 2 devices and 1 job:
@@ -867,7 +661,7 @@ mod tests {
         // steal, so instead check the skew case: 2 devices, jobs all equal,
         // but device 1 seeded with none (m=1 gives shard sizes [0, 1]).
         let g = DeviceGroup::new(DeviceConfig::tiny(), 2);
-        let m = g.run_batch(vec![7u64], fill_job);
+        let m = g.run_batch(vec![7u64], StealPolicy::StealOnIdle, fill_job);
         assert_eq!(m.total_jobs(), 1);
         // [d*m/nd) rule puts the single job on device 0's shard... d=0
         // span = 1*1/2 - 0 = 0, d=1 span = 2*1/2 - 1*1/2 = 1: device 1

@@ -20,8 +20,12 @@
 //!   are exercised for real, and back-to-back launches reuse warm threads
 //!   and their scratch arenas instead of re-paying thread spawn/join.
 //!
-//! On top of the pool, [`Gpu::stream`] opens a CUDA-stream-style handle
-//! for asynchronous, stream-ordered launches ([`crate::stream`]).
+//! [`Gpu::launch`] is the one launch entry point. A handle bound to a
+//! stream ([`Gpu::bind_stream`]) runs it stream-ordered on the pool, and
+//! the handle a [`DeviceGroup`](crate::group::DeviceGroup) lane driver
+//! gives its jobs runs it inline on the driver. On top of the pool,
+//! [`Gpu::stream`] opens a CUDA-stream-style handle for asynchronous,
+//! stream-ordered launches ([`crate::stream`]).
 
 use std::any::{Any, TypeId};
 use std::sync::atomic::AtomicBool;
@@ -30,8 +34,8 @@ use std::time::Instant;
 
 use crate::device::DeviceConfig;
 use crate::elem::DeviceElem;
-use crate::executor::{Body, BorrowedBody, LaunchJob, PoolShared, TracerRef, WorkerPool};
-use crate::metrics::{BlockStats, CriticalPath, KernelAccumulator, KernelMetrics};
+use crate::executor::{Body, BorrowedBody, LaunchJob, PoolShared, WorkerPool};
+use crate::metrics::{BlockStats, CriticalPath, KernelMetrics};
 use crate::stream::Stream;
 use crate::trace::{EventKind, Tracer};
 
@@ -95,6 +99,15 @@ impl DispatchOrder {
         }
         order
     }
+
+    /// The order blocks start in, with in-order dispatch as an empty list
+    /// (dispatch position == block index, no allocation per launch).
+    pub(crate) fn launch_order(&self, blocks: usize) -> Vec<usize> {
+        match self {
+            DispatchOrder::InOrder => Vec::new(),
+            d => d.permutation(blocks),
+        }
+    }
 }
 
 /// Shape and bookkeeping of one kernel launch.
@@ -139,6 +152,19 @@ impl LaunchConfig {
         self.ilp = ilp.max(1);
         self
     }
+
+    /// The metrics of a finished launch of this shape.
+    pub(crate) fn finish(self, stats: BlockStats, host_seconds: f64) -> KernelMetrics {
+        KernelMetrics {
+            label: self.label,
+            blocks: self.blocks,
+            threads_per_block: self.threads_per_block,
+            stats,
+            critical_path: self.critical_path,
+            ilp: self.ilp,
+            host_seconds,
+        }
+    }
 }
 
 /// A per-worker pool of reusable scratch buffers, keyed by element type.
@@ -157,13 +183,13 @@ impl LaunchConfig {
 /// list itself is a small linear-scanned `Vec` — kernels use at most a
 /// couple of element types, so this beats hashing a `TypeId` per call.
 #[derive(Default)]
-pub struct ScratchArena {
+pub(crate) struct ScratchArena {
     pools: Vec<(TypeId, Box<dyn Any + Send>)>,
 }
 
 impl ScratchArena {
     /// An empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -241,17 +267,16 @@ pub struct BlockCtx<'a> {
     cfg: &'a DeviceConfig,
     tracer: Option<&'a Tracer>,
     arena: &'a mut ScratchArena,
-    /// Set by the executor when another block of the same launch panicked;
-    /// soft-sync waits poll it so consumers of a dead producer fail fast
-    /// instead of spinning to the deadlock limit.
+    /// Set when the launch (or, for a group lane, the batch) aborts because
+    /// a block or job panicked; soft-sync waits poll it so consumers of a
+    /// dead producer fail fast instead of waiting out the deadlock limit.
     abort: Option<&'a AtomicBool>,
     /// The worker pool executing this block, when there is one: parked
     /// flag waits hand their execution token back through it
     /// ([`PoolShared::park_begin`]). Set both for pool-run blocks and for
-    /// blocks a resident group driver runs inline
-    /// ([`Gpu::launch_resident`]) — the driver holds a worker token, and
-    /// its parks return *that* token. `None` only for sequential blocks
-    /// and the one-block inline fast path, which hold no token.
+    /// blocks a resident group lane runs inline — the lane driver holds a
+    /// worker token, and its parks return *that* token. `None` only for
+    /// blocks the caller thread runs inline, which hold no token.
     pool: Option<&'a Arc<PoolShared>>,
     /// The block's access counters; buffer and tile accessors charge here.
     pub stats: BlockStats,
@@ -281,7 +306,8 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Whether the launch was aborted because another block panicked.
+    /// Whether the launch (or the lane's batch) was aborted because
+    /// another block or job panicked.
     pub(crate) fn abort_requested(&self) -> bool {
         self.abort.is_some_and(|a| a.load(std::sync::atomic::Ordering::Relaxed))
     }
@@ -366,13 +392,43 @@ impl<'a> BlockCtx<'a> {
 }
 
 /// State shared by every clone of a [`Gpu`]: the lazily started worker
-/// pool and the persistent sequential-mode scratch arena. Sharing it
-/// through an `Arc` means builder-style clones (`with_mode`, `with_dispatch`)
-/// and streams all reuse the same warm workers.
+/// pool and the persistent scratch arena of launches the caller thread
+/// runs inline. Sharing it through an `Arc` means builder-style clones
+/// (`with_mode`, `with_dispatch`) and streams all reuse the same warm
+/// workers.
 #[derive(Default)]
 pub(crate) struct Engine {
     pool: OnceLock<WorkerPool>,
     seq_arena: Mutex<ScratchArena>,
+}
+
+/// Where a handle's launches run instead of its [`ExecMode`] default.
+#[derive(Clone)]
+enum Binding {
+    /// Stream-ordered on the worker pool ([`Gpu::bind_stream`]).
+    Stream(Stream),
+    /// Inline on a resident [`DeviceGroup`](crate::group::DeviceGroup) lane
+    /// driver ([`Gpu::for_lane`]).
+    Lane(Arc<Lane>),
+}
+
+/// What a resident lane driver lends the launches of its jobs: the scratch
+/// arena they reuse from launch to launch, the batch's abort flag, and the
+/// device pool whose worker token the driver holds (parked waits hand that
+/// token back).
+struct Lane {
+    arena: Mutex<ScratchArena>,
+    abort: Arc<AtomicBool>,
+    pool: Arc<PoolShared>,
+}
+
+/// How an inline launch runs its blocks, one after another on the calling
+/// thread.
+struct Inline<'a> {
+    arena: &'a Mutex<ScratchArena>,
+    sequential: bool,
+    abort: Option<&'a AtomicBool>,
+    pool: Option<&'a Arc<PoolShared>>,
 }
 
 /// A simulated GPU: a device description plus an execution policy.
@@ -383,7 +439,7 @@ pub struct Gpu {
     dispatch: DispatchOrder,
     tracer: Option<Arc<Tracer>>,
     engine: Arc<Engine>,
-    bound: Option<Stream>,
+    binding: Option<Binding>,
     /// Position within an owning [`DeviceGroup`](crate::group::DeviceGroup)
     /// (0 for standalone devices); flavors worker-thread names only.
     ordinal: usize,
@@ -408,7 +464,7 @@ impl Gpu {
             dispatch: DispatchOrder::InOrder,
             tracer: None,
             engine: Arc::new(Engine::default()),
-            bound: None,
+            binding: None,
             ordinal: 0,
         }
     }
@@ -429,8 +485,7 @@ impl Gpu {
     }
 
     /// Attach a tracer that records every launch made through this handle
-    /// (builder style). Useful to trace a whole multi-kernel algorithm
-    /// run; for a single launch prefer [`Gpu::launch_traced`].
+    /// (builder style): block spans and flag traffic.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
@@ -508,13 +563,26 @@ impl Gpu {
     /// stream pipeline. The execution mode is ignored for bound handles —
     /// stream operations are concurrent by definition.
     pub fn bind_stream(&self, stream: &Stream) -> Gpu {
-        let mut g = self.clone();
-        g.bound = Some(stream.clone());
-        g
+        Gpu { binding: Some(Binding::Stream(stream.clone())), ..self.clone() }
+    }
+
+    /// The handle a resident group lane driver gives its jobs: every launch
+    /// runs its blocks inline on the driver's thread, in dispatch order,
+    /// against one arena that persists across the lane's jobs. Blocks carry
+    /// the batch's `abort` flag, so a wait on a job that panicked on
+    /// another device fails fast, and the device pool, so a parked wait
+    /// hands the driver's worker token back. `is_sequential()` stays false.
+    pub(crate) fn for_lane(&self, abort: Arc<AtomicBool>) -> Gpu {
+        let lane = Lane { arena: Mutex::default(), abort, pool: Arc::clone(self.pool_shared()) };
+        Gpu { binding: Some(Binding::Lane(Arc::new(lane))), ..self.clone() }
     }
 
     /// Launch a kernel: run `body` once per block and return the launch's
     /// aggregated metrics.
+    ///
+    /// The handle picks where blocks run: on a bound stream, inline on a
+    /// resident group lane, inline on the caller thread (sequential mode,
+    /// and concurrent grids of at most one block), or on the worker pool.
     ///
     /// The body must be `Fn` (not `FnMut`): blocks may run concurrently
     /// and in any order, so all cross-block state must live in
@@ -526,244 +594,86 @@ impl Gpu {
     where
         F: Fn(&mut BlockCtx) + Sync,
     {
-        self.launch_inner(lc, self.tracer.as_deref(), body)
-    }
-
-    /// [`Gpu::launch`] with an attached [`Tracer`] recording block spans
-    /// and flag traffic.
-    pub fn launch_traced<F>(&self, lc: LaunchConfig, tracer: &Tracer, body: F) -> KernelMetrics
-    where
-        F: Fn(&mut BlockCtx) + Sync,
-    {
-        self.launch_inner(lc, Some(tracer), body)
-    }
-
-    /// Launch a kernel as part of a **persistent** (resident) grid: run
-    /// every block inline on the calling thread — a resident group driver
-    /// holding a worker token — against the caller's long-lived `arena`
-    /// instead of submitting to the pool.
-    ///
-    /// Semantics match a pool launch exactly: same per-block body calls in
-    /// dispatch order, same counters, same [`KernelMetrics`] shape (so
-    /// [`run_seconds`](crate::timing::run_seconds) prices it identically),
-    /// `is_sequential()` stays `false`, and blocks carry a pool handle so
-    /// parked flag waits hand the *driver's* token back mid-block. What
-    /// changes is purely host mechanics: no submit/wake/park round-trip,
-    /// and scratch allocations persist across the whole band sequence in
-    /// `arena` rather than dying at launch boundaries.
-    ///
-    /// # Panics
-    /// If this handle is bound to a stream (resident execution bypasses
-    /// stream ordering) or `threads_per_block` exceeds the device maximum.
-    pub fn launch_resident<F>(
-        &self,
-        lc: LaunchConfig,
-        arena: &mut ScratchArena,
-        body: F,
-    ) -> KernelMetrics
-    where
-        F: Fn(&mut BlockCtx) + Sync,
-    {
-        assert!(
-            self.bound.is_none(),
-            "launch_resident bypasses stream ordering; use an unbound handle"
-        );
+        let lane = match &self.binding {
+            // The stream validates against the device that executes the
+            // launch — its own, not this handle's. They differ when a
+            // handle is bound across the heterogeneous devices of a group.
+            Some(Binding::Stream(stream)) => return stream.launch_blocking(lc, self.tracer.clone(), &body),
+            Some(Binding::Lane(lane)) => Some(lane),
+            None => None,
+        };
         assert!(
             lc.threads_per_block <= self.cfg.max_threads_per_block,
             "{} threads per block exceeds the device maximum {}",
             lc.threads_per_block,
             self.cfg.max_threads_per_block
         );
-        if lc.blocks == 0 {
-            return KernelMetrics {
-                label: lc.label,
-                blocks: 0,
-                threads_per_block: lc.threads_per_block,
-                stats: BlockStats::default(),
-                critical_path: lc.critical_path,
-                ilp: lc.ilp,
-                host_seconds: 0.0,
-            };
-        }
-        let order = match self.dispatch {
-            DispatchOrder::InOrder => Vec::new(),
-            d => d.permutation(lc.blocks),
-        };
-        let tracer = self.tracer.as_deref();
-        // Blocks run one after another on this thread, so no other block
-        // of this launch can panic concurrently; the abort flag exists
-        // only to satisfy the worker-context contract and stays false.
-        let abort = AtomicBool::new(false);
-        let pool = Arc::clone(self.pool().shared());
-        let acc = KernelAccumulator::default();
-        let start = Instant::now();
-        for k in 0..lc.blocks {
-            let b = if order.is_empty() { k } else { order[k] };
-            let mut ctx = BlockCtx::for_worker(
-                b,
-                lc.threads_per_block,
-                &self.cfg,
-                tracer,
-                arena,
-                &abort,
-                Some(&pool),
-            );
-            ctx.trace(EventKind::BlockStart);
-            body(&mut ctx);
-            ctx.trace(EventKind::BlockEnd);
-            acc.absorb(&ctx.stats);
-        }
-        KernelMetrics {
-            label: lc.label,
-            blocks: lc.blocks,
-            threads_per_block: lc.threads_per_block,
-            stats: acc.snapshot(),
-            critical_path: lc.critical_path,
-            ilp: lc.ilp,
-            host_seconds: start.elapsed().as_secs_f64(),
-        }
-    }
-
-    fn launch_inner<F>(&self, lc: LaunchConfig, tracer: Option<&Tracer>, body: F) -> KernelMetrics
-    where
-        F: Fn(&mut BlockCtx) + Sync,
-    {
-        // A bound handle delegates validation to the stream, which checks
-        // against the device that will actually execute the launch — the
-        // stream's, not this handle's. They differ when a handle is bound
-        // across the heterogeneous devices of a group.
-        if let Some(stream) = &self.bound {
-            return stream.launch_blocking(lc, tracer, &body);
-        }
-        assert!(
-            lc.threads_per_block <= self.cfg.max_threads_per_block,
-            "{} threads per block exceeds the device maximum {}",
-            lc.threads_per_block,
-            self.cfg.max_threads_per_block
-        );
-        // `InOrder` keeps an empty permutation: dispatch position == block
-        // index, no allocation per launch.
-        let order = match self.dispatch {
-            DispatchOrder::InOrder => Vec::new(),
-            d => d.permutation(lc.blocks),
-        };
-
-        match self.mode {
-            ExecMode::Sequential => {
-                let acc = KernelAccumulator::default();
-                let start = Instant::now();
-                // One persistent scratch arena shared by every sequential
-                // launch of this GPU: block N+1 reuses buffers block N
-                // recycled, and launch N+1 reuses launch N's. Falls back
-                // to a launch-local arena if another thread is mid-launch.
-                let mut local = ScratchArena::new();
-                let mut guard = self.engine.seq_arena.try_lock();
-                let arena: &mut ScratchArena = match guard {
-                    Ok(ref mut g) => g,
-                    Err(_) => &mut local,
-                };
-                for k in 0..lc.blocks {
-                    let b = if order.is_empty() { k } else { order[k] };
-                    let mut ctx = BlockCtx {
-                        block_idx: b,
-                        threads_per_block: lc.threads_per_block,
-                        sequential: true,
-                        cfg: &self.cfg,
-                        tracer,
-                        arena,
-                        abort: None,
-                        pool: None,
-                        stats: BlockStats::default(),
-                    };
-                    ctx.trace(EventKind::BlockStart);
-                    body(&mut ctx);
-                    ctx.trace(EventKind::BlockEnd);
-                    acc.absorb(&ctx.stats);
-                }
-                KernelMetrics {
-                    label: lc.label,
-                    blocks: lc.blocks,
-                    threads_per_block: lc.threads_per_block,
-                    stats: acc.snapshot(),
-                    critical_path: lc.critical_path,
-                    ilp: lc.ilp,
-                    host_seconds: start.elapsed().as_secs_f64(),
-                }
+        let seq_arena = &self.engine.seq_arena;
+        let inline = match (lane, self.mode) {
+            (Some(lane), _) => {
+                Inline { arena: &lane.arena, sequential: false, abort: Some(&lane.abort), pool: Some(&lane.pool) }
             }
-            ExecMode::Concurrent => {
-                if lc.blocks == 0 {
-                    return KernelMetrics {
-                        label: lc.label,
-                        blocks: 0,
-                        threads_per_block: lc.threads_per_block,
-                        stats: BlockStats::default(),
-                        critical_path: lc.critical_path,
-                        ilp: lc.ilp,
-                        host_seconds: 0.0,
-                    };
-                }
-                // A one-block grid has no cross-block concurrency to
-                // exercise: run it inline on the caller thread and skip
-                // the submit/wake/park round-trip through the pool
-                // entirely. Observable behavior is unchanged — same body,
-                // same counters, panics propagate to the caller either
-                // way — and `is_sequential()` stays false so soft-sync
-                // waits keep their concurrent-mode semantics.
-                if lc.blocks == 1 {
-                    let acc = KernelAccumulator::default();
-                    let start = Instant::now();
-                    let mut local = ScratchArena::new();
-                    let mut guard = self.engine.seq_arena.try_lock();
-                    let arena: &mut ScratchArena = match guard {
-                        Ok(ref mut g) => g,
-                        Err(_) => &mut local,
-                    };
-                    let mut ctx = BlockCtx {
-                        block_idx: 0,
-                        threads_per_block: lc.threads_per_block,
-                        sequential: false,
-                        cfg: &self.cfg,
-                        tracer,
-                        arena,
-                        abort: None,
-                        pool: None,
-                        stats: BlockStats::default(),
-                    };
-                    ctx.trace(EventKind::BlockStart);
-                    body(&mut ctx);
-                    ctx.trace(EventKind::BlockEnd);
-                    acc.absorb(&ctx.stats);
-                    return KernelMetrics {
-                        label: lc.label,
-                        blocks: 1,
-                        threads_per_block: lc.threads_per_block,
-                        stats: acc.snapshot(),
-                        critical_path: lc.critical_path,
-                        ilp: lc.ilp,
-                        host_seconds: start.elapsed().as_secs_f64(),
-                    };
-                }
-                // Hand the launch to the persistent worker pool: warm
-                // threads (and their scratch arenas) pick blocks off a
-                // shared cursor, the caller parks on the job's completion
-                // condvar. This is the host-side analogue of a kernel
-                // launch: a fixed submission cost, no thread spawn/join.
-                let tracer_ref = match tracer {
-                    Some(t) => TracerRef::borrowed(t),
-                    None => TracerRef::None,
-                };
+            (None, ExecMode::Sequential) => Inline { arena: seq_arena, sequential: true, abort: None, pool: None },
+            // A grid of at most one block has no cross-block concurrency to
+            // exercise: skip the pool's submit/wake/park round-trip.
+            (None, ExecMode::Concurrent) if lc.blocks <= 1 => {
+                Inline { arena: seq_arena, sequential: false, abort: None, pool: None }
+            }
+            (None, ExecMode::Concurrent) => {
+                // Warm workers (and their scratch arenas) pick blocks off a
+                // shared cursor; the caller parks on the job's completion.
+                let order = self.dispatch.launch_order(lc.blocks);
                 let job = Arc::new(LaunchJob::new(
                     lc,
                     self.cfg.clone(),
                     order,
                     Body::Borrowed(BorrowedBody::new(&body)),
-                    tracer_ref,
+                    self.tracer.clone(),
                     None,
                     false,
                 ));
-                self.pool().shared().run(job)
+                return self.pool().shared().run(job);
             }
+        };
+        self.run_inline(lc, &body, inline)
+    }
+
+    /// The one inline block loop: every block of `lc` in dispatch order on
+    /// the calling thread. The arena persists across launches (block N+1
+    /// reuses what block N recycled, launch N+1 what launch N did); a
+    /// launch-local arena stands in while another thread holds it.
+    fn run_inline<F>(&self, lc: LaunchConfig, body: &F, at: Inline) -> KernelMetrics
+    where
+        F: Fn(&mut BlockCtx) + Sync,
+    {
+        let order = self.dispatch.launch_order(lc.blocks);
+        let start = Instant::now();
+        let mut local = ScratchArena::new();
+        let mut guard = at.arena.try_lock();
+        let arena: &mut ScratchArena = match guard {
+            Ok(ref mut g) => g,
+            Err(_) => &mut local,
+        };
+        let tracer = self.tracer.as_deref();
+        let mut stats = BlockStats::default();
+        for k in 0..lc.blocks {
+            let mut ctx = BlockCtx {
+                block_idx: if order.is_empty() { k } else { order[k] },
+                threads_per_block: lc.threads_per_block,
+                sequential: at.sequential,
+                cfg: &self.cfg,
+                tracer,
+                arena,
+                abort: at.abort,
+                pool: at.pool,
+                stats: BlockStats::default(),
+            };
+            ctx.trace(EventKind::BlockStart);
+            body(&mut ctx);
+            ctx.trace(EventKind::BlockEnd);
+            stats.merge(&ctx.stats);
         }
+        lc.finish(stats, start.elapsed().as_secs_f64())
     }
 }
 

@@ -1,47 +1,18 @@
-//! Host-side vectorization of the per-lane scalar loops.
+//! Host loops over lane values.
 //!
 //! The accounting model charges counters *per batch* (one
 //! `charge_shuffles` per shuffle step, one `charge_shared` per tile row),
 //! so the host loops that move the actual lane values are pure simulation
-//! overhead — the hot path ROADMAP item 3 names. `std::simd` is
-//! nightly-only, so this module vectorizes the way stable Rust allows:
-//! fixed-width manual unrolling (8 independent element operations per
-//! iteration) that the autovectorizer reliably turns into packed SIMD,
-//! plus `copy_within` for the lane-shift patterns behind
-//! `shfl_up`/`shfl_down`.
+//! overhead. The helpers here are plain elementwise loops, which the
+//! autovectorizer turns into packed SIMD, plus `copy_within` for the
+//! lane-shift patterns behind `shfl_up`/`shfl_down`.
 //!
 //! Every helper is **elementwise**: it never reassociates a reduction, so
-//! the unrolled path is bit-identical to the scalar loop for floats too.
-//! The scalar fallback is reachable two ways, both exercised by CI:
-//!
-//! * the process-global [`force_scalar`](crate::global::force_scalar)
-//!   test switch (flipped by `tests/counter_parity.rs`), and
-//! * the `GPU_SIM_NO_VECTOR` environment variable, read once per process
-//!   (set by `scripts/tier1.sh` for a full scalar-host test pass).
-//!
+//! results are bit-identical to a lane-by-lane loop for floats too.
 //! Charges never originate here; callers route every counter through the
-//! [`BlockStats`](crate::metrics::BlockStats) sink exactly as before.
+//! [`BlockStats`](crate::metrics::BlockStats) sink.
 
 use crate::elem::DeviceElem;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
-
-static ENV_DISABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-
-/// Whether the unrolled fast paths are active. `false` when the
-/// `GPU_SIM_NO_VECTOR` environment variable is set (to anything but `0`)
-/// or while [`force_scalar`](crate::global::force_scalar) is on.
-#[inline(always)]
-pub fn vectorized() -> bool {
-    ENV_INIT.call_once(|| {
-        let off = std::env::var_os("GPU_SIM_NO_VECTOR").is_some_and(|v| v != "0");
-        ENV_DISABLED.store(off, Ordering::SeqCst);
-    });
-    !ENV_DISABLED.load(Ordering::Relaxed) && !crate::global::force_scalar()
-}
-
-const LANES: usize = 8;
 
 /// `dst[i] += src[i]`, elementwise. The column-scan inner loop of
 /// [`SharedTile`](crate::shared::SharedTile) and the windowed look-back
@@ -49,25 +20,7 @@ const LANES: usize = 8;
 #[inline]
 pub fn zip_add<T: DeviceElem>(dst: &mut [T], src: &[T]) {
     debug_assert_eq!(dst.len(), src.len());
-    if !vectorized() {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = d.add(*s);
-        }
-        return;
-    }
-    let mut dc = dst.chunks_exact_mut(LANES);
-    let mut sc = src.chunks_exact(LANES);
-    for (d, s) in (&mut dc).zip(&mut sc) {
-        d[0] = d[0].add(s[0]);
-        d[1] = d[1].add(s[1]);
-        d[2] = d[2].add(s[2]);
-        d[3] = d[3].add(s[3]);
-        d[4] = d[4].add(s[4]);
-        d[5] = d[5].add(s[5]);
-        d[6] = d[6].add(s[6]);
-        d[7] = d[7].add(s[7]);
-    }
-    for (d, s) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
+    for (d, s) in dst.iter_mut().zip(src) {
         *d = d.add(*s);
     }
 }
@@ -78,26 +31,7 @@ pub fn zip_add<T: DeviceElem>(dst: &mut [T], src: &[T]) {
 pub fn zip_add_into<T: DeviceElem>(out: &mut [T], hi: &[T], lo: &[T]) {
     debug_assert_eq!(out.len(), hi.len());
     debug_assert_eq!(out.len(), lo.len());
-    if !vectorized() {
-        for ((o, h), l) in out.iter_mut().zip(hi).zip(lo) {
-            *o = h.add(*l);
-        }
-        return;
-    }
-    let mut oc = out.chunks_exact_mut(LANES);
-    let mut hc = hi.chunks_exact(LANES);
-    let mut lc = lo.chunks_exact(LANES);
-    for ((o, h), l) in (&mut oc).zip(&mut hc).zip(&mut lc) {
-        o[0] = h[0].add(l[0]);
-        o[1] = h[1].add(l[1]);
-        o[2] = h[2].add(l[2]);
-        o[3] = h[3].add(l[3]);
-        o[4] = h[4].add(l[4]);
-        o[5] = h[5].add(l[5]);
-        o[6] = h[6].add(l[6]);
-        o[7] = h[7].add(l[7]);
-    }
-    for ((o, h), l) in oc.into_remainder().iter_mut().zip(hc.remainder()).zip(lc.remainder()) {
+    for ((o, h), l) in out.iter_mut().zip(hi).zip(lo) {
         *o = h.add(*l);
     }
 }
@@ -105,45 +39,20 @@ pub fn zip_add_into<T: DeviceElem>(out: &mut [T], hi: &[T], lo: &[T]) {
 /// `dst[i] += v` for every element — the block-scan broadcast add.
 #[inline]
 pub fn add_scalar<T: DeviceElem>(dst: &mut [T], v: T) {
-    if !vectorized() {
-        for d in dst.iter_mut() {
-            *d = d.add(v);
-        }
-        return;
-    }
-    let mut dc = dst.chunks_exact_mut(LANES);
-    for d in &mut dc {
-        d[0] = d[0].add(v);
-        d[1] = d[1].add(v);
-        d[2] = d[2].add(v);
-        d[3] = d[3].add(v);
-        d[4] = d[4].add(v);
-        d[5] = d[5].add(v);
-        d[6] = d[6].add(v);
-        d[7] = d[7].add(v);
-    }
-    for d in dc.into_remainder() {
+    for d in dst {
         *d = d.add(v);
     }
 }
 
 /// The `shfl_up` lane move: `lanes[i] = lanes[i - delta]` for
-/// `i >= delta`, low lanes unchanged. The scalar expansion walks lanes
-/// descending; `copy_within` is its memmove form.
+/// `i >= delta`, low lanes unchanged.
 #[inline]
 pub fn shift_up<T: DeviceElem>(lanes: &mut [T], delta: usize) {
     debug_assert!(delta >= 1);
     let n = lanes.len();
-    if delta >= n {
-        return; // every source lane is out of range; all lanes keep their value
+    if delta < n {
+        lanes.copy_within(0..n - delta, delta);
     }
-    if !vectorized() {
-        for i in (delta..n).rev() {
-            lanes[i] = lanes[i - delta];
-        }
-        return;
-    }
-    lanes.copy_within(0..n - delta, delta);
 }
 
 /// The `shfl_down` lane move: `lanes[i] = lanes[i + delta]` for in-range
@@ -151,12 +60,6 @@ pub fn shift_up<T: DeviceElem>(lanes: &mut [T], delta: usize) {
 #[inline]
 pub fn shift_down<T: DeviceElem>(lanes: &mut [T], delta: usize) {
     debug_assert!(delta >= 1);
-    if !vectorized() {
-        for i in 0..lanes.len().saturating_sub(delta) {
-            lanes[i] = lanes[i + delta];
-        }
-        return;
-    }
     let n = lanes.len();
     if delta < n {
         lanes.copy_within(delta..n, 0);
@@ -164,104 +67,55 @@ pub fn shift_down<T: DeviceElem>(lanes: &mut [T], delta: usize) {
 }
 
 /// Gather/scatter lane classification: is `idx` the consecutive run
-/// `first, first+1, ...`? The scalar form tests every lane; the unrolled
-/// form compares 8 offsets per iteration.
+/// `first, first+1, ...`?
 #[inline]
 pub fn is_contiguous_run(idx: &[usize]) -> bool {
-    let Some(&first) = idx.first() else {
-        return true;
-    };
-    if !vectorized() {
-        return idx.iter().enumerate().all(|(k, &i)| i == first + k);
-    }
-    let mut c = idx.chunks_exact(LANES);
-    let mut base = first;
-    for w in &mut c {
-        if w[0] != base
-            || w[1] != base + 1
-            || w[2] != base + 2
-            || w[3] != base + 3
-            || w[4] != base + 4
-            || w[5] != base + 5
-            || w[6] != base + 6
-            || w[7] != base + 7
-        {
-            return false;
-        }
-        base += LANES;
-    }
-    c.remainder().iter().enumerate().all(|(k, &i)| i == base + k)
+    idx.first().is_none_or(|&first| idx.iter().zip(first..).all(|(&i, want)| i == want))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{force_scalar, set_force_scalar};
 
-    struct ScalarGuard;
-    impl Drop for ScalarGuard {
-        fn drop(&mut self) {
-            set_force_scalar(false);
-        }
-    }
-
-    /// Every helper must agree with its scalar expansion bit-for-bit —
-    /// including for floats, which is why nothing here reassociates.
+    /// Each helper against its closed-form result, across the lengths
+    /// around vector-width boundaries and every shift distance.
     #[test]
-    fn unrolled_paths_match_scalar_expansion() {
-        let _guard = ScalarGuard;
-        assert!(!force_scalar(), "parallel test poking the global switch?");
-        for n in [0usize, 1, 7, 8, 9, 16, 31, 32, 100] {
-            let a: Vec<f32> = (0..n).map(|i| (i as f32) * 0.37 + 0.1).collect();
-            let b: Vec<f32> = (0..n).map(|i| (i as f32) * -1.91 + 5.0).collect();
+    fn helpers_match_their_elementwise_definitions() {
+        for n in [0usize, 1, 7, 8, 9, 31, 32, 100] {
+            let a = |i: usize| 3 * i as u64 + 1;
+            let b = |i: usize| 1000 * i as u64;
+            let src_a: Vec<u64> = (0..n).map(a).collect();
+            let src_b: Vec<u64> = (0..n).map(b).collect();
+            let sum: Vec<u64> = (0..n).map(|i| 1003 * i as u64 + 1).collect();
 
-            let mut fast = a.clone();
-            zip_add(&mut fast, &b);
-            set_force_scalar(true);
-            let mut slow = a.clone();
-            zip_add(&mut slow, &b);
-            set_force_scalar(false);
-            assert_eq!(fast, slow, "zip_add n={n}");
+            let mut got = src_a.clone();
+            zip_add(&mut got, &src_b);
+            assert_eq!(got, sum, "zip_add n={n}");
 
-            let mut fast = vec![0.0f32; n];
-            zip_add_into(&mut fast, &a, &b);
-            set_force_scalar(true);
-            let mut slow = vec![0.0f32; n];
-            zip_add_into(&mut slow, &a, &b);
-            set_force_scalar(false);
-            assert_eq!(fast, slow, "zip_add_into n={n}");
+            let mut got = vec![0u64; n];
+            zip_add_into(&mut got, &src_a, &src_b);
+            assert_eq!(got, sum, "zip_add_into n={n}");
 
-            let mut fast = a.clone();
-            add_scalar(&mut fast, 1.25);
-            set_force_scalar(true);
-            let mut slow = a.clone();
-            add_scalar(&mut slow, 1.25);
-            set_force_scalar(false);
-            assert_eq!(fast, slow, "add_scalar n={n}");
+            let mut got = src_a.clone();
+            add_scalar(&mut got, 5);
+            assert_eq!(got, (0..n).map(|i| 3 * i as u64 + 6).collect::<Vec<_>>(), "add_scalar n={n}");
 
-            for delta in 1..=n {
-                let mut fast = a.clone();
-                shift_up(&mut fast, delta);
-                set_force_scalar(true);
-                let mut slow = a.clone();
-                shift_up(&mut slow, delta);
-                set_force_scalar(false);
-                assert_eq!(fast, slow, "shift_up n={n} delta={delta}");
+            for delta in 1..=n + 1 {
+                let mut got = src_a.clone();
+                shift_up(&mut got, delta);
+                let want: Vec<u64> = (0..n).map(|i| if i >= delta { a(i - delta) } else { a(i) }).collect();
+                assert_eq!(got, want, "shift_up n={n} delta={delta}");
 
-                let mut fast = a.clone();
-                shift_down(&mut fast, delta);
-                set_force_scalar(true);
-                let mut slow = a.clone();
-                shift_down(&mut slow, delta);
-                set_force_scalar(false);
-                assert_eq!(fast, slow, "shift_down n={n} delta={delta}");
+                let mut got = src_a.clone();
+                shift_down(&mut got, delta);
+                let want: Vec<u64> = (0..n).map(|i| if i + delta < n { a(i + delta) } else { a(i) }).collect();
+                assert_eq!(got, want, "shift_down n={n} delta={delta}");
             }
         }
     }
 
     #[test]
     fn contiguity_classification() {
-        let _guard = ScalarGuard;
         for n in [0usize, 1, 5, 8, 9, 32, 33] {
             let run: Vec<usize> = (10..10 + n).collect();
             assert!(is_contiguous_run(&run), "run n={n}");
@@ -269,16 +123,10 @@ mod tests {
                 for broken_at in [0, n / 2, n - 1] {
                     let mut bad = run.clone();
                     bad[broken_at] += 1;
-                    // Breaking lane 0 shifts the whole expectation; any
-                    // other break tears the run.
-                    let expect = bad
-                        .iter()
-                        .enumerate()
-                        .all(|(k, &i)| i == bad[0] + k);
-                    assert_eq!(is_contiguous_run(&bad), expect, "n={n} broken_at={broken_at}");
-                    set_force_scalar(true);
-                    assert_eq!(is_contiguous_run(&bad), expect, "scalar n={n} at {broken_at}");
-                    set_force_scalar(false);
+                    // Breaking lane 0 tears the run at lane 1 (it now
+                    // repeats lane 0's value); any other break tears it at
+                    // the broken lane.
+                    assert!(!is_contiguous_run(&bad), "n={n} broken_at={broken_at}");
                 }
             }
         }

@@ -36,7 +36,7 @@ use std::panic::resume_unwind;
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::device::DeviceConfig;
-use crate::executor::{Body, BorrowedBody, LaunchJob, PoolShared, TracerRef};
+use crate::executor::{Body, BorrowedBody, LaunchJob, PoolShared};
 use crate::launch::{BlockCtx, DispatchOrder, LaunchConfig};
 use crate::metrics::KernelMetrics;
 use crate::trace::Tracer;
@@ -181,7 +181,7 @@ impl Stream {
         &self,
         lc: LaunchConfig,
         body: Body,
-        tracer: TracerRef,
+        tracer: Option<Arc<Tracer>>,
         record_in_stream: bool,
     ) -> Arc<LaunchJob> {
         assert!(
@@ -190,10 +190,7 @@ impl Stream {
             lc.threads_per_block,
             self.cfg.max_threads_per_block
         );
-        let order = match self.dispatch {
-            DispatchOrder::InOrder => Vec::new(),
-            d => d.permutation(lc.blocks),
-        };
+        let order = self.dispatch.launch_order(lc.blocks);
         Arc::new(LaunchJob::new(
             lc,
             self.cfg.clone(),
@@ -245,28 +242,22 @@ impl Stream {
     where
         F: Fn(&mut BlockCtx) + Send + Sync + 'static,
     {
-        let tracer = match &self.tracer {
-            Some(t) => TracerRef::Shared(Arc::clone(t)),
-            None => TracerRef::None,
-        };
-        let job = self.make_job(lc, Body::Owned(Box::new(body)), tracer, true);
+        let job = self.make_job(lc, Body::Owned(Box::new(body)), self.tracer.clone(), true);
         self.push(job);
     }
 
     /// A blocking launch ordered after everything already enqueued on this
-    /// stream; used by [`Gpu::bind_stream`](crate::launch::Gpu::bind_stream)
-    /// so unmodified algorithms can run stream-ordered.
+    /// stream: the stream branch of [`Gpu::launch`](crate::launch::Gpu::launch)
+    /// for a handle made by [`Gpu::bind_stream`](crate::launch::Gpu::bind_stream),
+    /// so unmodified algorithms can run stream-ordered. `tracer` is the
+    /// launching handle's; without one the stream's own records the launch.
     pub(crate) fn launch_blocking(
         &self,
         lc: LaunchConfig,
-        tracer: Option<&Tracer>,
+        tracer: Option<Arc<Tracer>>,
         body: &(dyn Fn(&mut BlockCtx) + Sync),
     ) -> KernelMetrics {
-        let tracer = match (tracer, &self.tracer) {
-            (Some(t), _) => TracerRef::borrowed(t),
-            (None, Some(t)) => TracerRef::Shared(Arc::clone(t)),
-            (None, None) => TracerRef::None,
-        };
+        let tracer = tracer.or_else(|| self.tracer.clone());
         let job = self.make_job(lc, Body::Borrowed(BorrowedBody::new(body)), tracer, false);
         self.push(Arc::clone(&job));
         job.wait()

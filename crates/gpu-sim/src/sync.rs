@@ -43,43 +43,32 @@
 //! machinery orders *scheduling*, never data. Lost wakeups are excluded
 //! by a Dekker-style handshake (both sides issue a `SeqCst` fence
 //! between their store and their cross-check) plus a bounded park
-//! timeout that re-checks the flag regardless. `GPU_SIM_NO_PARK=1` (or
-//! [`set_force_no_park`]) falls back to the yield/sleep ladder; both
-//! paths charge identical deterministic counters — `park_events` and
-//! `wakeups` are masked like every other scheduling artifact.
+//! timeout that re-checks the flag regardless. `park_events` and
+//! `wakeups` are masked from the deterministic counters like every other
+//! scheduling artifact.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex, Once};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use crate::launch::BlockCtx;
 use crate::trace::EventKind;
 
-static NO_PARK_ENV: AtomicBool = AtomicBool::new(false);
-static NO_PARK_INIT: Once = Once::new();
-static FORCE_NO_PARK: AtomicBool = AtomicBool::new(false);
+/// Polls a flag wait spends in its hot-spin phase before backing off.
+const HOT_SPIN_POLLS: u64 = 64;
 
-/// Whether exhausted flag waits park on condvars (the default) instead of
-/// falling back to the yield/sleep ladder. `false` when the
-/// `GPU_SIM_NO_PARK` environment variable is set (to anything but `0`) or
-/// while [`set_force_no_park`] is on — mirroring the
-/// `GPU_SIM_NO_VECTOR` / [`force_scalar`](crate::global::force_scalar)
-/// pair for the vectorized host paths.
-#[inline]
-pub fn parking_enabled() -> bool {
-    NO_PARK_INIT.call_once(|| {
-        let off = std::env::var_os("GPU_SIM_NO_PARK").is_some_and(|v| v != "0");
-        NO_PARK_ENV.store(off, Ordering::SeqCst);
-    });
-    !NO_PARK_ENV.load(Ordering::Relaxed) && !FORCE_NO_PARK.load(Ordering::Relaxed)
-}
+/// Cap of the backoff phase's pause, in `spin_loop` hints per poll; once
+/// the doubling pause passes it the wait parks.
+const BACKOFF_MAX_PAUSE: u32 = 512;
 
-/// Process-global test switch disabling parked waits (the spinning ladder
-/// runs instead). Like `force_scalar`, only flip this while no launch is
-/// in flight: it must not change mid-wait while threads are registered.
-pub fn set_force_no_park(on: bool) {
-    FORCE_NO_PARK.store(on, Ordering::SeqCst);
-}
+/// Period of one timed park. Expiry re-checks the flag, the abort flag and
+/// the deadlock budget, so correctness never depends on a wake arriving;
+/// publications only make it prompt.
+const PARK_CYCLE: Duration = Duration::from_micros(200);
+
+/// Deadlock-budget iterations one park cycle costs: one per 20 µs parked,
+/// so `DeviceConfig::deadlock_limit` bounds the wall time of a stuck wait.
+const PARK_ITERS: u64 = 10;
 
 /// Waiter registries are striped `flag_index % stripes` so concurrent
 /// parks on different flags rarely contend on one lock.
@@ -107,9 +96,9 @@ struct Stripe {
 /// the block's execution token to its pool so a standby thread can run
 /// other ready blocks; dropping (on satisfied wait, deadlock panic, or
 /// abort unwind alike) re-acquires in never-blocking debt mode. Blocks a
-/// resident group driver runs inline carry the driver's token and hand
-/// *that* off here; only blocks without a pool — sequential remote waits
-/// and the one-block inline fast path — park with no token to return.
+/// resident group lane runs inline carry the driver's token and hand
+/// *that* off here; only blocks the caller thread runs inline park with no
+/// token to return.
 /// Each engagement charges one `token_handoffs` (schedule noise, masked
 /// from deterministic counters like `park_events`).
 struct TokenGuard(std::sync::Arc<crate::executor::PoolShared>);
@@ -234,11 +223,9 @@ impl StatusBoard {
             self.flags[i].load(Ordering::Relaxed),
         );
         self.flags[i].store(v, Ordering::Release);
-        if parking_enabled() {
-            fence(Ordering::SeqCst);
-            if self.stripe(i).parked.load(Ordering::Relaxed) > 0 {
-                self.wake_eligible(i, v);
-            }
+        fence(Ordering::SeqCst);
+        if self.stripe(i).parked.load(Ordering::Relaxed) > 0 {
+            self.wake_eligible(i, v);
         }
     }
 
@@ -277,8 +264,8 @@ impl StatusBoard {
             return;
         }
         ctx.stats.park_events += 1;
-        let timeout = Duration::from_micros(ctx.config().park_cycle_us);
-        let (mut g, _) = stripe.wake.wait_timeout(g, timeout).unwrap();
+        let (mut g, _) =
+            stripe.wake.wait_timeout(g, PARK_CYCLE).expect("no code panics while holding a stripe lock");
         if !Self::deregister(stripe, &mut g, ticket) {
             // Our entry is gone: an eligible publication removed it and
             // woke us on purpose (not a timeout, not a spurious wake).
@@ -318,23 +305,18 @@ impl StatusBoard {
     /// monopolize host cores other launches (or other devices of a
     /// [`crate::group::DeviceGroup`]) need:
     ///
-    /// 1. a bounded hot spin (`DeviceConfig::hot_spin_polls` polls of
-    ///    `spin_loop`) for the common case where the producer publishes
-    ///    within microseconds;
+    /// 1. a bounded hot spin (64 polls of `spin_loop`) for the common case
+    ///    where the producer publishes within microseconds;
     /// 2. exponential backoff: the pause between polls doubles from 1 to
-    ///    `DeviceConfig::backoff_max_pause` `spin_loop` hints, trading
-    ///    poll latency for bus and core pressure;
+    ///    512 `spin_loop` hints, trading poll latency for bus and core
+    ///    pressure;
     /// 3. a **parked wait**: the thread registers in the board's waiter
-    ///    registry, returns its pool execution token
-    ///    ([`crate::executor::PoolShared::park_begin`]) so a standby
-    ///    thread can run other ready blocks, and sleeps on a condvar
-    ///    until an eligible publication (or a park-cycle expiry —
-    ///    `DeviceConfig::park_cycle_us` — that re-checks everything)
-    ///    wakes it. Zero CPU while blocked, prompt wake on publish.
-    ///
-    /// Under `GPU_SIM_NO_PARK=1` (or [`set_force_no_park`]) phase 3 is
-    /// the legacy ladder instead: `thread::yield_now()` to
-    /// `DeviceConfig::sleep_after_polls` polls, then 20 µs sleeps.
+    ///    registry and sleeps on a condvar until an eligible publication
+    ///    (or a 200 µs park-cycle expiry that re-checks everything) wakes
+    ///    it. From the second cycle on it also returns its pool execution
+    ///    token ([`crate::executor::PoolShared::park_begin`]) so a standby
+    ///    thread can run other ready blocks. Zero CPU while blocked,
+    ///    prompt wake on publish.
     ///
     /// Every phase *transition* increments the `flag_backoff_events`
     /// counter, each timed park increments `park_events`, and each
@@ -360,16 +342,6 @@ impl StatusBoard {
     }
 
     fn wait_inner(&self, ctx: &mut BlockCtx, i: usize, min: u8, remote: bool) -> u8 {
-        // Ladder thresholds are per-device tunables (`DeviceConfig`), read
-        // once before the loop: hot-spin length, exponential-pause cap,
-        // yield-to-sleep poll count, and the park-cycle period (whose
-        // deadlock-budget charge below keeps fast-fail wall-clock time
-        // equivalent to the legacy ladder's 20 µs sleeps).
-        let spin_polls = ctx.config().hot_spin_polls;
-        let max_pause = ctx.config().backoff_max_pause;
-        let sleep_polls = ctx.config().sleep_after_polls;
-        let park_iters = (ctx.config().park_cycle_us / 20).max(1);
-
         #[inline(always)]
         fn escalate(ctx: &mut BlockCtx, remote: bool) {
             if remote {
@@ -386,7 +358,6 @@ impl StatusBoard {
         // stuck-wait bound scales up instead of misfiring on healthy
         // cross-device latency.
         let limit = ctx.config().deadlock_limit * if remote { 64 } else { 1 };
-        let parking = parking_enabled();
         let mut iters: u64 = 0;
         let mut pause: u32 = 1;
         // Set once the wait enters the parked phase; the guard returns the
@@ -428,19 +399,19 @@ impl StatusBoard {
                     ctx.block_idx()
                 );
             }
-            // Parked cycles are ~200 µs apiece, so checking the abort flag
+            // Park cycles are 200 µs apiece, so checking the abort flag
             // every cycle matches the responsiveness the modulo gives the
             // microsecond-scale spin phases.
             if (parked || iters.is_multiple_of(256)) && ctx.abort_requested() {
                 panic!(
                     "soft-sync wait aborted: block {} was waiting on flag[{i}] >= {min} \
-                     when another block of the launch panicked",
+                     when another block or job panicked",
                     ctx.block_idx()
                 );
             }
-            if iters < spin_polls {
+            if iters < HOT_SPIN_POLLS {
                 std::hint::spin_loop();
-            } else if pause <= max_pause {
+            } else if pause <= BACKOFF_MAX_PAUSE {
                 if pause == 1 {
                     escalate(ctx, remote); // hot spin -> backoff
                 }
@@ -448,10 +419,10 @@ impl StatusBoard {
                     std::hint::spin_loop();
                 }
                 pause <<= 1;
-                if pause > max_pause {
-                    escalate(ctx, remote); // backoff -> park (or yield)
+                if pause > BACKOFF_MAX_PAUSE {
+                    escalate(ctx, remote); // backoff -> park
                 }
-            } else if parking {
+            } else {
                 if !parked {
                     parked = true;
                 } else if token.is_none() {
@@ -465,17 +436,7 @@ impl StatusBoard {
                     token = TokenGuard::engage(ctx);
                 }
                 self.park(ctx, i, min);
-                // Charge the park against the deadlock budget at the
-                // legacy ladder's wall-clock rate (one iteration per
-                // 20 µs), so fast-fail takes the same time either way.
-                iters += park_iters - 1;
-            } else if iters < sleep_polls {
-                std::thread::yield_now();
-            } else {
-                if iters == sleep_polls {
-                    escalate(ctx, remote); // yield -> sleep
-                }
-                std::thread::sleep(Duration::from_micros(20));
+                iters += PARK_ITERS - 1;
             }
         }
     }
@@ -615,7 +576,7 @@ mod tests {
         // Drive `wait_at_least` directly with hand-built worker contexts so
         // the wait duration is controlled by the test, not the pool: the
         // producer publishes after several milliseconds, forcing the waiter
-        // through hot spin, exponential backoff, yield, and sleep.
+        // through hot spin, exponential backoff, and parking.
         use crate::launch::ScratchArena;
         use std::sync::atomic::AtomicBool;
         let cfg = DeviceConfig::tiny();
@@ -698,9 +659,6 @@ mod tests {
         // afterwards (no leaked registration to mis-wake a later wait on
         // the same stripe), and both park counters are masked from
         // deterministic() like the backoff events they replace.
-        if !parking_enabled() {
-            return; // GPU_SIM_NO_PARK=1 run: the ladder is under test elsewhere
-        }
         use crate::launch::ScratchArena;
         use std::sync::atomic::AtomicBool;
         let cfg = DeviceConfig::tiny();
@@ -748,9 +706,6 @@ mod tests {
         // exactly the eligible waiters" half of the park/wake contract;
         // the threshold half (min > v stays registered) rides along by
         // waiting for 2 while first publishing 1.
-        if !parking_enabled() {
-            return;
-        }
         use crate::launch::ScratchArena;
         use std::sync::atomic::AtomicBool;
         let cfg = DeviceConfig::tiny();

@@ -1,9 +1,9 @@
 //! Execution tracing: per-block event timelines for soft-synchronized
 //! kernels.
 //!
-//! A [`Tracer`] passed to [`Gpu::launch_traced`](crate::launch::Gpu::launch_traced)
-//! records block start/end and every flag wait/publish with host
-//! timestamps. [`Tracer::render_timeline`] draws a text Gantt chart — in
+//! A [`Tracer`] attached with [`Gpu::with_tracer`](crate::launch::Gpu::with_tracer)
+//! records block start/end and every flag wait/publish of the handle's
+//! launches with host timestamps. [`Tracer::render_timeline`] draws a text Gantt chart — in
 //! concurrent mode this makes the SKSS-LB wavefront (blocks briefly
 //! stalling on predecessors' flags, then streaming) directly visible, and
 //! it is the tool that was used to sanity-check the look-back's
@@ -150,12 +150,13 @@ mod tests {
     use crate::device::DeviceConfig;
     use crate::launch::{ExecMode, Gpu, LaunchConfig};
     use crate::sync::{DeviceCounter, StatusBoard};
+    use std::sync::Arc;
 
     #[test]
     fn records_block_spans() {
-        let gpu = Gpu::new(DeviceConfig::tiny());
-        let tracer = Tracer::new();
-        gpu.launch_traced(LaunchConfig::new("t", 4, 32), &tracer, |_ctx| {});
+        let tracer = Arc::new(Tracer::new());
+        let gpu = Gpu::new(DeviceConfig::tiny()).with_tracer(Arc::clone(&tracer));
+        gpu.launch(LaunchConfig::new("t", 4, 32), |_ctx| {});
         let spans = tracer.spans();
         assert_eq!(spans.len(), 4);
         for (_, start, end) in spans {
@@ -165,11 +166,11 @@ mod tests {
 
     #[test]
     fn records_flag_traffic() {
-        let gpu = Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Concurrent);
-        let tracer = Tracer::new();
+        let tracer = Arc::new(Tracer::new());
+        let gpu = Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Concurrent).with_tracer(Arc::clone(&tracer));
         let counter = DeviceCounter::new();
         let board = StatusBoard::new(8);
-        gpu.launch_traced(LaunchConfig::new("t", 8, 32), &tracer, |ctx| {
+        gpu.launch(LaunchConfig::new("t", 8, 32), |ctx| {
             let vid = counter.next(ctx) as usize;
             if vid > 0 {
                 board.wait_at_least(ctx, vid - 1, 1);
@@ -186,9 +187,9 @@ mod tests {
 
     #[test]
     fn timeline_renders() {
-        let gpu = Gpu::new(DeviceConfig::tiny());
-        let tracer = Tracer::new();
-        gpu.launch_traced(LaunchConfig::new("t", 3, 32), &tracer, |ctx| {
+        let tracer = Arc::new(Tracer::new());
+        let gpu = Gpu::new(DeviceConfig::tiny()).with_tracer(Arc::clone(&tracer));
+        gpu.launch(LaunchConfig::new("t", 3, 32), |ctx| {
             // Do a little work so spans are non-degenerate.
             let mut x = ctx.block_idx() as u64;
             for _ in 0..1000 {

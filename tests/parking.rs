@@ -1,19 +1,12 @@
 //! Parked flag waits under adversarial schedules: the lost-wakeup races,
 //! fast-fail guarantees, and worker-token handoff the park/wake contract
-//! promises (see the gpu-sim module docs on host execution vs modeled
-//! time). Everything here must hold with parking on (default) and degrade
-//! to the legacy spin ladder — never hang — under `GPU_SIM_NO_PARK=1`.
+//! promises (see `gpu_sim::sync`, "Parked waits").
 
 use gpu_sim::prelude::*;
-use gpu_sim::sync::{parking_enabled, set_force_no_park};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
-
-/// Serializes the tests that toggle or observe the process-global parking
-/// switch, so a kill-switch flip in one test cannot race a test asserting
-/// that parking happened.
-static PARK_SWITCH: Mutex<()> = Mutex::new(());
 
 /// A tiny deterministic LCG for adversarial-but-reproducible sleep
 /// schedules.
@@ -75,9 +68,9 @@ fn racing_publishers_never_lose_a_wakeup() {
 }
 
 /// A parked wait with no producer must still hit the deadlock limit and
-/// fail fast: parking charges the equivalent of its sleep in iterations,
-/// so the limit converts to roughly the same wall time as the spinning
-/// ladder instead of a hang (or a timeout-free infinite condvar wait).
+/// fail fast: every park cycle charges its wall time in iterations, so the
+/// limit bounds the wait's wall time instead of a hang (or a timeout-free
+/// infinite condvar wait).
 #[test]
 fn parked_wait_past_the_deadlock_limit_fails_fast() {
     let mut cfg = DeviceConfig::tiny();
@@ -111,10 +104,6 @@ fn parked_wait_past_the_deadlock_limit_fails_fast() {
 /// waiting block until the deadlock limit.
 #[test]
 fn token_handoff_lets_one_worker_run_dependent_blocks() {
-    let _serial = PARK_SWITCH.lock().unwrap();
-    if !parking_enabled() {
-        return; // under GPU_SIM_NO_PARK this workload is a deadlock by design
-    }
     let mut cfg = DeviceConfig::tiny();
     cfg.host_workers = 1;
     let gpu = Gpu::new(cfg).with_mode(ExecMode::Concurrent);
@@ -156,10 +145,10 @@ fn synthetic_run(bytes: u64) -> RunMetrics {
     rm
 }
 
-/// The resident lane driver's token handoff: a driver blocked in
-/// `drive_lane` waiting for steal eligibility must hand its worker token
-/// back to its device pool, or a single-worker device wedges any pool
-/// launch submitted while it waits.
+/// The resident lane driver's token handoff: a driver blocked waiting for
+/// steal eligibility must hand its worker token back to its device pool,
+/// or a single-worker device wedges any pool launch submitted while it
+/// waits.
 ///
 /// The constructed deadlock cycle (broken only by the handoff): device
 /// 0's driver finishes its one huge job, its simulated clock is far ahead
@@ -172,39 +161,38 @@ fn synthetic_run(bytes: u64) -> RunMetrics {
 /// and the batch drains.
 #[test]
 fn blocked_resident_driver_hands_off_its_worker_token() {
-    let _serial = PARK_SWITCH.lock().unwrap();
     let mut cfg = DeviceConfig::tiny();
     cfg.host_workers = 1;
     // No for_group_member split: each device keeps exactly one worker.
-    let group = std::sync::Arc::new(DeviceGroup::with_member_config(cfg, 2));
-    let cross_ran = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let lane0_drained = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let group = Arc::new(DeviceGroup::with_member_config(cfg, 2));
+    let cross_ran = Arc::new(AtomicBool::new(false));
+    let lane0_drained = Arc::new(AtomicBool::new(false));
 
-    let (tx, rx) = std::sync::mpsc::channel();
-    let g = std::sync::Arc::clone(&group);
-    let flag = std::sync::Arc::clone(&cross_ran);
-    let drained = std::sync::Arc::clone(&lane0_drained);
+    let (tx, rx) = mpsc::channel();
+    let g = Arc::clone(&group);
+    let flag = Arc::clone(&cross_ran);
+    let drained = Arc::clone(&lane0_drained);
     std::thread::spawn(move || {
         // Three jobs over two devices shard as [j0], [j1, j2].
-        let gm = g.run_batch_resident(vec![0usize, 1, 2], StealPolicy::StealOnIdle, |_gpu, _arena, j| {
+        let gm = g.run_batch(vec![0usize, 1, 2], StealPolicy::StealOnIdle, |_gpu, j| {
             match j {
                 // Lane 0's whole shard: instant on the host, enormous in
                 // simulated time, so lane 0 is steal-ineligible afterwards
-                // and its driver blocks in drive_lane until the batch ends.
+                // and its driver blocks until the batch ends.
                 0 => {
-                    drained.store(true, std::sync::atomic::Ordering::SeqCst);
+                    drained.store(true, Ordering::SeqCst);
                     synthetic_run(1 << 36)
                 }
                 1 => {
                     // Wait for lane 0's shard to drain, then give its
                     // driver a beat to reach the blocked wait.
-                    while !drained.load(std::sync::atomic::Ordering::SeqCst) {
+                    while !drained.load(Ordering::SeqCst) {
                         std::thread::yield_now();
                     }
                     std::thread::sleep(Duration::from_millis(25));
                     let km = g.device(0).launch(LaunchConfig::new("cross-device", 2, 32), |_ctx| {});
                     assert_eq!(km.blocks, 2);
-                    flag.store(true, std::sync::atomic::Ordering::SeqCst);
+                    flag.store(true, Ordering::SeqCst);
                     synthetic_run(1 << 12)
                 }
                 _ => synthetic_run(1 << 12),
@@ -216,7 +204,7 @@ fn blocked_resident_driver_hands_off_its_worker_token() {
     let gm = rx
         .recv_timeout(Duration::from_secs(60))
         .expect("batch wedged: blocked driver did not hand off its worker token");
-    assert!(cross_ran.load(std::sync::atomic::Ordering::SeqCst), "cross-device launch never ran");
+    assert!(cross_ran.load(Ordering::SeqCst), "cross-device launch never ran");
     assert_eq!(gm.total_jobs(), 3, "lost or duplicated jobs");
     assert!(
         gm.token_handoffs() >= 1,
@@ -226,44 +214,43 @@ fn blocked_resident_driver_hands_off_its_worker_token() {
     );
 }
 
-/// The kill-switch parity the tier-1 gate runs in both directions: a
-/// flag-chained pipeline charges bit-identical deterministic counters
-/// whether its waits parked or spun, and the spinning run records no park
-/// events at all.
+/// A job that panics on one device must release a peer that waits on its
+/// flag from another device: the lanes' blocks carry the batch's abort
+/// flag, so the remote wait fails within a park cycle instead of parking
+/// until 64 × `deadlock_limit` iterations are spent (hours at the preset
+/// limit), and the batch re-raises the first job's own panic.
 #[test]
-fn kill_switch_preserves_deterministic_counters() {
-    let _serial = PARK_SWITCH.lock().unwrap();
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_force_no_park(false);
-        }
-    }
-    let _restore = Restore;
-    let run = |spin: bool| {
-        set_force_no_park(spin);
-        let gpu = Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Concurrent);
-        let board = StatusBoard::new(4);
-        let counter = DeviceCounter::new();
-        let out = GlobalBuffer::<u64>::zeroed(4);
-        let km = gpu.launch(LaunchConfig::new("chain", 4, 32), |ctx| {
-            let vid = counter.next(ctx) as usize;
-            let carry = if vid == 0 { 0 } else { board.wait_at_least(ctx, vid - 1, 1) as u64 };
-            out.write(ctx, vid, carry + 1);
-            board.publish(ctx, vid, 1);
-        });
-        set_force_no_park(false);
-        (out.to_vec(), km.stats)
-    };
-    let (out_park, stats_park) = run(false);
-    let (out_spin, stats_spin) = run(true);
-    assert_eq!(out_park, vec![1, 2, 2, 2]);
-    assert_eq!(out_spin, out_park);
-    assert_eq!(
-        stats_park.deterministic(),
-        stats_spin.deterministic(),
-        "parked and spinning chains must charge identical deterministic counters"
-    );
-    assert_eq!(stats_spin.park_events, 0, "kill switch must suppress parking");
-    assert_eq!(stats_spin.wakeups, 0);
+fn a_panicking_job_releases_its_peers_remote_waits() {
+    let group = Arc::new(DeviceGroup::new(DeviceConfig::tiny(), 2));
+    let board = Arc::new(StatusBoard::new(1));
+    // Job 0 panics only once job 1's block has begun its wait.
+    let waiting = Arc::new(Barrier::new(2));
+    let (tx, rx) = mpsc::channel();
+    let (g, b, w) = (Arc::clone(&group), Arc::clone(&board), Arc::clone(&waiting));
+    std::thread::spawn(move || {
+        // Two jobs over two devices shard as [j0], [j1].
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            g.run_batch(vec![0usize, 1], StealPolicy::Disabled, |gpu, j| {
+                if j == 0 {
+                    w.wait();
+                    // Long enough for the wait to reach its parked phase;
+                    // the abort must find it in any phase.
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("band fault");
+                }
+                let mut rm = RunMetrics::default();
+                rm.push(gpu.launch(LaunchConfig::new("remote-wait", 1, 32), |ctx| {
+                    w.wait();
+                    b.wait_at_least_remote(ctx, 0, 1);
+                }));
+                rm
+            })
+        }));
+        let msg = r.err().and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+        let _ = tx.send(msg);
+    });
+    let msg = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("a peer's panic left the remote waiter parked");
+    assert_eq!(msg.as_deref(), Some("band fault"), "the batch re-raises the first job's panic");
 }

@@ -24,7 +24,6 @@
 //! the counters themselves (`flag_waits > 0`), not hardcoded.
 
 use gpu_sim::global::GlobalBuffer;
-use gpu_sim::group::set_force_no_persistent;
 use gpu_sim::metrics::BlockStats;
 use gpu_sim::prelude::*;
 use satcore::prelude::*;
@@ -206,100 +205,6 @@ fn cooperative_huge_image_counters_are_schedule_invariant() {
                         );
                     }
                     assert_eq!(gm.total_jobs(), COOP_BANDS, "{tag}: lost or duplicated bands");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn persistent_and_per_band_execution_charge_identical_counters() {
-    // The persistent-grid rework is purely a host-mechanics change: one
-    // resident driver per device iterating its band sequence in-place
-    // versus one pool launch per band. Both paths run the same band
-    // bodies over the same dispatch permutation, so for every kernel
-    // family, device count, dispatch order, and steal policy the SAT and
-    // the schedule-independent counters must be bit-identical — the same
-    // subset rule as above: the full `deterministic()` set for the
-    // eager-carry 2R1W pipeline, the look-back-masked subset for the
-    // flag-walking kernels (how far a walk reads depends on the physical
-    // schedule either way, not on which execution path hosted it).
-    //
-    // Toggled through the same process-global switch the tier-1 gate
-    // drives via GPU_SIM_NO_PERSISTENT; under that env both runs take the
-    // per-band path and parity holds trivially, which is exactly the
-    // kill-switch contract.
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_force_no_persistent(false);
-        }
-    }
-    let _restore = Restore;
-
-    let params = SatParams { w: W, threads_per_block: 64 };
-    let n = 128;
-    let a = Matrix::<u32>::random(n, n, 0xBA5EBA11, 16);
-    let expect = satcore::reference::sat(&a);
-    let input = a.to_device();
-    let output = GlobalBuffer::<u32>::zeroed(n * n);
-
-    for kernel in [CoopKernel::TwoROneW, CoopKernel::SkssLb, CoopKernel::SkssSh] {
-        for devices in [1, 2, 4] {
-            for dispatch in [DispatchOrder::InOrder, DispatchOrder::Random(7)] {
-                for policy in [StealPolicy::Disabled, StealPolicy::StealOnIdle] {
-                    let tag =
-                        format!("{} ({devices} devices, {dispatch:?}, {policy:?})", kernel.name());
-                    let mut runs = Vec::new();
-                    for per_band in [false, true] {
-                        set_force_no_persistent(per_band);
-                        output.host_fill(0);
-                        let group = DeviceGroup::new(DeviceConfig::tiny(), devices)
-                            .with_dispatch(dispatch);
-                        let run = sat_huge_multi_device_bands(
-                            &group,
-                            params,
-                            kernel,
-                            &input,
-                            &output,
-                            n,
-                            &even_bands(n / W, COOP_BANDS),
-                            policy,
-                        );
-                        set_force_no_persistent(false);
-                        let mode = if per_band { "per-band" } else { "persistent" };
-                        assert_eq!(
-                            Matrix::from_device(&output, n, n),
-                            expect,
-                            "{tag}: wrong SAT ({mode})"
-                        );
-                        runs.push(run);
-                    }
-                    let (persistent, pg) = &runs[0];
-                    let (per_band, bg) = &runs[1];
-                    assert_eq!(
-                        persistent.kernels, per_band.kernels,
-                        "{tag}: kernel call counts differ between execution paths"
-                    );
-                    assert_eq!(pg.total_jobs(), bg.total_jobs(), "{tag}: band counts differ");
-                    if kernel == CoopKernel::TwoROneW {
-                        assert_eq!(
-                            persistent.deterministic(),
-                            per_band.deterministic(),
-                            "{tag}: deterministic counters differ persistent vs per-band"
-                        );
-                        assert_eq!(
-                            pg.deterministic(),
-                            bg.deterministic(),
-                            "{tag}: group counters differ persistent vs per-band"
-                        );
-                    } else {
-                        assert_eq!(
-                            persistent.deterministic_lookback(),
-                            per_band.deterministic_lookback(),
-                            "{tag}: look-back-masked counters differ persistent vs per-band"
-                        );
-                    }
                 }
             }
         }
