@@ -94,9 +94,10 @@ pub fn tile_for_serial(serial: usize, t: usize) -> (usize, usize) {
     (ti, d - ti)
 }
 
-/// Default look-back window (see `crates/bench/benches/lookback_window.rs`
-/// for the sweep that picked it: W = 8 is within noise of 16 and clearly
-/// ahead of 1 at large `n` under concurrency).
+/// Default look-back window (EXPERIMENTS.md records the W ∈ {1, 4, 8, 16}
+/// sweep that picked it, under "Host-overhead reduction" and "Shuffle-only
+/// SKSS": W = 8 is within noise of 16 and ahead of 1 at large `n` under
+/// concurrency).
 pub const DEFAULT_LOOKBACK_WINDOW: usize = 8;
 
 /// Hard cap on the look-back window: bounds the stack index/value buffers

@@ -537,14 +537,6 @@ impl GroupMetrics {
     }
 }
 
-/// Build a group configuration for tests and benches: `count` devices of
-/// `cfg`, in-order dispatch.
-impl From<(DeviceConfig, usize)> for DeviceGroup {
-    fn from((cfg, count): (DeviceConfig, usize)) -> Self {
-        DeviceGroup::new(cfg, count)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

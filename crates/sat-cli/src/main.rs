@@ -9,7 +9,6 @@
 //! ```
 
 mod ablations;
-mod bench_json;
 mod figures;
 mod paper;
 mod report;
@@ -30,10 +29,6 @@ fn parse_opt(args: &[String], name: &str) -> Option<String> {
 }
 
 fn parse_usize(args: &[String], name: &str, default: usize) -> usize {
-    parse_opt(args, name).map_or(default, |v| v.parse().unwrap_or_else(|_| panic!("bad {name}: {v}")))
-}
-
-fn parse_f64(args: &[String], name: &str, default: f64) -> f64 {
     parse_opt(args, name).map_or(default, |v| v.parse().unwrap_or_else(|_| panic!("bad {name}: {v}")))
 }
 
@@ -75,32 +70,6 @@ fn usage() -> &'static str {
                   options: --sizes a,b,c (default 64,256,512,1024)\n\
        trace      concurrent SKSS-LB run with a block timeline\n\
                   options: --n N (default 256), --w W (default 32), --seed S\n\
-       bench-json wall-clock perf sweep emitted as JSON (BENCH_*.json)\n\
-                  options: --sizes a,b,c (default 1024,2048,4096), --w W,\n\
-                           --repeat R (default 3, alias --reps), --warmup K (default 1),\n\
-                           --modes sequential,concurrent,\n\
-                           --algs substr,substr, --baseline FILE, --out FILE,\n\
-                           --throughput [--batch N --batch-n SIDE --streams S\n\
-                                         --devices 1,2,4 (multi-device scaling sweep)],\n\
-                           --huge 16384,32768 (cooperative single-image sweep: each\n\
-                                  size row-band-split across a DeviceGroup at every\n\
-                                  --devices count; gated by coop_regression; wall times\n\
-                                  are min over --repeat rounds, interleaved across the\n\
-                                  point matrix to reject host noise bursts),\n\
-                           --perf-floor R (default 0.9, vs --baseline),\n\
-                           --conc-floor R (default 0.95, concurrent vs sequential)\n\
-       bench-compare  offline floor check of two committed BENCH_*.json files\n\
-                  usage: bench-compare OLD.json NEW.json [--floor R (default 0.9)]\n\
-                         [--throughput-floor S: fail if the new document's streamed\n\
-                          batch speedup over serial is below S]\n\
-                         [--coop-floor C: fail if any 2-device cooperative huge-image\n\
-                          point of the new document models below Cx one device]\n\
-                         [--wall-floor R: fail if the new document's widest cooperative\n\
-                          point runs slower than R x the old document's best wall time\n\
-                          for the same (alg, n) — adding devices must not cost host time]\n\
-                         [--eff-floor R: fail if the new document's best cooperative\n\
-                          host_efficiency over device counts is below R x the old\n\
-                          document's best for the same (alg, n); missing points fail]\n\
        all        every report above, in order"
 }
 
@@ -146,105 +115,6 @@ fn main() -> ExitCode {
             }
             println!("f32 SAT error vs f64 oracle (uniform random values 0..256):\n");
             print!("{}", t.render());
-        }
-        "bench-json" => {
-            let defaults = bench_json::Config::default();
-            let bcfg = bench_json::Config {
-                sizes: parse_list(&args, "--sizes", &defaults.sizes),
-                w: parse_usize(&args, "--w", defaults.w),
-                // --repeat is the documented spelling; --reps stays as an
-                // alias for older scripts.
-                reps: parse_usize(
-                    &args,
-                    "--repeat",
-                    parse_usize(&args, "--reps", defaults.reps),
-                ),
-                warmup: parse_usize(&args, "--warmup", defaults.warmup),
-                modes: parse_opt(&args, "--modes").map_or(defaults.modes, |v| {
-                    v.split(',').map(|s| s.trim().to_string()).collect()
-                }),
-                algs: parse_opt(&args, "--algs").map_or(Vec::new(), |v| {
-                    v.split(',').map(|s| s.trim().to_string()).collect()
-                }),
-                baseline: parse_opt(&args, "--baseline"),
-                out: parse_opt(&args, "--out"),
-                throughput: parse_flag(&args, "--throughput"),
-                batch: parse_usize(&args, "--batch", defaults.batch),
-                batch_n: parse_usize(&args, "--batch-n", defaults.batch_n),
-                streams: parse_usize(&args, "--streams", defaults.streams),
-                devices: parse_list(&args, "--devices", &defaults.devices),
-                perf_floor: parse_f64(&args, "--perf-floor", defaults.perf_floor),
-                conc_floor: parse_f64(&args, "--conc-floor", defaults.conc_floor),
-                huge: parse_list(&args, "--huge", &defaults.huge),
-            };
-            let doc = bench_json::run(&bcfg, gpu.config());
-            match &bcfg.out {
-                Some(path) => {
-                    std::fs::write(path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
-                    eprintln!("wrote {path}");
-                }
-                None => print!("{doc}"),
-            }
-            if doc.contains("\"all_counters_match\":false") {
-                eprintln!("counter drift vs baseline: the run charged different metrics");
-                return ExitCode::FAILURE;
-            }
-            if doc.contains("\"multi_device_regression\":true") {
-                eprintln!(
-                    "multi-device regression: best group below serial-equivalent modeled throughput"
-                );
-                return ExitCode::FAILURE;
-            }
-            if doc.contains("\"perf_floor_regression\":true") {
-                eprintln!("perf regression: a sweep point fell below the --perf-floor ratio");
-                return ExitCode::FAILURE;
-            }
-            if doc.contains("\"concurrent_regression\":true") {
-                eprintln!(
-                    "concurrent regression: a point fell below --conc-floor of its sequential run"
-                );
-                return ExitCode::FAILURE;
-            }
-            if doc.contains("\"coop_regression\":true") {
-                eprintln!(
-                    "cooperative regression: a huge-image point produced a wrong SAT, \
-                     drifted counters, or fell below the modeled scaling floor"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        "bench-compare" => {
-            let (Some(old_path), Some(new_path)) = (args.get(1), args.get(2)) else {
-                eprintln!(
-                    "usage: sat-cli bench-compare OLD.json NEW.json [--floor R] [--throughput-floor S]"
-                );
-                return ExitCode::FAILURE;
-            };
-            let read = |p: &String| {
-                std::fs::read_to_string(p).unwrap_or_else(|e| panic!("cannot read {p}: {e}"))
-            };
-            let floor = parse_f64(&args, "--floor", 0.9);
-            let tp_floor = parse_opt(&args, "--throughput-floor")
-                .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --throughput-floor: {v}")));
-            let coop_floor = parse_opt(&args, "--coop-floor")
-                .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --coop-floor: {v}")));
-            let wall_floor = parse_opt(&args, "--wall-floor")
-                .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --wall-floor: {v}")));
-            let eff_floor = parse_opt(&args, "--eff-floor")
-                .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --eff-floor: {v}")));
-            let (report, regression) = bench_json::compare(
-                &read(old_path),
-                &read(new_path),
-                floor,
-                tp_floor,
-                coop_floor,
-                wall_floor,
-                eff_floor,
-            );
-            print!("{report}");
-            if regression {
-                return ExitCode::FAILURE;
-            }
         }
         "ablations" => {
             let n = parse_usize(&args, "--n", 512);

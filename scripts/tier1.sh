@@ -20,42 +20,19 @@ cargo clippy --all-targets --workspace -- -D warnings
 # parity break is named directly in the tier-1 log.
 cargo test --release -q --test counter_parity
 
-# Counter-drift smoke: a quick filtered bench-json run against the
-# committed baseline. Any accounting drift (or serial-vs-streamed
-# divergence in the batch pipeline) makes bench-json exit nonzero via
-# all_counters_match:false, failing tier-1 without running the full sweep.
-# The wall-clock floors are disabled here (--reps 1 on a shared CI host is
-# noise); the offline bench-compare below carries the perf gate.
-./target/release/sat-cli bench-json --algs skss_lb,2r1w --sizes 1024 --reps 1 \
-  --baseline BENCH_1.json --throughput --batch 16 --batch-n 32 --out /dev/null \
-  --perf-floor 0 --conc-floor 0
+# The benchmark (perfbench/, described by BENCHMARK.json) is a package of
+# its own, outside this workspace: build it against the library and run its
+# unit tests.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-# Multi-device smoke: a tiny 2-device sharded batch on the smallest device
-# config. bench-json exits nonzero if the group's deterministic counters
-# diverge from the single-device serial batch (all_counters_match:false)
-# or if the best group models below serial-equivalent throughput
-# (multi_device_regression:true).
-./target/release/sat-cli bench-json --algs none --sizes 64 --reps 2 --warmup 1 \
-  --w 8 --device tiny --throughput --batch 12 --batch-n 16 --devices 1,2 \
-  --out /dev/null
-
-# The one offline gate on committed records: the latest (BENCH_8: resident
-# lane drivers, event-driven steal waits, fused tile-load/store kernels)
-# against its predecessor BENCH_7. --coop-floor 1.5: every 2-device
-# cooperative huge-image point must model at least 1.5x one device.
-# --wall-floor 1.0: for every cooperative (alg, n) the widest BENCH_8
-# point must be at least as fast on the host as the best BENCH_7 point at
-# any device count. --eff-floor: best host_efficiency over device counts
-# per (alg, n) must hold the ratio against BENCH_7's best. The floor is 1.4,
-# not the 3x ROADMAP item 2 hoped for: host_efficiency divides modeled
-# device time by host wall, and the best points' walls are within ~2x of
-# the recording box's DRAM floor — tripling them is physically off the
-# table (EXPERIMENTS.md, "Persistent cooperative grids" has the
-# arithmetic). Measured best-vs-best ratios are 1.77-2.18x in the
-# committed record and dipped to 1.68x across repeat recordings, so 1.4
-# sits >=20% under the worst observed ratio. Recording command
-# (identical flags to BENCH_7), for re-baselining:
-#   ./target/release/sat-cli bench-json --huge 16384,32768 --devices 1,2,4 \
-#     --repeat 4 --out BENCH_8.json
-./target/release/sat-cli bench-compare BENCH_7.json BENCH_8.json --coop-floor 1.5 \
-  --wall-floor 1.0 --eff-floor 1.4
+# End-to-end drive of every workload. A zero-second run still makes three
+# timed passes; it checks every output against reference::sat and every
+# call's counters against the first call of its configuration, so the last
+# stdout line reads "correct": true only if nothing failed.
+for workload in roster_seq roster_conc batch_tiny coop_8k; do
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -n 1)
+  case "$result" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench $workload: not correct: $result" >&2; exit 1 ;;
+  esac
+done

@@ -19,8 +19,8 @@
 //! schedule, which is the point of the adaptive look-back. For those runs
 //! the read side legitimately varies and parity is asserted on the
 //! schedule-independent subset (writes, write traffic, bank-conflict
-//! cycles, flag publications), matching the rule `bench-json` applies to
-//! concurrent baselines. Whether a run waited on flags is detected from
+//! cycles, flag publications), matching the rule perfbench applies to
+//! Concurrent-mode calls. Whether a run waited on flags is detected from
 //! the counters themselves (`flag_waits > 0`), not hardcoded.
 
 use gpu_sim::global::GlobalBuffer;
