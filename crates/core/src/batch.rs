@@ -1,20 +1,24 @@
 //! Batched SAT throughput pipeline.
 //!
 //! A server-style workload computes SATs over a queue of many (small)
-//! images, where images/s matters more than single-image latency. Two
+//! images, where images/s matters more than single-image latency. Three
 //! execution strategies over the same 2R1W kernels
 //! ([`crate::alg::two_r_one_w`]):
 //!
 //! * [`sat_batch_serial`] — one image at a time, each kernel a blocking
-//!   [`Gpu::launch`]. The host pays a full submit/wake round-trip per
-//!   kernel (three per image), and the device idles in every gap.
+//!   [`Gpu::launch`]. The calling thread runs each kernel's blocks itself
+//!   (an idle pool worker it wakes may help with the multi-block k2), so
+//!   no kernel waits on a hand-off to another thread; but each launch
+//!   returns only after its last block, so kernels never overlap.
 //! * [`sat_batch_streamed`] — images round-robined over a small set of
 //!   [`Stream`]s. Each image's three kernels are enqueued asynchronously
 //!   on its stream (in-stream order preserves the k1 → k2 → k3 data
-//!   dependency), then all streams are synchronized once. The worker pool
-//!   always has the next kernel queued, so image *i+1*'s local-sums kernel
-//!   starts the moment image *i*'s column-scan retires — the pipelining a
-//!   CUDA server gets from `cudaLaunchKernel` on rotating streams.
+//!   dependency), then all streams are synchronized once. The worker that
+//!   retires a kernel runs its stream's next one directly, so image
+//!   *i+1*'s local-sums kernel starts the moment image *i*'s column-scan
+//!   retires, while the other streams' kernels run on the other workers —
+//!   the pipelining a CUDA server gets from `cudaLaunchKernel` on rotating
+//!   streams.
 //! * [`sat_batch_multi_device`] — images sharded across the devices of a
 //!   [`DeviceGroup`] with work stealing. Each image's three kernels run
 //!   unchanged on whichever device the scheduler lands the image on
@@ -23,11 +27,12 @@
 //!   and the group reports a per-device [`GroupMetrics`] breakdown on top
 //!   of the usual [`BatchReport`].
 //!
-//! Both strategies charge identical deterministic counters: the counters
-//! are per-block quantities accumulated by the kernels themselves, and
-//! neither streaming nor overlap changes what any block does (2R1W has no
-//! inter-block flag waits, so even poll counts match). [`BatchReport`]
-//! exposes the aggregate so callers — the `--throughput` bench mode, the
+//! All three strategies charge identical deterministic counters: the
+//! counters are per-block quantities accumulated by the kernels
+//! themselves, and neither streaming, overlap nor the device an image
+//! lands on changes what any block does (2R1W has no inter-block flag
+//! waits, so even poll counts match). [`BatchReport`] exposes the
+//! aggregate so callers — perfbench's `batch_tiny` workload, the
 //! scheduling-parity tests — can assert it.
 
 use std::sync::Arc;

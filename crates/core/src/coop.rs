@@ -110,7 +110,7 @@ pub enum CoopKernel {
 }
 
 impl CoopKernel {
-    /// Stable identifier used in launch labels and bench JSON.
+    /// Stable identifier used in launch labels and test messages.
     pub fn name(self) -> &'static str {
         match self {
             CoopKernel::TwoROneW => "coop_2r1w",

@@ -3,30 +3,35 @@
 //! [`crate::stream::Stream`]).
 //!
 //! One pool of OS threads is started lazily per [`Gpu`](crate::launch::Gpu)
-//! lineage and parked between launches. A launch becomes a [`LaunchJob`]:
-//! workers claim blocks off the job's atomic cursor (bounded residency,
-//! exactly like SMs picking blocks off the hardware scheduler), absorb
-//! counters into the job's accumulator, and wake the submitter — or hand
-//! the completion to a [`Stream`](crate::stream::Stream) for stream-ordered
-//! continuation. Compared to the old per-launch `thread::scope`, this
-//! removes thread spawn/join from every launch and lets each worker keep a
-//! warm [`ScratchArena`] across launches, which is what makes back-to-back
-//! kernel launches cheap enough to model CUDA's fixed launch overhead
-//! honestly.
+//! lineage and parked between launches. A launch becomes a [`LaunchJob`]
+//! whose blocks are claimed off an atomic cursor (bounded residency,
+//! exactly like SMs picking blocks off the hardware scheduler) by the
+//! thread that starts the job and by the idle workers it wakes to help;
+//! each absorbs its blocks' counters into the job's accumulator. A
+//! synchronous [`Gpu::launch`](crate::launch::Gpu::launch) runs its own
+//! job ([`PoolShared::join`]) and then waits only for the blocks helpers
+//! still hold. The thread that finishes a [`Stream`](crate::stream::Stream)
+//! job's last block runs the stream's next job, publishing it for helpers
+//! when it has more than one block. The workers persist, so no launch pays
+//! thread spawn/join, and each keeps a warm [`ScratchArena`] across
+//! launches.
 //!
 //! Panic discipline: the first panicking block wins; its payload is stored
 //! on the job, the job's `aborted` flag stops other blocks from starting
 //! (and makes soft-sync waiters of the dead producer fail fast via
-//! [`BlockCtx::abort_requested`]), and the submitter re-raises the payload
-//! from [`LaunchJob::wait`], so `#[should_panic]` tests behave identically
-//! in sequential and concurrent mode.
+//! [`BlockCtx::abort_requested`]), and the launching thread re-raises the
+//! payload from [`LaunchJob::wait`], so `#[should_panic]` tests behave
+//! identically in sequential and concurrent mode.
 //!
 //! ## Execution tokens and parked-wait handoff
 //!
 //! Bounded residency is enforced by **tokens**, not by the thread count:
 //! the pool starts with one token per base worker, and a thread must hold
-//! a token to claim blocks off a job. When a block parks inside a flag
-//! wait ([`crate::sync::StatusBoard::wait_at_least`]), it returns its
+//! a token to claim blocks off a job. Token holders are the pool's
+//! workers, the caller of a synchronous launch while it runs its own job,
+//! and resident group lane drivers for their whole batch; the last two
+//! claim through [`PoolShared::driver_begin`]. When a block parks inside a
+//! flag wait ([`crate::sync::StatusBoard::wait_at_least`]), it returns its
 //! token through [`PoolShared::park_begin`] so the residency slot is not
 //! wasted on a sleeper: an idle thread is woken — or, if none exists and
 //! unclaimed work is pending, a bounded *standby* thread is spawned — to
@@ -63,11 +68,11 @@ pub(crate) enum Body {
 
 /// A caller-owned kernel body with its lifetime erased.
 ///
-/// Lifetime contract: a `BorrowedBody` is only created by submitters that
-/// block on [`LaunchJob::wait`] before returning, and every call happens
-/// while some block of the job is still unfinished — i.e. strictly before
-/// `wait` can return — so the closure outlives all uses. The `'static` in
-/// the field type is an erasure, not a claim.
+/// Lifetime contract: a `BorrowedBody` is only created by launching
+/// threads that block on [`LaunchJob::wait`] before returning, and every
+/// call happens while some block of the job is still unfinished — i.e.
+/// strictly before `wait` can return — so the closure outlives all uses.
+/// The `'static` in the field type is an erasure, not a claim.
 pub(crate) struct BorrowedBody(&'static (dyn Fn(&mut BlockCtx) + Sync));
 
 impl BorrowedBody {
@@ -159,7 +164,7 @@ impl LaunchJob {
         self.record_in_stream
     }
 
-    /// Whether every dispatch position has been claimed by some worker
+    /// Whether every dispatch position has been claimed by some thread
     /// (the job may still be executing its last blocks).
     fn exhausted(&self) -> bool {
         self.cursor.load(Ordering::Relaxed) >= self.lc.blocks
@@ -177,18 +182,18 @@ impl LaunchJob {
 
     /// Claim and execute blocks until none remain.
     ///
-    /// Counters and completion are batched per worker: each worker merges
-    /// its blocks' stats into a local [`BlockStats`] and performs a single
-    /// atomic absorb plus a single `finished` bump when its claim loop
-    /// exits. For small grids this removes the per-block atomic storm that
-    /// used to dominate launch overhead; totals are unchanged because
-    /// field-wise addition is associative, and exactly one worker (the one
-    /// whose bump brings `finished` to `blocks`) triggers completion.
+    /// Counters and completion are batched per thread: each thread (a
+    /// worker, or the launch's caller) merges its blocks' stats into a
+    /// local [`BlockStats`] and performs a single atomic absorb plus a
+    /// single `finished` bump when its claim loop exits. For small grids
+    /// this removes the per-block atomic storm that used to dominate launch
+    /// overhead; totals are unchanged because field-wise addition is
+    /// associative, and exactly one thread (the one whose bump brings
+    /// `finished` to `blocks`) triggers completion.
     ///
-    /// Returns a stream continuation job when the completing worker should
-    /// run the stream's next launch directly (see
-    /// [`StreamShared::on_job_complete`]); the worker loop chains it
-    /// without a queue round-trip.
+    /// Returns the owning stream's next job when this call completed the
+    /// job (see [`StreamShared::on_job_complete`]); the worker loop runs it
+    /// next without a queue round-trip.
     fn run_blocks(&self, pool: &Arc<PoolShared>, arena: &mut ScratchArena) -> Option<Arc<LaunchJob>> {
         let mut local = BlockStats::default();
         let mut ran = 0usize;
@@ -236,8 +241,8 @@ impl LaunchJob {
         None
     }
 
-    /// All blocks done: wake the submitter and advance the owning stream.
-    /// May hand back the stream's next job for direct chaining.
+    /// All blocks done: wake the launching thread and advance the owning
+    /// stream. May hand back the stream's next job for direct chaining.
     fn complete(&self, pool: &PoolShared) -> Option<Arc<LaunchJob>> {
         // Asynchronous stream launches (`record_in_stream`) are never
         // handed back to a caller, so no thread can be parked in `wait`;
@@ -301,9 +306,9 @@ struct QueueState {
     jobs: VecDeque<Arc<LaunchJob>>,
     shutdown: bool,
     /// Execution tokens available for claiming blocks. Starts at the base
-    /// worker count; goes up when a thread finishes a job chain or parks
-    /// in a flag wait ([`PoolShared::park_begin`]), down when a thread
-    /// claims a job or un-parks ([`PoolShared::park_end`]). May go
+    /// worker count; goes up when a thread finishes a job chain or its own
+    /// job or parks in a flag wait ([`PoolShared::park_begin`]), down when
+    /// a thread claims a job or un-parks ([`PoolShared::park_end`]). May go
     /// *negative*: a woken waiter re-acquires in debt rather than
     /// blocking, so the wake chain that satisfied its flag can never
     /// deadlock on token starvation. The debt is repaid by the next
@@ -321,7 +326,8 @@ pub(crate) struct PoolShared {
     queue: Mutex<QueueState>,
     ready: Condvar,
     /// Number of base worker threads (== the initial token count);
-    /// lets `submit` wake only as many workers as a small job can use.
+    /// lets `submit` and `publish` wake only as many workers as a small
+    /// job can use.
     workers: usize,
     /// Hard cap on live threads: base workers plus the standby budget.
     /// Once reached, a park stops spawning replacements — unclaimed
@@ -336,8 +342,8 @@ pub(crate) struct PoolShared {
 }
 
 impl PoolShared {
-    /// Enqueue a job for the workers (`blocks` must be non-zero; empty
-    /// launches complete inline without touching the pool).
+    /// Enqueue a job that no thread runs yet (`blocks` must be non-zero;
+    /// empty launches complete inline without touching the pool).
     ///
     /// Wakes `min(blocks, workers)` threads: a grid with fewer blocks than
     /// the pool has workers cannot use more, and the full `notify_all`
@@ -346,10 +352,21 @@ impl PoolShared {
     /// grids.
     pub(crate) fn submit(&self, job: Arc<LaunchJob>) {
         debug_assert!(job.blocks() > 0, "zero-block jobs complete inline");
-        let wake = job.blocks().min(self.workers);
-        let mut q = self.queue.lock().unwrap();
-        q.jobs.push_back(job);
-        drop(q);
+        self.push(job.blocks().min(self.workers), job);
+    }
+
+    /// Enqueue a job of at least two blocks that the calling thread runs
+    /// itself, on a token it already holds: wakes `min(blocks - 1,
+    /// workers - 1)` idle workers to help. The job goes on the queue even
+    /// when none is woken, because a block that parks hands its token only
+    /// to work it finds there.
+    pub(crate) fn publish(&self, job: Arc<LaunchJob>) {
+        debug_assert!(job.blocks() > 1, "a one-block job gives helpers nothing to do");
+        self.push((job.blocks() - 1).min(self.workers - 1), job);
+    }
+
+    fn push(&self, wake: usize, job: Arc<LaunchJob>) {
+        self.queue.lock().unwrap().jobs.push_back(job);
         if wake >= self.workers {
             self.ready.notify_all();
         } else {
@@ -359,10 +376,21 @@ impl PoolShared {
         }
     }
 
-    /// Submit and block until the job completes: a synchronous launch.
-    pub(crate) fn run(&self, job: Arc<LaunchJob>) -> KernelMetrics {
-        self.submit(Arc::clone(&job));
-        job.wait()
+    /// Run a synchronous launch's job on the calling thread, on `arena`,
+    /// until every block is claimed; the caller then waits
+    /// ([`LaunchJob::wait`]) for the blocks helpers still hold.
+    ///
+    /// The caller claims a token before publishing, so a helper it wakes
+    /// cannot take the token it is about to run on, and returns it before
+    /// waiting, because `wait` re-raises a block's panic. Its blocks carry
+    /// this pool, so a parked wait among them hands the caller's token to
+    /// a helper.
+    pub(crate) fn join(self: &Arc<Self>, job: &Arc<LaunchJob>, arena: &mut ScratchArena) {
+        self.driver_begin();
+        self.publish(Arc::clone(job));
+        // A job with no stream completes without a continuation.
+        let _ = job.run_blocks(self, arena);
+        self.driver_end();
     }
 
     /// Number of worker threads serving this pool.
@@ -403,29 +431,33 @@ impl PoolShared {
     }
 
     /// Return the token held while running a job chain; wakes a waiting
-    /// thread when claimable work is pending.
+    /// thread when claimable work is pending. Drops exhausted jobs from
+    /// the queue first: a job published with no helper woken would
+    /// otherwise stay there until some worker next looked.
     fn release_token(&self) {
         let mut q = self.queue.lock().unwrap();
         q.tokens += 1;
-        if q.tokens > 0 && q.idle > 0 && q.jobs.iter().any(|j| !j.exhausted()) {
+        q.jobs.retain(|j| !j.exhausted());
+        if q.tokens > 0 && q.idle > 0 && !q.jobs.is_empty() {
             drop(q);
             self.ready.notify_one();
         }
     }
 
-    /// A resident group driver announces it will execute blocks inline on
-    /// its own thread for an extended span: claim one execution token so
-    /// the pool's concurrency budget counts the driver like one of its own
-    /// workers. Called while the driver is runnable (batch start), so —
-    /// unlike [`PoolShared::park_end`]'s debt re-acquire — going negative
-    /// here would only happen if the pool were already oversubscribed,
-    /// which the debt model tolerates by design. Balanced by exactly one
-    /// [`PoolShared::driver_end`].
+    /// A thread outside the worker loop announces it will execute blocks
+    /// on its own thread: a resident group driver for its whole batch, or
+    /// the caller of a synchronous launch for its own job
+    /// ([`PoolShared::join`]). Claim one execution token so the pool's
+    /// concurrency budget counts it like one of its own workers. Called
+    /// while the thread is runnable, so — unlike [`PoolShared::park_end`]'s
+    /// debt re-acquire — going negative here would only happen if the pool
+    /// were already oversubscribed, which the debt model tolerates by
+    /// design. Balanced by exactly one [`PoolShared::driver_end`].
     pub(crate) fn driver_begin(&self) {
         self.queue.lock().unwrap().tokens -= 1;
     }
 
-    /// Return a resident driver's token at the end of its batch; wakes a
+    /// Return the token [`PoolShared::driver_begin`] claimed; wakes a
     /// waiting thread when claimable work is pending.
     pub(crate) fn driver_end(&self) {
         self.release_token();
@@ -471,10 +503,10 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                 q.idle -= 1;
             }
         };
-        // A completing stream job may hand back the stream's next launch;
-        // run it on this worker's warm arena instead of paying the queue
-        // lock + condvar wake for every kernel of a long pipeline. The
-        // token is held across the whole chain.
+        // A completing stream job hands back the stream's next launch; run
+        // it on this worker's warm arena instead of waiting for a woken
+        // worker to take it off the queue. The token is held across the
+        // whole chain.
         let mut job = job;
         while let Some(next) = job.run_blocks(shared, &mut arena) {
             job = next;

@@ -14,11 +14,13 @@
 //!   thread in dispatch order. Deterministic, fast, and it converts soft-
 //!   synchronization ordering bugs into immediate panics (see
 //!   [`crate::sync::StatusBoard::wait_at_least`]).
-//! * [`ExecMode::Concurrent`] — the persistent worker pool
-//!   ([`crate::executor`]) executes blocks with bounded residency, like
-//!   SMs do. Flag spinning, atomic ID assignment, and publication ordering
-//!   are exercised for real, and back-to-back launches reuse warm threads
-//!   and their scratch arenas instead of re-paying thread spawn/join.
+//! * [`ExecMode::Concurrent`] — blocks run with bounded residency, like
+//!   SMs run them: the calling thread claims blocks off the launch's cursor
+//!   alongside idle workers of the persistent pool ([`crate::executor`])
+//!   that it wakes to help. Flag spinning, atomic ID assignment, and
+//!   publication ordering are exercised for real, and back-to-back
+//!   launches reuse warm threads and scratch arenas instead of paying
+//!   thread spawn/join.
 //!
 //! [`Gpu::launch`] is the one launch entry point. A handle bound to a
 //! stream ([`Gpu::bind_stream`]) runs it stream-ordered on the pool, and
@@ -273,17 +275,17 @@ pub struct BlockCtx<'a> {
     abort: Option<&'a AtomicBool>,
     /// The worker pool executing this block, when there is one: parked
     /// flag waits hand their execution token back through it
-    /// ([`PoolShared::park_begin`]). Set both for pool-run blocks and for
-    /// blocks a resident group lane runs inline — the lane driver holds a
-    /// worker token, and its parks return *that* token. `None` only for
-    /// blocks the caller thread runs inline, which hold no token.
+    /// ([`PoolShared::park_begin`]). Set for every block whose thread holds
+    /// a token: a pool worker's, the caller's in a multi-block concurrent
+    /// launch, and a resident group lane driver's. `None` only for blocks
+    /// of `Gpu::run_inline` outside a lane, which hold no token.
     pool: Option<&'a Arc<PoolShared>>,
     /// The block's access counters; buffer and tile accessors charge here.
     pub stats: BlockStats,
 }
 
 impl<'a> BlockCtx<'a> {
-    /// Context for one block run by the worker pool (never sequential).
+    /// Context for one block of a pool job (never sequential).
     pub(crate) fn for_worker(
         block_idx: usize,
         threads_per_block: usize,
@@ -582,7 +584,9 @@ impl Gpu {
     ///
     /// The handle picks where blocks run: on a bound stream, inline on a
     /// resident group lane, inline on the caller thread (sequential mode,
-    /// and concurrent grids of at most one block), or on the worker pool.
+    /// and concurrent grids of at most one block), or, for larger
+    /// concurrent grids, on the caller thread together with the pool
+    /// workers it wakes to help.
     ///
     /// The body must be `Fn` (not `FnMut`): blocks may run concurrently
     /// and in any order, so all cross-block state must live in
@@ -615,13 +619,11 @@ impl Gpu {
             }
             (None, ExecMode::Sequential) => Inline { arena: seq_arena, sequential: true, abort: None, pool: None },
             // A grid of at most one block has no cross-block concurrency to
-            // exercise: skip the pool's submit/wake/park round-trip.
+            // exercise and gives a helper nothing to do: skip the pool.
             (None, ExecMode::Concurrent) if lc.blocks <= 1 => {
                 Inline { arena: seq_arena, sequential: false, abort: None, pool: None }
             }
             (None, ExecMode::Concurrent) => {
-                // Warm workers (and their scratch arenas) pick blocks off a
-                // shared cursor; the caller parks on the job's completion.
                 let order = self.dispatch.launch_order(lc.blocks);
                 let job = Arc::new(LaunchJob::new(
                     lc,
@@ -632,48 +634,54 @@ impl Gpu {
                     None,
                     false,
                 ));
-                return self.pool().shared().run(job);
+                let pool = self.pool().shared();
+                with_arena(seq_arena, |arena| pool.join(&job, arena));
+                return job.wait();
             }
         };
         self.run_inline(lc, &body, inline)
     }
 
     /// The one inline block loop: every block of `lc` in dispatch order on
-    /// the calling thread. The arena persists across launches (block N+1
-    /// reuses what block N recycled, launch N+1 what launch N did); a
-    /// launch-local arena stands in while another thread holds it.
+    /// the calling thread.
     fn run_inline<F>(&self, lc: LaunchConfig, body: &F, at: Inline) -> KernelMetrics
     where
         F: Fn(&mut BlockCtx) + Sync,
     {
         let order = self.dispatch.launch_order(lc.blocks);
         let start = Instant::now();
-        let mut local = ScratchArena::new();
-        let mut guard = at.arena.try_lock();
-        let arena: &mut ScratchArena = match guard {
-            Ok(ref mut g) => g,
-            Err(_) => &mut local,
-        };
-        let tracer = self.tracer.as_deref();
-        let mut stats = BlockStats::default();
-        for k in 0..lc.blocks {
-            let mut ctx = BlockCtx {
-                block_idx: if order.is_empty() { k } else { order[k] },
-                threads_per_block: lc.threads_per_block,
-                sequential: at.sequential,
-                cfg: &self.cfg,
-                tracer,
-                arena,
-                abort: at.abort,
-                pool: at.pool,
-                stats: BlockStats::default(),
-            };
-            ctx.trace(EventKind::BlockStart);
-            body(&mut ctx);
-            ctx.trace(EventKind::BlockEnd);
-            stats.merge(&ctx.stats);
-        }
-        lc.finish(stats, start.elapsed().as_secs_f64())
+        with_arena(at.arena, |arena| {
+            let tracer = self.tracer.as_deref();
+            let mut stats = BlockStats::default();
+            for k in 0..lc.blocks {
+                let mut ctx = BlockCtx {
+                    block_idx: if order.is_empty() { k } else { order[k] },
+                    threads_per_block: lc.threads_per_block,
+                    sequential: at.sequential,
+                    cfg: &self.cfg,
+                    tracer,
+                    arena,
+                    abort: at.abort,
+                    pool: at.pool,
+                    stats: BlockStats::default(),
+                };
+                ctx.trace(EventKind::BlockStart);
+                body(&mut ctx);
+                ctx.trace(EventKind::BlockEnd);
+                stats.merge(&ctx.stats);
+            }
+            lc.finish(stats, start.elapsed().as_secs_f64())
+        })
+    }
+}
+
+/// Run `f` on the persistent `arena` (block N+1 reuses what block N
+/// recycled, launch N+1 what launch N did), or on a launch-local arena
+/// while another thread holds it.
+fn with_arena<R>(arena: &Mutex<ScratchArena>, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
+    match arena.try_lock() {
+        Ok(mut g) => f(&mut g),
+        Err(_) => f(&mut ScratchArena::new()),
     }
 }
 

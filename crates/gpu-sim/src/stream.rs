@@ -8,14 +8,13 @@
 //! streams overlaps freely on the shared persistent worker pool. This is
 //! what enables the batched SAT throughput pipeline: image *i+1*'s
 //! row-scan kernel runs while image *i*'s column-scan is still in flight,
-//! amortizing the per-launch host round-trip that a serial
-//! launch-sync-launch loop pays for every kernel.
+//! so the pool's workers overlap the kernels of different images.
 //!
 //! Ordering is cooperative, not preemptive: only the stream's head job is
-//! ever submitted to the pool; when its last block finishes, the completing
-//! worker submits the stream's next job. The pool therefore never has to
-//! know about streams, and in-stream ordering can never be violated by
-//! scheduling accidents.
+//! ever on the pool; the thread that finishes its last block runs the
+//! stream's next job, publishing it for helpers when it has more than one
+//! block. The pool therefore never has to know about streams, and
+//! in-stream ordering can never be violated by scheduling accidents.
 //!
 //! **Accounting is schedule-independent by construction.** A stream job
 //! charges counters through the same `BlockCtx` accumulators as any other
@@ -69,14 +68,12 @@ impl StreamShared {
     /// Called by the worker that finishes a job's last block: record the
     /// result and advance the stream's queue.
     ///
-    /// Returns the next queued job instead of submitting it when the
-    /// completing worker can run the whole launch itself — a single-block
-    /// grid, or a pool with only one worker (nobody else could help
-    /// anyway). The worker chains it directly on its warm scratch arena,
-    /// skipping the queue lock, condvar wake, and re-park that otherwise
-    /// tax every kernel of a deep stream pipeline. In-stream ordering is
-    /// preserved trivially: the chained job starts strictly after this
-    /// one's last block.
+    /// Returns the next queued job, which the completing worker runs on
+    /// its warm scratch arena and the token it already holds. A job of
+    /// more than one block is also published for helpers
+    /// ([`PoolShared::publish`]), which a parked block needs to hand its
+    /// token to. In-stream ordering is preserved trivially: the chained
+    /// job starts strictly after this one's last block.
     pub(crate) fn on_job_complete(
         &self,
         pool: &PoolShared,
@@ -121,11 +118,10 @@ impl StreamShared {
             }
             st.in_flight = true;
             drop(st);
-            if next.blocks() == 1 || pool.workers() == 1 {
-                return Some(next);
+            if next.blocks() > 1 {
+                pool.publish(Arc::clone(&next));
             }
-            pool.submit(next);
-            return None;
+            return Some(next);
         }
         drop(st);
         self.idle.notify_all();

@@ -33,9 +33,9 @@
 //! board's striped condvar registries and sleeps; every publication that
 //! advances a flag past a registered threshold removes exactly the
 //! eligible entries and wakes their stripe. Parked threads burn no CPU,
-//! and a pool worker hands its execution token back for the duration
-//! ([`crate::executor::PoolShared::park_begin`]) so the residency slot
-//! runs other ready blocks.
+//! and a thread holding a pool execution token hands it back for the
+//! duration ([`crate::executor::PoolShared::park_begin`]) so the
+//! residency slot runs other ready blocks.
 //!
 //! None of this changes the memory-model exercise: publication is still
 //! a single `Release` store, and a waiter only ever returns after an
@@ -96,9 +96,10 @@ struct Stripe {
 /// the block's execution token to its pool so a standby thread can run
 /// other ready blocks; dropping (on satisfied wait, deadlock panic, or
 /// abort unwind alike) re-acquires in never-blocking debt mode. Blocks a
-/// resident group lane runs inline carry the driver's token and hand
-/// *that* off here; only blocks the caller thread runs inline park with no
-/// token to return.
+/// resident group lane runs inline carry the driver's token, and blocks
+/// the caller of a multi-block concurrent launch runs carry the caller's;
+/// each hands *that* off here. Only blocks of sequential and one-block
+/// launches park with no token to return.
 /// Each engagement charges one `token_handoffs` (schedule noise, masked
 /// from deterministic counters like `park_events`).
 struct TokenGuard(std::sync::Arc<crate::executor::PoolShared>);

@@ -16,9 +16,11 @@ cargo clippy --all-targets --workspace -- -D warnings
 # Scalar-vs-batched accounting parity: every bulk fast path (warp
 # transactions, windowed look-back) must charge exactly what its scalar
 # expansion charges, for all eight kernels under every dispatch order.
-# Also part of `cargo test --workspace`; run standalone in release so a
-# parity break is named directly in the tier-1 log.
-cargo test --release -q --test counter_parity
+# The parked-wait and token-handoff races depend on timing, so they run
+# at release speed too. Both are also part of `cargo test --workspace`;
+# run standalone in release so a break is named directly in the tier-1
+# log.
+cargo test --release -q --test counter_parity --test parking
 
 # The benchmark (perfbench/, described by BENCHMARK.json) is a package of
 # its own, outside this workspace: build it against the library and run its

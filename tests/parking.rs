@@ -5,7 +5,7 @@
 use gpu_sim::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// A tiny deterministic LCG for adversarial-but-reproducible sleep
@@ -97,26 +97,38 @@ fn parked_wait_past_the_deadlock_limit_fails_fast() {
     );
 }
 
-/// The worker-token handoff: with a single host worker, a block that
-/// parks on a flag hands its execution token back, which spawns/wakes a
-/// standby thread to run the publishing block. Without the handoff this
-/// grid cannot finish at all — the only worker would sit inside the
-/// waiting block until the deadlock limit.
-#[test]
-fn token_handoff_lets_one_worker_run_dependent_blocks() {
+/// A Concurrent GPU whose pool has a single worker, and so a single
+/// execution token.
+fn one_worker_gpu() -> Gpu {
     let mut cfg = DeviceConfig::tiny();
     cfg.host_workers = 1;
-    let gpu = Gpu::new(cfg).with_mode(ExecMode::Concurrent);
+    Gpu::new(cfg).with_mode(ExecMode::Concurrent)
+}
+
+/// A two-block kernel whose first-claimed block waits on a flag the other
+/// block publishes: on a one-token pool it finishes only if the waiter
+/// hands its token off.
+fn handoff_kernel() -> impl Fn(&mut BlockCtx) + Send + Sync + 'static {
     let board = StatusBoard::new(1);
     let counter = DeviceCounter::new();
-    let km = gpu.launch(LaunchConfig::new("handoff", 2, 32), |ctx| {
+    move |ctx| {
         if counter.next(ctx) == 0 {
-            // First-claimed block blocks the sole worker on purpose.
+            // First-claimed block blocks the sole token holder on purpose.
             assert_eq!(board.wait_at_least(ctx, 0, 1), 1);
         } else {
             board.publish(ctx, 0, 1);
         }
-    });
+    }
+}
+
+/// The worker-token handoff: with a single host worker, a block that
+/// parks on a flag hands its execution token back, which wakes an idle
+/// worker or spawns a standby thread to run the publishing block. Without
+/// the handoff this grid cannot finish at all — the only token holder
+/// would sit inside the waiting block until the deadlock limit.
+#[test]
+fn token_handoff_lets_one_worker_run_dependent_blocks() {
+    let km = one_worker_gpu().launch(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
     assert!(
         km.stats.park_events >= 1,
         "the waiting block must have parked, got {:?}",
@@ -124,6 +136,71 @@ fn token_handoff_lets_one_worker_run_dependent_blocks() {
     );
     assert_eq!(km.stats.flag_waits, 1);
     assert_eq!(km.stats.flag_publishes, 1);
+}
+
+/// A multi-block Concurrent launch runs on the thread that starts it: the
+/// caller holds the pool's only token, so no worker joins and every block
+/// runs on the calling thread.
+#[test]
+fn the_caller_runs_its_own_launch() {
+    let gpu = one_worker_gpu();
+    let ran_on = Mutex::new(Vec::new());
+    gpu.launch(LaunchConfig::new("caller-run", 4, 32), |_ctx| {
+        ran_on.lock().unwrap().push(std::thread::current().id());
+    });
+    let ran_on = ran_on.into_inner().unwrap();
+    assert_eq!(ran_on, vec![std::thread::current().id(); 4]);
+}
+
+/// A caller returns its token before re-raising a block's panic: after a
+/// launch whose caller-run blocks all panic, the one-token handoff launch
+/// on the same GPU still completes. A leaked token would leave its parked
+/// waiter nothing to hand off to.
+#[test]
+fn a_panicking_launch_returns_the_callers_token() {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let gpu = one_worker_gpu();
+        let fault = catch_unwind(AssertUnwindSafe(|| {
+            gpu.launch(LaunchConfig::new("all-panic", 4, 32), |_ctx| panic!("block fault"));
+        }));
+        let km = gpu.launch(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
+        let _ = tx.send((fault.is_err(), km.stats.flag_publishes));
+    });
+    let (faulted, publishes) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the handoff launch after a panicking launch wedged: the caller kept its token");
+    assert!(faulted, "the panicking launch must re-raise");
+    assert_eq!(publishes, 1);
+}
+
+/// A stream job chained behind another is published for helpers, so a
+/// parked block of it can hand its token off. The one-block head job holds
+/// the stream until the dependent job is queued behind it; the worker that
+/// finishes the head then runs the dependent job, and its first-claimed
+/// block parks holding the pool's only token.
+#[test]
+fn a_chained_stream_job_can_hand_off_its_token() {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let stream = one_worker_gpu().stream();
+        let queued = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&queued);
+        stream.enqueue(LaunchConfig::new("head", 1, 32), move |_ctx| {
+            while !gate.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        });
+        stream.enqueue(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
+        queued.store(true, Ordering::Release);
+        let _ = tx.send(stream.sync());
+    });
+    let metrics = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stream wedged: the chained job's parked block had no one to hand its token to");
+    let labels: Vec<_> = metrics.iter().map(|m| m.label.as_str()).collect();
+    assert_eq!(labels, ["head", "handoff"]);
+    assert_eq!(metrics[1].stats.flag_publishes, 1);
 }
 
 /// Synthetic run record whose only purpose is to advance a lane's
@@ -147,18 +224,20 @@ fn synthetic_run(bytes: u64) -> RunMetrics {
 
 /// The resident lane driver's token handoff: a driver blocked waiting for
 /// steal eligibility must hand its worker token back to its device pool,
-/// or a single-worker device wedges any pool launch submitted while it
-/// waits.
+/// or a single-worker device wedges any launch on it whose blocks need a
+/// second token holder.
 ///
 /// The constructed deadlock cycle (broken only by the handoff): device
 /// 0's driver finishes its one huge job, its simulated clock is far ahead
 /// of lane 1 so it cannot steal, and it blocks on the progress condvar
 /// holding — without the handoff — device 0's only worker token. Lane 1's
-/// job then submits a pool launch *on device 0*: the launch needs the
-/// token, the driver releases it only when the batch progresses, and the
-/// batch progresses only when lane 1's job (blocked in the launch)
-/// completes. With the handoff the parked driver's token runs the launch
-/// and the batch drains.
+/// job then launches, *on device 0*, the two-block handoff kernel: lane
+/// 1's thread claims a token in debt and runs the waiting block, whose
+/// publisher needs device 0's worker and so a free token. The driver
+/// releases its token only when the batch progresses, and the batch
+/// progresses only when lane 1's job (blocked in the launch) completes.
+/// With the handoff the waiting block's park passes the driver's token to
+/// device 0's worker, and the batch drains.
 #[test]
 fn blocked_resident_driver_hands_off_its_worker_token() {
     let mut cfg = DeviceConfig::tiny();
@@ -190,7 +269,7 @@ fn blocked_resident_driver_hands_off_its_worker_token() {
                         std::thread::yield_now();
                     }
                     std::thread::sleep(Duration::from_millis(25));
-                    let km = g.device(0).launch(LaunchConfig::new("cross-device", 2, 32), |_ctx| {});
+                    let km = g.device(0).launch(LaunchConfig::new("cross-device", 2, 32), handoff_kernel());
                     assert_eq!(km.blocks, 2);
                     flag.store(true, Ordering::SeqCst);
                     synthetic_run(1 << 12)
