@@ -94,24 +94,22 @@ pub fn tile_for_serial(serial: usize, t: usize) -> (usize, usize) {
     (ti, d - ti)
 }
 
-/// Default look-back window (EXPERIMENTS.md records the W ∈ {1, 4, 8, 16}
-/// sweep that picked it, under "Host-overhead reduction" and "Shuffle-only
-/// SKSS": W = 8 is within noise of 16 and ahead of 1 at large `n` under
-/// concurrency).
-pub const DEFAULT_LOOKBACK_WINDOW: usize = 8;
-
-/// Hard cap on the look-back window: bounds the stack index/value buffers
-/// of the diagonal walk's batched gather. Shared with the shuffle-only
-/// variant (`skss_sh`), which reuses this module's look-back machinery.
-pub(crate) const MAX_WINDOW: usize = 64;
+/// Look-back window: once a flag walk has located its terminal, up to
+/// this many predecessors' published sums move in one bulk transaction
+/// instead of one scalar round-trip each. The charges are identical to the
+/// scalar walk's (`gpu_sim::global::force_scalar`), so the window sets only
+/// host-side transaction granularity. EXPERIMENTS.md records the
+/// W ∈ {1, 4, 8, 16} sweep that picked it, under "Host-overhead reduction"
+/// and "Shuffle-only SKSS": W = 8 is within noise of 16 and ahead of 1 at
+/// large `n` under concurrency. The shuffle-only variant (`skss_sh`) and
+/// the cooperative pipeline (`coop`) reuse this module's walks.
+pub(crate) const LOOKBACK_WINDOW: usize = 8;
 
 /// The paper's algorithm, with ablation knobs: the shared-memory
-/// arrangement (diagonal vs. row-major, Section II), whether the
+/// arrangement (diagonal vs. row-major, Section II), and whether the
 /// look-back walks are decoupled (the paper's LB technique) or replaced by
 /// a plain wait for the immediate predecessor's global sums (a coupled
-/// wavefront, isolating the value of look-back), and the look-back
-/// *window* — how many predecessors' published sums one bulk warp
-/// transaction slurps once the flag walk has located them.
+/// wavefront, isolating the value of look-back).
 #[derive(Debug, Clone, Copy)]
 pub struct SkssLb {
     /// Tile width and block size.
@@ -122,23 +120,12 @@ pub struct SkssLb {
     /// dependency waits for the predecessor's *global* value, serializing
     /// the wavefront exactly like 1R1W-SKSS's column pipeline.
     pub decoupled: bool,
-    /// Look-back window: up to this many predecessors' row/col sums move
-    /// in one bulk transaction instead of one scalar round-trip each.
-    /// `1` reproduces the per-predecessor walk of the strict paper
-    /// reading; charged counters are identical at every setting (only the
-    /// host-side transaction granularity changes). Decoupled variant only.
-    pub lookback_window: usize,
 }
 
 impl SkssLb {
     /// The paper's configuration: diagonal arrangement, look-back on.
     pub fn new(params: SatParams) -> Self {
-        SkssLb {
-            params,
-            arrangement: Arrangement::Diagonal,
-            decoupled: true,
-            lookback_window: DEFAULT_LOOKBACK_WINDOW,
-        }
+        SkssLb { params, arrangement: Arrangement::Diagonal, decoupled: true }
     }
 
     /// Ablation: override the shared-memory arrangement.
@@ -151,12 +138,6 @@ impl SkssLb {
     /// sums instead).
     pub fn with_decoupled(mut self, decoupled: bool) -> Self {
         self.decoupled = decoupled;
-        self
-    }
-
-    /// Ablation: override the look-back window (clamped to `1..=64`).
-    pub fn with_lookback_window(mut self, window: usize) -> Self {
-        self.lookback_window = window.clamp(1, MAX_WINDOW);
         self
     }
 }
@@ -199,16 +180,16 @@ impl<T: DeviceElem> State<T> {
     /// Step 2.A.2 (Fig. 10): compute `GRS(I, J-1)` by walking leftwards,
     /// summing `LRS` vectors until some predecessor's `GRS` appears.
     ///
-    /// With `window > 1` the flag walk runs exactly as in the scalar
-    /// variant (same `wait_at_least` calls, same observations), but the
+    /// Unless `force_scalar` is set, the flag walk runs exactly as in the
+    /// scalar loop (same `wait_at_least` calls, same observations), but the
     /// located predecessors' rows are then slurped in bulk transactions of
-    /// up to `window` rows each instead of one scalar round-trip per
-    /// predecessor. Published values never change, so deferring the data
+    /// up to [`LOOKBACK_WINDOW`] rows each instead of one scalar round-trip
+    /// per predecessor. Published values never change, so deferring the data
     /// loads past the walk is safe; accumulation stays in the walk's
     /// descending-`j` order, so the result is bit-identical even for
     /// floats, and every charge lands on the same [`gpu_sim::metrics`]
     /// sink methods the scalar expansion would hit.
-    pub(crate) fn look_back_grs(&self, ctx: &mut BlockCtx, ti: usize, tj: usize, decoupled: bool, window: usize) -> Vec<T> {
+    pub(crate) fn look_back_grs(&self, ctx: &mut BlockCtx, ti: usize, tj: usize, decoupled: bool) -> Vec<T> {
         let w = self.grid.w;
         let mut acc: Vec<T> = ctx.scratch(w);
         if tj == 0 {
@@ -220,7 +201,7 @@ impl<T: DeviceElem> State<T> {
             self.grs.read_vec_into(ctx, ti, tj - 1, &mut acc);
             return acc;
         }
-        if window > 1 && !gpu_sim::global::force_scalar() {
+        if !gpu_sim::global::force_scalar() {
             // Phase 1 — flag walk, identical to the scalar loop below.
             let mut j = tj - 1;
             let (term_j, term_grs) = loop {
@@ -237,11 +218,11 @@ impl<T: DeviceElem> State<T> {
             // Phase 2 — bulk loads: LRS rows above the terminal in
             // window-sized contiguous chunks (VecAux rows of one tile row
             // are adjacent), then the terminal row.
-            let mut buf: Vec<T> = ctx.scratch_overwrite(window * w);
+            let mut buf: Vec<T> = ctx.scratch_overwrite(LOOKBACK_WINDOW * w);
             let lo = term_j + 1;
             let mut hi = tj;
             while hi > lo {
-                let c = (hi - lo).min(window);
+                let c = (hi - lo).min(LOOKBACK_WINDOW);
                 let dst = &mut buf[..c * w];
                 self.lrs.read_row_window_into(ctx, ti, hi - c, c, dst);
                 for row in dst.chunks_exact(w).rev() {
@@ -335,7 +316,6 @@ impl<T: DeviceElem> State<T> {
         ti: usize,
         tj: usize,
         decoupled: bool,
-        window: usize,
         d2d_below: usize,
     ) -> Vec<T> {
         let w = self.grid.w;
@@ -353,7 +333,7 @@ impl<T: DeviceElem> State<T> {
             }
             return acc;
         }
-        if window > 1 && !gpu_sim::global::force_scalar() {
+        if !gpu_sim::global::force_scalar() {
             // Phase 1 — flag walk, identical to the scalar loop below.
             let mut i = ti - 1;
             let (term_i, term_gcs) = loop {
@@ -371,12 +351,12 @@ impl<T: DeviceElem> State<T> {
             // rows (>= d2d_below) move in window-sized chunks; rows owned
             // by an earlier band move one interconnect transfer each, in
             // the same per-row order the scalar walk uses.
-            let mut buf: Vec<T> = ctx.scratch_overwrite(window * w);
+            let mut buf: Vec<T> = ctx.scratch_overwrite(LOOKBACK_WINDOW * w);
             let lo = term_i + 1;
             let local_lo = lo.max(d2d_below);
             let mut hi = ti;
             while hi > local_lo {
-                let c = (hi - local_lo).min(window);
+                let c = (hi - local_lo).min(LOOKBACK_WINDOW);
                 let dst = &mut buf[..c * w];
                 self.lcs.read_col_window_into(ctx, hi - c, tj, c, dst);
                 for row in dst.chunks_exact(w).rev() {
@@ -438,7 +418,8 @@ impl<T: DeviceElem> State<T> {
     /// Windowed: the flag walk locates the terminal as in the scalar loop,
     /// then the visited `GLS` scalars (which sit `t+1` apart along the
     /// diagonal of the aux buffer) are fetched through a batched gather,
-    /// `window` at a time, accumulated in the walk's ascending-`k` order.
+    /// [`LOOKBACK_WINDOW`] at a time, accumulated in the walk's ascending-`k`
+    /// order.
     ///
     /// The diagonal walk crosses a cooperative band boundary the same way
     /// the upward walk does: predecessors on tile-rows below `d2d_below`
@@ -451,7 +432,6 @@ impl<T: DeviceElem> State<T> {
         ti: usize,
         tj: usize,
         decoupled: bool,
-        window: usize,
         d2d_below: usize,
     ) -> T {
         let mut acc = T::zero();
@@ -467,7 +447,7 @@ impl<T: DeviceElem> State<T> {
                 self.gs.read(ctx, ti - 1, tj - 1)
             };
         }
-        if window > 1 && !gpu_sim::global::force_scalar() {
+        if !gpu_sim::global::force_scalar() {
             // Phase 1 — flag walk, identical to the scalar loop below.
             let mut k = 1;
             let (term_k, term_gs) = loop {
@@ -491,12 +471,11 @@ impl<T: DeviceElem> State<T> {
             // ascending-k order.
             let gls_last = if term_gs { term_k - 1 } else { term_k };
             let local_last = gls_last.min(ti.saturating_sub(d2d_below));
-            let mut idx = [0usize; MAX_WINDOW];
-            let mut vals = [T::zero(); MAX_WINDOW];
-            let window = window.min(MAX_WINDOW);
+            let mut idx = [0usize; LOOKBACK_WINDOW];
+            let mut vals = [T::zero(); LOOKBACK_WINDOW];
             let mut k0 = 1;
             while k0 <= local_last {
-                let c = (local_last - k0 + 1).min(window);
+                let c = (local_last - k0 + 1).min(LOOKBACK_WINDOW);
                 for (m, slot) in idx[..c].iter_mut().enumerate() {
                     *slot = self.gls.index(ti - (k0 + m), tj - (k0 + m));
                 }
@@ -558,7 +537,6 @@ impl<T: DeviceElem> SatAlgorithm<T> for SkssLb {
         let t = grid.t;
         let tpb = self.params.threads_per_block.min(gpu.config().max_threads_per_block);
         let state = State::<T>::new(grid);
-        let window = self.lookback_window.clamp(1, MAX_WINDOW);
 
         // Decoupled look-back: the wavefront advances one flag publication
         // per hop; no tile-sized service is serialized on the chain. The
@@ -577,7 +555,7 @@ impl<T: DeviceElem> SatAlgorithm<T> for SkssLb {
                     return;
                 }
                 let (ti, tj) = tile_for_serial(serial, t);
-                process_tile(ctx, input, output, &state, ti, tj, self.arrangement, self.decoupled, window, 0);
+                process_tile(ctx, input, output, &state, ti, tj, self.arrangement, self.decoupled, 0);
             }
         }));
         run
@@ -603,7 +581,6 @@ pub(crate) fn process_tile<T: DeviceElem>(
     tj: usize,
     arrangement: Arrangement,
     decoupled: bool,
-    window: usize,
     d2d_below: usize,
 ) {
     let grid = state.grid;
@@ -617,7 +594,7 @@ pub(crate) fn process_tile<T: DeviceElem>(
     // Step 2.A: publish LRS, look back for GRS(I,J-1), publish GRS.
     state.lrs.write_vec(ctx, ti, tj, &lrs_v);
     state.r_flags.publish(ctx, idx, R_LRS);
-    let grs_left = state.look_back_grs(ctx, ti, tj, decoupled, window);
+    let grs_left = state.look_back_grs(ctx, ti, tj, decoupled);
     let mut grs_cur: Vec<T> = ctx.scratch_overwrite(grid.w);
     grs_cur.copy_from_slice(&lrs_v);
     gpu_sim::simd::zip_add(&mut grs_cur, &grs_left);
@@ -628,7 +605,7 @@ pub(crate) fn process_tile<T: DeviceElem>(
     // Step 2.B: the same for columns.
     state.lcs.write_vec(ctx, ti, tj, &lcs_v);
     state.c_flags.publish(ctx, idx, C_LCS);
-    let gcs_top = state.look_back_gcs(ctx, ti, tj, decoupled, window, d2d_below);
+    let gcs_top = state.look_back_gcs(ctx, ti, tj, decoupled, d2d_below);
     let mut gcs_cur = lcs_v;
     gpu_sim::simd::zip_add(&mut gcs_cur, &gcs_top);
     state.gcs.write_vec(ctx, ti, tj, &gcs_cur);
@@ -645,7 +622,7 @@ pub(crate) fn process_tile<T: DeviceElem>(
 
     // Steps 3.2 / 3.3: look back diagonally for GS(I-1,J-1),
     // publish GS(I,J).
-    let gs_prev = state.look_back_gs(ctx, ti, tj, decoupled, window, d2d_below);
+    let gs_prev = state.look_back_gs(ctx, ti, tj, decoupled, d2d_below);
     state.gs.write(ctx, ti, tj, gs_prev.add(gls_val));
     state.r_flags.publish(ctx, idx, R_GS);
 
@@ -816,33 +793,6 @@ mod tests {
         assert_eq!(diag.total_stats().bank_conflict_cycles, 0);
         assert!(rm.total_stats().bank_conflict_cycles > 0);
         assert_eq!(diag.total_reads(), rm.total_reads(), "global traffic identical");
-    }
-
-    #[test]
-    fn lookback_window_is_counter_invariant() {
-        // The window only changes host-side transaction granularity:
-        // results and deterministic counters must be identical at every
-        // setting, sequential and concurrent.
-        let a = Matrix::<u64>::random(48, 48, 61, 10);
-        let expect = reference::sat(&a);
-        let gpu = Gpu::new(DeviceConfig::tiny());
-        let mut base = None;
-        for win in [1usize, 4, 8, 16] {
-            let (got, run) = compute_sat(&gpu, &alg(4).with_lookback_window(win), &a);
-            assert_eq!(got, expect, "window={win}");
-            let stats = run.total_stats().deterministic();
-            match &base {
-                None => base = Some(stats),
-                Some(b) => assert_eq!(&stats, b, "window={win}"),
-            }
-        }
-        for win in [1usize, 8, 16] {
-            let gpu = Gpu::new(DeviceConfig::tiny())
-                .with_mode(ExecMode::Concurrent)
-                .with_dispatch(DispatchOrder::Random(62));
-            let (got, _) = compute_sat(&gpu, &alg(4).with_lookback_window(win), &a);
-            assert_eq!(got, expect, "concurrent window={win}");
-        }
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!
 //! * **Inter-tile propagation is byte-for-byte SKSS-LB.** Diagonal-major
 //!   `atomicAdd` tile claiming, the two 8-bit status boards, and the
-//!   windowed look-back walks (default `W = 8`) are reused verbatim from
-//!   [`super::skss_lb`] — same aux buffers, same flag protocol, same
-//!   charges. Anything that differs between the two algorithms is
-//!   therefore attributable to the intra-tile pipeline.
+//!   windowed look-back walks (eight predecessors per bulk transaction)
+//!   are reused verbatim from [`super::skss_lb`] — same aux buffers, same
+//!   flag protocol, same charges. Anything that differs between the two
+//!   algorithms is therefore attributable to the intra-tile pipeline.
 //! * **Intra-tile work is register-systolic.** The block is one warp of
 //!   `W` threads; thread `j` holds column `j` of the tile in a `W`-deep
 //!   register slice (loaded by `W` coalesced row reads, one element per
@@ -49,10 +49,7 @@ use gpu_sim::device::WARP;
 use gpu_sim::simd;
 use gpu_sim::warp::{warp_inclusive_scan, warp_reduce_sum};
 
-use super::skss_lb::{
-    tile_for_serial, State, C_GCS, C_LCS, DEFAULT_LOOKBACK_WINDOW, MAX_WINDOW, R_GLS, R_GRS, R_GS,
-    R_LRS,
-};
+use super::skss_lb::{tile_for_serial, State, C_GCS, C_LCS, R_GLS, R_GRS, R_GS, R_LRS};
 use super::{SatAlgorithm, SatParams};
 use crate::tile::TileGrid;
 
@@ -61,20 +58,12 @@ use crate::tile::TileGrid;
 pub struct SkssSh {
     /// Tile width; the block size is `W` (one thread per column).
     pub params: SatParams,
-    /// Look-back window, as in [`super::skss_lb::SkssLb`].
-    pub lookback_window: usize,
 }
 
 impl SkssSh {
-    /// Default configuration: the SKSS-LB look-back window.
+    /// The variant at tile width `params.w`.
     pub fn new(params: SatParams) -> Self {
-        SkssSh { params, lookback_window: DEFAULT_LOOKBACK_WINDOW }
-    }
-
-    /// Ablation: override the look-back window (clamped to `1..=64`).
-    pub fn with_lookback_window(mut self, window: usize) -> Self {
-        self.lookback_window = window.clamp(1, MAX_WINDOW);
-        self
+        SkssSh { params }
     }
 }
 
@@ -150,7 +139,6 @@ impl<T: DeviceElem> SatAlgorithm<T> for SkssSh {
         let w = grid.w;
         let tpb = w.min(gpu.config().max_threads_per_block);
         let state = State::<T>::new(grid);
-        let window = self.lookback_window.clamp(1, MAX_WINDOW);
 
         // Decoupled look-back, as SKSS-LB: one flag publication per hop.
         let cp = CriticalPath { hops: grid.diagonals() as u64, bytes_per_hop: 0 };
@@ -167,7 +155,7 @@ impl<T: DeviceElem> SatAlgorithm<T> for SkssSh {
                     return;
                 }
                 let (ti, tj) = tile_for_serial(serial, t);
-                process_tile_systolic(ctx, input, output, &state, ti, tj, window, 0);
+                process_tile_systolic(ctx, input, output, &state, ti, tj, 0);
             }
         }));
         run
@@ -179,7 +167,6 @@ impl<T: DeviceElem> SatAlgorithm<T> for SkssSh {
 /// Kogge-Stone intra-tile SAT. Shared by the one-shot [`SkssSh::run`] loop
 /// (`d2d_below = 0`) and the cooperative band decomposition in
 /// [`crate::coop`], exactly like [`super::skss_lb::process_tile`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn process_tile_systolic<T: DeviceElem>(
     ctx: &mut BlockCtx,
     input: &GlobalBuffer<T>,
@@ -187,7 +174,6 @@ pub(crate) fn process_tile_systolic<T: DeviceElem>(
     state: &State<T>,
     ti: usize,
     tj: usize,
-    window: usize,
     d2d_below: usize,
 ) {
     let grid = state.grid;
@@ -219,7 +205,7 @@ pub(crate) fn process_tile_systolic<T: DeviceElem>(
     // GRS — verbatim SKSS-LB.
     state.lrs.write_vec(ctx, ti, tj, &lrs_v);
     state.r_flags.publish(ctx, idx, R_LRS);
-    let grs_left = state.look_back_grs(ctx, ti, tj, true, window);
+    let grs_left = state.look_back_grs(ctx, ti, tj, true);
     let mut grs_cur: Vec<T> = ctx.scratch(w);
     grs_cur.copy_from_slice(&lrs_v);
     simd::zip_add(&mut grs_cur, &grs_left);
@@ -230,7 +216,7 @@ pub(crate) fn process_tile_systolic<T: DeviceElem>(
     // Step 2.B: the same for columns.
     state.lcs.write_vec(ctx, ti, tj, &lcs_v);
     state.c_flags.publish(ctx, idx, C_LCS);
-    let gcs_top = state.look_back_gcs(ctx, ti, tj, true, window, d2d_below);
+    let gcs_top = state.look_back_gcs(ctx, ti, tj, true, d2d_below);
     let mut gcs_cur = lcs_v;
     simd::zip_add(&mut gcs_cur, &gcs_top);
     state.gcs.write_vec(ctx, ti, tj, &gcs_cur);
@@ -243,7 +229,7 @@ pub(crate) fn process_tile_systolic<T: DeviceElem>(
     let gls_val = sum(&grs_left).add(sum(&gcs_top)).add(sum(&lrs_v));
     state.gls.write(ctx, ti, tj, gls_val);
     state.r_flags.publish(ctx, idx, R_GLS);
-    let gs_prev = state.look_back_gs(ctx, ti, tj, true, window, d2d_below);
+    let gs_prev = state.look_back_gs(ctx, ti, tj, true, d2d_below);
     state.gs.write(ctx, ti, tj, gs_prev.add(gls_val));
     state.r_flags.publish(ctx, idx, R_GS);
 
@@ -421,24 +407,5 @@ mod tests {
         assert_eq!(stats.barriers, 2 * tiles);
         assert_eq!(stats.warp_shuffles, tiles * shuffles_per_tile(w));
         assert_eq!(stats.shared_accesses, 0);
-    }
-
-    #[test]
-    fn lookback_window_is_counter_invariant() {
-        let n = 64usize;
-        let w = 8usize;
-        let a = Matrix::<u64>::random(n, n, 0x717, 9);
-        let gpu = Gpu::new(DeviceConfig::tiny());
-        let expect = reference::sat(&a);
-        let baseline = {
-            let (got, run) = compute_sat(&gpu, &alg(w).with_lookback_window(1), &a);
-            assert_eq!(got, expect);
-            run.total_stats().deterministic()
-        };
-        for window in [4usize, 8, 16] {
-            let (got, run) = compute_sat(&gpu, &alg(w).with_lookback_window(window), &a);
-            assert_eq!(got, expect, "W={window}");
-            assert_eq!(run.total_stats().deterministic(), baseline, "W={window}");
-        }
     }
 }

@@ -11,14 +11,14 @@
 //!   no kernel waits on a hand-off to another thread; but each launch
 //!   returns only after its last block, so kernels never overlap.
 //! * [`sat_batch_streamed`] — images round-robined over a small set of
-//!   [`Stream`]s. Each image's three kernels are enqueued asynchronously
-//!   on its stream (in-stream order preserves the k1 → k2 → k3 data
-//!   dependency), then all streams are synchronized once. The worker that
-//!   retires a kernel runs its stream's next one directly, so image
-//!   *i+1*'s local-sums kernel starts the moment image *i*'s column-scan
-//!   retires, while the other streams' kernels run on the other workers —
-//!   the pipelining a CUDA server gets from `cudaLaunchKernel` on rotating
-//!   streams.
+//!   streams ([`Stream`](gpu_sim::stream::Stream)). Each image's three
+//!   kernels are enqueued asynchronously on its stream (in-stream order
+//!   preserves the k1 → k2 → k3 data dependency), then all streams are
+//!   synchronized once. The worker that retires a kernel runs its stream's
+//!   next one directly, so image *i+1*'s local-sums kernel starts the
+//!   moment image *i*'s column-scan retires, while the other streams'
+//!   kernels run on the other workers — the pipelining a CUDA server gets
+//!   from `cudaLaunchKernel` on rotating streams.
 //! * [`sat_batch_multi_device`] — images sharded across the devices of a
 //!   [`DeviceGroup`] with work stealing. Each image's three kernels run
 //!   unchanged on whichever device the scheduler lands the image on
@@ -191,7 +191,7 @@ pub fn sat_batch_multi_device<T: DeviceElem>(
 
 /// [`sat_batch_multi_device`] under an explicit [`StealPolicy`];
 /// [`StealPolicy::Disabled`] is the static-shard baseline the skewed-load
-/// tests and benches compare stealing against.
+/// tests compare stealing against.
 pub fn sat_batch_multi_device_policy<T: DeviceElem>(
     group: &DeviceGroup,
     params: SatParams,

@@ -85,7 +85,7 @@ use gpu_sim::metrics::{BlockStats, CriticalPath, RunMetrics};
 use gpu_sim::shared::Arrangement;
 use gpu_sim::sync::{DeviceCounter, StatusBoard};
 
-use crate::alg::skss_lb::{self, State, DEFAULT_LOOKBACK_WINDOW};
+use crate::alg::skss_lb::{self, State};
 use crate::alg::skss_sh;
 use crate::alg::two_r_one_w::{self, TwoROneWAux};
 use crate::alg::SatParams;
@@ -392,7 +392,6 @@ fn run_coop_skss<T: DeviceElem>(
     let state = State::<T>::new(grid);
     let systolic = kernel == CoopKernel::SkssSh;
     let label = kernel.name();
-    let window = DEFAULT_LOOKBACK_WINDOW;
 
     let run_band = |gpu: &Gpu, band: &BandPlan| -> RunMetrics {
         let h = band.r1 - band.r0;
@@ -413,20 +412,9 @@ fn run_coop_skss<T: DeviceElem>(
             }
             let (ti, tj) = band.order[s];
             if systolic {
-                skss_sh::process_tile_systolic(ctx, input, output, &state, ti, tj, window, band.r0);
+                skss_sh::process_tile_systolic(ctx, input, output, &state, ti, tj, band.r0);
             } else {
-                skss_lb::process_tile(
-                    ctx,
-                    input,
-                    output,
-                    &state,
-                    ti,
-                    tj,
-                    Arrangement::Diagonal,
-                    true,
-                    window,
-                    band.r0,
-                );
+                skss_lb::process_tile(ctx, input, output, &state, ti, tj, Arrangement::Diagonal, true, band.r0);
             }
         }));
         rm
@@ -440,7 +428,6 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::reference;
-    use gpu_sim::launch::ExecMode;
     use gpu_sim::prelude::*;
 
     fn coop_run(
@@ -537,41 +524,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The windowed look-back's bulk loads must split at the band boundary
-    /// and charge each remote row exactly like the scalar walk does. Run
-    /// the full protocol sequentially (deterministic schedule) with
-    /// per-tile `d2d_below` thresholds and compare the whole counter set
-    /// between the scalar (`window = 1`) and windowed walks.
-    #[test]
-    fn windowed_cross_band_lookback_charges_match_scalar() {
-        let n = 48;
-        let w = 8; // t = 6, band boundaries every 2 tile rows
-        let grid = TileGrid::new(n, w);
-        let mat = Matrix::<u64>::random(n, n, 99, 50);
-        let want = reference::sat(&mat);
-        let run = |window: usize| -> (Matrix<u64>, gpu_sim::metrics::BlockStats) {
-            let gpu = Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Sequential);
-            let input = GlobalBuffer::from_slice(mat.as_slice());
-            let output = GlobalBuffer::<u64>::zeroed(n * n);
-            let state = State::<u64>::new(grid);
-            let m = gpu.launch(LaunchConfig::new("coop_window_parity", grid.tiles(), w * w), |ctx| {
-                let s = state.counter.next(ctx) as usize;
-                let (ti, tj) = skss_lb::tile_for_serial(s, grid.t);
-                let d2d_below = (ti / 2) * 2;
-                skss_lb::process_tile(
-                    ctx, &input, &output, &state, ti, tj,
-                    Arrangement::Diagonal, true, window, d2d_below,
-                );
-            });
-            (Matrix::from_vec(n, n, output.to_vec()), m.stats)
-        };
-        let (out_scalar, scalar) = run(1);
-        let (out_windowed, windowed) = run(DEFAULT_LOOKBACK_WINDOW);
-        assert_eq!(out_scalar, want);
-        assert_eq!(out_windowed, want);
-        assert!(scalar.d2d_transfers > 0, "remote paths were exercised");
-        assert_eq!(scalar.deterministic(), windowed.deterministic());
     }
 }

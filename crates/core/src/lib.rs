@@ -54,7 +54,6 @@ pub mod alg;
 pub mod analysis;
 pub mod batch;
 pub mod coop;
-pub mod cpu;
 pub mod filters;
 pub mod matrix;
 pub mod model;

@@ -35,8 +35,9 @@ impl<T: DeviceElem> Matrix<T> {
     }
 
     /// A deterministic pseudorandom matrix (SplitMix64-based), the workload
-    /// generator used throughout tests and benches. Values are small
-    /// (`0..limit`) so integer SATs of large matrices cannot overflow.
+    /// generator of the tests, the benchmark and the `sat-cli` commands.
+    /// Values are small (`0..limit`) so integer SATs of large matrices
+    /// cannot overflow.
     pub fn random(rows: usize, cols: usize, seed: u64, limit: u32) -> Self {
         let mut s = seed;
         Matrix::from_fn(rows, cols, |_, _| {
@@ -80,11 +81,6 @@ impl<T: DeviceElem> Matrix<T> {
     /// The row-major backing slice.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Consume into the backing vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// Upload to simulated device memory (models `cudaMemcpy` H2D, which

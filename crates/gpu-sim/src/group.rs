@@ -30,13 +30,13 @@
 //!   max-of-static-shards.
 //!
 //! Steals are gated on **simulated** time, not host time: each lane keeps
-//! a clock that advances by the timing model's
-//! [`run_seconds`](crate::timing::run_seconds) for every job it completes,
-//! and a thief may only take a victim's job while the thief's clock is at
-//! or behind the victim's. On a many-core host this coincides with
-//! steal-on-idle; on a single-core CI box it keeps the *modeled* schedule
-//! balanced even when the OS runs one driver thread far ahead of the
-//! others, which is what makes [`GroupMetrics`] reproducible anywhere.
+//! a clock that advances by the timing model's [`run_seconds`] for every
+//! job it completes, and a thief may only take a victim's job while the
+//! thief's clock is at or behind the victim's. On a many-core host this
+//! coincides with steal-on-idle; on a single-core CI box it keeps the
+//! *modeled* schedule balanced even when the OS runs one driver thread far
+//! ahead of the others, which is what makes [`GroupMetrics`] reproducible
+//! anywhere.
 //!
 //! ## Resident lane drivers
 //!
@@ -505,8 +505,8 @@ impl GroupMetrics {
     }
 
     /// Total timed condvar parks across all lanes (scheduling artifact,
-    /// masked from the deterministic counter set; recorded so a bench
-    /// document shows how often waits actually slept).
+    /// masked from the deterministic counter set; recorded to show how
+    /// often waits actually slept).
     pub fn park_events(&self) -> u64 {
         self.lanes.iter().map(|l| l.stats.park_events).sum()
     }

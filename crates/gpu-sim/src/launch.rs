@@ -16,7 +16,7 @@
 //!   [`crate::sync::StatusBoard::wait_at_least`]).
 //! * [`ExecMode::Concurrent`] — blocks run with bounded residency, like
 //!   SMs run them: the calling thread claims blocks off the launch's cursor
-//!   alongside idle workers of the persistent pool ([`crate::executor`])
+//!   alongside idle workers of the persistent pool (module `executor`)
 //!   that it wakes to help. Flag spinning, atomic ID assignment, and
 //!   publication ordering are exercised for real, and back-to-back
 //!   launches reuse warm threads and scratch arenas instead of paying

@@ -34,7 +34,7 @@
 //! advances a flag past a registered threshold removes exactly the
 //! eligible entries and wakes their stripe. Parked threads burn no CPU,
 //! and a thread holding a pool execution token hands it back for the
-//! duration ([`crate::executor::PoolShared::park_begin`]) so the
+//! duration (`PoolShared::park_begin` in module `executor`) so the
 //! residency slot runs other ready blocks.
 //!
 //! None of this changes the memory-model exercise: publication is still
@@ -213,7 +213,7 @@ impl StatusBoard {
     /// After the store, wakes any parked waiter the publication satisfies
     /// (see the [module docs](self)). The no-waiter fast path is one
     /// fence plus one relaxed load; the fence pairs with the one in
-    /// [`StatusBoard::park`] so a registering waiter and a publishing
+    /// `StatusBoard::park` so a registering waiter and a publishing
     /// producer can never miss each other.
     pub fn publish(&self, ctx: &mut BlockCtx, i: usize, v: u8) {
         ctx.stats.flag_publishes += 1;
@@ -315,7 +315,7 @@ impl StatusBoard {
     ///    registry and sleeps on a condvar until an eligible publication
     ///    (or a 200 µs park-cycle expiry that re-checks everything) wakes
     ///    it. From the second cycle on it also returns its pool execution
-    ///    token ([`crate::executor::PoolShared::park_begin`]) so a standby
+    ///    token (`PoolShared::park_begin` in module `executor`) so a standby
     ///    thread can run other ready blocks. Zero CPU while blocked,
     ///    prompt wake on publish.
     ///

@@ -66,18 +66,6 @@ pub fn shfl_down<T: DeviceElem>(ctx: &mut BlockCtx, lanes: &mut [T], delta: usiz
     simd::shift_down(lanes, delta);
 }
 
-/// Exclusive warp scan: the inclusive Kogge-Stone scan followed by a
-/// one-lane shuffle, as CUB's `WarpScan::ExclusiveSum` does.
-pub fn warp_exclusive_scan<T: DeviceElem>(ctx: &mut BlockCtx, lanes: &mut [T]) {
-    if lanes.is_empty() {
-        return;
-    }
-    warp_inclusive_scan(ctx, lanes);
-    ctx.stats.charge_shuffles(lanes.len() as u64);
-    simd::shift_up(lanes, 1);
-    lanes[0] = T::zero();
-}
-
 /// Warp sum reduction: after an inclusive scan the last lane holds the sum
 /// (the paper uses exactly this observation), but a direct butterfly
 /// reduction is cheaper when only the sum is needed.
@@ -271,24 +259,6 @@ mod tests {
             let mut lanes: Vec<u32> = (0..8).collect();
             shfl_down(ctx, &mut lanes, 3);
             assert_eq!(lanes, vec![3, 4, 5, 6, 7, 5, 6, 7]);
-        });
-    }
-
-    #[test]
-    fn exclusive_scan_matches_reference() {
-        with_ctx(|ctx| {
-            for n in 1..=32 {
-                let vals: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
-                let mut lanes = vals.clone();
-                warp_exclusive_scan(ctx, &mut lanes);
-                let mut expect = vec![0u64];
-                let mut acc = 0;
-                for &v in &vals[..n - 1] {
-                    acc += v;
-                    expect.push(acc);
-                }
-                assert_eq!(lanes, expect, "n={n}");
-            }
         });
     }
 

@@ -46,13 +46,6 @@ impl Default for ColScanParams {
     }
 }
 
-impl ColScanParams {
-    /// Elements buffered per block; must fit in shared memory.
-    pub fn strip_elems(&self) -> usize {
-        self.strip_rows * self.band_cols
-    }
-}
-
 /// Column-wise inclusive scan of the row-major `rows x cols` matrix in
 /// `input`, written to `output`.
 pub fn device_col_scan<T: DeviceElem>(

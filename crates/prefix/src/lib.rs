@@ -8,21 +8,16 @@
 //! against.
 //!
 //! * [`seq`] — host-side scans and the textbook SAT oracle;
-//! * [`device_scan`] — Merrill-Garland decoupled look-back over a 1-D
-//!   array, one read and one write per element in a single kernel;
-//! * [`row_scan`] — the same engine applied to every row of a matrix in
-//!   one launch;
+//! * [`row_scan`] — Merrill-Garland decoupled look-back over every row of
+//!   a matrix in one launch, one read and one write per element (a 1-D
+//!   array is one row);
 //! * [`col_scan`] — chained column-wise scan with fully coalesced access.
 
 #![warn(missing_docs)]
 
 pub mod col_scan;
-pub mod device_scan;
-pub mod reduce;
 pub mod row_scan;
 pub mod seq;
 
 pub use col_scan::{device_col_scan, ColScanParams};
-pub use device_scan::{device_inclusive_scan, ScanParams};
-pub use reduce::{device_exclusive_scan, device_reduce};
-pub use row_scan::device_row_scan;
+pub use row_scan::{device_row_scan, ScanParams};

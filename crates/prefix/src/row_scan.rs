@@ -1,20 +1,61 @@
-//! Row-wise prefix sums of a matrix in a single kernel.
+//! Single-pass inclusive scan with decoupled look-back — Merrill &
+//! Garland, *"Single-pass Parallel Prefix Scan with Decoupled Look-back"*
+//! (NVIDIA NVR-2016-002), the paper's reference \[10\] and the engine
+//! behind CUB's `DeviceScan` — applied to every row of a matrix in one
+//! kernel. This is the row pass of the paper's 2R2W-optimal baseline; a
+//! 1-D array is the `rows = 1` case.
 //!
-//! Each matrix row is scanned independently with the decoupled look-back
-//! of [`crate::device_scan`], all rows in the same launch: a block handles
-//! one `(row, tile)` pair. Virtual block IDs are mapped *tile-major*
-//! (`vid = tile * rows + row`), so every look-back target has a smaller
-//! virtual ID than the waiter — the discipline that makes soft
-//! synchronization deadlock-free under any dispatch order and any
-//! residency bound.
+//! Each row is partitioned into tiles, and a block handles one
+//! `(row, tile)` pair. Each block (virtual IDs from a global `atomicAdd`
+//! counter, so dispatch order is irrelevant)
 //!
-//! This is the row pass of the paper's 2R2W-optimal baseline: fully
-//! coalesced (rows are contiguous in memory), one read and one write per
-//! element, `n^2 / m` threads.
+//! 1. loads its tile and computes a local block-wide scan,
+//! 2. publishes its tile **aggregate** (status `A`),
+//! 3. *looks back* over the predecessor tiles of its row, summing
+//!    aggregates until it meets a tile whose **inclusive prefix** is
+//!    published (status `P`),
+//! 4. publishes its own inclusive prefix,
+//! 5. adds the exclusive prefix to its tile and stores it.
+//!
+//! Virtual block IDs are mapped *tile-major* (`vid = tile * rows + row`),
+//! so every look-back target has a smaller virtual ID than the waiter —
+//! the discipline that makes soft synchronization deadlock-free under any
+//! dispatch order and any residency bound.
+//!
+//! Rows are contiguous in memory, so every access is fully coalesced.
+//! Each element is read once and written once; the look-back adds only
+//! `O(N / tile)` extra traffic. This is the same decoupling idea the SAT
+//! paper imports as its "LB" technique.
 
 use gpu_sim::prelude::*;
 
-use crate::device_scan::{ScanParams, STATUS_AGGREGATE, STATUS_PREFIX};
+/// Tile status: aggregate available.
+const STATUS_AGGREGATE: u8 = 1;
+/// Tile status: inclusive prefix available.
+const STATUS_PREFIX: u8 = 2;
+
+/// Shape parameters of the row scan.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanParams {
+    /// Threads per block (CUB uses 128-512; we default to the device max
+    /// like the paper's SAT kernels do).
+    pub threads_per_block: usize,
+    /// Elements each thread scans in registers.
+    pub items_per_thread: usize,
+}
+
+impl Default for ScanParams {
+    fn default() -> Self {
+        ScanParams { threads_per_block: 1024, items_per_thread: 4 }
+    }
+}
+
+impl ScanParams {
+    /// Elements per tile.
+    pub fn tile_elems(&self) -> usize {
+        self.threads_per_block * self.items_per_thread
+    }
+}
 
 /// Scan every row of the row-major `rows x cols` matrix in `input`,
 /// writing to `output` (may alias shape, not storage).
@@ -153,18 +194,42 @@ mod tests {
     fn matches_reference_various_shapes() {
         let gpu = Gpu::new(DeviceConfig::tiny());
         let params = ScanParams { threads_per_block: 32, items_per_thread: 2 };
-        for (r, c) in [(1, 1), (1, 500), (500, 1), (7, 129), (16, 64), (33, 200)] {
+        // The one-row shapes are the 1-D scan: around and on the 64-element
+        // tile boundary, and long enough for multi-tile look-back walks.
+        let shapes = [
+            (1, 1), (1, 2), (1, 63), (1, 64), (1, 65), (1, 192), (1, 500), (1, 5000),
+            (500, 1), (7, 129), (16, 64), (33, 200),
+        ];
+        for (r, c) in shapes {
             check(&gpu, r, c, params);
         }
     }
 
     #[test]
     fn concurrent_adversarial_dispatch() {
-        for dispatch in [DispatchOrder::Reversed, DispatchOrder::Random(5)] {
+        for dispatch in [DispatchOrder::InOrder, DispatchOrder::Reversed, DispatchOrder::Random(5)] {
             let gpu = Gpu::new(DeviceConfig::tiny())
                 .with_mode(ExecMode::Concurrent)
                 .with_dispatch(dispatch);
-            check(&gpu, 24, 260, ScanParams { threads_per_block: 32, items_per_thread: 2 });
+            let params = ScanParams { threads_per_block: 32, items_per_thread: 2 };
+            check(&gpu, 24, 260, params);
+            check(&gpu, 1, 10_000, params);
+        }
+    }
+
+    #[test]
+    fn float_scan_close_to_reference() {
+        let gpu = Gpu::new(DeviceConfig::tiny());
+        let (rows, cols) = (3, 4096);
+        let data: Vec<f64> = (0..rows * cols).map(|i| (i % 97) as f64 * 0.25).collect();
+        let input = GlobalBuffer::from_slice(&data);
+        let output = GlobalBuffer::<f64>::zeroed(data.len());
+        let params = ScanParams { threads_per_block: 64, items_per_thread: 4 };
+        device_row_scan(&gpu, &input, &output, rows, cols, params);
+        let mut expect = data;
+        seq::row_scan_in_place(&mut expect, rows, cols);
+        for (a, b) in output.to_vec().iter().zip(&expect) {
+            assert!((a - b).abs() < 1e-9);
         }
     }
 
@@ -177,6 +242,7 @@ mod tests {
         let output = GlobalBuffer::<u64>::zeroed(data.len());
         let params = ScanParams { threads_per_block: 32, items_per_thread: 2 };
         let m = device_row_scan(&gpu, &input, &output, rows, cols, params);
+        assert_eq!(m.label, "row_scan");
         let n = (rows * cols) as u64;
         let tiles = (cols.div_ceil(params.tile_elems()) * rows) as u64;
         assert!(m.stats.global_reads >= n && m.stats.global_reads <= n + 4 * tiles);

@@ -22,17 +22,6 @@ pub fn inclusive_scan<T: DeviceElem>(v: &[T]) -> Vec<T> {
     out
 }
 
-/// Exclusive prefix sums (identity first), allocating.
-pub fn exclusive_scan<T: DeviceElem>(v: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(v.len());
-    let mut acc = T::zero();
-    for &x in v {
-        out.push(acc);
-        acc = acc.add(x);
-    }
-    out
-}
-
 /// Row-wise inclusive prefix sums of a row-major `rows x cols` matrix,
 /// in place.
 pub fn row_scan_in_place<T: DeviceElem>(data: &mut [T], rows: usize, cols: usize) {
@@ -73,20 +62,6 @@ mod tests {
     fn inclusive_basic() {
         assert_eq!(inclusive_scan(&[1u32, 2, 3, 4]), vec![1, 3, 6, 10]);
         assert_eq!(inclusive_scan::<u32>(&[]), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn exclusive_basic() {
-        assert_eq!(exclusive_scan(&[1u32, 2, 3, 4]), vec![0, 1, 3, 6]);
-    }
-
-    #[test]
-    fn exclusive_is_shifted_inclusive() {
-        let v: Vec<u64> = (1..50).map(|i| i * i).collect();
-        let inc = inclusive_scan(&v);
-        let exc = exclusive_scan(&v);
-        assert_eq!(exc[0], 0);
-        assert_eq!(&exc[1..], &inc[..v.len() - 1]);
     }
 
     #[test]

@@ -13,9 +13,14 @@ cargo build --release --workspace
 cargo test --workspace -q
 cargo clippy --all-targets --workspace -- -D warnings
 
+# Documentation: a broken intra-doc link (a deleted item, a link from public
+# docs to a private one) fails here rather than going stale.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Scalar-vs-batched accounting parity: every bulk fast path (warp
 # transactions, windowed look-back) must charge exactly what its scalar
-# expansion charges, for all eight kernels under every dispatch order.
+# expansion charges, for all eight kernels under every dispatch order and
+# for the cooperative look-back pipelines.
 # The parked-wait and token-handoff races depend on timing, so they run
 # at release speed too. Both are also part of `cargo test --workspace`;
 # run standalone in release so a break is named directly in the tier-1

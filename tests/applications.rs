@@ -1,21 +1,10 @@
 //! Integration: the application layer end to end — SAT built by the
 //! paper's algorithm, consumed by the device-side filters, cross-checked
-//! against the CPU-parallel substrate and the host-side query API.
+//! against the host-side query API.
 
 use gpu_sim::prelude::*;
 use satcore::filters::{device_box_filter, device_window_variance};
 use satcore::prelude::*;
-
-#[test]
-fn gpu_and_cpu_parallel_sats_agree() {
-    let gpu = Gpu::new(DeviceConfig::tiny());
-    for n in [16usize, 32, 64] {
-        let a = Matrix::<u64>::random(n, n, n as u64, 30);
-        let (gpu_sat, _) = compute_sat(&gpu, &SkssLb::new(SatParams { w: 8, threads_per_block: 64 }), &a);
-        let cpu_sat = satcore::cpu::sat_parallel(&a, 4);
-        assert_eq!(gpu_sat, cpu_sat, "n={n}");
-    }
-}
 
 #[test]
 fn device_box_filter_agrees_with_host_query() {
@@ -83,14 +72,6 @@ fn padded_api_supports_rectangles_everywhere() {
     let (sat, _) = compute_sat_padded(&gpu, &alg, &a, 8);
     let q = RegionQuery::new(sat);
     assert_eq!(q.sum(2, 11, 3, 27), satcore::reference::region_sum_direct(&a, 2, 11, 3, 27));
-}
-
-#[test]
-fn cpu_parallel_scales_shapes_and_threads() {
-    for threads in [1usize, 2, 5, 16] {
-        let a = Matrix::<i64>::random(37, 53, threads as u64, 40);
-        assert_eq!(satcore::cpu::sat_parallel(&a, threads), satcore::reference::sat(&a));
-    }
 }
 
 #[test]

@@ -10,7 +10,10 @@
 //! windowed look-back take the scalar walk — and asserts outputs and
 //! `deterministic()` counters are identical to the batched run, for all
 //! eight algorithms, several sizes, all dispatch orders, sequential and
-//! concurrent.
+//! concurrent. At n = 128 (t = 16 tiles per side) a concurrent walk can
+//! run past one look-back window. The cooperative look-back pipelines run
+//! the same comparison, with walks that leave their band and cross the
+//! interconnect.
 //!
 //! `force_scalar` is process-global, so everything lives in ONE `#[test]`
 //! (Rust runs tests of a binary on parallel threads; a sibling test could
@@ -56,7 +59,7 @@ fn run_one(
 #[test]
 fn batched_and_scalar_paths_charge_identically() {
     let _guard = ScalarGuard;
-    for n in [32usize, 64] {
+    for n in [32usize, 64, 128] {
         let a = Matrix::<u32>::random(n, n, 0xBA7C4 + n as u64, 16);
         let expect = satcore::reference::sat(&a);
         let input = a.to_device();
@@ -97,5 +100,39 @@ fn batched_and_scalar_paths_charge_identically() {
                 }
             }
         }
+    }
+
+    // Cooperative SKSS-LB and SKSS-SH: one device runs four bands in
+    // order, so every band's first tile row walks into the band above,
+    // and the windowed walks must charge the remote rows exactly as the
+    // scalar walks do.
+    let n = 64;
+    let a = Matrix::<u32>::random(n, n, 0xC0B4D, 16);
+    let expect = satcore::reference::sat(&a);
+    let input = a.to_device();
+    let params = SatParams { w: W, threads_per_block: 64 };
+    for kernel in [CoopKernel::SkssLb, CoopKernel::SkssSh] {
+        let run = |scalar: bool| {
+            set_force_scalar(scalar);
+            let group = DeviceGroup::new(DeviceConfig::tiny(), 1);
+            let output = GlobalBuffer::<u32>::zeroed(n * n);
+            let (report, _) = sat_huge_multi_device_bands(
+                &group,
+                params,
+                kernel,
+                &input,
+                &output,
+                n,
+                &[2, 2, 2, 2],
+                StealPolicy::StealOnIdle,
+            );
+            set_force_scalar(false);
+            assert_eq!(Matrix::from_device(&output, n, n), expect, "{kernel:?} scalar={scalar}");
+            report.deterministic()
+        };
+        let batched = run(false);
+        let scalar = run(true);
+        assert!(batched.d2d_transfers > 0, "{kernel:?}: no walk left its band");
+        assert_eq!(scalar, batched, "{kernel:?}: cooperative scalar expansion drifted");
     }
 }

@@ -190,10 +190,12 @@ fn device_scan_matches_sequential() {
         let data = rng.vec(len, 1000);
         let input = GlobalBuffer::from_slice(&data);
         let output = GlobalBuffer::<u64>::zeroed(data.len());
-        prefix::device_inclusive_scan(
+        prefix::device_row_scan(
             &gpu(),
             &input,
             &output,
+            1,
+            len,
             prefix::ScanParams { threads_per_block: 32, items_per_thread: 2 },
         );
         assert_eq!(output.to_vec(), prefix::seq::inclusive_scan(&data));
@@ -210,21 +212,6 @@ fn dispatch_permutations_are_permutations() {
             let mut p = d.permutation(blocks);
             p.sort_unstable();
             assert_eq!(p, (0..blocks).collect::<Vec<_>>());
-        }
-    }
-}
-
-#[test]
-fn exclusive_scan_shifts_inclusive() {
-    let mut rng = Rng(0xE8C);
-    for _ in 0..CASES {
-        let len = rng.range(1, 200);
-        let data = rng.vec(len, 100);
-        let inc = prefix::seq::inclusive_scan(&data);
-        let exc = prefix::seq::exclusive_scan(&data);
-        assert_eq!(exc[0], 0);
-        for k in 1..data.len() {
-            assert_eq!(exc[k], inc[k - 1]);
         }
     }
 }
