@@ -177,6 +177,61 @@ impl<T: DeviceElem> State<T> {
         }
     }
 
+    /// Steps 2–3 of the protocol for tile `(I, J)`, whose local row and
+    /// column sums are `lrs_v` and `lcs_v`: publish `LRS`/`GRS`,
+    /// `LCS`/`GCS` and `GLS`/`GS` around the three look-back walks.
+    /// Returns the borders step 4 needs: `(GRS(I,J-1), GCS(I-1,J),
+    /// GS(I-1,J-1))`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn propagate(
+        &self,
+        ctx: &mut BlockCtx,
+        ti: usize,
+        tj: usize,
+        lrs_v: &[T],
+        lcs_v: Vec<T>,
+        decoupled: bool,
+        d2d_below: usize,
+    ) -> (Vec<T>, Vec<T>, T) {
+        let idx = self.grid.tile_index(ti, tj);
+
+        // Step 2.A: publish LRS, look back for GRS(I,J-1), publish GRS.
+        self.lrs.write_vec(ctx, ti, tj, lrs_v);
+        self.r_flags.publish(ctx, idx, R_LRS);
+        let grs_left = self.look_back_grs(ctx, ti, tj, decoupled);
+        let mut grs_cur: Vec<T> = ctx.scratch_overwrite(self.grid.w);
+        grs_cur.copy_from_slice(lrs_v);
+        gpu_sim::simd::zip_add(&mut grs_cur, &grs_left);
+        self.grs.write_vec(ctx, ti, tj, &grs_cur);
+        self.r_flags.publish(ctx, idx, R_GRS);
+        ctx.recycle(grs_cur);
+
+        // Step 2.B: the same for columns.
+        self.lcs.write_vec(ctx, ti, tj, &lcs_v);
+        self.c_flags.publish(ctx, idx, C_LCS);
+        let gcs_top = self.look_back_gcs(ctx, ti, tj, decoupled, d2d_below);
+        let mut gcs_cur = lcs_v;
+        gpu_sim::simd::zip_add(&mut gcs_cur, &gcs_top);
+        self.gcs.write_vec(ctx, ti, tj, &gcs_cur);
+        self.c_flags.publish(ctx, idx, C_GCS);
+        ctx.recycle(gcs_cur);
+
+        // Step 3.1: GLS(I,J) = sum(GRS(I,J-1)) + sum(GCS(I-1,J)) +
+        // sum(LRS(I,J)) — the L-shaped strip (Fig. 11). The sums
+        // are warp reductions on the device.
+        let sum = |v: &[T]| v.iter().fold(T::zero(), |a, &b| a.add(b));
+        let gls_val = sum(&grs_left).add(sum(&gcs_top)).add(sum(lrs_v));
+        self.gls.write(ctx, ti, tj, gls_val);
+        self.r_flags.publish(ctx, idx, R_GLS);
+
+        // Steps 3.2 / 3.3: look back diagonally for GS(I-1,J-1),
+        // publish GS(I,J).
+        let gs_prev = self.look_back_gs(ctx, ti, tj, decoupled, d2d_below);
+        self.gs.write(ctx, ti, tj, gs_prev.add(gls_val));
+        self.r_flags.publish(ctx, idx, R_GS);
+        (grs_left, gcs_top, gs_prev)
+    }
+
     /// Step 2.A.2 (Fig. 10): compute `GRS(I, J-1)` by walking leftwards,
     /// summing `LRS` vectors until some predecessor's `GRS` appears.
     ///
@@ -584,47 +639,14 @@ pub(crate) fn process_tile<T: DeviceElem>(
     d2d_below: usize,
 ) {
     let grid = state.grid;
-    let idx = grid.tile_index(ti, tj);
 
     // Step 1: tile into shared memory (diagonal arrangement), column and
     // row sums both computed during the copy while each row is cache-hot.
     let (mut tile, lcs_v, lrs_v) = load_tile_with_sums(ctx, input, grid, ti, tj, arrangement);
     ctx.syncthreads();
 
-    // Step 2.A: publish LRS, look back for GRS(I,J-1), publish GRS.
-    state.lrs.write_vec(ctx, ti, tj, &lrs_v);
-    state.r_flags.publish(ctx, idx, R_LRS);
-    let grs_left = state.look_back_grs(ctx, ti, tj, decoupled);
-    let mut grs_cur: Vec<T> = ctx.scratch_overwrite(grid.w);
-    grs_cur.copy_from_slice(&lrs_v);
-    gpu_sim::simd::zip_add(&mut grs_cur, &grs_left);
-    state.grs.write_vec(ctx, ti, tj, &grs_cur);
-    state.r_flags.publish(ctx, idx, R_GRS);
-    ctx.recycle(grs_cur);
-
-    // Step 2.B: the same for columns.
-    state.lcs.write_vec(ctx, ti, tj, &lcs_v);
-    state.c_flags.publish(ctx, idx, C_LCS);
-    let gcs_top = state.look_back_gcs(ctx, ti, tj, decoupled, d2d_below);
-    let mut gcs_cur = lcs_v;
-    gpu_sim::simd::zip_add(&mut gcs_cur, &gcs_top);
-    state.gcs.write_vec(ctx, ti, tj, &gcs_cur);
-    state.c_flags.publish(ctx, idx, C_GCS);
-    ctx.recycle(gcs_cur);
-
-    // Step 3.1: GLS(I,J) = sum(GRS(I,J-1)) + sum(GCS(I-1,J)) +
-    // sum(LRS(I,J)) — the L-shaped strip (Fig. 11). The sums
-    // are warp reductions on the device.
-    let sum = |v: &[T]| v.iter().fold(T::zero(), |a, &b| a.add(b));
-    let gls_val = sum(&grs_left).add(sum(&gcs_top)).add(sum(&lrs_v));
-    state.gls.write(ctx, ti, tj, gls_val);
-    state.r_flags.publish(ctx, idx, R_GLS);
-
-    // Steps 3.2 / 3.3: look back diagonally for GS(I-1,J-1),
-    // publish GS(I,J).
-    let gs_prev = state.look_back_gs(ctx, ti, tj, decoupled, d2d_below);
-    state.gs.write(ctx, ti, tj, gs_prev.add(gls_val));
-    state.r_flags.publish(ctx, idx, R_GS);
+    // Steps 2–3: publish the tile's sums and look back for its borders.
+    let (grs_left, gcs_top, gs_prev) = state.propagate(ctx, ti, tj, &lrs_v, lcs_v, decoupled, d2d_below);
 
     // Step 4: GSAT(I,J) from the borders, written out as the column
     // accumulation finalizes each row.

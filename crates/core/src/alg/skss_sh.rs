@@ -49,7 +49,7 @@ use gpu_sim::device::WARP;
 use gpu_sim::simd;
 use gpu_sim::warp::{warp_inclusive_scan, warp_reduce_sum};
 
-use super::skss_lb::{tile_for_serial, State, C_GCS, C_LCS, R_GLS, R_GRS, R_GS, R_LRS};
+use super::skss_lb::{tile_for_serial, State};
 use super::{SatAlgorithm, SatParams};
 use crate::tile::TileGrid;
 
@@ -179,7 +179,6 @@ pub(crate) fn process_tile_systolic<T: DeviceElem>(
     let grid = state.grid;
     let w = grid.w;
     let multi_warp = w > WARP;
-    let idx = grid.tile_index(ti, tj);
 
     // Step 1: tile into registers — W coalesced row reads,
     // each lane taking its column's element. No shared tile.
@@ -201,37 +200,8 @@ pub(crate) fn process_tile_systolic<T: DeviceElem>(
         ctx.syncthreads();
     }
 
-    // Step 2.A: publish LRS, look back for GRS(I,J-1), publish
-    // GRS — verbatim SKSS-LB.
-    state.lrs.write_vec(ctx, ti, tj, &lrs_v);
-    state.r_flags.publish(ctx, idx, R_LRS);
-    let grs_left = state.look_back_grs(ctx, ti, tj, true);
-    let mut grs_cur: Vec<T> = ctx.scratch(w);
-    grs_cur.copy_from_slice(&lrs_v);
-    simd::zip_add(&mut grs_cur, &grs_left);
-    state.grs.write_vec(ctx, ti, tj, &grs_cur);
-    state.r_flags.publish(ctx, idx, R_GRS);
-    ctx.recycle(grs_cur);
-
-    // Step 2.B: the same for columns.
-    state.lcs.write_vec(ctx, ti, tj, &lcs_v);
-    state.c_flags.publish(ctx, idx, C_LCS);
-    let gcs_top = state.look_back_gcs(ctx, ti, tj, true, d2d_below);
-    let mut gcs_cur = lcs_v;
-    simd::zip_add(&mut gcs_cur, &gcs_top);
-    state.gcs.write_vec(ctx, ti, tj, &gcs_cur);
-    state.c_flags.publish(ctx, idx, C_GCS);
-    ctx.recycle(gcs_cur);
-
-    // Step 3: GLS and the diagonal GS look-back — verbatim
-    // SKSS-LB.
-    let sum = |v: &[T]| v.iter().fold(T::zero(), |a, &b| a.add(b));
-    let gls_val = sum(&grs_left).add(sum(&gcs_top)).add(sum(&lrs_v));
-    state.gls.write(ctx, ti, tj, gls_val);
-    state.r_flags.publish(ctx, idx, R_GLS);
-    let gs_prev = state.look_back_gs(ctx, ti, tj, true, d2d_below);
-    state.gs.write(ctx, ti, tj, gs_prev.add(gls_val));
-    state.r_flags.publish(ctx, idx, R_GS);
+    // Steps 2–3: SKSS-LB's publications and look-back walks, verbatim.
+    let (grs_left, gcs_top, gs_prev) = state.propagate(ctx, ti, tj, &lrs_v, lcs_v, true, d2d_below);
 
     // Step 4: borders folded straight into registers (free, as
     // all register arithmetic), in the same order the shared

@@ -7,10 +7,11 @@
 //! whose blocks are claimed off an atomic cursor (bounded residency,
 //! exactly like SMs picking blocks off the hardware scheduler) by the
 //! thread that starts the job and by the idle workers it wakes to help;
-//! each absorbs its blocks' counters into the job's accumulator. A
-//! synchronous [`Gpu::launch`](crate::launch::Gpu::launch) runs its own
-//! job ([`PoolShared::join`]) and then waits only for the blocks helpers
-//! still hold. The thread that finishes a [`Stream`](crate::stream::Stream)
+//! each merges its blocks' counters into the job's total once, when its
+//! claim loop exits. A synchronous
+//! [`Gpu::launch`](crate::launch::Gpu::launch) runs its own job
+//! ([`PoolShared::join`]) and then waits only for the blocks helpers still
+//! hold. The thread that finishes a [`Stream`](crate::stream::Stream)
 //! job's last block runs the stream's next job, publishing it for helpers
 //! when it has more than one block. The workers persist, so no launch pays
 //! thread spawn/join, and each keeps a warm [`ScratchArena`] across
@@ -27,33 +28,35 @@
 //!
 //! Bounded residency is enforced by **tokens**, not by the thread count:
 //! the pool starts with one token per base worker, and a thread must hold
-//! a token to claim blocks off a job. Token holders are the pool's
+//! a [`Token`] to claim blocks off a job. Token holders are the pool's
 //! workers, the caller of a synchronous launch while it runs its own job,
-//! and resident group lane drivers for their whole batch; the last two
-//! claim through [`PoolShared::driver_begin`]. When a block parks inside a
-//! flag wait ([`crate::sync::StatusBoard::wait_at_least`]), it returns its
-//! token through [`PoolShared::park_begin`] so the residency slot is not
-//! wasted on a sleeper: an idle thread is woken — or, if none exists and
-//! unclaimed work is pending, a bounded *standby* thread is spawned — to
-//! run other ready blocks. On wake the block re-acquires through
-//! [`PoolShared::park_end`], which never blocks: the token count may go
-//! transiently negative ("debt", repaid by the next release), because
-//! making a woken waiter queue for a token could deadlock the very chain
-//! that woke it. OS threads may therefore briefly oversubscribe the base
-//! worker count (bounded by `max_threads`), but *runnable* block count
-//! stays residency-bounded and parked threads burn no CPU.
+//! and resident group lane drivers for their whole batch. After start-up
+//! only [`Token`] changes the count: [`Token::claim`] takes a token,
+//! dropping it returns it, and [`Token::lend`] hands it back while its
+//! holder blocks. When a block parks inside a flag wait
+//! ([`crate::sync::StatusBoard::wait_at_least`]), it lends its token so
+//! the residency slot is not wasted on a sleeper: an idle thread is woken
+//! — or, if none exists and unclaimed work is pending, a bounded
+//! *standby* thread is spawned — to run other ready blocks. When the
+//! [`Loan`] ends, the block takes its token back without blocking: the
+//! token count may go transiently negative ("debt", repaid by the next
+//! release), because making a woken waiter queue for a token could
+//! deadlock the very chain that woke it. OS threads may therefore briefly
+//! oversubscribe the base worker count (bounded by `max_threads`), but
+//! *runnable* block count stays residency-bounded and parked threads burn
+//! no CPU.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::device::DeviceConfig;
 use crate::launch::{BlockCtx, LaunchConfig, ScratchArena};
-use crate::metrics::{BlockStats, KernelAccumulator, KernelMetrics};
+use crate::metrics::{BlockStats, KernelMetrics};
 use crate::stream::StreamShared;
 use crate::trace::{EventKind, Tracer};
 
@@ -99,6 +102,9 @@ impl Body {
 struct JobState {
     complete: bool,
     panic: Option<Box<dyn Any + Send>>,
+    /// Counters of the blocks run so far: each thread that runs blocks of
+    /// the job merges its share in once, before its `finished` bump.
+    stats: BlockStats,
 }
 
 /// One kernel launch in flight on the pool.
@@ -116,7 +122,6 @@ pub(crate) struct LaunchJob {
     /// Set when any block panics: remaining blocks are skipped and
     /// soft-sync waiters fail fast.
     aborted: AtomicBool,
-    acc: KernelAccumulator,
     state: Mutex<JobState>,
     done: Condvar,
     started: Instant,
@@ -147,7 +152,6 @@ impl LaunchJob {
             cursor: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
             aborted: AtomicBool::new(false),
-            acc: KernelAccumulator::default(),
             state: Mutex::new(JobState::default()),
             done: Condvar::new(),
             started: Instant::now(),
@@ -180,21 +184,20 @@ impl LaunchJob {
         self.state.lock().unwrap().panic.take()
     }
 
-    /// Claim and execute blocks until none remain.
+    /// Claim and execute blocks until none remain, on `token`.
     ///
     /// Counters and completion are batched per thread: each thread (a
     /// worker, or the launch's caller) merges its blocks' stats into a
-    /// local [`BlockStats`] and performs a single atomic absorb plus a
-    /// single `finished` bump when its claim loop exits. For small grids
-    /// this removes the per-block atomic storm that used to dominate launch
-    /// overhead; totals are unchanged because field-wise addition is
+    /// local [`BlockStats`], then merges that into the job's total under
+    /// the job's lock and bumps `finished` once, when its claim loop exits.
+    /// Totals do not depend on the split because field-wise addition is
     /// associative, and exactly one thread (the one whose bump brings
     /// `finished` to `blocks`) triggers completion.
     ///
     /// Returns the owning stream's next job when this call completed the
     /// job (see [`StreamShared::on_job_complete`]); the worker loop runs it
     /// next without a queue round-trip.
-    fn run_blocks(&self, pool: &Arc<PoolShared>, arena: &mut ScratchArena) -> Option<Arc<LaunchJob>> {
+    fn run_blocks(&self, token: &Token, arena: &mut ScratchArena) -> Option<Arc<LaunchJob>> {
         let mut local = BlockStats::default();
         let mut ran = 0usize;
         loop {
@@ -213,7 +216,7 @@ impl LaunchJob {
                         self.tracer.as_deref(),
                         arena,
                         &self.aborted,
-                        Some(pool),
+                        Some(token),
                     );
                     ctx.trace(EventKind::BlockStart);
                     self.body.call(&mut ctx);
@@ -233,9 +236,9 @@ impl LaunchJob {
             }
         }
         if ran > 0 {
-            self.acc.absorb(&local);
+            self.state.lock().unwrap().stats.merge(&local);
             if self.finished.fetch_add(ran, Ordering::AcqRel) + ran == self.lc.blocks {
-                return self.complete(pool);
+                return self.complete(&token.pool);
             }
         }
         None
@@ -297,7 +300,8 @@ impl LaunchJob {
     /// completion, so for stream jobs it includes time queued behind
     /// earlier launches of the same stream.
     pub(crate) fn metrics(&self) -> KernelMetrics {
-        self.lc.clone().finish(self.acc.snapshot(), self.started.elapsed().as_secs_f64())
+        let stats = self.state.lock().unwrap().stats.clone();
+        self.lc.clone().finish(stats, self.started.elapsed().as_secs_f64())
     }
 }
 
@@ -306,12 +310,10 @@ struct QueueState {
     jobs: VecDeque<Arc<LaunchJob>>,
     shutdown: bool,
     /// Execution tokens available for claiming blocks. Starts at the base
-    /// worker count; goes up when a thread finishes a job chain or its own
-    /// job or parks in a flag wait ([`PoolShared::park_begin`]), down when
-    /// a thread claims a job or un-parks ([`PoolShared::park_end`]). May go
-    /// *negative*: a woken waiter re-acquires in debt rather than
-    /// blocking, so the wake chain that satisfied its flag can never
-    /// deadlock on token starvation. The debt is repaid by the next
+    /// worker count; afterwards only [`Token`] and its [`Loan`] change it.
+    /// May go *negative*: a woken waiter takes its lent token back in debt
+    /// rather than blocking, so the wake chain that satisfied its flag can
+    /// never deadlock on token starvation. The debt is repaid by the next
     /// release before any new block is admitted.
     tokens: isize,
     /// Threads currently blocked on `ready` (no job, or no token).
@@ -336,7 +338,7 @@ pub(crate) struct PoolShared {
     max_threads: usize,
     /// Owning device's group ordinal, for standby thread names.
     ordinal: usize,
-    /// Join handles of standby threads spawned by `park_begin`; joined
+    /// Join handles of standby threads spawned by [`Token::lend`]; joined
     /// alongside the base workers at pool drop.
     standby: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -383,84 +385,17 @@ impl PoolShared {
     /// The caller claims a token before publishing, so a helper it wakes
     /// cannot take the token it is about to run on, and returns it before
     /// waiting, because `wait` re-raises a block's panic. Its blocks carry
-    /// this pool, so a parked wait among them hands the caller's token to
-    /// a helper.
+    /// that token, so a parked wait among them lends it to a helper.
     pub(crate) fn join(self: &Arc<Self>, job: &Arc<LaunchJob>, arena: &mut ScratchArena) {
-        self.driver_begin();
+        let token = Token::claim(self);
         self.publish(Arc::clone(job));
         // A job with no stream completes without a continuation.
-        let _ = job.run_blocks(self, arena);
-        self.driver_end();
+        let _ = job.run_blocks(&token, arena);
     }
 
     /// Number of worker threads serving this pool.
     pub(crate) fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// A parking flag waiter hands its execution token back to the pool
-    /// (see the module docs): if unclaimed work is pending and a token is
-    /// now free, an idle thread is woken to take it — or, when every live
-    /// thread is busy or parked, a standby thread is spawned, up to
-    /// `max_threads`. Called by
-    /// [`StatusBoard`](crate::sync::StatusBoard) before the first timed
-    /// park of a wait; balanced by exactly one [`PoolShared::park_end`].
-    pub(crate) fn park_begin(self: &Arc<Self>) {
-        let mut q = self.queue.lock().unwrap();
-        q.tokens += 1;
-        if q.tokens <= 0 || !q.jobs.iter().any(|j| !j.exhausted()) {
-            return;
-        }
-        if q.idle > 0 {
-            drop(q);
-            self.ready.notify_one();
-        } else if q.threads < self.max_threads {
-            q.threads += 1;
-            drop(q);
-            self.spawn_standby();
-        }
-    }
-
-    /// Re-acquire an execution token after a parked wait was satisfied.
-    /// Never blocks: the count may go negative (debt), transiently
-    /// oversubscribing runnable threads instead of risking a deadlock in
-    /// which every token is held by a thread that transitively depends on
-    /// this waiter.
-    pub(crate) fn park_end(&self) {
-        self.queue.lock().unwrap().tokens -= 1;
-    }
-
-    /// Return the token held while running a job chain; wakes a waiting
-    /// thread when claimable work is pending. Drops exhausted jobs from
-    /// the queue first: a job published with no helper woken would
-    /// otherwise stay there until some worker next looked.
-    fn release_token(&self) {
-        let mut q = self.queue.lock().unwrap();
-        q.tokens += 1;
-        q.jobs.retain(|j| !j.exhausted());
-        if q.tokens > 0 && q.idle > 0 && !q.jobs.is_empty() {
-            drop(q);
-            self.ready.notify_one();
-        }
-    }
-
-    /// A thread outside the worker loop announces it will execute blocks
-    /// on its own thread: a resident group driver for its whole batch, or
-    /// the caller of a synchronous launch for its own job
-    /// ([`PoolShared::join`]). Claim one execution token so the pool's
-    /// concurrency budget counts it like one of its own workers. Called
-    /// while the thread is runnable, so — unlike [`PoolShared::park_end`]'s
-    /// debt re-acquire — going negative here would only happen if the pool
-    /// were already oversubscribed, which the debt model tolerates by
-    /// design. Balanced by exactly one [`PoolShared::driver_end`].
-    pub(crate) fn driver_begin(&self) {
-        self.queue.lock().unwrap().tokens -= 1;
-    }
-
-    /// Return the token [`PoolShared::driver_begin`] claimed; wakes a
-    /// waiting thread when claimable work is pending.
-    pub(crate) fn driver_end(&self) {
-        self.release_token();
     }
 
     fn spawn_standby(self: &Arc<Self>) {
@@ -478,7 +413,7 @@ fn worker_loop(shared: &Arc<PoolShared>) {
     // serves kernel K+1's scratch takes from warm buffers.
     let mut arena = ScratchArena::new();
     loop {
-        let job = {
+        let (token, mut job) = {
             let mut q = shared.queue.lock().unwrap();
             loop {
                 // Jobs whose blocks are all claimed complete on the workers
@@ -491,8 +426,7 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                 // blocks residency-bounded.
                 if q.tokens > 0 {
                     if let Some(j) = q.jobs.front().map(Arc::clone) {
-                        q.tokens -= 1;
-                        break j;
+                        break (Token::take(shared, &mut q), j);
                     }
                 }
                 if q.shutdown {
@@ -506,12 +440,91 @@ fn worker_loop(shared: &Arc<PoolShared>) {
         // A completing stream job hands back the stream's next launch; run
         // it on this worker's warm arena instead of waiting for a woken
         // worker to take it off the queue. The token is held across the
-        // whole chain.
-        let mut job = job;
-        while let Some(next) = job.run_blocks(shared, &mut arena) {
+        // whole chain and returned when it drops.
+        while let Some(next) = job.run_blocks(&token, &mut arena) {
             job = next;
         }
-        shared.release_token();
+    }
+}
+
+/// One of a pool's execution tokens, held by a thread while it runs blocks
+/// (see the module docs). [`Token::claim`] takes it, [`Token::lend`] hands
+/// it back while its holder blocks, and dropping it returns it. Its drops
+/// recover a poisoned queue lock instead of panicking, because they also
+/// run during unwinds; every update under that lock is a single step.
+pub(crate) struct Token {
+    pool: Arc<PoolShared>,
+}
+
+impl Token {
+    /// Take one of `pool`'s tokens, for a thread outside the worker loop
+    /// that runs blocks itself: the caller of a synchronous launch for its
+    /// own job, or a resident group driver for its whole batch. Never
+    /// blocks: the claimant is runnable, and should the pool already be
+    /// oversubscribed, the count goes into debt, which the debt model
+    /// tolerates by design.
+    pub(crate) fn claim(pool: &Arc<PoolShared>) -> Token {
+        Token::take(pool, &mut pool.queue.lock().unwrap())
+    }
+
+    /// [`Token::claim`] under the queue lock the caller holds.
+    fn take(pool: &Arc<PoolShared>, q: &mut QueueState) -> Token {
+        q.tokens -= 1;
+        Token { pool: Arc::clone(pool) }
+    }
+
+    /// Lend the token back to the pool while its holder blocks, and count
+    /// the handoff in `handoffs` (a `token_handoffs` counter). If unclaimed
+    /// work is pending and a token is now free, an idle thread is woken to
+    /// take it — or, when every live thread is busy or parked, a standby
+    /// thread is spawned, up to `max_threads`.
+    pub(crate) fn lend(&self, handoffs: &mut u64) -> Loan<'_> {
+        *handoffs += 1;
+        let pool = &self.pool;
+        let mut q = pool.queue.lock().unwrap();
+        q.tokens += 1;
+        if q.tokens > 0 && q.jobs.iter().any(|j| !j.exhausted()) {
+            if q.idle > 0 {
+                drop(q);
+                pool.ready.notify_one();
+            } else if q.threads < pool.max_threads {
+                q.threads += 1;
+                drop(q);
+                pool.spawn_standby();
+            }
+        }
+        Loan(self)
+    }
+}
+
+impl Drop for Token {
+    /// Return the token and wake a waiting thread when claimable work is
+    /// pending. Drops exhausted jobs from the queue first: a job published
+    /// with no helper woken would otherwise stay there until some worker
+    /// next looked.
+    fn drop(&mut self) {
+        let mut q = self.pool.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        q.tokens += 1;
+        q.jobs.retain(|j| !j.exhausted());
+        if q.tokens > 0 && q.idle > 0 && !q.jobs.is_empty() {
+            drop(q);
+            self.pool.ready.notify_one();
+        }
+    }
+}
+
+/// A [`Token`] lent back to its pool ([`Token::lend`]). Dropping the loan,
+/// on a satisfied wait and on an unwind alike, takes the token back
+/// without blocking: the count may go negative (debt), transiently
+/// oversubscribing runnable threads instead of risking a deadlock in which
+/// every token is held by a thread that transitively depends on this
+/// holder.
+#[must_use = "the token is taken back when the loan drops"]
+pub(crate) struct Loan<'a>(&'a Token);
+
+impl Drop for Loan<'_> {
+    fn drop(&mut self) {
+        self.0.pool.queue.lock().unwrap_or_else(PoisonError::into_inner).tokens -= 1;
     }
 }
 
@@ -588,5 +601,107 @@ impl Drop for WorkerPool {
 impl WorkerPool {
     fn ready_all(&self) {
         self.shared.ready.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::group::{DeviceGroup, StealPolicy};
+    use crate::launch::{ExecMode, Gpu};
+    use crate::metrics::RunMetrics;
+    use crate::sync::{DeviceCounter, StatusBoard};
+    use std::time::Duration;
+
+    fn tokens(pool: &PoolShared) -> isize {
+        pool.queue.lock().unwrap().tokens
+    }
+
+    /// Completion wakes a launch's caller before a helper drops its token,
+    /// so poll, within a bound, for the count to settle at its base.
+    fn assert_back_at_base(pool: &PoolShared, path: &str) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while tokens(pool) != pool.workers as isize && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(tokens(pool), pool.workers as isize, "token count after {path}");
+    }
+
+    /// A two-block grid whose first-claimed block waits on the other's
+    /// flag: on a one-token pool it finishes only through a loan.
+    fn handoff_kernel() -> impl Fn(&mut BlockCtx) + Send + Sync + 'static {
+        let (board, counter) = (StatusBoard::new(1), DeviceCounter::new());
+        move |ctx| {
+            if counter.next(ctx) == 0 {
+                board.wait_at_least(ctx, 0, 1);
+            } else {
+                board.publish(ctx, 0, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn every_token_path_returns_the_pool_to_its_base_count() {
+        let mut cfg = DeviceConfig::tiny();
+        cfg.host_workers = 1;
+        let gpu = Gpu::new(cfg.clone()).with_mode(ExecMode::Concurrent);
+        let pool = Arc::clone(gpu.pool_shared());
+
+        let km = gpu.launch(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
+        assert!(km.stats.token_handoffs >= 1, "the caller's waiting block lends its token");
+        assert_back_at_base(&pool, "a caller-run handoff launch");
+
+        let stream = gpu.stream();
+        for _ in 0..3 {
+            stream.enqueue(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
+        }
+        stream.sync();
+        assert_back_at_base(&pool, "a stream chain of handoff grids");
+
+        let fault = catch_unwind(AssertUnwindSafe(|| {
+            gpu.launch(LaunchConfig::new("all-panic", 4, 32), |_ctx| panic!("block fault"))
+        }));
+        assert!(fault.is_err());
+        assert_back_at_base(&pool, "a caller-run launch whose blocks all panic");
+
+        // Three jobs over two devices shard as [j0], [j1, j2]. Job 0 is
+        // enormous in simulated time, so lane 0 cannot steal afterwards:
+        // job 1 holds lane 1 until lane 0 idles with its token lent.
+        // Lanes run their blocks inline and in order, so no grid here
+        // waits on a later block.
+        let group = DeviceGroup::with_member_config(cfg, 2);
+        let pool0 = Arc::clone(group.device(0).pool_shared());
+        for fault in [false, true] {
+            let skewed = AtomicBool::new(false);
+            let batch = catch_unwind(AssertUnwindSafe(|| {
+                group.run_batch(vec![0usize, 1, 2], StealPolicy::StealOnIdle, |gpu, j| {
+                    let bytes = if j == 0 { 1u64 << 36 } else { 1 << 12 };
+                    let mut rm = RunMetrics::default();
+                    rm.push(gpu.launch(LaunchConfig::new("charge", 2, 32), |ctx| {
+                        if fault && j == 2 {
+                            panic!("job fault");
+                        }
+                        ctx.stats.charge_global_read(bytes / 8, bytes / 2);
+                    }));
+                    if j == 0 {
+                        skewed.store(true, Ordering::SeqCst);
+                    } else if j == 1 {
+                        let deadline = Instant::now() + Duration::from_secs(5);
+                        while !(skewed.load(Ordering::SeqCst) && tokens(&pool0) == 1) {
+                            assert!(Instant::now() < deadline, "lane 0 never lent its token");
+                            std::thread::yield_now();
+                        }
+                    }
+                    rm
+                })
+            }));
+            assert_eq!(batch.is_err(), fault, "only the faulting batch re-raises");
+            if let Ok(gm) = batch {
+                assert!(gm.token_handoffs() >= 1, "lane 0 idled with its token lent");
+            }
+            for gpu in group.devices() {
+                assert_back_at_base(gpu.pool_shared(), "a skewed group batch");
+            }
+        }
     }
 }

@@ -45,9 +45,9 @@
 //! blocks inline on the driver, against one scratch arena reused from job
 //! to job. A job is just an index into the sequence, so a steal moves
 //! the index, not a launch; cross-job ordering is whatever the jobs enforce
-//! themselves (e.g. `StatusBoard` flags). The driver claims one worker
+//! themselves (e.g. `StatusBoard` flags). The driver claims one execution
 //! token from its device pool for the batch — it executes blocks, so it
-//! takes a worker's place — and hands it back whenever it blocks (a parked
+//! takes a worker's place — and lends it back whenever it blocks (a parked
 //! flag wait inside a block, or the driver waiting for steal eligibility),
 //! so pool launches on the same device always make progress. Idle drivers
 //! block on the event-driven `Progress` condvar, bumped on every job
@@ -75,7 +75,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::device::DeviceConfig;
-use crate::executor::PoolShared;
+use crate::executor::Token;
 use crate::launch::{DispatchOrder, ExecMode, Gpu};
 use crate::metrics::{BlockStats, RunMetrics};
 use crate::timing::run_seconds;
@@ -254,29 +254,6 @@ impl Progress {
     }
 }
 
-/// RAII wrapper for a resident lane driver's token handoff while it is
-/// blocked between jobs: `PoolShared::park_begin` on construction hands
-/// the driver's execution token back to its device pool (waking an idle
-/// worker — or spawning a standby — if claimable pool work is pending),
-/// `PoolShared::park_end` on drop re-acquires in never-blocking debt
-/// mode. Exactly the contract parked flag waits use, stretched to the
-/// driver itself so a lane stalled on steal eligibility never starves
-/// concurrent pool launches on the same device.
-struct DriverPark<'a>(&'a Arc<PoolShared>);
-
-impl<'a> DriverPark<'a> {
-    fn engage(pool: &'a Arc<PoolShared>) -> Self {
-        pool.park_begin();
-        DriverPark(pool)
-    }
-}
-
-impl Drop for DriverPark<'_> {
-    fn drop(&mut self) {
-        self.0.park_end();
-    }
-}
-
 /// Jobs run under `catch_unwind` and never while a batch lock is held, so
 /// a poisoned lock means the scheduler itself panicked.
 const POISONED: &str = "batch scheduler panicked while holding a batch lock";
@@ -300,17 +277,18 @@ impl<J: Send> Batch<J> {
     /// front, steal from eligible victims' backs, block on the progress
     /// condvar when neither applies.
     ///
-    /// The driver holds one of its device pool's worker tokens for the
-    /// whole batch and hands it back through a `DriverPark` guard for the
-    /// duration of every idle wait, so pool launches submitted on the same
-    /// device can always make progress even on a one-worker pool.
+    /// The driver holds one of its device pool's execution tokens for the
+    /// whole batch, shared with the lane handle its jobs launch through,
+    /// and lends it back to the pool for the duration of every idle wait,
+    /// so pool launches submitted on the same device can always make
+    /// progress even on a one-worker pool. Exactly the contract parked
+    /// flag waits use.
     fn drive<F>(&self, d: usize, device: &Gpu, run: &F) -> DeviceLane
     where
         F: Fn(&Gpu, J) -> RunMetrics,
     {
-        let pool = device.pool_shared();
-        pool.driver_begin();
-        let gpu = device.for_lane(Arc::clone(&self.abort));
+        let token = Arc::new(Token::claim(device.pool_shared()));
+        let gpu = device.for_lane(Arc::clone(&self.abort), Arc::clone(&token));
         let mut lane = DeviceLane {
             ordinal: d,
             jobs: 0,
@@ -388,17 +366,15 @@ impl<J: Send> Batch<J> {
                         break;
                     }
                     // Work exists but this lane's simulated clock is ahead of
-                    // every victim's: wait, without the worker token, for
+                    // every victim's: wait, with the token lent, for
                     // another lane to report progress (their clocks advance
                     // and eligibility returns, or the shards empty and the
                     // loop exits).
-                    lane.stats.token_handoffs += 1;
-                    let _handoff = DriverPark::engage(pool);
+                    let _loan = token.lend(&mut lane.stats.token_handoffs);
                     self.progress.wait_past(seen);
                 }
             }
         }
-        pool.driver_end();
         lane
     }
 

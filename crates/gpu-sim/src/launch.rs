@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use crate::device::DeviceConfig;
 use crate::elem::DeviceElem;
-use crate::executor::{Body, BorrowedBody, LaunchJob, PoolShared, WorkerPool};
+use crate::executor::{Body, BorrowedBody, LaunchJob, PoolShared, Token, WorkerPool};
 use crate::metrics::{BlockStats, CriticalPath, KernelMetrics};
 use crate::stream::Stream;
 use crate::trace::{EventKind, Tracer};
@@ -273,13 +273,12 @@ pub struct BlockCtx<'a> {
     /// a block or job panicked; soft-sync waits poll it so consumers of a
     /// dead producer fail fast instead of waiting out the deadlock limit.
     abort: Option<&'a AtomicBool>,
-    /// The worker pool executing this block, when there is one: parked
-    /// flag waits hand their execution token back through it
-    /// ([`PoolShared::park_begin`]). Set for every block whose thread holds
-    /// a token: a pool worker's, the caller's in a multi-block concurrent
-    /// launch, and a resident group lane driver's. `None` only for blocks
-    /// of `Gpu::run_inline` outside a lane, which hold no token.
-    pool: Option<&'a Arc<PoolShared>>,
+    /// The execution token of the thread running this block, which a
+    /// parked flag wait lends to the pool ([`Token::lend`]). Set for every
+    /// block whose thread holds one: a pool worker's, the caller's in a
+    /// multi-block concurrent launch, and a resident group lane driver's.
+    /// `None` only for blocks of `Gpu::run_inline` outside a lane.
+    token: Option<&'a Token>,
     /// The block's access counters; buffer and tile accessors charge here.
     pub stats: BlockStats,
 }
@@ -293,7 +292,7 @@ impl<'a> BlockCtx<'a> {
         tracer: Option<&'a Tracer>,
         arena: &'a mut ScratchArena,
         abort: &'a AtomicBool,
-        pool: Option<&'a Arc<PoolShared>>,
+        token: Option<&'a Token>,
     ) -> Self {
         BlockCtx {
             block_idx,
@@ -303,7 +302,7 @@ impl<'a> BlockCtx<'a> {
             tracer,
             arena,
             abort: Some(abort),
-            pool,
+            token,
             stats: BlockStats::default(),
         }
     }
@@ -314,11 +313,11 @@ impl<'a> BlockCtx<'a> {
         self.abort.is_some_and(|a| a.load(std::sync::atomic::Ordering::Relaxed))
     }
 
-    /// A clonable handle to the pool running this block, if any — taken by
-    /// parked flag waits so the token-handoff guard can outlive the
-    /// borrow of `self`.
-    pub(crate) fn pool_handle(&self) -> Option<Arc<PoolShared>> {
-        self.pool.cloned()
+    /// The execution token this block's thread holds, if any. The borrow
+    /// is tied to the block, not to `&self`, so a parked wait can hold the
+    /// token's loan while it charges `stats`.
+    pub(crate) fn token(&self) -> Option<&'a Token> {
+        self.token
     }
 
     /// The block's index within the grid (CUDA `blockIdx.x`). Note this is
@@ -416,12 +415,11 @@ enum Binding {
 
 /// What a resident lane driver lends the launches of its jobs: the scratch
 /// arena they reuse from launch to launch, the batch's abort flag, and the
-/// device pool whose worker token the driver holds (parked waits hand that
-/// token back).
+/// driver's execution token (parked waits lend it to the device pool).
 struct Lane {
     arena: Mutex<ScratchArena>,
     abort: Arc<AtomicBool>,
-    pool: Arc<PoolShared>,
+    token: Arc<Token>,
 }
 
 /// How an inline launch runs its blocks, one after another on the calling
@@ -430,7 +428,7 @@ struct Inline<'a> {
     arena: &'a Mutex<ScratchArena>,
     sequential: bool,
     abort: Option<&'a AtomicBool>,
-    pool: Option<&'a Arc<PoolShared>>,
+    token: Option<&'a Token>,
 }
 
 /// A simulated GPU: a device description plus an execution policy.
@@ -526,7 +524,7 @@ impl Gpu {
     }
 
     /// The pool's shared state (started on first use) — for resident group
-    /// drivers that participate in the worker-token economy.
+    /// drivers, which claim one of its execution tokens.
     pub(crate) fn pool_shared(&self) -> &Arc<PoolShared> {
         self.pool().shared()
     }
@@ -572,10 +570,10 @@ impl Gpu {
     /// runs its blocks inline on the driver's thread, in dispatch order,
     /// against one arena that persists across the lane's jobs. Blocks carry
     /// the batch's `abort` flag, so a wait on a job that panicked on
-    /// another device fails fast, and the device pool, so a parked wait
-    /// hands the driver's worker token back. `is_sequential()` stays false.
-    pub(crate) fn for_lane(&self, abort: Arc<AtomicBool>) -> Gpu {
-        let lane = Lane { arena: Mutex::default(), abort, pool: Arc::clone(self.pool_shared()) };
+    /// another device fails fast, and the driver's `token`, so a parked
+    /// wait lends it to the device pool. `is_sequential()` stays false.
+    pub(crate) fn for_lane(&self, abort: Arc<AtomicBool>, token: Arc<Token>) -> Gpu {
+        let lane = Lane { arena: Mutex::default(), abort, token };
         Gpu { binding: Some(Binding::Lane(Arc::new(lane))), ..self.clone() }
     }
 
@@ -615,13 +613,13 @@ impl Gpu {
         let seq_arena = &self.engine.seq_arena;
         let inline = match (lane, self.mode) {
             (Some(lane), _) => {
-                Inline { arena: &lane.arena, sequential: false, abort: Some(&lane.abort), pool: Some(&lane.pool) }
+                Inline { arena: &lane.arena, sequential: false, abort: Some(&lane.abort), token: Some(&lane.token) }
             }
-            (None, ExecMode::Sequential) => Inline { arena: seq_arena, sequential: true, abort: None, pool: None },
+            (None, ExecMode::Sequential) => Inline { arena: seq_arena, sequential: true, abort: None, token: None },
             // A grid of at most one block has no cross-block concurrency to
             // exercise and gives a helper nothing to do: skip the pool.
             (None, ExecMode::Concurrent) if lc.blocks <= 1 => {
-                Inline { arena: seq_arena, sequential: false, abort: None, pool: None }
+                Inline { arena: seq_arena, sequential: false, abort: None, token: None }
             }
             (None, ExecMode::Concurrent) => {
                 let order = self.dispatch.launch_order(lc.blocks);
@@ -662,7 +660,7 @@ impl Gpu {
                     tracer,
                     arena,
                     abort: at.abort,
-                    pool: at.pool,
+                    token: at.token,
                     stats: BlockStats::default(),
                 };
                 ctx.trace(EventKind::BlockStart);

@@ -1,21 +1,21 @@
 //! Access counters: the measured quantities behind Table I and the inputs
 //! to the timing model behind Table III.
 //!
-//! Counting happens at three levels:
+//! Counting happens at two levels:
 //!
 //! 1. [`BlockStats`] — plain (non-atomic) per-block counters owned by a
-//!    `BlockCtx`; incrementing them is free enough to do per element.
-//! 2. [`KernelAccumulator`] — atomic aggregation target each block flushes
-//!    into exactly once, when it finishes.
-//! 3. [`KernelMetrics`] / [`RunMetrics`] — immutable snapshots returned to
+//!    `BlockCtx`; incrementing them is free enough to do per element. A
+//!    launch sums them with [`BlockStats::merge`]: each thread that runs
+//!    its blocks merges them locally, then into the launch's total once.
+//! 2. [`KernelMetrics`] / [`RunMetrics`] — immutable snapshots returned to
 //!    the caller, one per kernel launch and one per algorithm run.
 //!
-//! Counters are identical under sequential and concurrent execution (they
-//! depend only on what the algorithm does, not on scheduling), with the
-//! single documented exception of `flag_poll_iterations`, which counts
-//! spin-loop retries and is inherently schedule-dependent.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Most counters depend only on what the algorithm does, so they are
+//! identical under sequential and concurrent execution. Six record how the
+//! host serviced waits and vary with the schedule:
+//! `flag_poll_iterations`, `flag_backoff_events`, `d2d_backoff_events`,
+//! `park_events`, `wakeups` and `token_handoffs`.
+//! [`BlockStats::deterministic`] masks exactly those six.
 
 /// Per-block access counters. All quantities are totals over the block's
 /// lifetime; `bytes_*` fields are *effective* traffic as charged by the
@@ -49,7 +49,7 @@ pub struct BlockStats {
     /// excluded from equality comparisons of deterministic counters.
     pub flag_poll_iterations: u64,
     /// Backoff escalations inside flag waits: one per phase transition
-    /// (hot spin -> exponential backoff -> yield -> sleep) performed by
+    /// (hot spin -> exponential backoff -> park) performed by
     /// [`crate::sync::StatusBoard::wait_at_least`]. Schedule-dependent
     /// like `flag_poll_iterations`, and excluded from `deterministic()`
     /// for the same reason: how long a wait spins depends on when the
@@ -85,11 +85,10 @@ pub struct BlockStats {
     /// `deterministic()` alongside `park_events`.
     pub wakeups: u64,
     /// Worker-token handoffs: times a thread holding a pool execution
-    /// token gave it back for the duration of a blocking wait — a parked
-    /// flag wait engaging its `TokenGuard`, or a resident group driver
-    /// parking between jobs (`DriverPark`). Whether a wait parks at all is
-    /// host-scheduling noise, so this is masked from `deterministic()`
-    /// like `park_events`.
+    /// token lent it back for the duration of a blocking wait — a flag
+    /// wait whose first park cycle expired, or a resident group driver idle
+    /// between jobs. Whether a wait parks at all is host-scheduling noise,
+    /// so this is masked from `deterministic()` like `park_events`.
     pub token_handoffs: u64,
 }
 
@@ -186,9 +185,12 @@ impl BlockStats {
         self.token_handoffs += other.token_handoffs;
     }
 
-    /// The deterministic part of the counters: everything except spin-loop
-    /// iteration counts. Two executions of the same algorithm must agree on
-    /// this regardless of block scheduling.
+    /// The deterministic part of the counters: everything except the six
+    /// that record how the host serviced waits (`flag_poll_iterations`,
+    /// `flag_backoff_events`, `d2d_backoff_events`, `park_events`,
+    /// `wakeups`, `token_handoffs`), which are zeroed. Two executions of
+    /// the same algorithm must agree on this regardless of block
+    /// scheduling.
     pub fn deterministic(&self) -> BlockStats {
         let mut c = self.clone();
         c.flag_poll_iterations = 0;
@@ -222,92 +224,6 @@ impl BlockStats {
         c.d2d_transfers = 0;
         c.d2d_bytes = 0;
         c
-    }
-}
-
-/// Atomic aggregation target shared by all blocks of one kernel launch.
-#[derive(Debug, Default)]
-pub struct KernelAccumulator {
-    global_reads: AtomicU64,
-    global_writes: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    strided_reads: AtomicU64,
-    strided_writes: AtomicU64,
-    shared_accesses: AtomicU64,
-    bank_conflict_cycles: AtomicU64,
-    atomic_ops: AtomicU64,
-    flag_waits: AtomicU64,
-    flag_poll_iterations: AtomicU64,
-    flag_backoff_events: AtomicU64,
-    flag_publishes: AtomicU64,
-    barriers: AtomicU64,
-    warp_shuffles: AtomicU64,
-    d2d_transfers: AtomicU64,
-    d2d_bytes: AtomicU64,
-    d2d_backoff_events: AtomicU64,
-    park_events: AtomicU64,
-    wakeups: AtomicU64,
-    token_handoffs: AtomicU64,
-}
-
-impl KernelAccumulator {
-    /// Flush finished block counters — one block's, or a worker's
-    /// field-wise merge of all the blocks it ran (addition is associative,
-    /// so batching cannot change the totals).
-    pub fn absorb(&self, s: &BlockStats) {
-        self.global_reads.fetch_add(s.global_reads, Ordering::Relaxed);
-        self.global_writes.fetch_add(s.global_writes, Ordering::Relaxed);
-        self.bytes_read.fetch_add(s.bytes_read, Ordering::Relaxed);
-        self.bytes_written.fetch_add(s.bytes_written, Ordering::Relaxed);
-        self.strided_reads.fetch_add(s.strided_reads, Ordering::Relaxed);
-        self.strided_writes.fetch_add(s.strided_writes, Ordering::Relaxed);
-        self.shared_accesses.fetch_add(s.shared_accesses, Ordering::Relaxed);
-        self.bank_conflict_cycles
-            .fetch_add(s.bank_conflict_cycles, Ordering::Relaxed);
-        self.atomic_ops.fetch_add(s.atomic_ops, Ordering::Relaxed);
-        self.flag_waits.fetch_add(s.flag_waits, Ordering::Relaxed);
-        self.flag_poll_iterations
-            .fetch_add(s.flag_poll_iterations, Ordering::Relaxed);
-        self.flag_backoff_events
-            .fetch_add(s.flag_backoff_events, Ordering::Relaxed);
-        self.flag_publishes.fetch_add(s.flag_publishes, Ordering::Relaxed);
-        self.barriers.fetch_add(s.barriers, Ordering::Relaxed);
-        self.warp_shuffles.fetch_add(s.warp_shuffles, Ordering::Relaxed);
-        self.d2d_transfers.fetch_add(s.d2d_transfers, Ordering::Relaxed);
-        self.d2d_bytes.fetch_add(s.d2d_bytes, Ordering::Relaxed);
-        self.d2d_backoff_events
-            .fetch_add(s.d2d_backoff_events, Ordering::Relaxed);
-        self.park_events.fetch_add(s.park_events, Ordering::Relaxed);
-        self.wakeups.fetch_add(s.wakeups, Ordering::Relaxed);
-        self.token_handoffs.fetch_add(s.token_handoffs, Ordering::Relaxed);
-    }
-
-    /// Snapshot the totals.
-    pub fn snapshot(&self) -> BlockStats {
-        BlockStats {
-            global_reads: self.global_reads.load(Ordering::Relaxed),
-            global_writes: self.global_writes.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            strided_reads: self.strided_reads.load(Ordering::Relaxed),
-            strided_writes: self.strided_writes.load(Ordering::Relaxed),
-            shared_accesses: self.shared_accesses.load(Ordering::Relaxed),
-            bank_conflict_cycles: self.bank_conflict_cycles.load(Ordering::Relaxed),
-            atomic_ops: self.atomic_ops.load(Ordering::Relaxed),
-            flag_waits: self.flag_waits.load(Ordering::Relaxed),
-            flag_poll_iterations: self.flag_poll_iterations.load(Ordering::Relaxed),
-            flag_backoff_events: self.flag_backoff_events.load(Ordering::Relaxed),
-            flag_publishes: self.flag_publishes.load(Ordering::Relaxed),
-            barriers: self.barriers.load(Ordering::Relaxed),
-            warp_shuffles: self.warp_shuffles.load(Ordering::Relaxed),
-            d2d_transfers: self.d2d_transfers.load(Ordering::Relaxed),
-            d2d_bytes: self.d2d_bytes.load(Ordering::Relaxed),
-            d2d_backoff_events: self.d2d_backoff_events.load(Ordering::Relaxed),
-            park_events: self.park_events.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            token_handoffs: self.token_handoffs.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -448,18 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_absorbs_many_blocks() {
-        let acc = KernelAccumulator::default();
-        for _ in 0..100 {
-            acc.absorb(&stats(7, 3));
-        }
-        let s = acc.snapshot();
-        assert_eq!(s.global_reads, 700);
-        assert_eq!(s.global_writes, 300);
-        assert_eq!(s.bytes_written, 1200);
-    }
-
-    #[test]
     fn deterministic_masks_poll_iterations() {
         let mut a = stats(1, 1);
         a.flag_poll_iterations = 999;
@@ -480,9 +384,9 @@ mod tests {
     }
 
     #[test]
-    fn d2d_charges_flow_through_merge_and_accumulator() {
-        // The D2D class rides the same three-level accounting pipeline as
-        // every other counter: charge -> merge -> atomic absorb/snapshot.
+    fn d2d_charges_flow_through_merge() {
+        // The D2D class rides the same accounting pipeline as every other
+        // counter: charge -> merge.
         let mut a = BlockStats::default();
         a.charge_d2d(2, 1024);
         let mut b = BlockStats::default();
@@ -495,15 +399,8 @@ mod tests {
         // D2D traffic is its own class: no global read/write leakage.
         assert_eq!(a.global_reads + a.global_writes, 0);
         assert_eq!(a.bytes_read + a.bytes_written, 0);
-        let acc = KernelAccumulator::default();
-        acc.absorb(&a);
-        acc.absorb(&a);
-        let s = acc.snapshot();
-        assert_eq!(s.d2d_transfers, 6);
-        assert_eq!(s.d2d_bytes, 2560);
-        assert_eq!(s.d2d_backoff_events, 6);
-        assert_eq!(s.deterministic().d2d_backoff_events, 0, "remote backoff is schedule noise");
-        assert_eq!(s.deterministic().d2d_transfers, 6, "transfers themselves are deterministic");
+        assert_eq!(a.deterministic().d2d_backoff_events, 0, "remote backoff is schedule noise");
+        assert_eq!(a.deterministic().d2d_transfers, 3, "transfers themselves are deterministic");
     }
 
     #[test]

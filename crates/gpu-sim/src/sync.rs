@@ -33,9 +33,9 @@
 //! board's striped condvar registries and sleeps; every publication that
 //! advances a flag past a registered threshold removes exactly the
 //! eligible entries and wakes their stripe. Parked threads burn no CPU,
-//! and a thread holding a pool execution token hands it back for the
-//! duration (`PoolShared::park_begin` in module `executor`) so the
-//! residency slot runs other ready blocks.
+//! and a thread holding a pool execution token lends it back for the
+//! duration (`Token::lend` in module `executor`) so the residency slot
+//! runs other ready blocks.
 //!
 //! None of this changes the memory-model exercise: publication is still
 //! a single `Release` store, and a waiter only ever returns after an
@@ -90,34 +90,6 @@ struct Stripe {
     parked: AtomicU32,
     waiters: Mutex<Vec<Waiter>>,
     wake: Condvar,
-}
-
-/// Worker-token handoff for the parked phase of a wait: engaging returns
-/// the block's execution token to its pool so a standby thread can run
-/// other ready blocks; dropping (on satisfied wait, deadlock panic, or
-/// abort unwind alike) re-acquires in never-blocking debt mode. Blocks a
-/// resident group lane runs inline carry the driver's token, and blocks
-/// the caller of a multi-block concurrent launch runs carry the caller's;
-/// each hands *that* off here. Only blocks of sequential and one-block
-/// launches park with no token to return.
-/// Each engagement charges one `token_handoffs` (schedule noise, masked
-/// from deterministic counters like `park_events`).
-struct TokenGuard(std::sync::Arc<crate::executor::PoolShared>);
-
-impl TokenGuard {
-    fn engage(ctx: &mut BlockCtx) -> Option<TokenGuard> {
-        ctx.pool_handle().map(|p| {
-            ctx.stats.token_handoffs += 1;
-            p.park_begin();
-            TokenGuard(p)
-        })
-    }
-}
-
-impl Drop for TokenGuard {
-    fn drop(&mut self) {
-        self.0.park_end();
-    }
 }
 
 /// A global-memory counter for `atomicAdd`-based virtual block IDs
@@ -314,10 +286,10 @@ impl StatusBoard {
     /// 3. a **parked wait**: the thread registers in the board's waiter
     ///    registry and sleeps on a condvar until an eligible publication
     ///    (or a 200 µs park-cycle expiry that re-checks everything) wakes
-    ///    it. From the second cycle on it also returns its pool execution
-    ///    token (`PoolShared::park_begin` in module `executor`) so a standby
-    ///    thread can run other ready blocks. Zero CPU while blocked,
-    ///    prompt wake on publish.
+    ///    it. From the second cycle on it also lends its pool execution
+    ///    token (`Token::lend` in module `executor`) so a standby thread
+    ///    can run other ready blocks. Zero CPU while blocked, prompt wake
+    ///    on publish.
     ///
     /// Every phase *transition* increments the `flag_backoff_events`
     /// counter, each timed park increments `park_events`, and each
@@ -361,12 +333,13 @@ impl StatusBoard {
         let limit = ctx.config().deadlock_limit * if remote { 64 } else { 1 };
         let mut iters: u64 = 0;
         let mut pause: u32 = 1;
-        // Set once the wait enters the parked phase; the guard returns the
-        // worker's execution token to the pool and re-acquires it on drop
+        // Set once the wait enters the parked phase. The loan hands the
+        // thread's execution token to the pool and takes it back on drop
         // (normal return or unwind), so token accounting stays balanced
-        // even when the wait panics out of the loop below.
+        // even when the wait panics out of the loop below. Blocks of
+        // sequential and one-block launches hold no token to lend.
         let mut parked = false;
-        let mut token: Option<TokenGuard> = None;
+        let mut loan = None;
         loop {
             iters += 1;
             // The one load every return path goes through: `Acquire`, so
@@ -377,7 +350,6 @@ impl StatusBoard {
             if v >= min {
                 ctx.stats.flag_poll_iterations += iters;
                 ctx.trace(EventKind::FlagWaited { slot: i, seen: v });
-                drop(token);
                 return v;
             }
             if !remote && ctx.is_sequential() {
@@ -426,15 +398,15 @@ impl StatusBoard {
             } else {
                 if !parked {
                     parked = true;
-                } else if token.is_none() {
+                } else if loan.is_none() {
                     // The first park cycle expired without a wake: the wait
                     // has proven itself long (a remote producer, or a sole
-                    // worker blocking the grid), so return the execution
+                    // worker blocking the grid), so lend the execution
                     // token before parking again. Short waits — the common
                     // intra-device case — park once without touching pool
                     // residency: admitting extra blocks mid-wait lengthens
                     // look-back walks for no host-time gain.
-                    token = TokenGuard::engage(ctx);
+                    loan = ctx.token().map(|t| t.lend(&mut ctx.stats.token_handoffs));
                 }
                 self.park(ctx, i, min);
                 iters += PARK_ITERS - 1;

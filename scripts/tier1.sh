@@ -22,10 +22,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # expansion charges, for all eight kernels under every dispatch order and
 # for the cooperative look-back pipelines.
 # The parked-wait and token-handoff races depend on timing, so they run
-# at release speed too. Both are also part of `cargo test --workspace`;
-# run standalone in release so a break is named directly in the tier-1
-# log.
+# at release speed too: the parking suite, and gpu-sim's unit tests (the
+# token-balance test and the park/wake tests in sync.rs). All are also
+# part of `cargo test --workspace`; run standalone in release so a break
+# is named directly in the tier-1 log.
 cargo test --release -q --test counter_parity --test parking
+cargo test --release -q -p gpu-sim --lib
 
 # The benchmark (perfbench/, described by BENCHMARK.json) is a package of
 # its own, outside this workspace: build it against the library and run its
