@@ -6,10 +6,12 @@
 //! ([`crate::alg::two_r_one_w`]):
 //!
 //! * [`sat_batch_serial`] — one image at a time, each kernel a blocking
-//!   [`Gpu::launch`]. The calling thread runs each kernel's blocks itself
-//!   (an idle pool worker it wakes may help with the multi-block k2), so
-//!   no kernel waits on a hand-off to another thread; but each launch
-//!   returns only after its last block, so kernels never overlap.
+//!   [`Gpu::launch`]. The calling thread runs each kernel's blocks itself,
+//!   so no kernel waits on a hand-off to another thread; but each launch
+//!   returns only after its last block, so kernels never overlap. The
+//!   multi-block k2 wakes an idle pool worker to help only when its
+//!   measured blocks outlast the pool's measured wake latency, which on
+//!   one-tile images they do not.
 //! * [`sat_batch_streamed`] — images round-robined over a small set of
 //!   streams ([`Stream`](gpu_sim::stream::Stream)). Each image's three
 //!   kernels are enqueued asynchronously on its stream (in-stream order

@@ -6,7 +6,7 @@
 //! lineage and parked between launches. A launch becomes a [`LaunchJob`]
 //! whose blocks are claimed off an atomic cursor (bounded residency,
 //! exactly like SMs picking blocks off the hardware scheduler) by the
-//! thread that starts the job and by the idle workers it wakes to help;
+//! thread that starts the job and by any idle workers it wakes to help;
 //! each merges its blocks' counters into the job's total once, when its
 //! claim loop exits. A synchronous
 //! [`Gpu::launch`](crate::launch::Gpu::launch) runs its own job
@@ -15,7 +15,20 @@
 //! job's last block runs the stream's next job, publishing it for helpers
 //! when it has more than one block. The workers persist, so no launch pays
 //! thread spawn/join, and each keeps a warm [`ScratchArena`] across
-//! launches.
+//! launches. A [`DeviceGroup`](crate::group::DeviceGroup) batch runs its
+//! lanes 1..N as [`LaneTask`]s on their devices' pools, so no batch pays
+//! thread spawn/join either.
+//!
+//! ## Measured helper wakes
+//!
+//! Waking a helper costs a wake latency before the helper runs a block, so
+//! it pays only when the blocks left to the helpers outlast that latency.
+//! The pool measures both sides itself, with no tuning constant: the
+//! latency from a notify to the woken thread's return from its wait, and
+//! the host time per block of each launch shape the last time it ran.
+//! [`PoolShared::publish`] wakes helpers only when the second, times the
+//! blocks left after the publisher's own, exceeds the first ([`helpers`]);
+//! a shape the pool has never run wakes as many as can help.
 //!
 //! Panic discipline: the first panicking block wins; its payload is stored
 //! on the job, the job's `aborted` flag stops other blocks from starting
@@ -30,7 +43,7 @@
 //! the pool starts with one token per base worker, and a thread must hold
 //! a [`Token`] to claim blocks off a job. Token holders are the pool's
 //! workers, the caller of a synchronous launch while it runs its own job,
-//! and resident group lane drivers for their whole batch. After start-up
+//! and group lanes for their whole batch. After start-up
 //! only [`Token`] changes the count: [`Token::claim`] takes a token,
 //! dropping it returns it, and [`Token::lend`] hands it back while its
 //! holder blocks. When a block parks inside a flag wait
@@ -47,10 +60,11 @@
 //! no CPU.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -105,11 +119,17 @@ struct JobState {
     /// Counters of the blocks run so far: each thread that runs blocks of
     /// the job merges its share in once, before its `finished` bump.
     stats: BlockStats,
+    /// Host seconds the threads that ran blocks spent in their claim loops,
+    /// merged alongside `stats`.
+    busy_secs: f64,
 }
 
 /// One kernel launch in flight on the pool.
 pub(crate) struct LaunchJob {
     lc: LaunchConfig,
+    /// Hash of the launch shape (label, blocks, threads per block): the
+    /// pool's key for this shape's block time.
+    shape: u64,
     cfg: DeviceConfig,
     /// Dispatch permutation; empty means identity (in-order dispatch).
     order: Vec<usize>,
@@ -143,7 +163,10 @@ impl LaunchJob {
         stream: Option<Weak<StreamShared>>,
         record_in_stream: bool,
     ) -> Self {
+        let mut h = DefaultHasher::new();
+        (&lc.label, lc.blocks, lc.threads_per_block).hash(&mut h);
         LaunchJob {
+            shape: h.finish(),
             lc,
             cfg,
             order,
@@ -198,6 +221,7 @@ impl LaunchJob {
     /// job (see [`StreamShared::on_job_complete`]); the worker loop runs it
     /// next without a queue round-trip.
     fn run_blocks(&self, token: &Token, arena: &mut ScratchArena) -> Option<Arc<LaunchJob>> {
+        let started = Instant::now();
         let mut local = BlockStats::default();
         let mut ran = 0usize;
         loop {
@@ -236,7 +260,11 @@ impl LaunchJob {
             }
         }
         if ran > 0 {
-            self.state.lock().unwrap().stats.merge(&local);
+            {
+                let mut st = self.state.lock().unwrap();
+                st.stats.merge(&local);
+                st.busy_secs += started.elapsed().as_secs_f64();
+            }
             if self.finished.fetch_add(ran, Ordering::AcqRel) + ran == self.lc.blocks {
                 return self.complete(&token.pool);
             }
@@ -244,9 +272,15 @@ impl LaunchJob {
         None
     }
 
-    /// All blocks done: wake the launching thread and advance the owning
-    /// stream. May hand back the stream's next job for direct chaining.
+    /// All blocks done: record the shape's block time for the wake rule,
+    /// wake the launching thread and advance the owning stream. May hand
+    /// back the stream's next job for direct chaining.
     fn complete(&self, pool: &PoolShared) -> Option<Arc<LaunchJob>> {
+        // Only a grid of two or more blocks is ever published for helpers.
+        if self.lc.blocks > 1 {
+            let secs = self.state.lock().unwrap().busy_secs / self.lc.blocks as f64;
+            pool.queue.lock().unwrap().block_secs.insert(self.shape, secs);
+        }
         // Asynchronous stream launches (`record_in_stream`) are never
         // handed back to a caller, so no thread can be parked in `wait`;
         // skip the completion lock and wake for them — `sync` observes
@@ -308,6 +342,8 @@ impl LaunchJob {
 #[derive(Default)]
 struct QueueState {
     jobs: VecDeque<Arc<LaunchJob>>,
+    /// Group lanes waiting for a worker ([`PoolShared::submit_lane`]).
+    lanes: VecDeque<LaneTask>,
     shutdown: bool,
     /// Execution tokens available for claiming blocks. Starts at the base
     /// worker count; afterwards only [`Token`] and its [`Loan`] change it.
@@ -321,6 +357,52 @@ struct QueueState {
     /// Total live threads (base workers + standbys), bounding standby
     /// spawns at `PoolShared::max_threads`.
     threads: usize,
+    /// When the oldest notify not yet answered by a woken sleeper was sent.
+    /// Set only while some thread is idle, so each stamp pairs with a real
+    /// sleeper, and taken by the first thread to return from its wait.
+    wake_stamp: Option<Instant>,
+    /// Wake latency: the mean over every sample since the pool started.
+    /// Its history is a sum and a count, however many wakes the pool makes.
+    wake_secs: Mean,
+    /// Host seconds per block of each launch shape ([`LaunchJob`]'s
+    /// `shape`) the last time it completed. The map holds one number per
+    /// distinct shape the pool has run, so the program's kernels bound it
+    /// (about 600 for the whole Table III roster at 1K²–4K²).
+    block_secs: HashMap<u64, f64>,
+}
+
+/// A plain mean of samples, kept as their sum and count.
+#[derive(Default)]
+struct Mean {
+    sum: f64,
+    count: u64,
+}
+
+impl Mean {
+    fn add(&mut self, sample: f64) {
+        self.sum += sample;
+        self.count += 1;
+    }
+
+    fn get(&self) -> Option<f64> {
+        (self.count > 0).then(|| self.sum / self.count as f64)
+    }
+}
+
+/// How many idle workers a job of `blocks` blocks should wake on a pool of
+/// `workers` workers when one thread already runs it: none when
+/// `block_secs`, the shape's measured host time per block, times the
+/// `blocks - 1` blocks left to helpers is within `wake_secs`, the pool's
+/// measured wake latency (a helper would arrive after the blocks are
+/// gone); otherwise as many as can help, `min(blocks - 1, workers - 1)`.
+/// A shape never measured, or a pool that has never timed a wake, wakes
+/// as many as can help.
+fn helpers(blocks: usize, workers: usize, block_secs: Option<f64>, wake_secs: Option<f64>) -> usize {
+    let left = blocks - 1;
+    match (block_secs, wake_secs) {
+        (Some(block), Some(wake)) if left as f64 * block <= wake => 0,
+        _ => left.min(workers - 1),
+    }
 }
 
 /// State shared between the pool handle and its worker threads.
@@ -347,32 +429,67 @@ impl PoolShared {
     /// Enqueue a job that no thread runs yet (`blocks` must be non-zero;
     /// empty launches complete inline without touching the pool).
     ///
-    /// Wakes `min(blocks, workers)` threads: a grid with fewer blocks than
-    /// the pool has workers cannot use more, and the full `notify_all`
-    /// wake storm (every worker waking, contending the queue lock, and
-    /// parking again) used to cost more than the launch itself for tiny
-    /// grids.
+    /// Wakes the one worker that runs the job, plus the helpers
+    /// [`PoolShared::publish`] would wake for it: at most
+    /// `min(blocks, workers)` threads, because a grid with fewer blocks
+    /// than the pool has workers cannot use more, and the full
+    /// `notify_all` wake storm (every worker waking, contending the queue
+    /// lock, and parking again) used to cost more than the launch itself
+    /// for tiny grids.
     pub(crate) fn submit(&self, job: Arc<LaunchJob>) {
         debug_assert!(job.blocks() > 0, "zero-block jobs complete inline");
-        self.push(job.blocks().min(self.workers), job);
+        self.push(1, job);
     }
 
     /// Enqueue a job of at least two blocks that the calling thread runs
-    /// itself, on a token it already holds: wakes `min(blocks - 1,
-    /// workers - 1)` idle workers to help. The job goes on the queue even
-    /// when none is woken, because a block that parks hands its token only
-    /// to work it finds there.
+    /// itself, on a token it already holds, and wake idle workers to help
+    /// only if they would arrive in time: [`helpers`] decides from the
+    /// shape's measured block time and the pool's measured wake latency,
+    /// here, before the caller runs its first block. The job goes on the
+    /// queue even when none is woken, because a block that parks hands its
+    /// token only to work it finds there.
     pub(crate) fn publish(&self, job: Arc<LaunchJob>) {
         debug_assert!(job.blocks() > 1, "a one-block job gives helpers nothing to do");
-        self.push((job.blocks() - 1).min(self.workers - 1), job);
+        self.push(0, job);
     }
 
-    fn push(&self, wake: usize, job: Arc<LaunchJob>) {
-        self.queue.lock().unwrap().jobs.push_back(job);
-        if wake >= self.workers {
+    /// Queue `job` and wake `runners` threads to run it, plus its helpers.
+    fn push(&self, runners: usize, job: Arc<LaunchJob>) {
+        let mut q = self.queue.lock().unwrap();
+        let block_secs = q.block_secs.get(&job.shape).copied();
+        let wake = runners + helpers(job.blocks(), self.workers, block_secs, q.wake_secs.get());
+        q.jobs.push_back(job);
+        self.wake(q, wake);
+    }
+
+    /// Queue a group lane ([`LaneTask`]) for one of this pool's threads and
+    /// wake one. A lane waits for a thread but never for a token: the
+    /// thread that takes it claims one whatever the count, as
+    /// [`Token::claim`] does, so a lane cannot wait behind tokens its own
+    /// batch holds. Every thread either returns to the queue, where lanes
+    /// come first, or parks in a wait that lends its token, which wakes or
+    /// spawns a thread for a pending lane ([`Token::lend`]).
+    ///
+    /// Recovers a poisoned queue lock: a batch that has queued one lane
+    /// must not unwind before that lane is done with its borrows.
+    pub(crate) fn submit_lane(&self, lane: LaneTask) {
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        q.lanes.push_back(lane);
+        self.wake(q, 1);
+    }
+
+    /// Release the queue lock and wake `n` idle threads (all of them from
+    /// `workers` up), stamping the notify when a thread is idle so the one
+    /// that wakes can time the wake.
+    fn wake(&self, mut q: MutexGuard<'_, QueueState>, n: usize) {
+        if n > 0 && q.idle > 0 {
+            q.wake_stamp.get_or_insert_with(Instant::now);
+        }
+        drop(q);
+        if n >= self.workers {
             self.ready.notify_all();
         } else {
-            for _ in 0..wake {
+            for _ in 0..n {
                 self.ready.notify_one();
             }
         }
@@ -408,25 +525,36 @@ impl PoolShared {
     }
 }
 
+/// What a pool thread takes off the queue.
+enum Work {
+    Launch(Arc<LaunchJob>),
+    Lane(LaneTask),
+}
+
 fn worker_loop(shared: &Arc<PoolShared>) {
     // The arena persists across launches: a worker that just ran kernel K
     // serves kernel K+1's scratch takes from warm buffers.
     let mut arena = ScratchArena::new();
     loop {
-        let (token, mut job) = {
+        let (token, work) = {
             let mut q = shared.queue.lock().unwrap();
             loop {
                 // Jobs whose blocks are all claimed complete on the workers
                 // still running them; drop them from the queue so newer
                 // jobs (e.g. other streams) can overlap.
                 q.jobs.retain(|j| !j.exhausted());
-                // Claiming needs both a job and an execution token — a
-                // thread without a token (all handed to parked waiters'
+                // A group lane takes a token whatever the count, like
+                // `Token::claim` (see `PoolShared::submit_lane`).
+                if let Some(lane) = q.lanes.pop_front() {
+                    break (Token::take(shared, &mut q), Work::Lane(lane));
+                }
+                // Claiming blocks needs both a job and an execution token —
+                // a thread without a token (all handed to parked waiters'
                 // debts) waits like one without work, keeping runnable
                 // blocks residency-bounded.
                 if q.tokens > 0 {
                     if let Some(j) = q.jobs.front().map(Arc::clone) {
-                        break (Token::take(shared, &mut q), j);
+                        break (Token::take(shared, &mut q), Work::Launch(j));
                     }
                 }
                 if q.shutdown {
@@ -435,15 +563,46 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                 q.idle += 1;
                 q = shared.ready.wait(q).unwrap();
                 q.idle -= 1;
+                if let Some(sent) = q.wake_stamp.take() {
+                    q.wake_secs.add(sent.elapsed().as_secs_f64());
+                }
             }
         };
-        // A completing stream job hands back the stream's next launch; run
-        // it on this worker's warm arena instead of waiting for a woken
-        // worker to take it off the queue. The token is held across the
-        // whole chain and returned when it drops.
-        while let Some(next) = job.run_blocks(&token, &mut arena) {
-            job = next;
+        match work {
+            // A completing stream job hands back the stream's next launch;
+            // run it on this worker's warm arena instead of waiting for a
+            // woken worker to take it off the queue. The token is held
+            // across the whole chain and returned when it drops.
+            Work::Launch(mut job) => {
+                while let Some(next) = job.run_blocks(&token, &mut arena) {
+                    job = next;
+                }
+            }
+            Work::Lane(lane) => (lane.0)(token),
         }
+    }
+}
+
+/// A [`DeviceGroup`](crate::group::DeviceGroup) lane queued on its device
+/// pool ([`PoolShared::submit_lane`]): the pool thread that takes it calls
+/// it once, with the token it claimed for it.
+pub(crate) struct LaneTask(Box<dyn FnOnce(Token) + Send + 'static>);
+
+impl LaneTask {
+    /// Erase the lifetime of a lane that borrows its batch.
+    ///
+    /// # Safety
+    /// Whatever `lane` borrows must outlive the task: the submitter may not
+    /// return or unwind until the task has been called or dropped
+    /// (`DeviceGroup::run_batch` waits until every lane has dropped its
+    /// end of a channel). The `'static` in the field type is an erasure,
+    /// not a claim.
+    pub(crate) unsafe fn new<'a>(lane: impl FnOnce(Token) + Send + 'a) -> Self {
+        let lane: Box<dyn FnOnce(Token) + Send + 'a> = Box::new(lane);
+        // SAFETY: lifetime erasure under the contract above.
+        LaneTask(unsafe {
+            std::mem::transmute::<Box<dyn FnOnce(Token) + Send + 'a>, Box<dyn FnOnce(Token) + Send + 'static>>(lane)
+        })
     }
 }
 
@@ -459,8 +618,8 @@ pub(crate) struct Token {
 impl Token {
     /// Take one of `pool`'s tokens, for a thread outside the worker loop
     /// that runs blocks itself: the caller of a synchronous launch for its
-    /// own job, or a resident group driver for its whole batch. Never
-    /// blocks: the claimant is runnable, and should the pool already be
+    /// own job, or a group batch's caller for lane 0. Never blocks: the
+    /// claimant is runnable, and should the pool already be
     /// oversubscribed, the count goes into debt, which the debt model
     /// tolerates by design.
     pub(crate) fn claim(pool: &Arc<PoolShared>) -> Token {
@@ -474,19 +633,18 @@ impl Token {
     }
 
     /// Lend the token back to the pool while its holder blocks, and count
-    /// the handoff in `handoffs` (a `token_handoffs` counter). If unclaimed
-    /// work is pending and a token is now free, an idle thread is woken to
-    /// take it — or, when every live thread is busy or parked, a standby
-    /// thread is spawned, up to `max_threads`.
+    /// the handoff in `handoffs` (a `token_handoffs` counter). If a group
+    /// lane is pending, or unclaimed blocks are and a token is now free, an
+    /// idle thread is woken to take it — or, when every live thread is
+    /// busy or parked, a standby thread is spawned, up to `max_threads`.
     pub(crate) fn lend(&self, handoffs: &mut u64) -> Loan<'_> {
         *handoffs += 1;
         let pool = &self.pool;
         let mut q = pool.queue.lock().unwrap();
         q.tokens += 1;
-        if q.tokens > 0 && q.jobs.iter().any(|j| !j.exhausted()) {
+        if !q.lanes.is_empty() || (q.tokens > 0 && q.jobs.iter().any(|j| !j.exhausted())) {
             if q.idle > 0 {
-                drop(q);
-                pool.ready.notify_one();
+                pool.wake(q, 1);
             } else if q.threads < pool.max_threads {
                 q.threads += 1;
                 drop(q);
@@ -507,8 +665,7 @@ impl Drop for Token {
         q.tokens += 1;
         q.jobs.retain(|j| !j.exhausted());
         if q.tokens > 0 && q.idle > 0 && !q.jobs.is_empty() {
-            drop(q);
-            self.pool.ready.notify_one();
+            self.pool.wake(q, 1);
         }
     }
 }
@@ -583,17 +740,23 @@ impl WorkerPool {
 }
 
 impl Drop for WorkerPool {
+    /// Shut the pool down and join its threads — all but the current one:
+    /// the last handle to the engine can drop on one of the pool's own
+    /// threads (a stream job's completion holds its stream, and so the
+    /// engine, alive), and that thread exits through the shutdown flag
+    /// once it returns to the queue.
     fn drop(&mut self) {
         self.shared.queue.lock().unwrap().shutdown = true;
         self.ready_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        let me = std::thread::current().id();
         // Standby threads spawned by parked-wait handoffs exit through the
         // same shutdown flag; no launch is in flight at engine drop, so
         // they are all idle by now.
-        for h in self.shared.standby.lock().unwrap().drain(..) {
-            let _ = h.join();
+        let standby = std::mem::take(&mut *self.shared.standby.lock().unwrap());
+        for h in self.handles.drain(..).chain(standby) {
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -637,6 +800,58 @@ mod tests {
             } else {
                 board.publish(ctx, 0, 1);
             }
+        }
+    }
+
+    #[test]
+    fn an_unmeasured_shape_wakes_every_helper_it_can_use() {
+        assert_eq!(helpers(3, 2, None, Some(50e-6)), 1);
+        assert_eq!(helpers(8, 4, None, Some(50e-6)), 3);
+        assert_eq!(helpers(2, 4, None, None), 1, "a grid of two blocks uses one helper");
+        assert_eq!(helpers(3, 2, Some(1e-6), None), 1, "no wake timed yet");
+    }
+
+    #[test]
+    fn blocks_that_finish_within_a_wake_wake_nobody() {
+        // 2R1W's three-block k2 on a one-tile image: 2 x 1 µs left against
+        // a 50 µs wake.
+        assert_eq!(helpers(3, 2, Some(1e-6), Some(50e-6)), 0);
+        assert_eq!(helpers(6, 4, Some(10e-6), Some(50e-6)), 0, "5 x 10 µs is not past 50 µs");
+    }
+
+    #[test]
+    fn a_large_grid_wakes_its_helpers() {
+        assert_eq!(helpers(64, 4, Some(10e-6), Some(50e-6)), 3);
+        assert_eq!(helpers(3, 2, Some(30e-6), Some(50e-6)), 1, "2 x 30 µs outlasts 50 µs");
+    }
+
+    #[test]
+    fn a_one_worker_pool_wakes_nobody() {
+        assert_eq!(helpers(64, 1, None, None), 0);
+        assert_eq!(helpers(64, 1, Some(1e-3), Some(10e-6)), 0);
+    }
+
+    #[test]
+    fn a_kept_lane_handle_keeps_its_token_claimed() {
+        // A job may keep a clone of its lane handle past the batch: the
+        // lane's token stays claimed, and usable, until the clone drops.
+        let mut cfg = DeviceConfig::tiny();
+        cfg.host_workers = 1;
+        let group = DeviceGroup::with_member_config(cfg, 2);
+        let kept = Mutex::new(Vec::new());
+        group.run_batch(vec![0usize, 1], StealPolicy::Disabled, |gpu, _| {
+            kept.lock().unwrap().push(gpu.clone());
+            RunMetrics::default()
+        });
+        for gpu in group.devices() {
+            assert_eq!(tokens(gpu.pool_shared()), 0, "a kept lane handle holds its token");
+        }
+        for gpu in kept.lock().unwrap().iter() {
+            gpu.launch(LaunchConfig::new("late", 2, 32), |_ctx| {});
+        }
+        drop(kept);
+        for gpu in group.devices() {
+            assert_back_at_base(gpu.pool_shared(), "dropping kept lane handles");
         }
     }
 

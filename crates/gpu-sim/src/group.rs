@@ -20,7 +20,7 @@
 //!
 //! [`DeviceGroup::run_batch`] shards a batch of independent jobs
 //! contiguously across the devices (device *d* seeds jobs
-//! `[d·m/N, (d+1)·m/N)`), then drives one resident host thread per device:
+//! `[d·m/N, (d+1)·m/N)`), then drives one resident lane per device:
 //!
 //! * the owner pops jobs off the **front** of its own shard;
 //! * under [`StealPolicy::StealOnIdle`], a device whose shard has drained
@@ -34,28 +34,29 @@
 //! job it completes, and a thief may only take a victim's job while the
 //! thief's clock is at or behind the victim's. On a many-core host this
 //! coincides with steal-on-idle; on a single-core CI box it keeps the
-//! *modeled* schedule balanced even when the OS runs one driver thread far
-//! ahead of the others, which is what makes [`GroupMetrics`] reproducible
-//! anywhere.
+//! *modeled* schedule balanced even when the OS runs one lane far ahead of
+//! the others, which is what makes [`GroupMetrics`] reproducible anywhere.
 //!
-//! ## Resident lane drivers
+//! ## Resident lanes
 //!
-//! Each driver thread stays resident for the whole batch and hands its jobs
-//! a lane handle: a clone of its device's [`Gpu`] whose launches run their
-//! blocks inline on the driver, against one scratch arena reused from job
-//! to job. A job is just an index into the sequence, so a steal moves
-//! the index, not a launch; cross-job ordering is whatever the jobs enforce
-//! themselves (e.g. `StatusBoard` flags). The driver claims one execution
-//! token from its device pool for the batch — it executes blocks, so it
-//! takes a worker's place — and lends it back whenever it blocks (a parked
-//! flag wait inside a block, or the driver waiting for steal eligibility),
-//! so pool launches on the same device always make progress. Idle drivers
-//! block on the event-driven `Progress` condvar, bumped on every job
-//! completion, never on a fixed-period poll.
+//! No thread is spawned per batch. The calling thread drives lane 0, and
+//! lane *d* ≥ 1 is one job on device *d*'s pool queue, run by a warm pool
+//! thread (named `gpu-sim-d{d}-…`). Each lane stays resident for the whole
+//! batch and hands its jobs a lane handle: a clone of its device's [`Gpu`]
+//! whose launches run their blocks inline on the lane's thread, against one
+//! scratch arena reused from job to job. A job is just an index into the
+//! sequence, so a steal moves the index, not a launch; cross-job ordering
+//! is whatever the jobs enforce themselves (e.g. `StatusBoard` flags). A
+//! lane holds one execution token of its device pool for the batch — it
+//! executes blocks, so it takes a worker's place — and lends it back
+//! whenever it blocks (a parked flag wait inside a block, or the lane
+//! waiting for steal eligibility), so pool launches on the same device
+//! always make progress. Idle lanes block on the event-driven `Progress`
+//! condvar, bumped on every job completion, never on a fixed-period poll.
 //!
 //! A job that panics aborts the batch: the lanes' blocks carry the batch's
 //! abort flag, so a peer waiting on the dead job's flag fails fast, and
-//! the first panic is re-raised to the caller.
+//! the first panic is re-raised to the caller once every lane has stopped.
 //!
 //! ## Accounting
 //!
@@ -71,11 +72,11 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::device::DeviceConfig;
-use crate::executor::Token;
+use crate::executor::{LaneTask, PoolShared, Token};
 use crate::launch::{DispatchOrder, ExecMode, Gpu};
 use crate::metrics::{BlockStats, RunMetrics};
 use crate::timing::run_seconds;
@@ -123,7 +124,7 @@ impl DeviceGroup {
     /// A group of `count` devices each using `cfg` **exactly** — no
     /// [`DeviceConfig::for_group_member`] worker split. For tests that
     /// need a deterministic per-device worker count (e.g. a one-worker
-    /// pool to exercise the resident driver's token handoff) and for
+    /// pool to exercise a resident lane's token handoff) and for
     /// callers that have already budgeted host workers themselves.
     ///
     /// # Panics
@@ -163,9 +164,13 @@ impl DeviceGroup {
         self.devices.is_empty()
     }
 
-    /// Run a batch of independent jobs on the group's resident lane
-    /// drivers under `policy`; see the [module docs](self) for the
-    /// scheduling discipline.
+    /// Run a batch of independent jobs on the group's resident lanes under
+    /// `policy`; see the [module docs](self) for the scheduling discipline.
+    ///
+    /// The calling thread drives lane 0 on a token claimed from device 0's
+    /// pool; lanes 1..N are queued on devices 1..N's pools and run on
+    /// their threads. Lanes borrow the batch and `run`, so this waits for
+    /// every lane to stop before it returns or re-raises a panic.
     ///
     /// `run` executes one job on the lane handle of whichever device the
     /// scheduler lands it on and reports its metrics; it must not assume
@@ -191,24 +196,32 @@ impl DeviceGroup {
             first_panic: Mutex::new(None),
             progress: Progress::default(),
         };
-        let lanes: Vec<DeviceLane> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(d, gpu)| {
-                    let (batch, run) = (&batch, &run);
-                    s.spawn(move || batch.drive(d, gpu, run))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("device driver thread died outside a job"))
-                .collect()
-        });
+        // Start every pool first: starting one can panic, which must not
+        // happen once a lane borrows this frame.
+        let pools: Vec<&Arc<PoolShared>> = self.devices.iter().map(Gpu::pool_shared).collect();
+        let (report, reports) = mpsc::channel();
+        for (d, gpu) in self.devices.iter().enumerate().skip(1) {
+            let (batch, run, report) = (&batch, &run, report.clone());
+            let lane = move |token| {
+                let _ = report.send((d, batch.drive_caught(d, gpu, run, || token)));
+            };
+            // SAFETY: the lane borrows `batch`, `run` and `gpu`. Nothing from
+            // here to the loop over `reports` unwinds (lane 0 runs under
+            // `catch_unwind`, and `submit_lane` recovers a poisoned lock),
+            // and that loop ends only once every lane has dropped its
+            // `report`, which it does when it has run or been dropped.
+            pools[d].submit_lane(unsafe { LaneTask::new(lane) });
+        }
+        drop(report);
+        let mut lanes: Vec<Option<DeviceLane>> = vec![None; nd];
+        lanes[0] = batch.drive_caught(0, &self.devices[0], &run, || Token::claim(pools[0]));
+        for (d, lane) in reports {
+            lanes[d] = lane;
+        }
         if let Some(p) = batch.first_panic.into_inner().expect(POISONED) {
             resume_unwind(p);
         }
+        let lanes = lanes.into_iter().map(|l| l.expect("a lane stops without a record only by panicking")).collect();
         GroupMetrics { lanes, wall_seconds: started.elapsed().as_secs_f64() }
     }
 }
@@ -258,7 +271,7 @@ impl Progress {
 /// a poisoned lock means the scheduler itself panicked.
 const POISONED: &str = "batch scheduler panicked while holding a batch lock";
 
-/// The state the lane drivers of one batch share.
+/// The state the lanes of one batch share.
 struct Batch<J> {
     /// Device `d`'s remaining seeded (and not yet stolen) jobs.
     shards: Vec<Mutex<VecDeque<J>>>,
@@ -273,21 +286,45 @@ struct Batch<J> {
 }
 
 impl<J: Send> Batch<J> {
-    /// The resident driver loop of device `d`: pop own shard from the
-    /// front, steal from eligible victims' backs, block on the progress
-    /// condvar when neither applies.
-    ///
-    /// The driver holds one of its device pool's execution tokens for the
-    /// whole batch, shared with the lane handle its jobs launch through,
-    /// and lends it back to the pool for the duration of every idle wait,
-    /// so pool launches submitted on the same device can always make
-    /// progress even on a one-worker pool. Exactly the contract parked
-    /// flag waits use.
-    fn drive<F>(&self, d: usize, device: &Gpu, run: &F) -> DeviceLane
+    /// Run [`Batch::drive`] on the token `token()` returns, and catch a
+    /// panic outside any job (a scheduler bug): it aborts the batch like a
+    /// job's panic, so the other lanes stop and `run_batch` re-raises it,
+    /// and the lane reports no record.
+    fn drive_caught<F>(&self, d: usize, device: &Gpu, run: &F, token: impl FnOnce() -> Token) -> Option<DeviceLane>
     where
         F: Fn(&Gpu, J) -> RunMetrics,
     {
-        let token = Arc::new(Token::claim(device.pool_shared()));
+        catch_unwind(AssertUnwindSafe(|| self.drive(d, device, run, token()))).map_err(|p| self.fail(p)).ok()
+    }
+
+    /// Abort the batch on panic `p`, keeping the first panic to re-raise,
+    /// and wake idle lanes to see the abort.
+    fn fail(&self, p: Box<dyn Any + Send>) {
+        self.abort.store(true, Ordering::Relaxed);
+        let mut fp = self.first_panic.lock().expect(POISONED);
+        if fp.is_none() {
+            *fp = Some(p);
+        }
+        drop(fp);
+        self.progress.bump();
+    }
+
+    /// The resident loop of device `d`'s lane: pop own shard from the
+    /// front, steal from eligible victims' backs, block on the progress
+    /// condvar when neither applies.
+    ///
+    /// The lane holds `token`, one of its device pool's execution tokens,
+    /// for the whole batch, shares it with the lane handle its jobs launch
+    /// through (a job may keep a clone of that handle, and the token with
+    /// it), and lends it back to the pool for the duration of every idle
+    /// wait, so pool launches submitted on the same device can always make
+    /// progress even on a one-worker pool. Exactly the contract parked
+    /// flag waits use.
+    fn drive<F>(&self, d: usize, device: &Gpu, run: &F, token: Token) -> DeviceLane
+    where
+        F: Fn(&Gpu, J) -> RunMetrics,
+    {
+        let token = Arc::new(token);
         let gpu = device.for_lane(Arc::clone(&self.abort), Arc::clone(&token));
         let mut lane = DeviceLane {
             ordinal: d,
@@ -341,12 +378,7 @@ impl<J: Send> Batch<J> {
                             }
                         }
                         Err(p) => {
-                            self.abort.store(true, Ordering::Relaxed);
-                            let mut fp = self.first_panic.lock().expect(POISONED);
-                            if fp.is_none() {
-                                *fp = Some(p);
-                            }
-                            self.progress.bump();
+                            self.fail(p);
                             break;
                         }
                     }
@@ -622,19 +654,41 @@ mod tests {
 
     #[test]
     fn all_work_on_one_shard_is_stolen_to_balance() {
-        // Seed everything on device 0 by making the batch shorter than the
-        // group... not possible directly; instead use 2 devices and 1 job:
-        // device 1's shard is empty from the start, so any second job it
-        // runs must be a steal. With a single job there is nothing to
-        // steal, so instead check the skew case: 2 devices, jobs all equal,
-        // but device 1 seeded with none (m=1 gives shard sizes [0, 1]).
+        // One job over two devices seeds shards [0, 1]: device 1 owns it, so
+        // lane 0 (which starts first, on the caller) runs it only by a steal.
         let g = DeviceGroup::new(DeviceConfig::tiny(), 2);
         let m = g.run_batch(vec![7u64], StealPolicy::StealOnIdle, fill_job);
         assert_eq!(m.total_jobs(), 1);
-        // [d*m/nd) rule puts the single job on device 0's shard... d=0
-        // span = 1*1/2 - 0 = 0, d=1 span = 2*1/2 - 1*1/2 = 1: device 1
-        // owns it. Either lane may legitimately run it (clocks tie at 0),
-        // but exactly one does.
-        assert_eq!(m.lanes.iter().map(|l| l.jobs).sum::<usize>(), 1);
+        assert_eq!(m.steal_events(), m.lanes[0].jobs, "lane 0 ran only a stolen job");
+        assert_eq!(m.lanes[1].stolen, 0, "lane 1 has no victim with work");
+    }
+
+    #[test]
+    fn lanes_run_on_the_caller_and_on_device_pools() {
+        // No thread is spawned per batch: lane 0 is the calling thread, and
+        // lane 1 a thread of device 1's pool (a worker or a standby).
+        let mut cfg = DeviceConfig::tiny();
+        cfg.host_workers = 2;
+        let g = DeviceGroup::with_member_config(cfg, 2);
+        let caller = std::thread::current().id();
+        for call in 0..2 {
+            let ran = Mutex::new(Vec::new());
+            // Eight jobs over two devices shard as [0..4), [4..8).
+            g.run_batch((0..8u64).collect(), StealPolicy::Disabled, |gpu, j| {
+                let t = std::thread::current();
+                ran.lock().unwrap().push((j, t.id(), t.name().map(String::from)));
+                fill_job(gpu, j)
+            });
+            let ran = ran.into_inner().unwrap();
+            assert_eq!(ran.len(), 8);
+            for (j, id, name) in ran {
+                if j < 4 {
+                    assert_eq!(id, caller, "call {call}: lane 0 ran job {j} off the caller");
+                } else {
+                    let name = name.unwrap_or_default();
+                    assert!(name.starts_with("gpu-sim-d1-"), "call {call}: lane 1 ran job {j} on {name:?}");
+                }
+            }
+        }
     }
 }

@@ -17,15 +17,17 @@
 //! * [`ExecMode::Concurrent`] — blocks run with bounded residency, like
 //!   SMs run them: the calling thread claims blocks off the launch's cursor
 //!   alongside idle workers of the persistent pool (module `executor`)
-//!   that it wakes to help. Flag spinning, atomic ID assignment, and
-//!   publication ordering are exercised for real, and back-to-back
-//!   launches reuse warm threads and scratch arenas instead of paying
-//!   thread spawn/join.
+//!   that it wakes to help — when the pool's measurements say they would
+//!   arrive before the blocks run out. Flag spinning, atomic ID
+//!   assignment, and publication ordering are exercised for real, and
+//!   back-to-back launches reuse warm threads and scratch arenas instead
+//!   of paying thread spawn/join.
 //!
 //! [`Gpu::launch`] is the one launch entry point. A handle bound to a
 //! stream ([`Gpu::bind_stream`]) runs it stream-ordered on the pool, and
-//! the handle a [`DeviceGroup`](crate::group::DeviceGroup) lane driver
-//! gives its jobs runs it inline on the driver. On top of the pool,
+//! the handle a [`DeviceGroup`](crate::group::DeviceGroup) lane gives its
+//! jobs runs it inline on the lane's thread (the batch's caller for lane
+//! 0, a pool thread of the lane's device otherwise). On top of the pool,
 //! [`Gpu::stream`] opens a CUDA-stream-style handle for asynchronous,
 //! stream-ordered launches ([`crate::stream`]).
 
@@ -276,7 +278,7 @@ pub struct BlockCtx<'a> {
     /// The execution token of the thread running this block, which a
     /// parked flag wait lends to the pool ([`Token::lend`]). Set for every
     /// block whose thread holds one: a pool worker's, the caller's in a
-    /// multi-block concurrent launch, and a resident group lane driver's.
+    /// multi-block concurrent launch, and a group lane's.
     /// `None` only for blocks of `Gpu::run_inline` outside a lane.
     token: Option<&'a Token>,
     /// The block's access counters; buffer and tile accessors charge here.
@@ -408,14 +410,16 @@ pub(crate) struct Engine {
 enum Binding {
     /// Stream-ordered on the worker pool ([`Gpu::bind_stream`]).
     Stream(Stream),
-    /// Inline on a resident [`DeviceGroup`](crate::group::DeviceGroup) lane
-    /// driver ([`Gpu::for_lane`]).
+    /// Inline on a [`DeviceGroup`](crate::group::DeviceGroup) lane
+    /// ([`Gpu::for_lane`]).
     Lane(Arc<Lane>),
 }
 
-/// What a resident lane driver lends the launches of its jobs: the scratch
-/// arena they reuse from launch to launch, the batch's abort flag, and the
-/// driver's execution token (parked waits lend it to the device pool).
+/// What a group lane lends the launches of its jobs: the scratch arena they
+/// reuse from launch to launch, the batch's abort flag, and the lane's
+/// execution token (parked waits lend it to the device pool). The token is
+/// shared by `Arc`, so it stays claimed while any clone of the lane handle
+/// lives, even past the batch.
 struct Lane {
     arena: Mutex<ScratchArena>,
     abort: Arc<AtomicBool>,
@@ -523,8 +527,8 @@ impl Gpu {
         self.engine.pool.get_or_init(|| WorkerPool::new(&self.cfg, self.ordinal))
     }
 
-    /// The pool's shared state (started on first use) — for resident group
-    /// drivers, which claim one of its execution tokens.
+    /// The pool's shared state (started on first use) — for group lanes,
+    /// which run on its threads and hold one of its execution tokens.
     pub(crate) fn pool_shared(&self) -> &Arc<PoolShared> {
         self.pool().shared()
     }
@@ -566,12 +570,12 @@ impl Gpu {
         Gpu { binding: Some(Binding::Stream(stream.clone())), ..self.clone() }
     }
 
-    /// The handle a resident group lane driver gives its jobs: every launch
-    /// runs its blocks inline on the driver's thread, in dispatch order,
-    /// against one arena that persists across the lane's jobs. Blocks carry
-    /// the batch's `abort` flag, so a wait on a job that panicked on
-    /// another device fails fast, and the driver's `token`, so a parked
-    /// wait lends it to the device pool. `is_sequential()` stays false.
+    /// The handle a group lane gives its jobs: every launch runs its blocks
+    /// inline on the lane's thread, in dispatch order, against one arena
+    /// that persists across the lane's jobs. Blocks carry the batch's
+    /// `abort` flag, so a wait on a job that panicked on another device
+    /// fails fast, and the lane's `token`, so a parked wait lends it to the
+    /// device pool. `is_sequential()` stays false.
     pub(crate) fn for_lane(&self, abort: Arc<AtomicBool>, token: Arc<Token>) -> Gpu {
         let lane = Lane { arena: Mutex::default(), abort, token };
         Gpu { binding: Some(Binding::Lane(Arc::new(lane))), ..self.clone() }

@@ -70,10 +70,11 @@ impl StreamShared {
     ///
     /// Returns the next queued job, which the completing worker runs on
     /// its warm scratch arena and the token it already holds. A job of
-    /// more than one block is also published for helpers
-    /// ([`PoolShared::publish`]), which a parked block needs to hand its
-    /// token to. In-stream ordering is preserved trivially: the chained
-    /// job starts strictly after this one's last block.
+    /// more than one block is also published ([`PoolShared::publish`]):
+    /// that wakes helpers only when the job's measured blocks outlast a
+    /// wake, but always queues the job, which a parked block needs to hand
+    /// its token to. In-stream ordering is preserved trivially: the
+    /// chained job starts strictly after this one's last block.
     pub(crate) fn on_job_complete(
         &self,
         pool: &PoolShared,
@@ -506,6 +507,29 @@ mod tests {
         assert_eq!(m.blocks, 2);
         assert_eq!(cell.host_read(0), 3);
         assert!(s.sync().is_empty());
+    }
+
+    #[test]
+    fn the_last_engine_handle_dropped_on_a_pool_thread_does_not_join_it() {
+        // The block holds the only reference to its stream's shared state,
+        // and so to the engine: dropping it inside the block drops the pool
+        // on the worker running the block, which must not join itself. (A
+        // completing stream job's worker can hold that last reference the
+        // same way.)
+        let g = gpu();
+        let stream = g.stream();
+        let held = std::sync::Mutex::new(Some(Arc::clone(&stream.shared)));
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let (done, dropped) = std::sync::mpsc::channel();
+        let (wait, done) = (std::sync::Mutex::new(wait), std::sync::Mutex::new(done));
+        stream.enqueue(LaunchConfig::new("drop-last", 1, 32), move |_ctx| {
+            let _ = wait.lock().unwrap().recv();
+            drop(held.lock().unwrap().take());
+            let _ = done.lock().unwrap().send(());
+        });
+        drop((stream, g));
+        go.send(()).unwrap();
+        dropped.recv_timeout(std::time::Duration::from_secs(10)).expect("dropping the pool on its own worker panicked");
     }
 
     #[test]

@@ -22,11 +22,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # expansion charges, for all eight kernels under every dispatch order and
 # for the cooperative look-back pipelines.
 # The parked-wait and token-handoff races depend on timing, so they run
-# at release speed too: the parking suite, and gpu-sim's unit tests (the
-# token-balance test and the park/wake tests in sync.rs). All are also
-# part of `cargo test --workspace`; run standalone in release so a break
-# is named directly in the tier-1 log.
-cargo test --release -q --test counter_parity --test parking
+# at release speed too: the parking suite, the schedule-parity suite (its
+# group batches run their lanes on pool threads), and gpu-sim's unit tests
+# (the token-balance test, the park/wake tests in sync.rs, and the lane
+# thread test in group.rs). All are also part of `cargo test --workspace`;
+# run standalone in release so a break is named directly in the tier-1
+# log.
+cargo test --release -q --test counter_parity --test parking --test scheduling_parity
 cargo test --release -q -p gpu-sim --lib
 
 # The benchmark (perfbench/, described by BENCHMARK.json) is a package of

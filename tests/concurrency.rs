@@ -145,3 +145,35 @@ fn skss_reversed_dispatch_single_worker() {
     let (got, _) = compute_sat(&gpu, &Skss::new(SatParams { w: 4, threads_per_block: 16 }), &a);
     assert_eq!(got, satcore::reference::sat(&a));
 }
+
+/// A grid whose blocks outlast a helper's wake gets a helper once the pool
+/// has measured its block time: four blocks of about 2 ms each, launched
+/// twice on a two-worker pool, run at least one block off the calling
+/// thread the second time. (A pool that never woke helpers would run
+/// every block on the caller.)
+#[test]
+fn a_grid_that_outlasts_a_wake_gets_a_helper() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 {
+        eprintln!("skipped: a helper needs a second core, the host has {cores}");
+        return;
+    }
+    let mut cfg = DeviceConfig::tiny();
+    cfg.host_workers = 2;
+    let gpu = Gpu::new(cfg).with_mode(ExecMode::Concurrent);
+    let caller = std::thread::current().id();
+    let mut ran_on = Vec::new();
+    for _ in 0..2 {
+        let ids = std::sync::Mutex::new(Vec::new());
+        gpu.launch(LaunchConfig::new("busy-2ms", 4, 32), |_ctx| {
+            let t = std::time::Instant::now();
+            while t.elapsed() < std::time::Duration::from_millis(2) {
+                std::hint::spin_loop();
+            }
+            ids.lock().unwrap().push(std::thread::current().id());
+        });
+        ran_on = ids.into_inner().unwrap();
+    }
+    assert_eq!(ran_on.len(), 4);
+    assert!(ran_on.iter().any(|&id| id != caller), "the second launch ran all four blocks on the caller");
+}
