@@ -178,9 +178,10 @@ pub fn sat_batch_streamed<T: DeviceElem>(
 /// work stealing ([`StealPolicy::StealOnIdle`]).
 ///
 /// Whole images are the unit of scheduling: each image's k1 → k2 → k3
-/// chain runs as three launches inline on one device's resident lane
-/// driver, so the only cross-device interaction is the host handing out
-/// jobs. Returns the usual [`BatchReport`] (totals are bit-identical to
+/// chain runs as three launches on one device's resident lane driver, so
+/// the only cross-device interaction is the host handing out jobs. Each
+/// launch runs inline on the lane unless the device pool's measurements
+/// give it a helper; a one-tile image's grids are too short for one. Returns the usual [`BatchReport`] (totals are bit-identical to
 /// [`sat_batch_serial`] on the deterministic subset, for any device count
 /// and steal schedule) plus the group's per-device [`GroupMetrics`].
 pub fn sat_batch_multi_device<T: DeviceElem>(

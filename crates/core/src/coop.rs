@@ -63,9 +63,11 @@
 //!
 //! Both pipelines run their band sequences as **persistent per-device
 //! jobs**: one resident lane driver per device iterates its assigned bands
-//! in place, executing every band's blocks inline against a per-lane
-//! scratch arena that survives from band to band, instead of the host
-//! issuing one pool launch per band. Cross-band ordering needs no launch
+//! in place, executing every band's blocks on its own thread against a
+//! per-lane scratch arena that survives from band to band, instead of the
+//! host issuing one pool launch per band. A band grid whose measured
+//! blocks outlast a helper's wake also gets the device pool's idle
+//! workers, which claim blocks beside the lane. Cross-band ordering needs no launch
 //! boundaries — it is carried entirely by the `StatusBoard` flags above —
 //! and work stealing becomes a band-index handoff between the drivers. A
 //! band that panics aborts the batch, and bands on other devices waiting

@@ -11,13 +11,15 @@
 //! claim loop exits. A synchronous
 //! [`Gpu::launch`](crate::launch::Gpu::launch) runs its own job
 //! ([`PoolShared::join`]) and then waits only for the blocks helpers still
-//! hold. The thread that finishes a [`Stream`](crate::stream::Stream)
-//! job's last block runs the stream's next job, publishing it for helpers
-//! when it has more than one block. The workers persist, so no launch pays
-//! thread spawn/join, and each keeps a warm [`ScratchArena`] across
-//! launches. A [`DeviceGroup`](crate::group::DeviceGroup) batch runs its
-//! lanes 1..N as [`LaneTask`]s on their devices' pools, so no batch pays
-//! thread spawn/join either.
+//! hold; so does a group lane's launch of a grid that gets helpers, on the
+//! token the lane holds for its batch. The thread that finishes a
+//! [`Stream`](crate::stream::Stream) job's last block runs the stream's
+//! next job, publishing it for helpers when it has more than one block.
+//! The workers persist, so no launch pays thread spawn/join, and each
+//! keeps a warm [`ScratchArena`] across launches. A
+//! [`DeviceGroup`](crate::group::DeviceGroup) batch runs its lanes 1..N as
+//! [`LaneTask`]s on their devices' pools, so no batch pays thread
+//! spawn/join either.
 //!
 //! ## Measured helper wakes
 //!
@@ -28,7 +30,12 @@
 //! the host time per block of each launch shape the last time it ran.
 //! [`PoolShared::publish`] wakes helpers only when the second, times the
 //! blocks left after the publisher's own, exceeds the first ([`helpers`]);
-//! a shape the pool has never run wakes as many as can help.
+//! a shape the pool has never run wakes as many as can help. A group lane
+//! asks the same rule first ([`PoolShared::helpers_for`]) and runs a grid
+//! that would wake nobody inline, recording its block time
+//! ([`PoolShared::record_block_secs`]) as a completed job does; a caller
+//! publishes its job either way, because a block that parks hands its
+//! token only to work it finds on the queue.
 //!
 //! Panic discipline: the first panicking block wins; its payload is stored
 //! on the job, the job's `aborted` flag stops other blocks from starting
@@ -43,10 +50,10 @@
 //! the pool starts with one token per base worker, and a thread must hold
 //! a [`Token`] to claim blocks off a job. Token holders are the pool's
 //! workers, the caller of a synchronous launch while it runs its own job,
-//! and group lanes for their whole batch. After start-up
-//! only [`Token`] changes the count: [`Token::claim`] takes a token,
-//! dropping it returns it, and [`Token::lend`] hands it back while its
-//! holder blocks. When a block parks inside a flag wait
+//! and group lanes for their whole batch, whose pool jobs run on it too.
+//! After start-up only [`Token`] changes the count: [`Token::claim`] takes
+//! a token, dropping it returns it, and [`Token::lend`] hands it back while
+//! its holder blocks. When a block parks inside a flag wait
 //! ([`crate::sync::StatusBoard::wait_at_least`]), it lends its token so
 //! the residency slot is not wasted on a sleeper: an idle thread is woken
 //! — or, if none exists and unclaimed work is pending, a bounded
@@ -61,7 +68,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
@@ -142,6 +149,12 @@ pub(crate) struct LaunchJob {
     /// Set when any block panics: remaining blocks are skipped and
     /// soft-sync waiters fail fast.
     aborted: AtomicBool,
+    /// A group lane's job uses its batch's abort flag in place of
+    /// `aborted`, so its blocks also stop for a panic elsewhere in the
+    /// batch, and a panic among them stops the batch. Other jobs keep the
+    /// flag inline: allocating one per launch cost perfbench's
+    /// `batch_tiny` about 4% of its images per second on a 2-vCPU host.
+    batch_abort: Option<Arc<AtomicBool>>,
     state: Mutex<JobState>,
     done: Condvar,
     started: Instant,
@@ -153,20 +166,28 @@ pub(crate) struct LaunchJob {
     record_in_stream: bool,
 }
 
+/// The pool's key for a launch shape's block time: a hash of its label,
+/// block count and threads per block.
+pub(crate) fn shape_of(lc: &LaunchConfig) -> u64 {
+    let mut h = DefaultHasher::new();
+    (&lc.label, lc.blocks, lc.threads_per_block).hash(&mut h);
+    h.finish()
+}
+
 impl LaunchJob {
+    /// A job of `lc`, whose [`shape_of`] is `shape`, that aborts on its own
+    /// flag, or on `batch_abort`, a group batch's, for a lane's job.
     pub(crate) fn new(
         lc: LaunchConfig,
+        shape: u64,
         cfg: DeviceConfig,
         order: Vec<usize>,
         body: Body,
         tracer: Option<Arc<Tracer>>,
-        stream: Option<Weak<StreamShared>>,
-        record_in_stream: bool,
+        batch_abort: Option<Arc<AtomicBool>>,
     ) -> Self {
-        let mut h = DefaultHasher::new();
-        (&lc.label, lc.blocks, lc.threads_per_block).hash(&mut h);
         LaunchJob {
-            shape: h.finish(),
+            shape,
             lc,
             cfg,
             order,
@@ -175,16 +196,30 @@ impl LaunchJob {
             cursor: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
             aborted: AtomicBool::new(false),
+            batch_abort,
             state: Mutex::new(JobState::default()),
             done: Condvar::new(),
             started: Instant::now(),
-            stream,
-            record_in_stream,
+            stream: None,
+            record_in_stream: false,
         }
+    }
+
+    /// Make this a job of `stream` (builder style), which records its
+    /// metrics at completion when `record` is set.
+    pub(crate) fn in_stream(mut self, stream: Weak<StreamShared>, record: bool) -> Self {
+        self.stream = Some(stream);
+        self.record_in_stream = record;
+        self
     }
 
     pub(crate) fn blocks(&self) -> usize {
         self.lc.blocks
+    }
+
+    /// The flag this job's blocks abort on.
+    fn aborted(&self) -> &AtomicBool {
+        self.batch_abort.as_deref().unwrap_or(&self.aborted)
     }
 
     pub(crate) fn record_in_stream(&self) -> bool {
@@ -199,7 +234,7 @@ impl LaunchJob {
 
     /// Whether any block of this job panicked.
     pub(crate) fn panicked(&self) -> bool {
-        self.aborted.load(Ordering::Relaxed)
+        self.aborted().load(Ordering::Relaxed)
     }
 
     /// Remove and return the stored panic payload, if any.
@@ -230,7 +265,7 @@ impl LaunchJob {
                 break;
             }
             ran += 1;
-            if !self.aborted.load(Ordering::Relaxed) {
+            if !self.aborted().load(Ordering::Relaxed) {
                 let block_idx = if self.order.is_empty() { k } else { self.order[k] };
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     let mut ctx = BlockCtx::for_worker(
@@ -239,7 +274,7 @@ impl LaunchJob {
                         &self.cfg,
                         self.tracer.as_deref(),
                         arena,
-                        &self.aborted,
+                        self.aborted(),
                         Some(token),
                     );
                     ctx.trace(EventKind::BlockStart);
@@ -250,11 +285,15 @@ impl LaunchJob {
                 match result {
                     Ok(stats) => local.merge(&stats),
                     Err(p) => {
-                        self.aborted.store(true, Ordering::Relaxed);
+                        // Keep the payload before raising the flag: a block
+                        // that fails because it saw the flag then never
+                        // displaces the panic that raised it.
                         let mut st = self.state.lock().unwrap();
                         if st.panic.is_none() {
                             st.panic = Some(p);
                         }
+                        drop(st);
+                        self.aborted().store(true, Ordering::Relaxed);
                     }
                 }
             }
@@ -279,7 +318,7 @@ impl LaunchJob {
         // Only a grid of two or more blocks is ever published for helpers.
         if self.lc.blocks > 1 {
             let secs = self.state.lock().unwrap().busy_secs / self.lc.blocks as f64;
-            pool.queue.lock().unwrap().block_secs.insert(self.shape, secs);
+            pool.record_block_secs(self.shape, secs);
         }
         // Asynchronous stream launches (`record_in_stream`) are never
         // handed back to a caller, so no thread can be parked in `wait`;
@@ -364,11 +403,33 @@ struct QueueState {
     /// Wake latency: the mean over every sample since the pool started.
     /// Its history is a sum and a count, however many wakes the pool makes.
     wake_secs: Mean,
-    /// Host seconds per block of each launch shape ([`LaunchJob`]'s
-    /// `shape`) the last time it completed. The map holds one number per
-    /// distinct shape the pool has run, so the program's kernels bound it
-    /// (about 600 for the whole Table III roster at 1K²–4K²).
-    block_secs: HashMap<u64, f64>,
+    /// Host seconds per block of each launch shape ([`shape_of`]) the last
+    /// time it ran. The map holds one number per distinct shape the pool
+    /// has run, so the program's kernels bound it (about 600 for the whole
+    /// Table III roster at 1K²–4K²).
+    block_secs: HashMap<u64, f64, BuildHasherDefault<PassThrough>>,
+}
+
+/// The hasher of `block_secs`, whose keys are already hashes: it passes a
+/// key through instead of hashing it a second time, which every lookup and
+/// record of a launch would pay for.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
 }
 
 /// A plain mean of samples, kept as their sum and count.
@@ -456,10 +517,27 @@ impl PoolShared {
     /// Queue `job` and wake `runners` threads to run it, plus its helpers.
     fn push(&self, runners: usize, job: Arc<LaunchJob>) {
         let mut q = self.queue.lock().unwrap();
-        let block_secs = q.block_secs.get(&job.shape).copied();
-        let wake = runners + helpers(job.blocks(), self.workers, block_secs, q.wake_secs.get());
+        let wake = runners + self.helpers_in(&q, job.shape, job.blocks());
         q.jobs.push_back(job);
         self.wake(q, wake);
+    }
+
+    /// How many helpers a grid of `blocks` blocks of launch shape `shape`
+    /// ([`shape_of`]) would wake now, when one thread already runs it:
+    /// [`helpers`], from the pool's own measurements.
+    pub(crate) fn helpers_for(&self, shape: u64, blocks: usize) -> usize {
+        self.helpers_in(&self.queue.lock().unwrap(), shape, blocks)
+    }
+
+    fn helpers_in(&self, q: &QueueState, shape: u64, blocks: usize) -> usize {
+        helpers(blocks, self.workers, q.block_secs.get(&shape).copied(), q.wake_secs.get())
+    }
+
+    /// Record `secs`, the host time per block of a grid of launch shape
+    /// `shape` that just ran, for [`helpers`]: a completed pool job's, or a
+    /// lane's inline run's.
+    pub(crate) fn record_block_secs(&self, shape: u64, secs: f64) {
+        self.queue.lock().unwrap().block_secs.insert(shape, secs);
     }
 
     /// Queue a group lane ([`LaneTask`]) for one of this pool's threads and
@@ -495,19 +573,21 @@ impl PoolShared {
         }
     }
 
-    /// Run a synchronous launch's job on the calling thread, on `arena`,
-    /// until every block is claimed; the caller then waits
+    /// Run a synchronous launch's job on the calling thread, on `arena` and
+    /// `token`, until every block is claimed; the caller then waits
     /// ([`LaunchJob::wait`]) for the blocks helpers still hold.
     ///
-    /// The caller claims a token before publishing, so a helper it wakes
-    /// cannot take the token it is about to run on, and returns it before
-    /// waiting, because `wait` re-raises a block's panic. Its blocks carry
-    /// that token, so a parked wait among them lends it to a helper.
-    pub(crate) fn join(self: &Arc<Self>, job: &Arc<LaunchJob>, arena: &mut ScratchArena) {
-        let token = Token::claim(self);
+    /// The caller holds `token` before the job is published, so a helper it
+    /// wakes cannot take the token it is about to run on, and its blocks
+    /// carry it, so a parked wait among them lends it to a helper. A plain
+    /// caller passes a fresh [`Token::claim`] and drops it before waiting,
+    /// because `wait` re-raises a block's panic; a group lane passes the
+    /// token it holds for its whole batch.
+    pub(crate) fn join(&self, job: &Arc<LaunchJob>, arena: &mut ScratchArena, token: &Token) {
+        debug_assert!(std::ptr::eq(Arc::as_ptr(&token.pool), self), "a token of another pool");
         self.publish(Arc::clone(job));
         // A job with no stream completes without a continuation.
-        let _ = job.run_blocks(&token, arena);
+        let _ = job.run_blocks(token, arena);
     }
 
     /// Number of worker threads serving this pool.
@@ -881,10 +961,10 @@ mod tests {
 
         // Three jobs over two devices shard as [j0], [j1, j2]. Job 0 is
         // enormous in simulated time, so lane 0 cannot steal afterwards:
-        // job 1 holds lane 1 until lane 0 idles with its token lent.
-        // Lanes run their blocks inline and in order, so no grid here
-        // waits on a later block.
-        let group = DeviceGroup::with_member_config(cfg, 2);
+        // job 1 holds lane 1 until lane 0 idles with its token lent. A
+        // one-worker pool never wakes a helper, so lanes run these grids
+        // inline and in order, and no grid here waits on a later block.
+        let group = DeviceGroup::with_member_config(cfg.clone(), 2);
         let pool0 = Arc::clone(group.device(0).pool_shared());
         for fault in [false, true] {
             let skewed = AtomicBool::new(false);
@@ -917,6 +997,59 @@ mod tests {
             for gpu in group.devices() {
                 assert_back_at_base(gpu.pool_shared(), "a skewed group batch");
             }
+        }
+
+        // A lane grid on the pool path: on a two-worker device a shape the
+        // pool has never measured wakes a helper, so the lane runs the grid
+        // as a pool job on its own token. Each block waits for the other to
+        // start, so one runs on the lane and one on the helper. The lane
+        // then waits for the helper's block with its token still claimed,
+        // which the helper sees as both tokens taken. Then the same grid
+        // whose helper-run block panics: the batch re-raises that panic.
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            eprintln!("skipped the pool-run lane grid: a helper needs a second core");
+            return;
+        }
+        cfg.host_workers = 2;
+        let until = |flag: &AtomicBool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !flag.load(Ordering::SeqCst) {
+                assert!(Instant::now() < deadline, "the other block never started");
+                std::hint::spin_loop();
+            }
+        };
+        for fault in [false, true] {
+            let group = DeviceGroup::with_member_config(cfg.clone(), 1);
+            let pool = Arc::clone(group.device(0).pool_shared());
+            let batch = catch_unwind(AssertUnwindSafe(|| {
+                group.run_batch(vec![()], StealPolicy::Disabled, |gpu, ()| {
+                    let lane = std::thread::current().id();
+                    let (helper_started, lane_done) = (AtomicBool::new(false), AtomicBool::new(false));
+                    let mut rm = RunMetrics::default();
+                    rm.push(gpu.launch(LaunchConfig::new("lane-grid", 2, 32), |_ctx| {
+                        if std::thread::current().id() == lane {
+                            until(&helper_started);
+                            lane_done.store(true, Ordering::SeqCst);
+                            return;
+                        }
+                        helper_started.store(true, Ordering::SeqCst);
+                        if fault {
+                            panic!("helper block fault");
+                        }
+                        until(&lane_done);
+                        let t = Instant::now();
+                        while t.elapsed() < Duration::from_millis(5) {
+                            assert_eq!(tokens(&pool), 0, "the lane lent its token while it waited");
+                        }
+                    }));
+                    rm
+                })
+            }));
+            match batch {
+                Ok(gm) => assert!(!fault && gm.kernel_calls() == 1),
+                Err(p) => assert_eq!(p.downcast_ref::<&str>(), Some(&"helper block fault")),
+            }
+            assert_back_at_base(&pool, "a pool-run lane grid");
         }
     }
 }

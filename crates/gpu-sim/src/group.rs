@@ -43,20 +43,25 @@
 //! lane *d* ≥ 1 is one job on device *d*'s pool queue, run by a warm pool
 //! thread (named `gpu-sim-d{d}-…`). Each lane stays resident for the whole
 //! batch and hands its jobs a lane handle: a clone of its device's [`Gpu`]
-//! whose launches run their blocks inline on the lane's thread, against one
-//! scratch arena reused from job to job. A job is just an index into the
-//! sequence, so a steal moves the index, not a launch; cross-job ordering
-//! is whatever the jobs enforce themselves (e.g. `StatusBoard` flags). A
-//! lane holds one execution token of its device pool for the batch — it
-//! executes blocks, so it takes a worker's place — and lends it back
-//! whenever it blocks (a parked flag wait inside a block, or the lane
-//! waiting for steal eligibility), so pool launches on the same device
-//! always make progress. Idle lanes block on the event-driven `Progress`
-//! condvar, bumped on every job completion, never on a fixed-period poll.
+//! whose launches run on the lane's thread, against one scratch arena
+//! reused from job to job. A grid runs inline there unless the device
+//! pool's measurements say a helper would arrive before its blocks run
+//! out; then it is a pool job that the lane runs beside the helpers it
+//! wakes, the rule every caller-run launch follows. A job is just an index
+//! into the sequence, so a steal moves the index, not a launch; cross-job
+//! ordering is whatever the jobs enforce themselves (e.g. `StatusBoard`
+//! flags). A lane holds one execution token of its device pool for the
+//! batch — it executes blocks, so it takes a worker's place — and lends it
+//! back whenever it blocks on something other than its own helpers (a
+//! parked flag wait inside a block, or the lane waiting for steal
+//! eligibility), so pool launches on the same device always make progress.
+//! Idle lanes block on the event-driven `Progress` condvar, bumped on every
+//! job completion, never on a fixed-period poll.
 //!
-//! A job that panics aborts the batch: the lanes' blocks carry the batch's
-//! abort flag, so a peer waiting on the dead job's flag fails fast, and
-//! the first panic is re-raised to the caller once every lane has stopped.
+//! A job that panics aborts the batch: the lanes' blocks, helper-run ones
+//! included, carry the batch's abort flag, so a peer waiting on the dead
+//! job's flag fails fast, and the first panic is re-raised to the caller
+//! once every lane has stopped.
 //!
 //! ## Accounting
 //!
@@ -174,8 +179,9 @@ impl DeviceGroup {
     ///
     /// `run` executes one job on the lane handle of whichever device the
     /// scheduler lands it on and reports its metrics; it must not assume
-    /// *which* device it gets — jobs migrate. Its launches run inline on
-    /// the lane. A panic inside a job aborts the whole batch and is
+    /// *which* device it gets — jobs migrate. Its launches run on the lane,
+    /// inline or with helpers from the lane's device pool. A panic inside a
+    /// job, or inside any block it launches, aborts the whole batch and is
     /// re-raised here, like a failed launch poisoning a stream.
     pub fn run_batch<J, F>(&self, jobs: Vec<J>, policy: StealPolicy, run: F) -> GroupMetrics
     where
@@ -690,5 +696,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_lane_grid_that_outlasts_a_wake_gets_a_helper() {
+        // A lane follows the wake rule of every caller-run launch: four
+        // blocks of about 2 ms each, launched twice by a job on a two-worker
+        // device, run at least one block off the lane's thread the second
+        // time, once the pool has measured the shape. (A lane that ran
+        // every grid inline would run all four on its own thread.)
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cores < 2 {
+            eprintln!("skipped: a helper needs a second core, the host has {cores}");
+            return;
+        }
+        let mut cfg = DeviceConfig::tiny();
+        cfg.host_workers = 2;
+        let g = DeviceGroup::with_member_config(cfg, 1);
+        let ran_on = Mutex::new(Vec::new());
+        g.run_batch(vec![()], StealPolicy::Disabled, |gpu, ()| {
+            let mut rm = RunMetrics::default();
+            for _ in 0..2 {
+                let ids = Mutex::new(Vec::new());
+                rm.push(gpu.launch(LaunchConfig::new("busy-2ms", 4, 32), |_ctx| {
+                    let t = Instant::now();
+                    while t.elapsed() < std::time::Duration::from_millis(2) {
+                        std::hint::spin_loop();
+                    }
+                    ids.lock().unwrap().push(std::thread::current().id());
+                }));
+                *ran_on.lock().unwrap() = ids.into_inner().unwrap();
+            }
+            rm
+        });
+        let lane = std::thread::current().id();
+        let ran_on = ran_on.into_inner().unwrap();
+        assert_eq!(ran_on.len(), 4);
+        assert!(ran_on.iter().any(|&id| id != lane), "the second launch ran all four blocks on the lane");
     }
 }

@@ -26,8 +26,10 @@
 //! [`Gpu::launch`] is the one launch entry point. A handle bound to a
 //! stream ([`Gpu::bind_stream`]) runs it stream-ordered on the pool, and
 //! the handle a [`DeviceGroup`](crate::group::DeviceGroup) lane gives its
-//! jobs runs it inline on the lane's thread (the batch's caller for lane
-//! 0, a pool thread of the lane's device otherwise). On top of the pool,
+//! jobs runs it on the lane's thread (the batch's caller for lane 0, a
+//! pool thread of the lane's device otherwise) by the rule of a caller-run
+//! concurrent launch: inline when the pool's measurements give the grid no
+//! helper, otherwise beside the helpers it wakes. On top of the pool,
 //! [`Gpu::stream`] opens a CUDA-stream-style handle for asynchronous,
 //! stream-ordered launches ([`crate::stream`]).
 
@@ -38,7 +40,7 @@ use std::time::Instant;
 
 use crate::device::DeviceConfig;
 use crate::elem::DeviceElem;
-use crate::executor::{Body, BorrowedBody, LaunchJob, PoolShared, Token, WorkerPool};
+use crate::executor::{shape_of, Body, BorrowedBody, LaunchJob, PoolShared, Token, WorkerPool};
 use crate::metrics::{BlockStats, CriticalPath, KernelMetrics};
 use crate::stream::Stream;
 use crate::trace::{EventKind, Tracer};
@@ -417,9 +419,9 @@ enum Binding {
 
 /// What a group lane lends the launches of its jobs: the scratch arena they
 /// reuse from launch to launch, the batch's abort flag, and the lane's
-/// execution token (parked waits lend it to the device pool). The token is
-/// shared by `Arc`, so it stays claimed while any clone of the lane handle
-/// lives, even past the batch.
+/// execution token, which the lane runs their blocks on (parked waits lend
+/// it to the device pool). The token is shared by `Arc`, so it stays
+/// claimed while any clone of the lane handle lives, even past the batch.
 struct Lane {
     arena: Mutex<ScratchArena>,
     abort: Arc<AtomicBool>,
@@ -570,12 +572,14 @@ impl Gpu {
         Gpu { binding: Some(Binding::Stream(stream.clone())), ..self.clone() }
     }
 
-    /// The handle a group lane gives its jobs: every launch runs its blocks
-    /// inline on the lane's thread, in dispatch order, against one arena
-    /// that persists across the lane's jobs. Blocks carry the batch's
-    /// `abort` flag, so a wait on a job that panicked on another device
-    /// fails fast, and the lane's `token`, so a parked wait lends it to the
-    /// device pool. `is_sequential()` stays false.
+    /// The handle a group lane gives its jobs: every launch runs on the
+    /// lane's thread and `token`, against one arena that persists across
+    /// the lane's jobs, inline in dispatch order unless the device pool's
+    /// measurements give the grid helpers, which then claim blocks beside
+    /// the lane. Every block, the helpers' too, carries the batch's `abort`
+    /// flag, so a wait on a job that panicked on another device fails fast,
+    /// and a block's panic stops the batch; a parked wait lends its
+    /// thread's token to the device pool. `is_sequential()` stays false.
     pub(crate) fn for_lane(&self, abort: Arc<AtomicBool>, token: Arc<Token>) -> Gpu {
         let lane = Lane { arena: Mutex::default(), abort, token };
         Gpu { binding: Some(Binding::Lane(Arc::new(lane))), ..self.clone() }
@@ -584,11 +588,14 @@ impl Gpu {
     /// Launch a kernel: run `body` once per block and return the launch's
     /// aggregated metrics.
     ///
-    /// The handle picks where blocks run: on a bound stream, inline on a
-    /// resident group lane, inline on the caller thread (sequential mode,
-    /// and concurrent grids of at most one block), or, for larger
-    /// concurrent grids, on the caller thread together with the pool
-    /// workers it wakes to help.
+    /// The handle picks where blocks run: on a bound stream; on a resident
+    /// group lane, inline or with the pool workers it wakes; inline on the
+    /// caller thread (sequential mode, and concurrent grids of at most one
+    /// block); or, for larger concurrent grids, on the caller thread
+    /// together with the pool workers it wakes to help. A lane and a
+    /// caller wake a helper only when the pool's measurements say it would
+    /// arrive before the blocks run out; a lane that wakes none runs the
+    /// grid inline, while a caller still queues its job.
     ///
     /// The body must be `Fn` (not `FnMut`): blocks may run concurrently
     /// and in any order, so all cross-block state must live in
@@ -616,9 +623,7 @@ impl Gpu {
         );
         let seq_arena = &self.engine.seq_arena;
         let inline = match (lane, self.mode) {
-            (Some(lane), _) => {
-                Inline { arena: &lane.arena, sequential: false, abort: Some(&lane.abort), token: Some(&lane.token) }
-            }
+            (Some(lane), _) => return self.launch_on_lane(lane, lc, &body),
             (None, ExecMode::Sequential) => Inline { arena: seq_arena, sequential: true, abort: None, token: None },
             // A grid of at most one block has no cross-block concurrency to
             // exercise and gives a helper nothing to do: skip the pool.
@@ -626,29 +631,68 @@ impl Gpu {
                 Inline { arena: seq_arena, sequential: false, abort: None, token: None }
             }
             (None, ExecMode::Concurrent) => {
-                let order = self.dispatch.launch_order(lc.blocks);
-                let job = Arc::new(LaunchJob::new(
-                    lc,
-                    self.cfg.clone(),
-                    order,
-                    Body::Borrowed(BorrowedBody::new(&body)),
-                    self.tracer.clone(),
-                    None,
-                    false,
-                ));
                 let pool = self.pool().shared();
-                with_arena(seq_arena, |arena| pool.join(&job, arena));
+                let shape = shape_of(&lc);
+                let job = self.job(lc, shape, &body, None);
+                with_arena(seq_arena, |arena| pool.join(&job, arena, &Token::claim(pool)));
                 return job.wait();
             }
         };
         self.run_inline(lc, &body, inline)
     }
 
+    /// A launch on a group lane ([`Gpu::for_lane`]), by the rule every
+    /// caller-run concurrent launch follows, decided before anything is
+    /// built: a grid the pool's measurements give no helper
+    /// (`executor::helpers`) runs inline on the lane, which records its
+    /// host time per block so the rule stays current. Any other grid is a
+    /// pool job that the lane runs on the token and arena it holds, while
+    /// the helpers it wakes claim blocks off the same cursor; the lane then
+    /// waits for the blocks they still hold.
+    ///
+    /// That wait keeps the token claimed instead of lending it. Every block
+    /// is claimed by then, and each helper holds a token of its own, which
+    /// it lends should its block park, so the wait needs nothing the token
+    /// could buy. The blocks still borrow `body`, so nothing between the
+    /// join and the wait may unwind, and a loan can (it may spawn a
+    /// standby thread).
+    fn launch_on_lane(&self, lane: &Lane, lc: LaunchConfig, body: &(dyn Fn(&mut BlockCtx) + Sync)) -> KernelMetrics {
+        let inline = Inline { arena: &lane.arena, sequential: false, abort: Some(&lane.abort), token: Some(&lane.token) };
+        if lc.blocks <= 1 {
+            return self.run_inline(lc, body, inline);
+        }
+        let pool = self.pool().shared();
+        let shape = shape_of(&lc);
+        if pool.helpers_for(shape, lc.blocks) == 0 {
+            let blocks = lc.blocks as f64;
+            let km = self.run_inline(lc, body, inline);
+            pool.record_block_secs(shape, km.host_seconds / blocks);
+            return km;
+        }
+        let job = self.job(lc, shape, body, Some(Arc::clone(&lane.abort)));
+        with_arena(&lane.arena, |arena| pool.join(&job, arena, &lane.token));
+        job.wait()
+    }
+
+    /// A pool job of `lc`, whose [`shape_of`] is `shape`, that runs `body`
+    /// (see [`LaunchJob::new`] for `batch_abort`).
+    fn job(
+        &self,
+        lc: LaunchConfig,
+        shape: u64,
+        body: &(dyn Fn(&mut BlockCtx) + Sync),
+        batch_abort: Option<Arc<AtomicBool>>,
+    ) -> Arc<LaunchJob> {
+        let order = self.dispatch.launch_order(lc.blocks);
+        let body = Body::Borrowed(BorrowedBody::new(body));
+        Arc::new(LaunchJob::new(lc, shape, self.cfg.clone(), order, body, self.tracer.clone(), batch_abort))
+    }
+
     /// The one inline block loop: every block of `lc` in dispatch order on
     /// the calling thread.
     fn run_inline<F>(&self, lc: LaunchConfig, body: &F, at: Inline) -> KernelMetrics
     where
-        F: Fn(&mut BlockCtx) + Sync,
+        F: Fn(&mut BlockCtx) + Sync + ?Sized,
     {
         let order = self.dispatch.launch_order(lc.blocks);
         let start = Instant::now();

@@ -35,7 +35,7 @@ use std::panic::resume_unwind;
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::device::DeviceConfig;
-use crate::executor::{Body, BorrowedBody, LaunchJob, PoolShared};
+use crate::executor::{shape_of, Body, BorrowedBody, LaunchJob, PoolShared};
 use crate::launch::{BlockCtx, DispatchOrder, LaunchConfig};
 use crate::metrics::KernelMetrics;
 use crate::trace::Tracer;
@@ -188,15 +188,9 @@ impl Stream {
             self.cfg.max_threads_per_block
         );
         let order = self.dispatch.launch_order(lc.blocks);
-        Arc::new(LaunchJob::new(
-            lc,
-            self.cfg.clone(),
-            order,
-            body,
-            tracer,
-            Some(Arc::downgrade(&self.shared)),
-            record_in_stream,
-        ))
+        let shape = shape_of(&lc);
+        let job = LaunchJob::new(lc, shape, self.cfg.clone(), order, body, tracer, None);
+        Arc::new(job.in_stream(Arc::downgrade(&self.shared), record_in_stream))
     }
 
     /// Stream-ordered submission: submit now if the stream is idle, queue

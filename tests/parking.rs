@@ -333,3 +333,49 @@ fn a_panicking_job_releases_its_peers_remote_waits() {
         .expect("a peer's panic left the remote waiter parked");
     assert_eq!(msg.as_deref(), Some("band fault"), "the batch re-raises the first job's panic");
 }
+
+/// The multi-block twin of `a_panicking_job_releases_its_peers_remote_waits`:
+/// the waiting blocks belong to a lane grid that runs as a pool job on a
+/// two-worker device, so one of them waits on a helper thread. Job 0
+/// panics only once both blocks have begun their waits, which they can
+/// only do on two threads at once; both see the batch's abort flag, and
+/// the batch re-raises job 0's panic.
+#[test]
+fn a_panicking_job_releases_remote_waits_in_a_pool_run_lane_grid() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 {
+        eprintln!("skipped: a helper needs a second core, the host has {cores}");
+        return;
+    }
+    let mut cfg = DeviceConfig::tiny();
+    cfg.host_workers = 2;
+    let group = Arc::new(DeviceGroup::with_member_config(cfg, 2));
+    let board = Arc::new(StatusBoard::new(1));
+    let waiting = Arc::new(Barrier::new(3));
+    let (tx, rx) = mpsc::channel();
+    let (g, b, w) = (Arc::clone(&group), Arc::clone(&board), Arc::clone(&waiting));
+    std::thread::spawn(move || {
+        // Two jobs over two devices shard as [j0], [j1].
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            g.run_batch(vec![0usize, 1], StealPolicy::Disabled, |gpu, j| {
+                if j == 0 {
+                    w.wait();
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("band fault");
+                }
+                let mut rm = RunMetrics::default();
+                rm.push(gpu.launch(LaunchConfig::new("remote-wait-grid", 2, 32), |ctx| {
+                    w.wait();
+                    b.wait_at_least_remote(ctx, 0, 1);
+                }));
+                rm
+            })
+        }));
+        let msg = r.err().and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+        let _ = tx.send(msg);
+    });
+    let msg = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("a peer's panic left a pool-run lane grid's remote waiters parked");
+    assert_eq!(msg.as_deref(), Some("band fault"), "the batch re-raises the first job's panic");
+}
