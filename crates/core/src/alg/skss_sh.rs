@@ -313,15 +313,16 @@ mod tests {
             assert_eq!(Matrix::from_device(&output, n, n), expect, "{mode:?}");
             runs.push((format!("{mode:?}"), run.total_stats()));
         }
-        // Streamed: all launches routed through a bound stream.
+        // Lane: the run as the one job of a one-device group batch, so its
+        // launch takes the lane path.
         {
-            let gpu = Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Concurrent);
-            let stream = gpu.stream();
-            let bound = gpu.bind_stream(&stream);
+            let group = DeviceGroup::new(DeviceConfig::tiny(), 1).with_dispatch(DispatchOrder::Reversed);
             let output = GlobalBuffer::<u64>::zeroed(n * n);
-            let run = SatAlgorithm::<u64>::run(&alg(w), &bound, &input, &output, n);
-            assert_eq!(Matrix::from_device(&output, n, n), expect, "streamed");
-            runs.push(("streamed".into(), run.total_stats()));
+            let gm = group.run_batch(vec![()], StealPolicy::Disabled, |gpu, ()| {
+                SatAlgorithm::<u64>::run(&alg(w), gpu, &input, &output, n)
+            });
+            assert_eq!(Matrix::from_device(&output, n, n), expect, "lane");
+            runs.push(("lane".into(), gm.total_stats()));
         }
         // Multi-device: each device of a group runs its own instance.
         {

@@ -27,8 +27,8 @@ use crate::tile::{
 
 /// The auxiliary device arrays of one 2R1W run (local and global row /
 /// column / tile sums), bundled so the kernel bodies can be shared between
-/// the one-shot [`TwoROneW::run`] path and the stream-pipelined batch mode
-/// in [`crate::batch`].
+/// the one-shot [`TwoROneW::run`] path and the batch calls in
+/// [`crate::batch`].
 pub struct TwoROneWAux<T: DeviceElem> {
     /// Tile decomposition the arrays are sized for.
     pub grid: TileGrid,

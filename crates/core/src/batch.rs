@@ -12,15 +12,13 @@
 //!   multi-block k2 wakes an idle pool worker to help only when its
 //!   measured blocks outlast the pool's measured wake latency, which on
 //!   one-tile images they do not.
-//! * [`sat_batch_streamed`] — images round-robined over a small set of
-//!   streams ([`Stream`](gpu_sim::stream::Stream)). Each image's three
-//!   kernels are enqueued asynchronously on its stream (in-stream order
-//!   preserves the k1 → k2 → k3 data dependency), then all streams are
-//!   synchronized once. The worker that retires a kernel runs its stream's
-//!   next one directly, so image *i+1*'s local-sums kernel starts the
-//!   moment image *i*'s column-scan retires, while the other streams'
-//!   kernels run on the other workers — the pipelining a CUDA server gets
-//!   from `cudaLaunchKernel` on rotating streams.
+//! * [`sat_batch_streamed`] — images split over a few resident lanes of
+//!   the one device ([`Gpu::run_batch`]), as a CUDA server splits them
+//!   over a few streams: lane 0 on the calling thread, the others on the
+//!   device's pool threads. Each lane runs its images one after another,
+//!   each image's three kernels in order (k1 → k2 → k3, the data
+//!   dependency), while the other lanes run theirs beside it on the other
+//!   host cores, which the serial call's short grids cannot use.
 //! * [`sat_batch_multi_device`] — images sharded across the devices of a
 //!   [`DeviceGroup`] with work stealing. Each image's three kernels run
 //!   unchanged on whichever device the scheduler lands the image on
@@ -29,13 +27,13 @@
 //!   and the group reports a per-device [`GroupMetrics`] breakdown on top
 //!   of the usual [`BatchReport`].
 //!
-//! All three strategies charge identical deterministic counters: the
-//! counters are per-block quantities accumulated by the kernels
-//! themselves, and neither streaming, overlap nor the device an image
-//! lands on changes what any block does (2R1W has no inter-block flag
-//! waits, so even poll counts match). [`BatchReport`] exposes the
-//! aggregate so callers — perfbench's `batch_tiny` workload, the
-//! scheduling-parity tests — can assert it.
+//! The last two run the same per-image job on the same lane driver. All
+//! three strategies charge identical deterministic counters: the counters
+//! are per-block quantities accumulated by the kernels themselves, and
+//! neither overlap, the lane nor the device an image lands on changes what
+//! any block does (2R1W has no inter-block flag waits, so even poll counts
+//! match). [`BatchReport`] exposes the aggregate so callers — perfbench's
+//! `batch_tiny` workload, the scheduling-parity tests — can assert it.
 
 use std::sync::Arc;
 
@@ -50,8 +48,7 @@ use crate::alg::SatParams;
 use crate::tile::TileGrid;
 
 /// One image of a batch: device input and output buffers for an `n x n`
-/// matrix, shareable with enqueued kernels (device memory must outlive
-/// asynchronous launches, hence the `Arc`s).
+/// matrix, each behind an `Arc` so callers can share them.
 pub struct BatchImage<T: DeviceElem> {
     /// Input matrix, row-major `n * n` elements.
     pub input: Arc<GlobalBuffer<T>>,
@@ -113,65 +110,35 @@ pub fn sat_batch_serial<T: DeviceElem>(gpu: &Gpu, params: SatParams, images: &[B
     BatchReport { images: images.len(), kernels, stats }
 }
 
-/// Run 2R1W over every image, pipelined: image `i` is enqueued on stream
-/// `i % streams`, each image's three kernels in stream order, then every
-/// stream is synchronized. `streams` is clamped to at least 1 and to the
-/// host's worker parallelism: lanes beyond the pool's worker count cannot
-/// overlap, and fragmenting the batch across them only breaks up each
-/// lane's backlog (defeating the completing-worker job chaining that makes
-/// deep pipelines cheap) while paying an extra submit/wake round-trip
-/// every time a lane runs dry.
+/// Run 2R1W over every image on `streams` resident lanes of `gpu`
+/// ([`Gpu::run_batch`]): lane *l* takes a contiguous share of the images
+/// and runs each one's three kernels in order, and the lanes overlap.
+/// `streams` is clamped to `1..=`[`Gpu::host_parallelism`]: each lane holds
+/// one of the device pool's execution tokens, and lanes beyond its worker
+/// count would share cores. Each launch runs inline on its lane unless the
+/// pool's measurements give it a helper; a one-tile image's grids are too
+/// short for one.
 pub fn sat_batch_streamed<T: DeviceElem>(
     gpu: &Gpu,
     params: SatParams,
     images: &[BatchImage<T>],
     streams: usize,
 ) -> BatchReport {
-    let lanes_wanted = streams.clamp(1, gpu.host_parallelism().max(1));
-    let lanes: Vec<_> = (0..lanes_wanted).map(|_| gpu.stream()).collect();
-    // One aux allocation per lane, not per image: in-stream ordering means
-    // image i+lanes's k1 starts only after image i's k3 retired on the same
-    // lane, and k1/k2 fully overwrite every aux slot before k3 reads it, so
-    // the buffers can be recycled safely. This takes the per-image host-side
-    // allocate-and-zero of six auxiliary arrays off the enqueue path (the
-    // counters are unaffected — aux allocation charges nothing).
-    let mut lane_aux: Vec<Option<Arc<TwoROneWAux<T>>>> =
-        (0..lanes.len()).map(|_| None).collect();
-    for (i, img) in images.iter().enumerate() {
-        let lane = i % lanes.len();
-        let stream = &lanes[lane];
-        let grid = TileGrid::new(img.n, params.w);
-        let aux = match &lane_aux[lane] {
-            Some(a) if a.grid == grid => Arc::clone(a),
-            _ => {
-                let a = Arc::new(TwoROneWAux::<T>::new(grid));
-                lane_aux[lane] = Some(Arc::clone(&a));
-                a
-            }
-        };
-        let [lc1, lc2, lc3] = launch_plan(grid, tpb(gpu, params));
-        {
-            let (input, aux) = (Arc::clone(&img.input), Arc::clone(&aux));
-            stream.enqueue(lc1, move |ctx| k1_local_sums(ctx, &*input, &aux));
-        }
-        {
-            let aux = Arc::clone(&aux);
-            stream.enqueue(lc2, move |ctx| k2_global_sums(ctx, &aux));
-        }
-        {
-            let (input, output) = (Arc::clone(&img.input), Arc::clone(&img.output));
-            stream.enqueue(lc3, move |ctx| k3_gsat(ctx, &*input, &*output, &aux));
-        }
-    }
-    let mut stats = BlockStats::default();
-    let mut kernels = 0;
-    for stream in &lanes {
-        for m in stream.sync() {
-            stats.merge(&m.stats);
-            kernels += 1;
-        }
-    }
+    let (kernels, stats) = gpu.run_batch(streams, images.iter().collect(), |gpu, img| sat_image(gpu, params, img));
     BatchReport { images: images.len(), kernels, stats }
+}
+
+/// One job of a lane batch: `img`'s three 2R1W kernels, in order, on the
+/// lane handle `gpu`.
+fn sat_image<T: DeviceElem>(gpu: &Gpu, params: SatParams, img: &BatchImage<T>) -> RunMetrics {
+    let grid = TileGrid::new(img.n, params.w);
+    let aux = TwoROneWAux::<T>::new(grid);
+    let [lc1, lc2, lc3] = launch_plan(grid, tpb(gpu, params));
+    let mut rm = RunMetrics::default();
+    rm.push(gpu.launch(lc1, |ctx| k1_local_sums(ctx, &*img.input, &aux)));
+    rm.push(gpu.launch(lc2, |ctx| k2_global_sums(ctx, &aux)));
+    rm.push(gpu.launch(lc3, |ctx| k3_gsat(ctx, &*img.input, &*img.output, &aux)));
+    rm
 }
 
 /// Run 2R1W over every image, sharded across the devices of `group` with
@@ -201,17 +168,7 @@ pub fn sat_batch_multi_device_policy<T: DeviceElem>(
     images: &[BatchImage<T>],
     policy: StealPolicy,
 ) -> (BatchReport, GroupMetrics) {
-    let jobs: Vec<&BatchImage<T>> = images.iter().collect();
-    let gm = group.run_batch(jobs, policy, |gpu, img| {
-        let grid = TileGrid::new(img.n, params.w);
-        let aux = TwoROneWAux::<T>::new(grid);
-        let [lc1, lc2, lc3] = launch_plan(grid, tpb(gpu, params));
-        let mut rm = RunMetrics::default();
-        rm.push(gpu.launch(lc1, |ctx| k1_local_sums(ctx, &*img.input, &aux)));
-        rm.push(gpu.launch(lc2, |ctx| k2_global_sums(ctx, &aux)));
-        rm.push(gpu.launch(lc3, |ctx| k3_gsat(ctx, &*img.input, &*img.output, &aux)));
-        rm
-    });
+    let gm = group.run_batch(images.iter().collect(), policy, |gpu, img| sat_image(gpu, params, img));
     let report =
         BatchReport { images: images.len(), kernels: gm.kernel_calls(), stats: gm.total_stats() };
     (report, gm)

@@ -1,6 +1,6 @@
 //! The persistent worker-pool executor behind [`ExecMode::Concurrent`]
-//! (crate-private; the public surface is [`crate::launch::Gpu`] and
-//! [`crate::stream::Stream`]).
+//! and batch lanes (crate-private; the public surface is
+//! [`crate::launch::Gpu`] and [`crate::group::DeviceGroup`]).
 //!
 //! One pool of OS threads is started lazily per [`Gpu`](crate::launch::Gpu)
 //! lineage and parked between launches. A launch becomes a [`LaunchJob`]
@@ -11,15 +11,13 @@
 //! claim loop exits. A synchronous
 //! [`Gpu::launch`](crate::launch::Gpu::launch) runs its own job
 //! ([`PoolShared::join`]) and then waits only for the blocks helpers still
-//! hold; so does a group lane's launch of a grid that gets helpers, on the
-//! token the lane holds for its batch. The thread that finishes a
-//! [`Stream`](crate::stream::Stream) job's last block runs the stream's
-//! next job, publishing it for helpers when it has more than one block.
-//! The workers persist, so no launch pays thread spawn/join, and each
-//! keeps a warm [`ScratchArena`] across launches. A
-//! [`DeviceGroup`](crate::group::DeviceGroup) batch runs its lanes 1..N as
-//! [`LaneTask`]s on their devices' pools, so no batch pays thread
-//! spawn/join either.
+//! hold; so does a batch lane's launch of a grid that gets helpers, on the
+//! token the lane holds for its batch. Every job is run by the thread that
+//! launched it, so a worker only ever helps. The workers persist, so no
+//! launch pays thread spawn/join, and each keeps a warm [`ScratchArena`]
+//! across launches. A batch (`DeviceGroup::run_batch`, `Gpu::run_batch`)
+//! runs its lanes 1..N as [`LaneTask`]s on their devices' pools, so no
+//! batch pays thread spawn/join either.
 //!
 //! ## Measured helper wakes
 //!
@@ -30,7 +28,7 @@
 //! the host time per block of each launch shape the last time it ran.
 //! [`PoolShared::publish`] wakes helpers only when the second, times the
 //! blocks left after the publisher's own, exceeds the first ([`helpers`]);
-//! a shape the pool has never run wakes as many as can help. A group lane
+//! a shape the pool has never run wakes as many as can help. A batch lane
 //! asks the same rule first ([`PoolShared::helpers_for`]) and runs a grid
 //! that would wake nobody inline, recording its block time
 //! ([`PoolShared::record_block_secs`]) as a completed job does; a caller
@@ -50,7 +48,7 @@
 //! the pool starts with one token per base worker, and a thread must hold
 //! a [`Token`] to claim blocks off a job. Token holders are the pool's
 //! workers, the caller of a synchronous launch while it runs its own job,
-//! and group lanes for their whole batch, whose pool jobs run on it too.
+//! and batch lanes for their whole batch, whose pool jobs run on it too.
 //! After start-up only [`Token`] changes the count: [`Token::claim`] takes
 //! a token, dropping it returns it, and [`Token::lend`] hands it back while
 //! its holder blocks. When a block parks inside a flag wait
@@ -71,24 +69,14 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::device::DeviceConfig;
 use crate::launch::{BlockCtx, LaunchConfig, ScratchArena};
 use crate::metrics::{BlockStats, KernelMetrics};
-use crate::stream::StreamShared;
 use crate::trace::{EventKind, Tracer};
-
-/// A type-erased kernel body.
-pub(crate) enum Body {
-    /// Borrowed from a blocking caller that outlives the job (a
-    /// synchronous `Gpu::launch`).
-    Borrowed(BorrowedBody),
-    /// Owned closure from an asynchronous `Stream::enqueue`.
-    Owned(Box<dyn Fn(&mut BlockCtx) + Send + Sync + 'static>),
-}
 
 /// A caller-owned kernel body with its lifetime erased.
 ///
@@ -107,15 +95,6 @@ impl BorrowedBody {
                 body,
             )
         })
-    }
-}
-
-impl Body {
-    fn call(&self, ctx: &mut BlockCtx) {
-        match self {
-            Body::Borrowed(b) => (b.0)(ctx),
-            Body::Owned(f) => f(ctx),
-        }
     }
 }
 
@@ -140,7 +119,7 @@ pub(crate) struct LaunchJob {
     cfg: DeviceConfig,
     /// Dispatch permutation; empty means identity (in-order dispatch).
     order: Vec<usize>,
-    body: Body,
+    body: BorrowedBody,
     tracer: Option<Arc<Tracer>>,
     /// Next unclaimed dispatch position.
     cursor: AtomicUsize,
@@ -149,7 +128,7 @@ pub(crate) struct LaunchJob {
     /// Set when any block panics: remaining blocks are skipped and
     /// soft-sync waiters fail fast.
     aborted: AtomicBool,
-    /// A group lane's job uses its batch's abort flag in place of
+    /// A batch lane's job uses its batch's abort flag in place of
     /// `aborted`, so its blocks also stop for a panic elsewhere in the
     /// batch, and a panic among them stops the batch. Other jobs keep the
     /// flag inline: allocating one per launch cost perfbench's
@@ -158,12 +137,6 @@ pub(crate) struct LaunchJob {
     state: Mutex<JobState>,
     done: Condvar,
     started: Instant,
-    /// Stream to notify on completion (stream-ordered submission). Weak so
-    /// queued jobs do not keep their stream alive in a reference cycle.
-    stream: Option<Weak<StreamShared>>,
-    /// Whether the owning stream should record this job's metrics at
-    /// completion (false when a blocking caller collects them instead).
-    record_in_stream: bool,
 }
 
 /// The pool's key for a launch shape's block time: a hash of its label,
@@ -182,7 +155,7 @@ impl LaunchJob {
         shape: u64,
         cfg: DeviceConfig,
         order: Vec<usize>,
-        body: Body,
+        body: BorrowedBody,
         tracer: Option<Arc<Tracer>>,
         batch_abort: Option<Arc<AtomicBool>>,
     ) -> Self {
@@ -200,17 +173,7 @@ impl LaunchJob {
             state: Mutex::new(JobState::default()),
             done: Condvar::new(),
             started: Instant::now(),
-            stream: None,
-            record_in_stream: false,
         }
-    }
-
-    /// Make this a job of `stream` (builder style), which records its
-    /// metrics at completion when `record` is set.
-    pub(crate) fn in_stream(mut self, stream: Weak<StreamShared>, record: bool) -> Self {
-        self.stream = Some(stream);
-        self.record_in_stream = record;
-        self
     }
 
     pub(crate) fn blocks(&self) -> usize {
@@ -222,24 +185,10 @@ impl LaunchJob {
         self.batch_abort.as_deref().unwrap_or(&self.aborted)
     }
 
-    pub(crate) fn record_in_stream(&self) -> bool {
-        self.record_in_stream
-    }
-
     /// Whether every dispatch position has been claimed by some thread
     /// (the job may still be executing its last blocks).
     fn exhausted(&self) -> bool {
         self.cursor.load(Ordering::Relaxed) >= self.lc.blocks
-    }
-
-    /// Whether any block of this job panicked.
-    pub(crate) fn panicked(&self) -> bool {
-        self.aborted().load(Ordering::Relaxed)
-    }
-
-    /// Remove and return the stored panic payload, if any.
-    pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.state.lock().unwrap().panic.take()
     }
 
     /// Claim and execute blocks until none remain, on `token`.
@@ -251,11 +200,7 @@ impl LaunchJob {
     /// Totals do not depend on the split because field-wise addition is
     /// associative, and exactly one thread (the one whose bump brings
     /// `finished` to `blocks`) triggers completion.
-    ///
-    /// Returns the owning stream's next job when this call completed the
-    /// job (see [`StreamShared::on_job_complete`]); the worker loop runs it
-    /// next without a queue round-trip.
-    fn run_blocks(&self, token: &Token, arena: &mut ScratchArena) -> Option<Arc<LaunchJob>> {
+    fn run_blocks(&self, token: &Token, arena: &mut ScratchArena) {
         let started = Instant::now();
         let mut local = BlockStats::default();
         let mut ran = 0usize;
@@ -278,7 +223,7 @@ impl LaunchJob {
                         Some(token),
                     );
                     ctx.trace(EventKind::BlockStart);
-                    self.body.call(&mut ctx);
+                    (self.body.0)(&mut ctx);
                     ctx.trace(EventKind::BlockEnd);
                     std::mem::take(&mut ctx.stats)
                 }));
@@ -305,57 +250,26 @@ impl LaunchJob {
                 st.busy_secs += started.elapsed().as_secs_f64();
             }
             if self.finished.fetch_add(ran, Ordering::AcqRel) + ran == self.lc.blocks {
-                return self.complete(&token.pool);
+                self.complete(&token.pool);
             }
         }
-        None
     }
 
-    /// All blocks done: record the shape's block time for the wake rule,
-    /// wake the launching thread and advance the owning stream. May hand
-    /// back the stream's next job for direct chaining.
-    fn complete(&self, pool: &PoolShared) -> Option<Arc<LaunchJob>> {
+    /// All blocks done: record the shape's block time for the wake rule and
+    /// wake the launching thread.
+    fn complete(&self, pool: &PoolShared) {
         // Only a grid of two or more blocks is ever published for helpers.
         if self.lc.blocks > 1 {
             let secs = self.state.lock().unwrap().busy_secs / self.lc.blocks as f64;
             pool.record_block_secs(self.shape, secs);
         }
-        // Asynchronous stream launches (`record_in_stream`) are never
-        // handed back to a caller, so no thread can be parked in `wait`;
-        // skip the completion lock and wake for them — `sync` observes
-        // completion through the stream's own idle condvar instead.
-        if !(self.record_in_stream && self.stream.is_some()) {
-            {
-                let mut st = self.state.lock().unwrap();
-                st.complete = true;
-            }
-            self.done.notify_all();
-        }
-        if let Some(stream) = self.stream.as_ref().and_then(Weak::upgrade) {
-            return stream.on_job_complete(pool, self);
-        }
-        None
-    }
-
-    /// Complete a zero-block job inline (the pool never sees it).
-    pub(crate) fn finish_empty(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.complete = true;
-        drop(st);
+        self.state.lock().unwrap().complete = true;
         self.done.notify_all();
     }
 
-    /// Complete a job that will never run because an earlier launch in its
-    /// stream panicked; blocking waiters observe `msg` as a panic.
-    pub(crate) fn finish_cancelled(&self, msg: &str) {
-        let mut st = self.state.lock().unwrap();
-        st.panic = Some(Box::new(msg.to_string()));
-        st.complete = true;
-        drop(st);
-        self.done.notify_all();
-    }
-
-    /// Block until every block has executed; re-raises the first panic.
+    /// Block until every block has executed, then return the launch's
+    /// aggregated metrics, whose `host_seconds` spans the job's creation to
+    /// now; re-raises the first panic.
     pub(crate) fn wait(&self) -> KernelMetrics {
         let mut st = self.state.lock().unwrap();
         while !st.complete {
@@ -365,15 +279,8 @@ impl LaunchJob {
             drop(st);
             resume_unwind(p);
         }
+        let stats = std::mem::take(&mut st.stats);
         drop(st);
-        self.metrics()
-    }
-
-    /// The launch's aggregated metrics. `host_seconds` spans submission to
-    /// completion, so for stream jobs it includes time queued behind
-    /// earlier launches of the same stream.
-    pub(crate) fn metrics(&self) -> KernelMetrics {
-        let stats = self.state.lock().unwrap().stats.clone();
         self.lc.clone().finish(stats, self.started.elapsed().as_secs_f64())
     }
 }
@@ -381,7 +288,7 @@ impl LaunchJob {
 #[derive(Default)]
 struct QueueState {
     jobs: VecDeque<Arc<LaunchJob>>,
-    /// Group lanes waiting for a worker ([`PoolShared::submit_lane`]).
+    /// Batch lanes waiting for a worker ([`PoolShared::submit_lane`]).
     lanes: VecDeque<LaneTask>,
     shutdown: bool,
     /// Execution tokens available for claiming blocks. Starts at the base
@@ -471,8 +378,7 @@ pub(crate) struct PoolShared {
     queue: Mutex<QueueState>,
     ready: Condvar,
     /// Number of base worker threads (== the initial token count);
-    /// lets `submit` and `publish` wake only as many workers as a small
-    /// job can use.
+    /// lets `publish` wake only as many workers as a small job can use.
     workers: usize,
     /// Hard cap on live threads: base workers plus the standby budget.
     /// Once reached, a park stops spawning replacements — unclaimed
@@ -487,21 +393,6 @@ pub(crate) struct PoolShared {
 }
 
 impl PoolShared {
-    /// Enqueue a job that no thread runs yet (`blocks` must be non-zero;
-    /// empty launches complete inline without touching the pool).
-    ///
-    /// Wakes the one worker that runs the job, plus the helpers
-    /// [`PoolShared::publish`] would wake for it: at most
-    /// `min(blocks, workers)` threads, because a grid with fewer blocks
-    /// than the pool has workers cannot use more, and the full
-    /// `notify_all` wake storm (every worker waking, contending the queue
-    /// lock, and parking again) used to cost more than the launch itself
-    /// for tiny grids.
-    pub(crate) fn submit(&self, job: Arc<LaunchJob>) {
-        debug_assert!(job.blocks() > 0, "zero-block jobs complete inline");
-        self.push(1, job);
-    }
-
     /// Enqueue a job of at least two blocks that the calling thread runs
     /// itself, on a token it already holds, and wake idle workers to help
     /// only if they would arrive in time: [`helpers`] decides from the
@@ -511,13 +402,8 @@ impl PoolShared {
     /// token only to work it finds there.
     pub(crate) fn publish(&self, job: Arc<LaunchJob>) {
         debug_assert!(job.blocks() > 1, "a one-block job gives helpers nothing to do");
-        self.push(0, job);
-    }
-
-    /// Queue `job` and wake `runners` threads to run it, plus its helpers.
-    fn push(&self, runners: usize, job: Arc<LaunchJob>) {
         let mut q = self.queue.lock().unwrap();
-        let wake = runners + self.helpers_in(&q, job.shape, job.blocks());
+        let wake = self.helpers_in(&q, job.shape, job.blocks());
         q.jobs.push_back(job);
         self.wake(q, wake);
     }
@@ -540,7 +426,7 @@ impl PoolShared {
         self.queue.lock().unwrap().block_secs.insert(shape, secs);
     }
 
-    /// Queue a group lane ([`LaneTask`]) for one of this pool's threads and
+    /// Queue a batch lane ([`LaneTask`]) for one of this pool's threads and
     /// wake one. A lane waits for a thread but never for a token: the
     /// thread that takes it claims one whatever the count, as
     /// [`Token::claim`] does, so a lane cannot wait behind tokens its own
@@ -581,13 +467,12 @@ impl PoolShared {
     /// wakes cannot take the token it is about to run on, and its blocks
     /// carry it, so a parked wait among them lends it to a helper. A plain
     /// caller passes a fresh [`Token::claim`] and drops it before waiting,
-    /// because `wait` re-raises a block's panic; a group lane passes the
+    /// because `wait` re-raises a block's panic; a batch lane passes the
     /// token it holds for its whole batch.
     pub(crate) fn join(&self, job: &Arc<LaunchJob>, arena: &mut ScratchArena, token: &Token) {
         debug_assert!(std::ptr::eq(Arc::as_ptr(&token.pool), self), "a token of another pool");
         self.publish(Arc::clone(job));
-        // A job with no stream completes without a continuation.
-        let _ = job.run_blocks(token, arena);
+        job.run_blocks(token, arena);
     }
 
     /// Number of worker threads serving this pool.
@@ -619,11 +504,11 @@ fn worker_loop(shared: &Arc<PoolShared>) {
         let (token, work) = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                // Jobs whose blocks are all claimed complete on the workers
-                // still running them; drop them from the queue so newer
-                // jobs (e.g. other streams) can overlap.
+                // Jobs whose blocks are all claimed complete on the threads
+                // still running them; drop them from the queue so a newer
+                // job's helpers find it first.
                 q.jobs.retain(|j| !j.exhausted());
-                // A group lane takes a token whatever the count, like
+                // A batch lane takes a token whatever the count, like
                 // `Token::claim` (see `PoolShared::submit_lane`).
                 if let Some(lane) = q.lanes.pop_front() {
                     break (Token::take(shared, &mut q), Work::Lane(lane));
@@ -649,23 +534,15 @@ fn worker_loop(shared: &Arc<PoolShared>) {
             }
         };
         match work {
-            // A completing stream job hands back the stream's next launch;
-            // run it on this worker's warm arena instead of waiting for a
-            // woken worker to take it off the queue. The token is held
-            // across the whole chain and returned when it drops.
-            Work::Launch(mut job) => {
-                while let Some(next) = job.run_blocks(&token, &mut arena) {
-                    job = next;
-                }
-            }
+            Work::Launch(job) => job.run_blocks(&token, &mut arena),
             Work::Lane(lane) => (lane.0)(token),
         }
     }
 }
 
-/// A [`DeviceGroup`](crate::group::DeviceGroup) lane queued on its device
-/// pool ([`PoolShared::submit_lane`]): the pool thread that takes it calls
-/// it once, with the token it claimed for it.
+/// A batch lane queued on its device pool ([`PoolShared::submit_lane`]):
+/// the pool thread that takes it calls it once, with the token it claimed
+/// for it.
 pub(crate) struct LaneTask(Box<dyn FnOnce(Token) + Send + 'static>);
 
 impl LaneTask {
@@ -673,8 +550,8 @@ impl LaneTask {
     ///
     /// # Safety
     /// Whatever `lane` borrows must outlive the task: the submitter may not
-    /// return or unwind until the task has been called or dropped
-    /// (`DeviceGroup::run_batch` waits until every lane has dropped its
+    /// return or unwind until the task has been called or dropped (the
+    /// batch driver in `group.rs` waits until every lane has dropped its
     /// end of a channel). The `'static` in the field type is an erasure,
     /// not a claim.
     pub(crate) unsafe fn new<'a>(lane: impl FnOnce(Token) + Send + 'a) -> Self {
@@ -813,18 +690,22 @@ impl WorkerPool {
         WorkerPool { shared, handles }
     }
 
-    /// The submission handle shared with streams.
+    /// The state the pool's threads share with launches and lanes.
     pub(crate) fn shared(&self) -> &Arc<PoolShared> {
         &self.shared
     }
 }
 
 impl Drop for WorkerPool {
-    /// Shut the pool down and join its threads — all but the current one:
-    /// the last handle to the engine can drop on one of the pool's own
-    /// threads (a stream job's completion holds its stream, and so the
-    /// engine, alive), and that thread exits through the shutdown flag
-    /// once it returns to the queue.
+    /// Shut the pool down and join its threads — all but the current one,
+    /// which exits through the shutdown flag once it returns to the queue:
+    /// joining itself would panic. Nothing the crate runs on a pool thread
+    /// owns a handle to the engine today (a block or lane borrows it from a
+    /// caller that holds one), so no public path drops the last handle
+    /// there; the skip keeps a future owner — a lane task that outlives its
+    /// batch, say — from turning that drop into a panic, and the unit test
+    /// `the_last_engine_handle_dropped_on_a_pool_thread_does_not_join_it`
+    /// reaches it through a lane task that owns the last handle.
     fn drop(&mut self) {
         self.shared.queue.lock().unwrap().shutdown = true;
         self.ready_all();
@@ -946,13 +827,6 @@ mod tests {
         assert!(km.stats.token_handoffs >= 1, "the caller's waiting block lends its token");
         assert_back_at_base(&pool, "a caller-run handoff launch");
 
-        let stream = gpu.stream();
-        for _ in 0..3 {
-            stream.enqueue(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
-        }
-        stream.sync();
-        assert_back_at_base(&pool, "a stream chain of handoff grids");
-
         let fault = catch_unwind(AssertUnwindSafe(|| {
             gpu.launch(LaunchConfig::new("all-panic", 4, 32), |_ctx| panic!("block fault"))
         }));
@@ -1007,14 +881,14 @@ mod tests {
         // which the helper sees as both tokens taken. Then the same grid
         // whose helper-run block panics: the batch re-raises that panic.
         if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
-            eprintln!("skipped the pool-run lane grid: a helper needs a second core");
+            eprintln!("skipped the pool-run lane grid and the two-lane batch: both need a second core");
             return;
         }
         cfg.host_workers = 2;
         let until = |flag: &AtomicBool| {
             let deadline = Instant::now() + Duration::from_secs(5);
             while !flag.load(Ordering::SeqCst) {
-                assert!(Instant::now() < deadline, "the other block never started");
+                assert!(Instant::now() < deadline, "the other thread never got there");
                 std::hint::spin_loop();
             }
         };
@@ -1051,5 +925,60 @@ mod tests {
             }
             assert_back_at_base(&pool, "a pool-run lane grid");
         }
+
+        // Two lanes of one device: eight jobs shard as [0..4) on the caller
+        // and [4..8) on a pool thread. Jobs 0 and 4 meet, so both lanes are
+        // running, and then both of the pool's tokens are held. Then the
+        // same batch with a panicking block in lane 1's shard: the batch
+        // re-raises it.
+        let gpu = Gpu::new(cfg).with_mode(ExecMode::Concurrent);
+        let pool = Arc::clone(gpu.pool_shared());
+        for fault in [false, true] {
+            let (here, checked) = (AtomicBool::new(false), AtomicBool::new(false));
+            let batch = catch_unwind(AssertUnwindSafe(|| {
+                gpu.run_batch(2, (0..8usize).collect(), |gpu, j| {
+                    if j == 0 {
+                        here.store(true, Ordering::SeqCst);
+                        until(&checked);
+                    } else if j == 4 {
+                        until(&here);
+                        assert_eq!(tokens(&pool), 0, "each lane holds one of the pool's tokens");
+                        checked.store(true, Ordering::SeqCst);
+                    }
+                    let mut rm = RunMetrics::default();
+                    rm.push(gpu.launch(LaunchConfig::new("lane-job", 2, 32), |ctx| {
+                        if fault && j == 6 {
+                            panic!("lane job fault");
+                        }
+                        ctx.stats.charge_global_read(1, 4);
+                    }));
+                    rm
+                })
+            }));
+            match batch {
+                Ok((kernels, stats)) => assert!(!fault && kernels == 8 && stats.global_reads == 16),
+                Err(p) => assert_eq!(p.downcast_ref::<&str>(), Some(&"lane job fault")),
+            }
+            assert_back_at_base(&pool, "a two-lane batch of one device");
+        }
+    }
+
+    #[test]
+    fn the_last_engine_handle_dropped_on_a_pool_thread_does_not_join_it() {
+        // No public path drops a device's last handle on one of its own pool
+        // threads (see `WorkerPool::drop`), so a lane task that owns the
+        // handle does: the pool then drops on the thread that runs the task,
+        // which must skip joining itself. Joining would panic that thread,
+        // and the task's sender would drop unsent.
+        let gpu = Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Concurrent);
+        let pool = Arc::clone(gpu.pool_shared());
+        let (done, dropped) = std::sync::mpsc::channel();
+        let lane = move |_token: Token| {
+            drop(gpu);
+            let _ = done.send(());
+        };
+        // SAFETY: the task owns everything it uses.
+        pool.submit_lane(unsafe { LaneTask::new(lane) });
+        dropped.recv_timeout(Duration::from_secs(10)).expect("dropping the pool on its own thread failed");
     }
 }

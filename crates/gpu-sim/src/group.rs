@@ -1,15 +1,16 @@
-//! Multi-device execution: a [`DeviceGroup`] of independent simulated GPUs
-//! and a work-stealing batch scheduler over them.
+//! Batches on resident lanes: a [`DeviceGroup`] of independent simulated
+//! GPUs with a work-stealing batch scheduler over them, and several lanes
+//! of one device ([`Gpu::run_batch`]), both run by one lane driver.
 //!
 //! A `DeviceGroup` owns N fully independent [`Gpu`] instances. Following
 //! real multi-GPU systems (Zhang et al., *"A Study of Single and
 //! Multi-device Synchronization Methods in Nvidia GPUs"*), the devices
 //! share **nothing** on the device side by default: each has its own
-//! worker pool, its own global-memory buffers, and its own streams, and
-//! the scheduler in this module is host code moving whole jobs between
-//! devices. Cooperative workloads (`satcore::coop`) additionally let
-//! kernels on different devices exchange *boundary data* through
-//! peer-visible buffers: those transfers are charged through
+//! worker pool and its own global-memory buffers, and the scheduler in
+//! this module is host code moving whole jobs between devices.
+//! Cooperative workloads (`satcore::coop`) additionally let kernels on
+//! different devices exchange *boundary data* through peer-visible
+//! buffers: those transfers are charged through
 //! [`BlockStats::charge_d2d`](crate::metrics::BlockStats::charge_d2d) and
 //! their cross-device flag waits through
 //! [`StatusBoard::wait_at_least_remote`](crate::sync::StatusBoard::wait_at_least_remote),
@@ -41,8 +42,9 @@
 //!
 //! No thread is spawned per batch. The calling thread drives lane 0, and
 //! lane *d* ≥ 1 is one job on device *d*'s pool queue, run by a warm pool
-//! thread (named `gpu-sim-d{d}-…`). Each lane stays resident for the whole
-//! batch and hands its jobs a lane handle: a clone of its device's [`Gpu`]
+//! thread (named `gpu-sim-d{d}-…`; every lane of [`Gpu::run_batch`] is on
+//! the one device's pool). Each lane stays resident for the whole batch
+//! and hands its jobs a lane handle: a clone of its device's [`Gpu`]
 //! whose launches run on the lane's thread, against one scratch arena
 //! reused from job to job. A grid runs inline there unless the device
 //! pool's measurements say a helper would arrive before its blocks run
@@ -62,6 +64,19 @@
 //! included, carry the batch's abort flag, so a peer waiting on the dead
 //! job's flag fails fast, and the first panic is re-raised to the caller
 //! once every lane has stopped.
+//!
+//! ## Several lanes of one device
+//!
+//! [`Gpu::run_batch`] runs the same driver with every lane on one device:
+//! lane 0 on the caller, lanes 1.. on the device's own pool threads, each
+//! holding one of its execution tokens, so one device overlaps as many
+//! jobs as its pool has workers. Jobs are assigned statically
+//! ([`StealPolicy::Disabled`]): a job never migrates, so each lane runs
+//! its shard in order, as a CUDA stream runs its kernels. The lanes share
+//! one simulated device, which the timing model prices as one, so the call
+//! reports the batch's counters and kernel count but no per-lane modeled
+//! clock: a clock per lane would claim an overlap the model does not
+//! price.
 //!
 //! ## Accounting
 //!
@@ -102,8 +117,8 @@ pub enum StealPolicy {
 /// N independent simulated GPUs driven as one throughput tier.
 ///
 /// All devices share the same [`DeviceConfig`] hardware description but
-/// nothing else: memory, worker pools, and streams are per-device, and
-/// only the host moves data or work between them.
+/// nothing else: memory and worker pools are per-device, and only the host
+/// moves data or work between them.
 pub struct DeviceGroup {
     devices: Vec<Gpu>,
 }
@@ -182,54 +197,96 @@ impl DeviceGroup {
     /// *which* device it gets — jobs migrate. Its launches run on the lane,
     /// inline or with helpers from the lane's device pool. A panic inside a
     /// job, or inside any block it launches, aborts the whole batch and is
-    /// re-raised here, like a failed launch poisoning a stream.
+    /// re-raised here.
     pub fn run_batch<J, F>(&self, jobs: Vec<J>, policy: StealPolicy, run: F) -> GroupMetrics
     where
         J: Send,
         F: Fn(&Gpu, J) -> RunMetrics + Sync,
     {
-        let nd = self.devices.len();
-        let m = jobs.len();
         let started = Instant::now();
-        let mut iter = jobs.into_iter();
-        let batch = Batch {
-            shards: (0..nd)
-                .map(|d| Mutex::new(iter.by_ref().take((d + 1) * m / nd - d * m / nd).collect()))
-                .collect(),
-            clocks: (0..nd).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-            policy,
-            abort: Arc::new(AtomicBool::new(false)),
-            first_panic: Mutex::new(None),
-            progress: Progress::default(),
-        };
-        // Start every pool first: starting one can panic, which must not
-        // happen once a lane borrows this frame.
-        let pools: Vec<&Arc<PoolShared>> = self.devices.iter().map(Gpu::pool_shared).collect();
-        let (report, reports) = mpsc::channel();
-        for (d, gpu) in self.devices.iter().enumerate().skip(1) {
-            let (batch, run, report) = (&batch, &run, report.clone());
-            let lane = move |token| {
-                let _ = report.send((d, batch.drive_caught(d, gpu, run, || token)));
-            };
-            // SAFETY: the lane borrows `batch`, `run` and `gpu`. Nothing from
-            // here to the loop over `reports` unwinds (lane 0 runs under
-            // `catch_unwind`, and `submit_lane` recovers a poisoned lock),
-            // and that loop ends only once every lane has dropped its
-            // `report`, which it does when it has run or been dropped.
-            pools[d].submit_lane(unsafe { LaneTask::new(lane) });
-        }
-        drop(report);
-        let mut lanes: Vec<Option<DeviceLane>> = vec![None; nd];
-        lanes[0] = batch.drive_caught(0, &self.devices[0], &run, || Token::claim(pools[0]));
-        for (d, lane) in reports {
-            lanes[d] = lane;
-        }
-        if let Some(p) = batch.first_panic.into_inner().expect(POISONED) {
-            resume_unwind(p);
-        }
-        let lanes = lanes.into_iter().map(|l| l.expect("a lane stops without a record only by panicking")).collect();
+        let devices: Vec<&Gpu> = self.devices.iter().collect();
+        let lanes = run_lanes(&devices, jobs, policy, &run);
         GroupMetrics { lanes, wall_seconds: started.elapsed().as_secs_f64() }
     }
+}
+
+impl Gpu {
+    /// Run a batch of independent jobs on `lanes` resident lanes of this
+    /// one device, and return the kernel count and the summed counters of
+    /// every job; see the [module docs](crate::group) for the lanes.
+    ///
+    /// `lanes` is clamped to `1..=`[`Gpu::host_parallelism`]. Lane 0 runs
+    /// on the calling thread and lanes 1.. on the device's pool threads,
+    /// whatever this handle's [`ExecMode`]. Lane *d* runs the contiguous
+    /// shard `[d·m/L, (d+1)·m/L)` of the `m` jobs in order and no job
+    /// migrates, so jobs on one lane never overlap and jobs on different
+    /// lanes may. `run` and a panic behave as in [`DeviceGroup::run_batch`].
+    pub fn run_batch<J, F>(&self, lanes: usize, jobs: Vec<J>, run: F) -> (usize, BlockStats)
+    where
+        J: Send,
+        F: Fn(&Gpu, J) -> RunMetrics + Sync,
+    {
+        let handles = vec![self; lanes.clamp(1, self.host_parallelism())];
+        let mut total = (0, BlockStats::default());
+        for lane in run_lanes(&handles, jobs, StealPolicy::Disabled, &run) {
+            total.0 += lane.kernel_calls;
+            total.1.merge(&lane.stats);
+        }
+        total
+    }
+}
+
+/// The one batch driver: run `jobs` on one resident lane per handle of
+/// `devices` under `policy`, and return the lanes' records in lane order.
+///
+/// The calling thread drives lane 0 on a token claimed from `devices[0]`'s
+/// pool; lanes 1.. are queued on their handles' pools and run on their
+/// threads. Lanes borrow the batch and `run`, so this waits for every lane
+/// to stop before it returns or re-raises a panic.
+fn run_lanes<J, F>(devices: &[&Gpu], jobs: Vec<J>, policy: StealPolicy, run: &F) -> Vec<DeviceLane>
+where
+    J: Send,
+    F: Fn(&Gpu, J) -> RunMetrics + Sync,
+{
+    let nd = devices.len();
+    let m = jobs.len();
+    let mut iter = jobs.into_iter();
+    let batch = Batch {
+        shards: (0..nd)
+            .map(|d| Mutex::new(iter.by_ref().take((d + 1) * m / nd - d * m / nd).collect()))
+            .collect(),
+        clocks: (0..nd).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
+        policy,
+        abort: Arc::new(AtomicBool::new(false)),
+        first_panic: Mutex::new(None),
+        progress: Progress::default(),
+    };
+    // Start every pool first: starting one can panic, which must not
+    // happen once a lane borrows this frame.
+    let pools: Vec<&Arc<PoolShared>> = devices.iter().map(|gpu| gpu.pool_shared()).collect();
+    let (report, reports) = mpsc::channel();
+    for (d, &gpu) in devices.iter().enumerate().skip(1) {
+        let (batch, report) = (&batch, report.clone());
+        let lane = move |token| {
+            let _ = report.send((d, batch.drive_caught(d, gpu, run, || token)));
+        };
+        // SAFETY: the lane borrows `batch`, `run` and `gpu`. Nothing from
+        // here to the loop over `reports` unwinds (lane 0 runs under
+        // `catch_unwind`, and `submit_lane` recovers a poisoned lock),
+        // and that loop ends only once every lane has dropped its
+        // `report`, which it does when it has run or been dropped.
+        pools[d].submit_lane(unsafe { LaneTask::new(lane) });
+    }
+    drop(report);
+    let mut lanes: Vec<Option<DeviceLane>> = vec![None; nd];
+    lanes[0] = batch.drive_caught(0, devices[0], run, || Token::claim(pools[0]));
+    for (d, lane) in reports {
+        lanes[d] = lane;
+    }
+    if let Some(p) = batch.first_panic.into_inner().expect(POISONED) {
+        resume_unwind(p);
+    }
+    lanes.into_iter().map(|l| l.expect("a lane stops without a record only by panicking")).collect()
 }
 
 /// Batch progress signal: a generation counter bumped (with a broadcast
@@ -279,7 +336,7 @@ const POISONED: &str = "batch scheduler panicked while holding a batch lock";
 
 /// The state the lanes of one batch share.
 struct Batch<J> {
-    /// Device `d`'s remaining seeded (and not yet stolen) jobs.
+    /// Lane `d`'s remaining seeded (and not yet stolen) jobs.
     shards: Vec<Mutex<VecDeque<J>>>,
     /// Per-lane simulated clocks (f64 seconds as bits; non-negative floats
     /// order identically to their bit patterns).
@@ -315,7 +372,7 @@ impl<J: Send> Batch<J> {
         self.progress.bump();
     }
 
-    /// The resident loop of device `d`'s lane: pop own shard from the
+    /// The resident loop of lane `d`: pop own shard from the
     /// front, steal from eligible victims' backs, block on the progress
     /// condvar when neither applies.
     ///
@@ -621,6 +678,11 @@ mod tests {
                 );
             }
         }
+        for lanes in [1, 2, 4] {
+            let (kernels, stats) = seq.run_batch(lanes, jobs(), fill_job);
+            assert_eq!(kernels, 12, "{lanes} lanes of one device");
+            assert_eq!(stats.deterministic(), want.deterministic(), "{lanes} lanes of one device");
+        }
     }
 
     #[test]
@@ -693,6 +755,43 @@ mod tests {
                 } else {
                     let name = name.unwrap_or_default();
                     assert!(name.starts_with("gpu-sim-d1-"), "call {call}: lane 1 ran job {j} on {name:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_device_lanes_run_on_the_caller_and_on_its_pool() {
+        // The lanes of one device are its caller and its own pool threads,
+        // whatever the handle's mode, and their number is clamped to
+        // 1..=host_parallelism (here 2). Eight jobs shard as [0..8) on one
+        // lane and as [0..4), [4..8) on two.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cores < 2 {
+            eprintln!("skipped: a second lane needs a second core, the host has {cores}");
+            return;
+        }
+        let mut cfg = DeviceConfig::tiny();
+        cfg.host_workers = 2;
+        let gpu = Gpu::new(cfg);
+        assert_eq!(gpu.host_parallelism(), 2);
+        let caller = std::thread::current().id();
+        for (asked, lanes) in [(0, 1), (1, 1), (2, 2), (5, 2), (2, 2)] {
+            let ran = Mutex::new(Vec::new());
+            let (kernels, _) = gpu.run_batch(asked, (0..8u64).collect(), |gpu, j| {
+                let t = std::thread::current();
+                ran.lock().unwrap().push((j, t.id(), t.name().map(String::from)));
+                fill_job(gpu, j)
+            });
+            assert_eq!(kernels, 8);
+            let ran = ran.into_inner().unwrap();
+            assert_eq!(ran.len(), 8);
+            for (j, id, name) in ran {
+                if j < 8 / lanes {
+                    assert_eq!(id, caller, "{asked} lanes asked: lane 0 ran job {j} off the caller");
+                } else {
+                    let name = name.unwrap_or_default();
+                    assert!(name.starts_with("gpu-sim-d0-"), "{asked} lanes asked: lane 1 ran job {j} on {name:?}");
                 }
             }
         }

@@ -23,15 +23,12 @@
 //!   back-to-back launches reuse warm threads and scratch arenas instead
 //!   of paying thread spawn/join.
 //!
-//! [`Gpu::launch`] is the one launch entry point. A handle bound to a
-//! stream ([`Gpu::bind_stream`]) runs it stream-ordered on the pool, and
-//! the handle a [`DeviceGroup`](crate::group::DeviceGroup) lane gives its
-//! jobs runs it on the lane's thread (the batch's caller for lane 0, a
-//! pool thread of the lane's device otherwise) by the rule of a caller-run
-//! concurrent launch: inline when the pool's measurements give the grid no
-//! helper, otherwise beside the helpers it wakes. On top of the pool,
-//! [`Gpu::stream`] opens a CUDA-stream-style handle for asynchronous,
-//! stream-ordered launches ([`crate::stream`]).
+//! [`Gpu::launch`] is the one launch entry point. The handle a batch lane
+//! gives its jobs ([`DeviceGroup::run_batch`](crate::group::DeviceGroup::run_batch),
+//! [`Gpu::run_batch`]) runs it on the lane's thread (the batch's caller
+//! for lane 0, a pool thread of the lane's device otherwise) by the rule of
+//! a caller-run concurrent launch: inline when the pool's measurements give
+//! the grid no helper, otherwise beside the helpers it wakes.
 
 use std::any::{Any, TypeId};
 use std::sync::atomic::AtomicBool;
@@ -40,9 +37,8 @@ use std::time::Instant;
 
 use crate::device::DeviceConfig;
 use crate::elem::DeviceElem;
-use crate::executor::{shape_of, Body, BorrowedBody, LaunchJob, PoolShared, Token, WorkerPool};
+use crate::executor::{shape_of, BorrowedBody, LaunchJob, PoolShared, Token, WorkerPool};
 use crate::metrics::{BlockStats, CriticalPath, KernelMetrics};
-use crate::stream::Stream;
 use crate::trace::{EventKind, Tracer};
 
 /// How blocks are executed on the host.
@@ -273,14 +269,14 @@ pub struct BlockCtx<'a> {
     cfg: &'a DeviceConfig,
     tracer: Option<&'a Tracer>,
     arena: &'a mut ScratchArena,
-    /// Set when the launch (or, for a group lane, the batch) aborts because
+    /// Set when the launch (or, for a batch lane, the batch) aborts because
     /// a block or job panicked; soft-sync waits poll it so consumers of a
     /// dead producer fail fast instead of waiting out the deadlock limit.
     abort: Option<&'a AtomicBool>,
     /// The execution token of the thread running this block, which a
     /// parked flag wait lends to the pool ([`Token::lend`]). Set for every
     /// block whose thread holds one: a pool worker's, the caller's in a
-    /// multi-block concurrent launch, and a group lane's.
+    /// multi-block concurrent launch, and a batch lane's.
     /// `None` only for blocks of `Gpu::run_inline` outside a lane.
     token: Option<&'a Token>,
     /// The block's access counters; buffer and tile accessors charge here.
@@ -399,25 +395,15 @@ impl<'a> BlockCtx<'a> {
 /// State shared by every clone of a [`Gpu`]: the lazily started worker
 /// pool and the persistent scratch arena of launches the caller thread
 /// runs inline. Sharing it through an `Arc` means builder-style clones
-/// (`with_mode`, `with_dispatch`) and streams all reuse the same warm
+/// (`with_mode`, `with_dispatch`) and lane handles all reuse the same warm
 /// workers.
 #[derive(Default)]
-pub(crate) struct Engine {
+struct Engine {
     pool: OnceLock<WorkerPool>,
     seq_arena: Mutex<ScratchArena>,
 }
 
-/// Where a handle's launches run instead of its [`ExecMode`] default.
-#[derive(Clone)]
-enum Binding {
-    /// Stream-ordered on the worker pool ([`Gpu::bind_stream`]).
-    Stream(Stream),
-    /// Inline on a [`DeviceGroup`](crate::group::DeviceGroup) lane
-    /// ([`Gpu::for_lane`]).
-    Lane(Arc<Lane>),
-}
-
-/// What a group lane lends the launches of its jobs: the scratch arena they
+/// What a batch lane lends the launches of its jobs: the scratch arena they
 /// reuse from launch to launch, the batch's abort flag, and the lane's
 /// execution token, which the lane runs their blocks on (parked waits lend
 /// it to the device pool). The token is shared by `Arc`, so it stays
@@ -445,7 +431,9 @@ pub struct Gpu {
     dispatch: DispatchOrder,
     tracer: Option<Arc<Tracer>>,
     engine: Arc<Engine>,
-    binding: Option<Binding>,
+    /// The batch lane whose thread runs this handle's launches in place of
+    /// its [`ExecMode`] default ([`Gpu::for_lane`]).
+    lane: Option<Arc<Lane>>,
     /// Position within an owning [`DeviceGroup`](crate::group::DeviceGroup)
     /// (0 for standalone devices); flavors worker-thread names only.
     ordinal: usize,
@@ -470,7 +458,7 @@ impl Gpu {
             dispatch: DispatchOrder::InOrder,
             tracer: None,
             engine: Arc::new(Engine::default()),
-            binding: None,
+            lane: None,
             ordinal: 0,
         }
     }
@@ -529,67 +517,38 @@ impl Gpu {
         self.engine.pool.get_or_init(|| WorkerPool::new(&self.cfg, self.ordinal))
     }
 
-    /// The pool's shared state (started on first use) — for group lanes,
+    /// The pool's shared state (started on first use) — for batch lanes,
     /// which run on its threads and hold one of its execution tokens.
     pub(crate) fn pool_shared(&self) -> &Arc<PoolShared> {
         self.pool().shared()
     }
 
     /// Number of host worker threads serving this device's pool (started
-    /// on first use). Stream lanes beyond this count cannot overlap — the
-    /// pool has nothing to run them on — so batch pipelines use it to cap
-    /// how many streams they rotate over.
+    /// on first use), and so the number of lanes [`Gpu::run_batch`] can
+    /// run at once: each lane holds one of the pool's execution tokens for
+    /// its whole batch, and lanes beyond this count would share cores.
     pub fn host_parallelism(&self) -> usize {
         self.pool().shared().workers()
     }
 
-    /// Open an asynchronous stream on this GPU (CUDA `cudaStreamCreate`).
-    ///
-    /// Launches enqueued on one stream execute in order; launches on
-    /// different streams overlap on the shared worker pool. The stream
-    /// inherits this handle's device, dispatch order, and tracer, and
-    /// keeps the device's engine (and so its worker threads) alive even
-    /// if every `Gpu` handle is dropped first — a stream must stay usable
-    /// until it is synchronized, like device memory under CUDA.
-    pub fn stream(&self) -> Stream {
-        Stream::new(
-            Arc::clone(self.pool().shared()),
-            Arc::clone(&self.engine),
-            self.cfg.clone(),
-            self.dispatch,
-            self.tracer.clone(),
-        )
-    }
-
-    /// A handle whose `launch` calls execute as stream-ordered operations
-    /// on `stream`: each launch still blocks and returns its metrics, but
-    /// it runs on the worker pool, ordered after everything previously
-    /// enqueued on the stream. This lets unmodified multi-kernel
-    /// algorithms (which call [`Gpu::launch`] internally) participate in a
-    /// stream pipeline. The execution mode is ignored for bound handles —
-    /// stream operations are concurrent by definition.
-    pub fn bind_stream(&self, stream: &Stream) -> Gpu {
-        Gpu { binding: Some(Binding::Stream(stream.clone())), ..self.clone() }
-    }
-
-    /// The handle a group lane gives its jobs: every launch runs on the
+    /// The handle a batch lane gives its jobs: every launch runs on the
     /// lane's thread and `token`, against one arena that persists across
     /// the lane's jobs, inline in dispatch order unless the device pool's
     /// measurements give the grid helpers, which then claim blocks beside
     /// the lane. Every block, the helpers' too, carries the batch's `abort`
-    /// flag, so a wait on a job that panicked on another device fails fast,
+    /// flag, so a wait on a job that panicked on another lane fails fast,
     /// and a block's panic stops the batch; a parked wait lends its
     /// thread's token to the device pool. `is_sequential()` stays false.
     pub(crate) fn for_lane(&self, abort: Arc<AtomicBool>, token: Arc<Token>) -> Gpu {
         let lane = Lane { arena: Mutex::default(), abort, token };
-        Gpu { binding: Some(Binding::Lane(Arc::new(lane))), ..self.clone() }
+        Gpu { lane: Some(Arc::new(lane)), ..self.clone() }
     }
 
     /// Launch a kernel: run `body` once per block and return the launch's
     /// aggregated metrics.
     ///
-    /// The handle picks where blocks run: on a bound stream; on a resident
-    /// group lane, inline or with the pool workers it wakes; inline on the
+    /// The handle picks where blocks run: on a resident batch lane, inline
+    /// or with the pool workers it wakes; inline on the
     /// caller thread (sequential mode, and concurrent grids of at most one
     /// block); or, for larger concurrent grids, on the caller thread
     /// together with the pool workers it wakes to help. A lane and a
@@ -607,14 +566,6 @@ impl Gpu {
     where
         F: Fn(&mut BlockCtx) + Sync,
     {
-        let lane = match &self.binding {
-            // The stream validates against the device that executes the
-            // launch — its own, not this handle's. They differ when a
-            // handle is bound across the heterogeneous devices of a group.
-            Some(Binding::Stream(stream)) => return stream.launch_blocking(lc, self.tracer.clone(), &body),
-            Some(Binding::Lane(lane)) => Some(lane),
-            None => None,
-        };
         assert!(
             lc.threads_per_block <= self.cfg.max_threads_per_block,
             "{} threads per block exceeds the device maximum {}",
@@ -622,7 +573,7 @@ impl Gpu {
             self.cfg.max_threads_per_block
         );
         let seq_arena = &self.engine.seq_arena;
-        let inline = match (lane, self.mode) {
+        let inline = match (&self.lane, self.mode) {
             (Some(lane), _) => return self.launch_on_lane(lane, lc, &body),
             (None, ExecMode::Sequential) => Inline { arena: seq_arena, sequential: true, abort: None, token: None },
             // A grid of at most one block has no cross-block concurrency to
@@ -641,7 +592,7 @@ impl Gpu {
         self.run_inline(lc, &body, inline)
     }
 
-    /// A launch on a group lane ([`Gpu::for_lane`]), by the rule every
+    /// A launch on a batch lane ([`Gpu::for_lane`]), by the rule every
     /// caller-run concurrent launch follows, decided before anything is
     /// built: a grid the pool's measurements give no helper
     /// (`executor::helpers`) runs inline on the lane, which records its
@@ -684,7 +635,7 @@ impl Gpu {
         batch_abort: Option<Arc<AtomicBool>>,
     ) -> Arc<LaunchJob> {
         let order = self.dispatch.launch_order(lc.blocks);
-        let body = Body::Borrowed(BorrowedBody::new(body));
+        let body = BorrowedBody::new(body);
         Arc::new(LaunchJob::new(lc, shape, self.cfg.clone(), order, body, self.tracer.clone(), batch_abort))
     }
 

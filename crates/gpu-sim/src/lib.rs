@@ -11,9 +11,9 @@
 //! * [`launch::Gpu::launch`] runs a grid of blocks under a scheduler the
 //!   program cannot control ([`launch::DispatchOrder`]), with real OS-thread
 //!   concurrency on a persistent worker pool in
-//!   [`launch::ExecMode::Concurrent`], and [`stream::Stream`] provides
-//!   CUDA-stream-style asynchronous, ordered launches that overlap across
-//!   streams, while [`group::DeviceGroup`] scales out to N independent
+//!   [`launch::ExecMode::Concurrent`]; batches of jobs run on resident
+//!   lanes, several of one device ([`launch::Gpu::run_batch`]) or one per
+//!   device of a [`group::DeviceGroup`], which scales out to N independent
 //!   devices with a work-stealing batch scheduler;
 //! * [`global::GlobalBuffer`] is device DRAM: shared by all blocks,
 //!   accounted for coalesced vs. strided traffic;
@@ -58,7 +58,6 @@ pub mod launch;
 pub mod metrics;
 pub mod shared;
 pub mod simd;
-pub mod stream;
 pub mod sync;
 pub mod timing;
 pub mod trace;
@@ -73,7 +72,6 @@ pub mod prelude {
     pub use crate::launch::{BlockCtx, DispatchOrder, ExecMode, Gpu, LaunchConfig};
     pub use crate::metrics::{BlockStats, CriticalPath, KernelMetrics, RunMetrics};
     pub use crate::shared::{Arrangement, SharedTile};
-    pub use crate::stream::Stream;
     pub use crate::sync::{DeviceCounter, StatusBoard};
     pub use crate::timing::{kernel_time, overhead_percent, run_millis, run_seconds};
     pub use crate::trace::{Event, EventKind, Tracer};

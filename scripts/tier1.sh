@@ -24,11 +24,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # The parked-wait and token-handoff races depend on timing, so they run
 # at release speed too: the parking suite (with a remote wait inside a
 # pool-run lane grid), the schedule-parity suite (its group batches run
-# their lanes on pool threads), and gpu-sim's unit tests (the token-balance
-# test with its pool-run lane grid, the park/wake tests in sync.rs, and
-# the lane thread and lane wake-rule tests in group.rs). All are also part
-# of `cargo test --workspace`; run standalone in release so a break is
-# named directly in the tier-1 log.
+# their lanes on pool threads, and its lane strategy runs every algorithm
+# and the duplication baseline as the job of a one-device batch), and
+# gpu-sim's unit tests (the token-balance test with its pool-run lane grid
+# and its two-lane batch of one device, the pool dropped on its own
+# thread, the park/wake tests in sync.rs, and in group.rs the lane thread
+# tests of a group and of one device and the lane wake-rule test). All are
+# also part of `cargo test --workspace`; run standalone in release so a
+# break is named directly in the tier-1 log.
 cargo test --release -q --test counter_parity --test parking --test scheduling_parity
 cargo test --release -q -p gpu-sim --lib
 

@@ -174,35 +174,6 @@ fn a_panicking_launch_returns_the_callers_token() {
     assert_eq!(publishes, 1);
 }
 
-/// A stream job chained behind another is published for helpers, so a
-/// parked block of it can hand its token off. The one-block head job holds
-/// the stream until the dependent job is queued behind it; the worker that
-/// finishes the head then runs the dependent job, and its first-claimed
-/// block parks holding the pool's only token.
-#[test]
-fn a_chained_stream_job_can_hand_off_its_token() {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let stream = one_worker_gpu().stream();
-        let queued = Arc::new(AtomicBool::new(false));
-        let gate = Arc::clone(&queued);
-        stream.enqueue(LaunchConfig::new("head", 1, 32), move |_ctx| {
-            while !gate.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        });
-        stream.enqueue(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
-        queued.store(true, Ordering::Release);
-        let _ = tx.send(stream.sync());
-    });
-    let metrics = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("stream wedged: the chained job's parked block had no one to hand its token to");
-    let labels: Vec<_> = metrics.iter().map(|m| m.label.as_str()).collect();
-    assert_eq!(labels, ["head", "handoff"]);
-    assert_eq!(metrics[1].stats.flag_publishes, 1);
-}
-
 /// Synthetic run record whose only purpose is to advance a lane's
 /// simulated clock by a controlled amount: `bytes` of charged global
 /// reads model to proportional device time in `run_seconds`.

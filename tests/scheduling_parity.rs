@@ -1,14 +1,15 @@
 //! Scheduling invariance of the accounting counters.
 //!
-//! The executor rework (persistent worker pool, stream-ordered launches)
-//! must not be observable in the metrics: counters are charged per block
-//! by the kernels themselves, so *which* thread runs a block, in what
-//! order blocks are dispatched, and whether launches are blocking or
-//! stream-pipelined can never change them. This suite runs every SAT
+//! The executor (persistent worker pool, resident batch lanes) must not be
+//! observable in the metrics: counters are charged per block by the
+//! kernels themselves, so *which* thread runs a block, in what order
+//! blocks are dispatched, and whether a launch runs on its caller, on the
+//! pool or on a batch lane can never change them. This suite runs every SAT
 //! algorithm plus the duplication baseline under all combinations of
 //!
-//! * execution strategy: sequential, concurrent (worker pool), and
-//!   stream-pipelined (all launches routed through a bound [`Stream`]),
+//! * execution strategy: sequential, concurrent (worker pool), and lane
+//!   (the algorithm as the one job of a one-device [`DeviceGroup`] batch,
+//!   so every launch takes the lane path, inline or with pool helpers),
 //! * dispatch order: `InOrder`, `Reversed`, `Random`,
 //!
 //! and asserts `stats.deterministic()` is identical to the sequential
@@ -45,18 +46,14 @@ fn run_one(
     output: &GlobalBuffer<u32>,
     expect: &Matrix<u32>,
 ) -> BlockStats {
-    let gpu = match strategy {
-        "sequential" => Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Sequential),
-        _ => Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Concurrent),
-    }
-    .with_dispatch(dispatch);
     output.host_fill(0);
-    let run = if strategy == "streamed" {
-        let stream = gpu.stream();
-        let bound = gpu.bind_stream(&stream);
-        alg.run(&bound, input, output, N)
-    } else {
-        alg.run(&gpu, input, output, N)
+    let stats = match strategy {
+        "lane" => lane_stats(dispatch, |gpu| alg.run(gpu, input, output, N)),
+        _ => {
+            let mode = if strategy == "sequential" { ExecMode::Sequential } else { ExecMode::Concurrent };
+            let gpu = Gpu::new(DeviceConfig::tiny()).with_mode(mode).with_dispatch(dispatch);
+            alg.run(&gpu, input, output, N).total_stats()
+        }
     };
     assert_eq!(
         &Matrix::from_device(output, N, N),
@@ -64,7 +61,14 @@ fn run_one(
         "{} wrong SAT ({strategy}, {dispatch:?})",
         alg.name()
     );
-    run.total_stats().deterministic()
+    stats.deterministic()
+}
+
+/// The counters of `run` as the one job of a batch on a one-device group
+/// under `dispatch`: every launch it makes runs on the batch's lane.
+fn lane_stats(dispatch: DispatchOrder, run: impl Fn(&Gpu) -> RunMetrics + Sync) -> BlockStats {
+    let group = DeviceGroup::new(DeviceConfig::tiny(), 1).with_dispatch(dispatch);
+    group.run_batch(vec![()], StealPolicy::Disabled, |gpu, ()| run(gpu)).total_stats()
 }
 
 #[test]
@@ -78,7 +82,7 @@ fn deterministic_counters_are_schedule_invariant() {
         let reference =
             run_one(alg.as_ref(), "sequential", DispatchOrder::InOrder, &input, &output, &expect);
         let lookback = reference.flag_waits > 0;
-        for strategy in ["sequential", "concurrent", "streamed"] {
+        for strategy in ["sequential", "concurrent", "lane"] {
             for dispatch in
                 [DispatchOrder::InOrder, DispatchOrder::Reversed, DispatchOrder::Random(9)]
             {
@@ -225,10 +229,9 @@ fn duplication_baseline_is_schedule_invariant() {
             .with_dispatch(dispatch);
         let conc = Duplicate::new().copy(&gpu, &input, &output).total_stats().deterministic();
         assert_eq!(conc, reference, "concurrent {dispatch:?}");
-        let stream = gpu.stream();
-        let bound = gpu.bind_stream(&stream);
-        let streamed = Duplicate::new().copy(&bound, &input, &output).total_stats().deterministic();
-        assert_eq!(streamed, reference, "streamed {dispatch:?}");
+        output.host_fill(0);
+        let lane = lane_stats(dispatch, |gpu| Duplicate::new().copy(gpu, &input, &output)).deterministic();
+        assert_eq!(lane, reference, "lane {dispatch:?}");
         assert_eq!(output.to_vec(), a.as_slice());
     }
 }
