@@ -179,8 +179,9 @@ pub fn k3_gsat<T: DeviceElem>(
 }
 
 /// Kernel 3 for one explicit tile. Reads whatever `GRS`/`GCS`/`GS` hold at
-/// the tile's borders — the cooperative carry kernel rewrites those rows to
-/// global values first, so this body is shared unchanged.
+/// the tile's borders — the cooperative publish block and carry grid
+/// rewrite those rows to global values first, so this body is shared
+/// unchanged.
 pub(crate) fn k3_tile<T: DeviceElem>(
     ctx: &mut BlockCtx,
     input: &GlobalBuffer<T>,

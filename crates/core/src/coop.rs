@@ -15,18 +15,23 @@
 //!
 //! * [`CoopKernel::TwoROneW`] — an **eager carry exchange**. Each band
 //!   runs k1 and a band-local k2 (full-width row scans; column and grid
-//!   scans restricted to its rows), then *publishes* its total column sums
-//!   (the last band-local `GCS` row, `n` elements) into a peer-visible
-//!   bounds buffer and raises a per-band flag. Band `d` then runs a
-//!   *carry* kernel: it remote-waits on bands `0..d`, pulls their `n`-wide
-//!   boundary rows over the interconnect (one [`charge_d2d`] transfer
-//!   each), accumulates the carry, and upgrades its band-local `GCS`/`GS`
-//!   aux rows to global values in place — overwriting tile-row `r0 - 1`
-//!   (a local copy of the imported boundary) and adding the carry to its
-//!   own rows. k3 then runs completely unchanged. Every counter of this
-//!   pipeline is **fully deterministic**: the carry loop reads bands in
-//!   ascending order, so reads, writes, transfers, and flag waits are
-//!   identical for any device count, dispatch order, and steal schedule.
+//!   scans restricted to its rows). Each column-scan block also copies its
+//!   segment of the band's total column sums (the last band-local `GCS`
+//!   row, `n` elements in all) into a peer-visible bounds buffer. A
+//!   one-block *publish* kernel then charges that row as one
+//!   [`charge_d2d`] transfer and raises the band's flag. For band `d > 0`
+//!   the same block remote-waits on bands `0..d`, charges one transfer per
+//!   pulled boundary row, and folds the carry's column prefix into `GS`
+//!   tile-row `r0 - 1`. It moves no other data. A *carry* grid, one block
+//!   per tile column, then upgrades the band-local `GCS`/`GS` aux rows to
+//!   global values in place: each block sums its `w`-wide segment of the
+//!   landed rows, writes it to `GCS` tile-row `r0 - 1` (a local copy of
+//!   the imported boundary) and adds it to the band's own rows, and adds
+//!   the `GS` prefix the publish block left in row `r0 - 1` to its column.
+//!   k3 then runs completely unchanged. Every counter of this pipeline is
+//!   **fully deterministic**: carries sum bands in ascending order, so
+//!   reads, writes, transfers, and flag waits are identical for any
+//!   device count, dispatch order, and steal schedule.
 //!
 //! * [`CoopKernel::SkssLb`] / [`CoopKernel::SkssSh`] — the paper's
 //!   **look-back protocol stretched across devices**. All bands share one
@@ -55,9 +60,9 @@
 //! *when* a look-back walk observes remote flags, so schedule-dependent
 //! traffic counters (`d2d_transfers` on the look-back read side,
 //! poll/backoff/park events) may shift; the deterministic counter subset
-//! and the numeric output must not — the carry accumulation in `TwoROneW`
-//! reads bands in ascending order regardless of wake order, and the
-//! look-back sum order is fixed by the walk itself.
+//! and the numeric output must not — the carry sums in `TwoROneW` read
+//! bands in ascending order regardless of wake order, and the look-back
+//! sum order is fixed by the walk itself.
 //!
 //! ## Persistent execution
 //!
@@ -259,11 +264,13 @@ pub fn sat_huge_multi_device_bands<T: DeviceElem>(
 
 /// The eager-carry 2R1W pipeline; see the module docs for the protocol and
 /// its determinism argument. Disjointness of the in-place aux upgrades:
-/// band `d`'s carry overwrites `GCS`/`GS` tile-row `r0 - 1` and adds to
-/// rows `r0 .. r1-2`; its own k3 reads exactly rows `r0-1 .. r1-2`; its
-/// publish kernel read row `r1 - 1` *before* raising flag `d`, which is
-/// the row band `d + 1`'s carry overwrites *after* waiting on flag `d`.
-/// No two bands ever touch the same row unordered.
+/// band `d`'s publish block overwrites `GS` tile-row `r0 - 1` and its
+/// carry grid overwrites `GCS` row `r0 - 1` and adds to both arrays' rows
+/// `r0 .. r1-2`, all after waiting on flag `d - 1`; its own k3 reads
+/// exactly rows `r0-1 .. r1-2`. Band `d`'s k2 wrote and re-read row
+/// `r1 - 1` *before* its publish raised flag `d`, and that row is the one
+/// band `d + 1` overwrites *after* waiting on flag `d`. No two bands ever
+/// touch the same row unordered.
 fn run_coop_2r1w<T: DeviceElem>(
     group: &DeviceGroup,
     params: SatParams,
@@ -276,11 +283,16 @@ fn run_coop_2r1w<T: DeviceElem>(
     let (n, t, w) = (grid.n, grid.t, grid.w);
     let aux = TwoROneWAux::<T>::new(grid);
     // Peer-visible boundary exchange: row `d` holds band d's total column
-    // sums (its last band-local GCS row, n elements). Written with the
-    // unaccounted host accessors and charged explicitly as one D2D
-    // transfer — peer traffic must not double-charge the DRAM counters.
+    // sums (its last band-local GCS row, n elements). Written and read with
+    // the unaccounted host accessors and charged explicitly as one D2D
+    // transfer per crossing: peer traffic must not double-charge the DRAM
+    // counters. A row is landed data on every band that charged its pull.
     let bounds = GlobalBuffer::<T>::zeroed(bands.len() * n);
     let flags = StatusBoard::new(bands.len());
+    let row_bytes = n as u64 * T::BYTES;
+    // Carry into column `x`: band rows `0..d` of `bounds`, summed in
+    // ascending band order.
+    let carry = |d: usize, x: usize| (0..d).fold(T::zero(), |c, e| c.add(bounds.host_read(e * n + x)));
 
     let run_band = |gpu: &Gpu, band: &BandPlan| -> RunMetrics {
         let (d, r0, r1) = (band.d, band.r0, band.r1);
@@ -296,70 +308,76 @@ fn run_coop_2r1w<T: DeviceElem>(
         }));
 
         // Band-local k2: h full-width row scans (GRS is already global),
-        // t column scans over the band's rows, one band GS grid scan.
+        // t column scans over the band's rows, one band GS grid scan. Each
+        // column scan then reads its segment of the band's last GCS row
+        // back (`k2_col_scan` keeps its running sum private) and copies it
+        // into the band's `bounds` row.
         rm.push(gpu.launch(LaunchConfig::new("coop_2r1w_k2", h + t + 1, stpb), |ctx| {
             let b = ctx.block_idx();
             if b < h {
                 two_r_one_w::k2_row_scan(ctx, &aux, r0 + b);
             } else if b < h + t {
-                two_r_one_w::k2_col_scan(ctx, &aux, b - h, r0, r1);
+                let tj = b - h;
+                two_r_one_w::k2_col_scan(ctx, &aux, tj, r0, r1);
+                let mut row: Vec<T> = ctx.scratch_overwrite(w);
+                aux.gcs.read_vec_into(ctx, r1 - 1, tj, &mut row);
+                for (x, &v) in row.iter().enumerate() {
+                    bounds.host_write(d * n + tj * w + x, v);
+                }
+                ctx.recycle(row);
             } else {
                 two_r_one_w::k2_grid(ctx, &aux, r0, r1);
             }
         }));
 
-        // Publish the band's total column sums to the bounds buffer.
+        // One block: publish the band's bounds row, then pull every earlier
+        // band's. The only cross-column value of the carry, GS's column
+        // prefix, is folded here from the landed rows and handed to the
+        // carry grid through GS row `r0 - 1`, which is also k3's corner row.
         rm.push(gpu.launch(LaunchConfig::new("coop_publish", 1, stpb), |ctx| {
-            let mut row: Vec<T> = ctx.scratch(w);
-            for tj in 0..t {
-                aux.gcs.read_vec_into(ctx, r1 - 1, tj, &mut row);
-                for (x, &v) in row.iter().enumerate() {
-                    bounds.host_write(d * n + tj * w + x, v);
-                }
-            }
-            ctx.recycle(row);
-            ctx.stats.charge_d2d(1, n as u64 * T::BYTES);
+            ctx.stats.charge_d2d(1, row_bytes);
             flags.publish(ctx, d, 1);
-        }));
-
-        // Pull every earlier band's boundary row, accumulate the carry,
-        // and upgrade the band-local GCS/GS rows to global in place.
-        if d > 0 {
-            rm.push(gpu.launch(LaunchConfig::new("coop_carry", 1, stpb), |ctx| {
-                let mut carry: Vec<T> = ctx.scratch(n);
-                for e in 0..d {
-                    flags.wait_at_least_remote(ctx, e, 1);
-                    ctx.stats.charge_d2d(1, n as u64 * T::BYTES);
-                    for (x, c) in carry.iter_mut().enumerate() {
-                        *c = c.add(bounds.host_read(e * n + x));
-                    }
-                }
-                let mut tmp: Vec<T> = ctx.scratch(w);
-                for tj in 0..t {
-                    let seg = &carry[tj * w..(tj + 1) * w];
-                    // Local copy of the imported boundary: k3's top border.
-                    aux.gcs.write_vec(ctx, r0 - 1, tj, seg);
-                    for ti in r0..r1 - 1 {
-                        aux.gcs.read_vec_into(ctx, ti, tj, &mut tmp);
-                        gpu_sim::simd::zip_add(&mut tmp, seg);
-                        aux.gcs.write_vec(ctx, ti, tj, &tmp);
-                    }
-                }
-                ctx.recycle(tmp);
-                // GS gets the column-prefixed carry: gsrow(tj) is the sum
-                // of every element above the band through tile column tj.
+            for e in 0..d {
+                flags.wait_at_least_remote(ctx, e, 1);
+                ctx.stats.charge_d2d(1, row_bytes);
+            }
+            if d > 0 {
                 let mut acc = T::zero();
                 for tj in 0..t {
-                    for &c in &carry[tj * w..(tj + 1) * w] {
-                        acc = acc.add(c);
+                    for x in tj * w..(tj + 1) * w {
+                        acc = acc.add(carry(d, x));
                     }
                     aux.gs.write(ctx, r0 - 1, tj, acc);
-                    for ti in r0..r1 - 1 {
-                        let v = aux.gs.read(ctx, ti, tj);
-                        aux.gs.write(ctx, ti, tj, v.add(acc));
-                    }
                 }
-                ctx.recycle(carry);
+            }
+        }));
+
+        // The carry grid, one block per tile column: upgrade the column's
+        // band-local GCS and GS rows to global values in place.
+        if d > 0 {
+            rm.push(gpu.launch(LaunchConfig::new("coop_carry", t, stpb), |ctx| {
+                let tj = ctx.block_idx();
+                // GCS rows `r0 - 1` through `r1 - 2`: the landed carry
+                // segment becomes row `r0 - 1` (k3's top border) and is
+                // added to the rest.
+                let mut col: Vec<T> = ctx.scratch_overwrite(h * w);
+                let (seg, rows) = col.split_at_mut(w);
+                for (x, s) in seg.iter_mut().enumerate() {
+                    *s = carry(d, tj * w + x);
+                }
+                aux.gcs.read_col_window_into(ctx, r0, tj, h - 1, rows);
+                for row in rows.chunks_exact_mut(w) {
+                    gpu_sim::simd::zip_add(row, seg);
+                }
+                aux.gcs.write_col_window_from(ctx, r0 - 1, tj, h, &col);
+                ctx.recycle(col);
+                // GS rows `r0` through `r1 - 2` of this column gain the
+                // column prefix.
+                let acc = aux.gs.read(ctx, r0 - 1, tj);
+                for ti in r0..r1 - 1 {
+                    let v = aux.gs.read(ctx, ti, tj);
+                    aux.gs.write(ctx, ti, tj, v.add(acc));
+                }
             }));
         }
 

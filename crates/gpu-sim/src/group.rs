@@ -290,9 +290,9 @@ where
 }
 
 /// Batch progress signal: a generation counter bumped (with a broadcast
-/// wake) whenever any lane completes a job or the batch aborts. Lanes
-/// whose simulated clock is ahead of every victim's wait here, parked
-/// like a flag wait, instead of polling.
+/// wake) whenever a lane of a [`StealPolicy::StealOnIdle`] batch completes
+/// a job, or any batch aborts. Lanes whose simulated clock is ahead of
+/// every victim's wait here, parked like a flag wait, instead of polling.
 ///
 /// The wait is purely **event-driven**: no timeout, no fixed-period
 /// polling. That is safe because `bump` takes the same mutex the waiter
@@ -339,7 +339,8 @@ struct Batch<J> {
     /// Lane `d`'s remaining seeded (and not yet stolen) jobs.
     shards: Vec<Mutex<VecDeque<J>>>,
     /// Per-lane simulated clocks (f64 seconds as bits; non-negative floats
-    /// order identically to their bit patterns).
+    /// order identically to their bit patterns). Kept only under
+    /// [`StealPolicy::StealOnIdle`], the one policy that reads them.
     clocks: Vec<AtomicU64>,
     policy: StealPolicy,
     /// Set by the first job to panic; every lane's blocks poll it.
@@ -424,12 +425,16 @@ impl<J: Send> Batch<J> {
                             lane.kernel_calls += rm.kernel_calls();
                             lane.stats.merge(&rm.total_stats());
                             lane.modeled_seconds += run_seconds(gpu.config(), &rm);
-                            self.clocks[d].store(lane.modeled_seconds.to_bits(), Ordering::Release);
-                            // Clock advance may make this lane a legal victim:
-                            // broadcast after the store so a waiter that wakes
-                            // is guaranteed to see the new clock.
-                            self.progress.bump();
+                            // Only thieves read the clocks and only idle
+                            // lanes wait on progress; static shards have
+                            // neither.
                             if self.policy == StealPolicy::StealOnIdle {
+                                self.clocks[d].store(lane.modeled_seconds.to_bits(), Ordering::Release);
+                                // Clock advance may make this lane a legal
+                                // victim: broadcast after the store so a
+                                // waiter that wakes is guaranteed to see the
+                                // new clock.
+                                self.progress.bump();
                                 // Give the waiters just woken a scheduling
                                 // window to observe eligibility and steal
                                 // before this lane claims its next job: a

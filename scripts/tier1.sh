@@ -34,6 +34,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # break is named directly in the tier-1 log.
 cargo test --release -q --test counter_parity --test parking --test scheduling_parity
 cargo test --release -q -p gpu-sim --lib
+# The cooperative multi-device tests pin modeled-time floors and the
+# skewed-band premise, which depend on what every band kernel costs; run
+# them at release speed too. The batch steal-vs-static test stays
+# debug-only: in release its thief can still starve, and it fails a few
+# runs in several hundred.
+cargo test --release -q --test multi_device cooperative_
 
 # The benchmark (perfbench/, described by BENCHMARK.json) is a package of
 # its own, outside this workspace: build it against the library and run its

@@ -11,9 +11,10 @@
 //! `deterministic()` counters are identical to the batched run, for all
 //! eight algorithms, several sizes, all dispatch orders, sequential and
 //! concurrent. At n = 128 (t = 16 tiles per side) a concurrent walk can
-//! run past one look-back window. The cooperative look-back pipelines run
-//! the same comparison, with walks that leave their band and cross the
-//! interconnect.
+//! run past one look-back window. The cooperative pipelines run the same
+//! comparison: the look-back ones with walks that leave their band and
+//! cross the interconnect, the eager-carry 2R1W with its carry grid's
+//! column windows.
 //!
 //! `force_scalar` is process-global, so everything lives in ONE `#[test]`
 //! (Rust runs tests of a binary on parallel threads; a sibling test could
@@ -109,13 +110,17 @@ fn batched_and_scalar_paths_charge_identically() {
     // block at a time: on a one-worker pool no band grid gets a helper, so
     // the lane runs every block inline. With two workers a band grid may
     // get one, and the look-back read side then follows the schedule, so
-    // that run compares the schedule-independent subset.
+    // that run compares the schedule-independent subset. Cooperative 2R1W
+    // charges the same counters under any schedule, so its carry grid's
+    // bulk column reads and writes are held to their scalar expansions on
+    // both pools.
     let n = 64;
     let a = Matrix::<u32>::random(n, n, 0xC0B4D, 16);
     let expect = satcore::reference::sat(&a);
     let input = a.to_device();
     let params = SatParams { w: W, threads_per_block: 64 };
-    for (kernel, workers) in [CoopKernel::SkssLb, CoopKernel::SkssSh].into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
+    let kernels = [CoopKernel::SkssLb, CoopKernel::SkssSh, CoopKernel::TwoROneW];
+    for (kernel, workers) in kernels.into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
         let run = |scalar: bool| {
             set_force_scalar(scalar);
             let mut cfg = DeviceConfig::tiny();
@@ -139,8 +144,8 @@ fn batched_and_scalar_paths_charge_identically() {
         let batched = run(false);
         let scalar = run(true);
         let tag = format!("{kernel:?} on {workers} worker(s)");
-        assert!(batched.d2d_transfers > 0, "{tag}: no walk left its band");
-        if workers == 1 {
+        assert!(batched.d2d_transfers > 0, "{tag}: nothing crossed the interconnect");
+        if workers == 1 || kernel == CoopKernel::TwoROneW {
             assert_eq!(scalar, batched, "{tag}: cooperative scalar expansion drifted");
         } else {
             assert_eq!(scalar.global_writes, batched.global_writes, "{tag}: writes");
