@@ -624,7 +624,7 @@ impl<T: DeviceElem> SatAlgorithm<T> for SkssLb {
 /// Shared by the one-shot [`SkssLb::run`] loop (which claims tiles in
 /// diagonal-major serial order with `d2d_below = 0`) and the cooperative
 /// band decomposition in [`crate::coop`] (which claims tiles in band-local
-/// row-major order and passes the band's first tile-row as `d2d_below`, so
+/// column-major order and passes the band's first tile-row as `d2d_below`, so
 /// walks that leave the band go through the interconnect).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_tile<T: DeviceElem>(

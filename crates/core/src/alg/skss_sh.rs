@@ -318,7 +318,7 @@ mod tests {
         {
             let group = DeviceGroup::new(DeviceConfig::tiny(), 1).with_dispatch(DispatchOrder::Reversed);
             let output = GlobalBuffer::<u64>::zeroed(n * n);
-            let gm = group.run_batch(vec![()], StealPolicy::Disabled, |gpu, ()| {
+            let gm = group.run_batch(vec![()], |gpu, ()| {
                 SatAlgorithm::<u64>::run(&alg(w), gpu, &input, &output, n)
             });
             assert_eq!(Matrix::from_device(&output, n, n), expect, "lane");

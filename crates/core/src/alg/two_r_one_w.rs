@@ -27,8 +27,9 @@ use crate::tile::{
 
 /// The auxiliary device arrays of one 2R1W run (local and global row /
 /// column / tile sums), bundled so the kernel bodies can be shared between
-/// the one-shot [`TwoROneW::run`] path and the batch calls in
-/// [`crate::batch`].
+/// [`TwoROneW::run`], the one per-image path (the batch calls in
+/// [`crate::batch`] run it per image), and the cooperative bands in
+/// [`crate::coop`].
 pub struct TwoROneWAux<T: DeviceElem> {
     /// Tile decomposition the arrays are sized for.
     pub grid: TileGrid,
@@ -56,7 +57,7 @@ impl<T: DeviceElem> TwoROneWAux<T> {
 }
 
 /// Kernel 1 body: local sums (`LRS`, `LCS`, `LS`) of tile `block_idx`.
-pub fn k1_local_sums<T: DeviceElem>(ctx: &mut BlockCtx, input: &GlobalBuffer<T>, aux: &TwoROneWAux<T>) {
+fn k1_local_sums<T: DeviceElem>(ctx: &mut BlockCtx, input: &GlobalBuffer<T>, aux: &TwoROneWAux<T>) {
     let grid = aux.grid;
     let (ti, tj) = (ctx.block_idx() / grid.t, ctx.block_idx() % grid.t);
     k1_tile(ctx, input, aux, ti, tj);
@@ -86,7 +87,7 @@ pub(crate) fn k1_tile<T: DeviceElem>(
 /// Kernel 2 body: global sums. Blocks `0..t` scan tile-rows (`GRS`),
 /// blocks `t..2t` scan tile-columns (`GCS`), block `2t` computes the SAT
 /// of the `LS` grid (`GS`).
-pub fn k2_global_sums<T: DeviceElem>(ctx: &mut BlockCtx, aux: &TwoROneWAux<T>) {
+fn k2_global_sums<T: DeviceElem>(ctx: &mut BlockCtx, aux: &TwoROneWAux<T>) {
     let t = aux.grid.t;
     let b = ctx.block_idx();
     if b < t {
@@ -167,7 +168,7 @@ pub(crate) fn k2_grid<T: DeviceElem>(
 }
 
 /// Kernel 3 body: GSAT of tile `block_idx` from the carried borders.
-pub fn k3_gsat<T: DeviceElem>(
+fn k3_gsat<T: DeviceElem>(
     ctx: &mut BlockCtx,
     input: &GlobalBuffer<T>,
     output: &GlobalBuffer<T>,
@@ -202,7 +203,7 @@ pub(crate) fn k3_tile<T: DeviceElem>(
 }
 
 /// The three launch configurations of one 2R1W run over `grid`, in order.
-pub fn launch_plan(grid: TileGrid, threads_per_block: usize) -> [LaunchConfig; 3] {
+fn launch_plan(grid: TileGrid, threads_per_block: usize) -> [LaunchConfig; 3] {
     [
         LaunchConfig::new("2r1w_k1", grid.tiles(), threads_per_block),
         LaunchConfig::new("2r1w_k2", 2 * grid.t + 1, grid.w.min(threads_per_block)),

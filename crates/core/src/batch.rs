@@ -19,33 +19,34 @@
 //!   each image's three kernels in order (k1 → k2 → k3, the data
 //!   dependency), while the other lanes run theirs beside it on the other
 //!   host cores, which the serial call's short grids cannot use.
-//! * [`sat_batch_multi_device`] — images sharded across the devices of a
-//!   [`DeviceGroup`] with work stealing. Each image's three kernels run
-//!   unchanged on whichever device the scheduler lands the image on
-//!   (images never split across devices — the k1 → k2 → k3 chain stays
-//!   device-local, so no cross-device synchronization is ever needed),
-//!   and the group reports a per-device [`GroupMetrics`] breakdown on top
-//!   of the usual [`BatchReport`].
+//! * [`sat_batch_multi_device`] — images spread over the devices of a
+//!   [`DeviceGroup`], one resident lane per device, each lane claiming the
+//!   next image from one counter. Each image's three kernels run unchanged
+//!   on whichever device claimed the image (images never split across
+//!   devices — the k1 → k2 → k3 chain stays device-local, so no
+//!   cross-device synchronization is ever needed), and the group reports
+//!   a [`GroupMetrics`] breakdown on top of the usual [`BatchReport`].
 //!
-//! The last two run the same per-image job on the same lane driver. All
-//! three strategies charge identical deterministic counters: the counters
-//! are per-block quantities accumulated by the kernels themselves, and
-//! neither overlap, the lane nor the device an image lands on changes what
-//! any block does (2R1W has no inter-block flag waits, so even poll counts
-//! match). [`BatchReport`] exposes the aggregate so callers — perfbench's
-//! `batch_tiny` workload, the scheduling-parity tests — can assert it.
+//! All three run each image through [`TwoROneW`]'s own run, the one
+//! per-image 2R1W path, so every batch call charges what a plain call
+//! does; the last two run it on the same lane driver. All three strategies charge
+//! identical deterministic counters: the counters are per-block quantities
+//! accumulated by the kernels themselves, and neither overlap, the lane
+//! nor the device an image lands on changes what any block does (2R1W has
+//! no inter-block flag waits, so even poll counts match). [`BatchReport`]
+//! exposes the aggregate so callers — perfbench's `batch_tiny` workload,
+//! the scheduling-parity tests — can assert it.
 
 use std::sync::Arc;
 
 use gpu_sim::elem::DeviceElem;
 use gpu_sim::global::GlobalBuffer;
-use gpu_sim::group::{DeviceGroup, GroupMetrics, StealPolicy};
+use gpu_sim::group::{DeviceGroup, GroupMetrics};
 use gpu_sim::launch::Gpu;
-use gpu_sim::metrics::{BlockStats, RunMetrics};
+use gpu_sim::metrics::BlockStats;
 
-use crate::alg::two_r_one_w::{k1_local_sums, k2_global_sums, k3_gsat, launch_plan, TwoROneWAux};
-use crate::alg::SatParams;
-use crate::tile::TileGrid;
+use crate::alg::two_r_one_w::TwoROneW;
+use crate::alg::{SatAlgorithm, SatParams};
 
 /// One image of a batch: device input and output buffers for an `n x n`
 /// matrix, each behind an `Arc` so callers can share them.
@@ -90,29 +91,21 @@ impl BatchReport {
     }
 }
 
-fn tpb(gpu: &Gpu, params: SatParams) -> usize {
-    params.threads_per_block.min(gpu.config().max_threads_per_block)
-}
-
 /// Run 2R1W over every image, one blocking launch at a time.
 pub fn sat_batch_serial<T: DeviceElem>(gpu: &Gpu, params: SatParams, images: &[BatchImage<T>]) -> BatchReport {
-    let mut stats = BlockStats::default();
-    let mut kernels = 0;
+    let alg = TwoROneW::new(params);
+    let mut report = BatchReport { images: images.len(), kernels: 0, stats: BlockStats::default() };
     for img in images {
-        let grid = TileGrid::new(img.n, params.w);
-        let aux = TwoROneWAux::<T>::new(grid);
-        let [lc1, lc2, lc3] = launch_plan(grid, tpb(gpu, params));
-        stats.merge(&gpu.launch(lc1, |ctx| k1_local_sums(ctx, &*img.input, &aux)).stats);
-        stats.merge(&gpu.launch(lc2, |ctx| k2_global_sums(ctx, &aux)).stats);
-        stats.merge(&gpu.launch(lc3, |ctx| k3_gsat(ctx, &*img.input, &*img.output, &aux)).stats);
-        kernels += 3;
+        let rm = alg.run(gpu, &*img.input, &*img.output, img.n);
+        report.kernels += rm.kernel_calls();
+        report.stats.merge(&rm.total_stats());
     }
-    BatchReport { images: images.len(), kernels, stats }
+    report
 }
 
 /// Run 2R1W over every image on `streams` resident lanes of `gpu`
-/// ([`Gpu::run_batch`]): lane *l* takes a contiguous share of the images
-/// and runs each one's three kernels in order, and the lanes overlap.
+/// ([`Gpu::run_batch`]): each lane claims the next image from one counter
+/// and runs its three kernels in order, and the lanes overlap.
 /// `streams` is clamped to `1..=`[`Gpu::host_parallelism`]: each lane holds
 /// one of the device pool's execution tokens, and lanes beyond its worker
 /// count would share cores. Each launch runs inline on its lane unless the
@@ -124,51 +117,31 @@ pub fn sat_batch_streamed<T: DeviceElem>(
     images: &[BatchImage<T>],
     streams: usize,
 ) -> BatchReport {
-    let (kernels, stats) = gpu.run_batch(streams, images.iter().collect(), |gpu, img| sat_image(gpu, params, img));
+    let alg = TwoROneW::new(params);
+    let (kernels, stats) =
+        gpu.run_batch(streams, images.iter().collect(), |gpu, img| alg.run(gpu, &*img.input, &*img.output, img.n));
     BatchReport { images: images.len(), kernels, stats }
 }
 
-/// One job of a lane batch: `img`'s three 2R1W kernels, in order, on the
-/// lane handle `gpu`.
-fn sat_image<T: DeviceElem>(gpu: &Gpu, params: SatParams, img: &BatchImage<T>) -> RunMetrics {
-    let grid = TileGrid::new(img.n, params.w);
-    let aux = TwoROneWAux::<T>::new(grid);
-    let [lc1, lc2, lc3] = launch_plan(grid, tpb(gpu, params));
-    let mut rm = RunMetrics::default();
-    rm.push(gpu.launch(lc1, |ctx| k1_local_sums(ctx, &*img.input, &aux)));
-    rm.push(gpu.launch(lc2, |ctx| k2_global_sums(ctx, &aux)));
-    rm.push(gpu.launch(lc3, |ctx| k3_gsat(ctx, &*img.input, &*img.output, &aux)));
-    rm
-}
-
-/// Run 2R1W over every image, sharded across the devices of `group` with
-/// work stealing ([`StealPolicy::StealOnIdle`]).
+/// Run 2R1W over every image on the devices of `group`, whose lanes claim
+/// the images in order from one counter ([`DeviceGroup::run_batch`]).
 ///
 /// Whole images are the unit of scheduling: each image's k1 → k2 → k3
-/// chain runs as three launches on one device's resident lane driver, so
+/// chain runs as three launches on the resident lane that claimed it, so
 /// the only cross-device interaction is the host handing out jobs. Each
 /// launch runs inline on the lane unless the device pool's measurements
-/// give it a helper; a one-tile image's grids are too short for one. Returns the usual [`BatchReport`] (totals are bit-identical to
+/// give it a helper; a one-tile image's grids are too short for one.
+/// Returns the usual [`BatchReport`] (totals are bit-identical to
 /// [`sat_batch_serial`] on the deterministic subset, for any device count
-/// and steal schedule) plus the group's per-device [`GroupMetrics`].
+/// and host schedule) plus the group's [`GroupMetrics`], whose modeled
+/// makespan replays the in-order claims on modeled clocks.
 pub fn sat_batch_multi_device<T: DeviceElem>(
     group: &DeviceGroup,
     params: SatParams,
     images: &[BatchImage<T>],
 ) -> (BatchReport, GroupMetrics) {
-    sat_batch_multi_device_policy(group, params, images, StealPolicy::StealOnIdle)
-}
-
-/// [`sat_batch_multi_device`] under an explicit [`StealPolicy`];
-/// [`StealPolicy::Disabled`] is the static-shard baseline the skewed-load
-/// tests compare stealing against.
-pub fn sat_batch_multi_device_policy<T: DeviceElem>(
-    group: &DeviceGroup,
-    params: SatParams,
-    images: &[BatchImage<T>],
-    policy: StealPolicy,
-) -> (BatchReport, GroupMetrics) {
-    let gm = group.run_batch(images.iter().collect(), policy, |gpu, img| sat_image(gpu, params, img));
+    let alg = TwoROneW::new(params);
+    let gm = group.run_batch(images.iter().collect(), |gpu, img| alg.run(gpu, &*img.input, &*img.output, img.n));
     let report =
         BatchReport { images: images.len(), kernels: gm.kernel_calls(), stats: gm.total_stats() };
     (report, gm)
@@ -239,24 +212,18 @@ mod tests {
         let (mats, imgs) = batch(9, 16, 77);
         let serial = sat_batch_serial(&Gpu::new(DeviceConfig::tiny()), params, &imgs);
         for devices in [1, 2, 4] {
-            for policy in [StealPolicy::Disabled, StealPolicy::StealOnIdle] {
-                for img in &imgs {
-                    img.output.host_fill(0);
-                }
-                let group = DeviceGroup::new(DeviceConfig::tiny(), devices);
-                let (report, gm) = sat_batch_multi_device_policy(&group, params, &imgs, policy);
-                check_outputs(&mats, &imgs, 16);
-                assert_eq!(report.images, 9);
-                assert_eq!(report.kernels, serial.kernels, "{devices} devices, {policy:?}");
-                assert_eq!(
-                    report.deterministic(),
-                    serial.deterministic(),
-                    "{devices} devices, {policy:?}"
-                );
-                assert_eq!(gm.lanes.len(), devices);
-                assert_eq!(gm.total_jobs(), 9);
-                assert_eq!(gm.deterministic(), report.deterministic());
+            for img in &imgs {
+                img.output.host_fill(0);
             }
+            let group = DeviceGroup::new(DeviceConfig::tiny(), devices);
+            let (report, gm) = sat_batch_multi_device(&group, params, &imgs);
+            check_outputs(&mats, &imgs, 16);
+            assert_eq!(report.images, 9);
+            assert_eq!(report.kernels, serial.kernels, "{devices} devices");
+            assert_eq!(report.deterministic(), serial.deterministic(), "{devices} devices");
+            assert_eq!(gm.lanes.len(), devices);
+            assert_eq!(gm.total_jobs(), 9);
+            assert_eq!(gm.deterministic(), report.deterministic());
         }
     }
 

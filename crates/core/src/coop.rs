@@ -5,7 +5,7 @@
 //! device. The `n x n` image is cut into horizontal **row bands** — each
 //! band a contiguous range of tile rows — and each band becomes one job of
 //! a [`DeviceGroup::run_batch`] run, executing the existing kernels over
-//! its rows on whichever device the scheduler lands it on.
+//! its rows on whichever device's lane claims it.
 //!
 //! A SAT is not row-separable: every band below the first needs the column
 //! sums of everything above it. The two cooperative pipelines resolve that
@@ -31,12 +31,12 @@
 //!   k3 then runs completely unchanged. Every counter of this pipeline is
 //!   **fully deterministic**: carries sum bands in ascending order, so
 //!   reads, writes, transfers, and flag waits are identical for any
-//!   device count, dispatch order, and steal schedule.
+//!   device count, dispatch order, and host schedule.
 //!
 //! * [`CoopKernel::SkssLb`] / [`CoopKernel::SkssSh`] — the paper's
 //!   **look-back protocol stretched across devices**. All bands share one
 //!   full-grid [`State`]; a band's blocks claim its tiles in band-local
-//!   row-major order and run the unmodified per-tile protocol with
+//!   column-major order and run the unmodified per-tile protocol with
 //!   `d2d_below` set to the band's first tile row. Look-back walks that
 //!   step above that row wait on the remote band's flags with
 //!   [`wait_at_least_remote`] and fetch its `LCS`/`GCS`/`GLS`/`GS` values
@@ -46,12 +46,15 @@
 //!   counters are schedule-dependent; output is still bit-identical
 //!   (accumulation order is fixed by the walk, not the schedule).
 //!
-//! Deadlock freedom: cross-band waits only ever target *strictly earlier*
-//! bands. Shards are contiguous and ascending, owners pop from the front,
-//! and a device only steals (from the back) once its own shard is empty —
-//! so the owner of the minimal unfinished band is never blocked behind a
-//! later band, and every wait is eventually satisfied. On one device the
-//! bands run in ascending order and every cross-band wait is pre-satisfied.
+//! Deadlock freedom is the paper's argument (Section IV), made twice.
+//! Lanes claim bands in order from one counter, and cross-band waits only
+//! ever target *strictly earlier* bands, so the smallest unfinished band
+//! has been claimed by a running lane and every band it waits on has
+//! finished. Inside a look-back band, blocks claim tiles from the band's
+//! own counter in an order in which every tile's in-band dependencies come
+//! first (`BandPlan::order`), so the earliest unfinished tile can always
+//! progress. On one device the one lane claims the bands in ascending
+//! order, and every cross-band wait is satisfied before it is made.
 //!
 //! Host cost of waiting: both pipelines funnel every cross-band wait
 //! through `StatusBoard`, so a band blocked on an earlier band's flag
@@ -67,16 +70,17 @@
 //! ## Persistent execution
 //!
 //! Both pipelines run their band sequences as **persistent per-device
-//! jobs**: one resident lane driver per device iterates its assigned bands
-//! in place, executing every band's blocks on its own thread against a
-//! per-lane scratch arena that survives from band to band, instead of the
-//! host issuing one pool launch per band. A band grid whose measured
-//! blocks outlast a helper's wake also gets the device pool's idle
-//! workers, which claim blocks beside the lane. Cross-band ordering needs no launch
-//! boundaries — it is carried entirely by the `StatusBoard` flags above —
-//! and work stealing becomes a band-index handoff between the drivers. A
-//! band that panics aborts the batch, and bands on other devices waiting
-//! on its flags fail fast instead of waiting out the deadlock limit.
+//! jobs**: one resident lane driver per device claims the next band, runs
+//! its blocks on its own thread against a per-lane scratch arena that
+//! survives from band to band, and claims again, instead of the host
+//! issuing one pool launch per band. A band grid whose measured blocks
+//! outlast a helper's wake also gets the device pool's idle workers, which
+//! claim blocks beside the lane. Cross-band ordering needs no launch
+//! boundaries — it is carried entirely by the `StatusBoard` flags above.
+//! The modeled makespan replays the in-order claims on modeled clocks
+//! ([`GroupMetrics::modeled_completion_seconds`]). A band that panics
+//! aborts the batch, and bands on other devices waiting on its flags fail
+//! fast instead of waiting out the deadlock limit.
 //!
 //! [`BlockStats::charge_d2d`]: gpu_sim::metrics::BlockStats::charge_d2d
 //! [`charge_d2d`]: gpu_sim::metrics::BlockStats::charge_d2d
@@ -86,7 +90,7 @@
 
 use gpu_sim::elem::DeviceElem;
 use gpu_sim::global::GlobalBuffer;
-use gpu_sim::group::{DeviceGroup, GroupMetrics, StealPolicy};
+use gpu_sim::group::{DeviceGroup, GroupMetrics};
 use gpu_sim::launch::{Gpu, LaunchConfig};
 use gpu_sim::metrics::{BlockStats, CriticalPath, RunMetrics};
 use gpu_sim::shared::Arrangement;
@@ -99,9 +103,9 @@ use crate::alg::SatParams;
 use crate::tile::TileGrid;
 
 /// Default band count of [`sat_huge_multi_device`]. Eight bands over up to
-/// a handful of devices keeps every lane fed (a stealable surplus exists at
-/// any device count that divides it) while the per-band boundary exchange
-/// stays a vanishing fraction of the band's own traffic.
+/// a handful of devices keeps every lane fed (a lane that finishes a band
+/// claims the next one) while the per-band boundary exchange stays a
+/// vanishing fraction of the band's own traffic.
 pub const COOP_BANDS: usize = 8;
 
 /// Which kernel family runs inside each band.
@@ -145,7 +149,7 @@ pub struct CoopReport {
 impl CoopReport {
     /// The schedule-independent part of the counters. For
     /// [`CoopKernel::TwoROneW`] this is bit-identical across device
-    /// counts, dispatch orders, and steal policies.
+    /// counts, dispatch orders, and host schedules.
     pub fn deterministic(&self) -> BlockStats {
         self.stats.deterministic()
     }
@@ -167,30 +171,37 @@ pub fn even_bands(t: usize, bands: usize) -> Vec<usize> {
     (0..b).map(|d| (d + 1) * t / b - d * t / b).collect()
 }
 
-/// One band: tile rows `[r0, r1)` of the grid, plus its claim state for
-/// the look-back pipelines (unused by 2R1W).
+/// One band: tile rows `[r0, r1)` of the grid.
 struct BandPlan {
     d: usize,
     r0: usize,
     r1: usize,
-    /// Band tiles in band-local **row-major** claim order. Any order in
-    /// which every tile's up/left dependencies precede it is deadlock-free
-    /// (the earliest unfinished claim can always progress); row-major has
-    /// that property like the anti-diagonal wavefront does, and walks the
-    /// output image in streaming-store order — measurably cheaper on the
-    /// host than the diagonal sweep, whose store pattern jumps `n`-sized
-    /// strides between consecutive tiles. Output is identical either way
-    /// (the look-back accumulation order is fixed by the walk structure,
-    /// not the claim order); only schedule-masked read-side counters
-    /// shift.
-    order: Vec<(usize, usize)>,
-    counter: DeviceCounter,
+}
+
+impl BandPlan {
+    /// The tile `(ti, tj)` that a look-back band's `s`-th block claim
+    /// takes: the band's tiles in band-local **column-major** order. Every
+    /// tile's in-band dependencies, the tile above it and the tiles to its
+    /// left, come earlier in this order, as in the paper's diagonal-major
+    /// serial numbers (Figure 9), so the earliest unfinished claim can
+    /// always progress. Column-major also reaches the band's bottom tile
+    /// row early, one column at a time, and that row is what the next
+    /// band's first row waits on: on two devices consecutive bands run side
+    /// by side, where row-major order finished the bottom row last and left
+    /// the next band waiting for all of it. Output is identical in any such
+    /// order (the look-back accumulation order is fixed by the walk, not
+    /// the claim order); only schedule-masked read-side counters shift.
+    fn order(&self, s: usize) -> (usize, usize) {
+        let h = self.r1 - self.r0;
+        (self.r0 + s % h, s / h)
+    }
 }
 
 /// Compute the SAT of one huge `n x n` image cooperatively across every
-/// device of `group`: [`COOP_BANDS`] equal row bands, work stealing on.
-/// Returns the aggregate report plus the group's per-lane breakdown
-/// (modeled completion time, D2D traffic, steal events).
+/// device of `group`: [`COOP_BANDS`] equal row bands, claimed in order by
+/// the devices' lanes. Returns the aggregate report plus the group's
+/// metrics (per-lane counters, each band's modeled seconds and the
+/// replayed makespan, D2D traffic).
 pub fn sat_huge_multi_device<T: DeviceElem>(
     group: &DeviceGroup,
     params: SatParams,
@@ -201,14 +212,13 @@ pub fn sat_huge_multi_device<T: DeviceElem>(
 ) -> (CoopReport, GroupMetrics) {
     let grid = TileGrid::new(n, params.w);
     let rows = even_bands(grid.t, COOP_BANDS);
-    sat_huge_multi_device_bands(group, params, kernel, input, output, n, &rows, StealPolicy::StealOnIdle)
+    sat_huge_multi_device_bands(group, params, kernel, input, output, n, &rows)
 }
 
-/// [`sat_huge_multi_device`] with an explicit band layout and steal
-/// policy. `band_rows[d]` is band `d`'s height in tile rows; heights must
-/// be positive and sum to the grid's tile-row count. Skewed layouts are
-/// how the scheduling tests provoke load imbalance.
-#[allow(clippy::too_many_arguments)]
+/// [`sat_huge_multi_device`] with an explicit band layout. `band_rows[d]`
+/// is band `d`'s height in tile rows; heights must be positive and sum to
+/// the grid's tile-row count. Skewed layouts are how the scheduling tests
+/// provoke load imbalance.
 pub fn sat_huge_multi_device_bands<T: DeviceElem>(
     group: &DeviceGroup,
     params: SatParams,
@@ -217,7 +227,6 @@ pub fn sat_huge_multi_device_bands<T: DeviceElem>(
     output: &GlobalBuffer<T>,
     n: usize,
     band_rows: &[usize],
-    policy: StealPolicy,
 ) -> (CoopReport, GroupMetrics) {
     let grid = TileGrid::new(n, params.w);
     assert_eq!(input.len(), n * n, "input is not n x n");
@@ -226,31 +235,20 @@ pub fn sat_huge_multi_device_bands<T: DeviceElem>(
     assert!(band_rows.iter().all(|&h| h > 0), "bands must be non-empty");
     assert_eq!(band_rows.iter().sum::<usize>(), grid.t, "bands must cover the grid");
 
-    let t = grid.t;
     let mut r0 = 0;
     let bands: Vec<BandPlan> = band_rows
         .iter()
         .enumerate()
         .map(|(d, &h)| {
-            let plan = BandPlan {
-                d,
-                r0,
-                r1: r0 + h,
-                order: (r0..r0 + h)
-                    .flat_map(|ti| (0..t).map(move |tj| (ti, tj)))
-                    .collect(),
-                counter: DeviceCounter::new(),
-            };
+            let plan = BandPlan { d, r0, r1: r0 + h };
             r0 += h;
             plan
         })
         .collect();
 
     let gm = match kernel {
-        CoopKernel::TwoROneW => run_coop_2r1w(group, params, input, output, grid, &bands, policy),
-        CoopKernel::SkssLb | CoopKernel::SkssSh => {
-            run_coop_skss(group, params, kernel, input, output, grid, &bands, policy)
-        }
+        CoopKernel::TwoROneW => run_coop_2r1w(group, params, input, output, grid, &bands),
+        CoopKernel::SkssLb | CoopKernel::SkssSh => run_coop_skss(group, params, kernel, input, output, grid, &bands),
     };
     let report = CoopReport {
         n,
@@ -278,7 +276,6 @@ fn run_coop_2r1w<T: DeviceElem>(
     output: &GlobalBuffer<T>,
     grid: TileGrid,
     bands: &[BandPlan],
-    policy: StealPolicy,
 ) -> GroupMetrics {
     let (n, t, w) = (grid.n, grid.t, grid.w);
     let aux = TwoROneWAux::<T>::new(grid);
@@ -389,15 +386,14 @@ fn run_coop_2r1w<T: DeviceElem>(
         rm
     };
 
-    group.run_batch(bands.iter().collect(), policy, run_band)
+    group.run_batch(bands.iter().collect(), run_band)
 }
 
 /// The cross-device look-back pipeline: one shared [`State`], one kernel
-/// per band, tiles claimed in band-local row-major order (see
-/// [`BandPlan::order`] for why that is deadlock-free and cheaper on the
-/// host), `d2d_below` set to the band's first row so walks that leave the
-/// band go through the interconnect.
-#[allow(clippy::too_many_arguments)]
+/// per band, tiles claimed from a band-local counter in column-major order
+/// (see [`BandPlan::order`] for why that is deadlock-free and lets the next
+/// band start early), `d2d_below` set to the band's first row so walks
+/// that leave the band go through the interconnect.
 fn run_coop_skss<T: DeviceElem>(
     group: &DeviceGroup,
     params: SatParams,
@@ -406,7 +402,6 @@ fn run_coop_skss<T: DeviceElem>(
     output: &GlobalBuffer<T>,
     grid: TileGrid,
     bands: &[BandPlan],
-    policy: StealPolicy,
 ) -> GroupMetrics {
     let (t, w) = (grid.t, grid.w);
     let state = State::<T>::new(grid);
@@ -424,13 +419,14 @@ fn run_coop_skss<T: DeviceElem>(
         if systolic {
             lc = lc.with_ilp(w);
         }
+        let counter = DeviceCounter::new();
         let mut rm = RunMetrics::default();
         rm.push(gpu.launch(lc, |ctx| loop {
-            let s = band.counter.next(ctx) as usize;
-            if s >= band.order.len() {
+            let s = counter.next(ctx) as usize;
+            if s >= h * t {
                 return;
             }
-            let (ti, tj) = band.order[s];
+            let (ti, tj) = band.order(s);
             if systolic {
                 skss_sh::process_tile_systolic(ctx, input, output, &state, ti, tj, band.r0);
             } else {
@@ -440,7 +436,7 @@ fn run_coop_skss<T: DeviceElem>(
         rm
     };
 
-    group.run_batch(bands.iter().collect(), policy, run_band)
+    group.run_batch(bands.iter().collect(), run_band)
 }
 
 #[cfg(test)]
@@ -453,7 +449,6 @@ mod tests {
     fn coop_run(
         kernel: CoopKernel,
         devices: usize,
-        policy: StealPolicy,
         mat: &Matrix<u64>,
         band_rows: &[usize],
         w: usize,
@@ -463,8 +458,7 @@ mod tests {
         let params = SatParams { w, threads_per_block: w * w };
         let input = GlobalBuffer::from_slice(mat.as_slice());
         let output = GlobalBuffer::<u64>::zeroed(n * n);
-        let (report, gm) =
-            sat_huge_multi_device_bands(&group, params, kernel, &input, &output, n, band_rows, policy);
+        let (report, gm) = sat_huge_multi_device_bands(&group, params, kernel, &input, &output, n, band_rows);
         (Matrix::from_vec(n, n, output.to_vec()), report, gm)
     }
 
@@ -488,25 +482,18 @@ mod tests {
         let mat = Matrix::<u64>::random(n, n, 11, 100);
         let want = reference::sat(&mat);
         let bands = even_bands(n / w, COOP_BANDS);
-        let (out1, rep1, gm1) =
-            coop_run(CoopKernel::TwoROneW, 1, StealPolicy::Disabled, &mat, &bands, w);
+        let (out1, rep1, gm1) = coop_run(CoopKernel::TwoROneW, 1, &mat, &bands, w);
         assert_eq!(out1, want);
         // Boundary exchange: one publish per band, d pulls for band d.
         let b = bands.len() as u64;
         assert_eq!(gm1.d2d_transfers(), b + b * (b - 1) / 2);
         assert_eq!(gm1.d2d_bytes(), gm1.d2d_transfers() * (n as u64) * 8);
         for devices in [2, 4] {
-            for policy in [StealPolicy::Disabled, StealPolicy::StealOnIdle] {
-                let (out, rep, gm) = coop_run(CoopKernel::TwoROneW, devices, policy, &mat, &bands, w);
-                assert_eq!(out, want, "{devices} devices, {policy:?}");
-                assert_eq!(rep.kernels, rep1.kernels);
-                assert_eq!(
-                    rep.deterministic(),
-                    rep1.deterministic(),
-                    "{devices} devices, {policy:?}"
-                );
-                assert_eq!(gm.d2d_transfers(), gm1.d2d_transfers());
-            }
+            let (out, rep, gm) = coop_run(CoopKernel::TwoROneW, devices, &mat, &bands, w);
+            assert_eq!(out, want, "{devices} devices");
+            assert_eq!(rep.kernels, rep1.kernels);
+            assert_eq!(rep.deterministic(), rep1.deterministic(), "{devices} devices");
+            assert_eq!(gm.d2d_transfers(), gm1.d2d_transfers());
         }
     }
 
@@ -517,7 +504,7 @@ mod tests {
         let mat = Matrix::<u64>::random(n, n, 23, 100);
         let want = reference::sat(&mat);
         for bands in [vec![1, 1, 4], vec![5, 1], vec![6], vec![1; 6]] {
-            let (out, _, _) = coop_run(CoopKernel::TwoROneW, 2, StealPolicy::StealOnIdle, &mat, &bands, w);
+            let (out, _, _) = coop_run(CoopKernel::TwoROneW, 2, &mat, &bands, w);
             assert_eq!(out, want, "bands {bands:?}");
         }
     }
@@ -530,18 +517,16 @@ mod tests {
         let want = reference::sat(&mat);
         let bands = even_bands(n / w, 4);
         for kernel in [CoopKernel::SkssLb, CoopKernel::SkssSh] {
-            let (out1, rep1, _) = coop_run(kernel, 1, StealPolicy::Disabled, &mat, &bands, w);
+            let (out1, rep1, _) = coop_run(kernel, 1, &mat, &bands, w);
             assert_eq!(out1, want, "{kernel:?} single device");
             for devices in [2, 4] {
-                for policy in [StealPolicy::Disabled, StealPolicy::StealOnIdle] {
-                    let (out, rep, _) = coop_run(kernel, devices, policy, &mat, &bands, w);
-                    assert_eq!(out, want, "{kernel:?} {devices} devices {policy:?}");
-                    // Look-back traffic is schedule-dependent; the written
-                    // side of the protocol is not.
-                    assert_eq!(rep.stats.global_writes, rep1.stats.global_writes, "{kernel:?} {devices}");
-                    assert_eq!(rep.stats.bytes_written, rep1.stats.bytes_written, "{kernel:?} {devices}");
-                    assert_eq!(rep.stats.flag_publishes, rep1.stats.flag_publishes, "{kernel:?} {devices}");
-                }
+                let (out, rep, _) = coop_run(kernel, devices, &mat, &bands, w);
+                assert_eq!(out, want, "{kernel:?} {devices} devices");
+                // Look-back traffic is schedule-dependent; the written side
+                // of the protocol is not.
+                assert_eq!(rep.stats.global_writes, rep1.stats.global_writes, "{kernel:?} {devices}");
+                assert_eq!(rep.stats.bytes_written, rep1.stats.bytes_written, "{kernel:?} {devices}");
+                assert_eq!(rep.stats.flag_publishes, rep1.stats.flag_publishes, "{kernel:?} {devices}");
             }
         }
     }

@@ -73,10 +73,7 @@ pub mod prelude {
     pub use crate::alg::two_r_two_w::TwoRTwoW;
     pub use crate::alg::two_r_two_w_opt::TwoRTwoWOpt;
     pub use crate::alg::{all_algorithms, compute_sat, compute_sat_padded, SatAlgorithm, SatParams};
-    pub use crate::batch::{
-        sat_batch_multi_device, sat_batch_multi_device_policy, sat_batch_serial,
-        sat_batch_streamed, BatchImage, BatchReport,
-    };
+    pub use crate::batch::{sat_batch_multi_device, sat_batch_serial, sat_batch_streamed, BatchImage, BatchReport};
     pub use crate::coop::{
         even_bands, sat_huge_multi_device, sat_huge_multi_device_bands, CoopKernel, CoopReport,
         COOP_BANDS,

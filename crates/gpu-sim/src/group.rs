@@ -1,13 +1,13 @@
 //! Batches on resident lanes: a [`DeviceGroup`] of independent simulated
-//! GPUs with a work-stealing batch scheduler over them, and several lanes
-//! of one device ([`Gpu::run_batch`]), both run by one lane driver.
+//! GPUs, and several lanes of one device ([`Gpu::run_batch`]), both run by
+//! one lane driver that hands out jobs in order from one counter.
 //!
 //! A `DeviceGroup` owns N fully independent [`Gpu`] instances. Following
 //! real multi-GPU systems (Zhang et al., *"A Study of Single and
 //! Multi-device Synchronization Methods in Nvidia GPUs"*), the devices
 //! share **nothing** on the device side by default: each has its own
 //! worker pool and its own global-memory buffers, and the scheduler in
-//! this module is host code moving whole jobs between devices.
+//! this module is host code handing whole jobs to devices.
 //! Cooperative workloads (`satcore::coop`) additionally let kernels on
 //! different devices exchange *boundary data* through peer-visible
 //! buffers: those transfers are charged through
@@ -19,46 +19,40 @@
 //!
 //! ## The scheduler
 //!
-//! [`DeviceGroup::run_batch`] shards a batch of independent jobs
-//! contiguously across the devices (device *d* seeds jobs
-//! `[d·m/N, (d+1)·m/N)`), then drives one resident lane per device:
+//! A batch is its jobs in order and one atomic counter. Each lane claims
+//! the next job index with a fetch-add, runs that job, and claims again,
+//! until the counter passes the end of the batch or the batch aborts; then
+//! it exits. This is the paper's virtual block IDs (Section IV, Fig. 9)
+//! lifted from blocks to lanes: whichever lane is free takes the batch's
+//! next job, so jobs are claimed in job order. A batch whose jobs wait
+//! only on jobs with smaller indices (cooperative bands do) therefore
+//! cannot deadlock: the smallest unfinished job has been claimed by a
+//! running lane, and every job it waits on has finished.
 //!
-//! * the owner pops jobs off the **front** of its own shard;
-//! * under [`StealPolicy::StealOnIdle`], a device whose shard has drained
-//!   **steals** from the **back** of a victim's shard — the classic deque
-//!   discipline, so owner and thief rarely contend for the same job;
-//! * batch completion becomes max-of-balanced instead of
-//!   max-of-static-shards.
-//!
-//! Steals are gated on **simulated** time, not host time: each lane keeps
-//! a clock that advances by the timing model's [`run_seconds`] for every
-//! job it completes, and a thief may only take a victim's job while the
-//! thief's clock is at or behind the victim's. On a many-core host this
-//! coincides with steal-on-idle; on a single-core CI box it keeps the
-//! *modeled* schedule balanced even when the OS runs one lane far ahead of
-//! the others, which is what makes [`GroupMetrics`] reproducible anywhere.
+//! Which lane runs a job is the host's choice, and the model does not
+//! follow it. [`GroupMetrics`] keeps each job's modeled seconds in job
+//! order and replays the same rule on modeled clocks: job *k* goes to the
+//! device whose modeled clock is earliest, as devices claiming from one
+//! counter would. The modeled makespan is a function of the jobs alone,
+//! the same on any host.
 //!
 //! ## Resident lanes
 //!
 //! No thread is spawned per batch. The calling thread drives lane 0, and
 //! lane *d* ≥ 1 is one job on device *d*'s pool queue, run by a warm pool
 //! thread (named `gpu-sim-d{d}-…`; every lane of [`Gpu::run_batch`] is on
-//! the one device's pool). Each lane stays resident for the whole batch
-//! and hands its jobs a lane handle: a clone of its device's [`Gpu`]
-//! whose launches run on the lane's thread, against one scratch arena
-//! reused from job to job. A grid runs inline there unless the device
-//! pool's measurements say a helper would arrive before its blocks run
-//! out; then it is a pool job that the lane runs beside the helpers it
-//! wakes, the rule every caller-run launch follows. A job is just an index
-//! into the sequence, so a steal moves the index, not a launch; cross-job
+//! the one device's pool). Each lane hands its jobs a lane handle: a clone
+//! of its device's [`Gpu`] whose launches run on the lane's thread, against
+//! one scratch arena reused from job to job. A grid runs inline there
+//! unless the device pool's measurements say a helper would arrive before
+//! its blocks run out; then it is a pool job that the lane runs beside the
+//! helpers it wakes, the rule every caller-run launch follows. Cross-job
 //! ordering is whatever the jobs enforce themselves (e.g. `StatusBoard`
-//! flags). A lane holds one execution token of its device pool for the
-//! batch — it executes blocks, so it takes a worker's place — and lends it
-//! back whenever it blocks on something other than its own helpers (a
-//! parked flag wait inside a block, or the lane waiting for steal
-//! eligibility), so pool launches on the same device always make progress.
-//! Idle lanes block on the event-driven `Progress` condvar, bumped on every
-//! job completion, never on a fixed-period poll.
+//! flags). A lane holds one execution token of its device pool while it
+//! runs — it executes blocks, so it takes a worker's place — and a parked
+//! flag wait inside one of its blocks lends it back, so pool launches on
+//! the same device always make progress. A lane with nothing left to claim
+//! exits and returns its token.
 //!
 //! A job that panics aborts the batch: the lanes' blocks, helper-run ones
 //! included, carry the batch's abort flag, so a peer waiting on the dead
@@ -70,29 +64,27 @@
 //! [`Gpu::run_batch`] runs the same driver with every lane on one device:
 //! lane 0 on the caller, lanes 1.. on the device's own pool threads, each
 //! holding one of its execution tokens, so one device overlaps as many
-//! jobs as its pool has workers. Jobs are assigned statically
-//! ([`StealPolicy::Disabled`]): a job never migrates, so each lane runs
-//! its shard in order, as a CUDA stream runs its kernels. The lanes share
-//! one simulated device, which the timing model prices as one, so the call
-//! reports the batch's counters and kernel count but no per-lane modeled
-//! clock: a clock per lane would claim an overlap the model does not
-//! price.
+//! jobs as its pool has workers. Lanes claim from the same counter. A
+//! job's kernels run in order on the lane that claimed it, which is all a
+//! CUDA stream promises. The lanes share one simulated device, which the
+//! timing model prices as one, so the call reports the batch's counters
+//! and kernel count but no modeled clock: a clock per lane would claim an
+//! overlap the model does not price.
 //!
 //! ## Accounting
 //!
 //! Each job reports its [`RunMetrics`]; lanes aggregate them into
 //! [`DeviceLane`] records and the group returns a [`GroupMetrics`]
 //! snapshot. Totals over the whole batch are sums of per-job counters and
-//! therefore independent of which device ran which job — bit-identical
-//! across device counts, steal interleavings, and dispatch orders (the
-//! scheduling-parity suite asserts this). The per-lane breakdown is
-//! schedule-dependent by nature and documented as such.
+//! therefore independent of which lane ran which job — bit-identical
+//! across device counts, host schedules, and dispatch orders (the
+//! scheduling-parity suite asserts this). The per-lane records describe
+//! the host's schedule and vary from run to run.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use crate::device::DeviceConfig;
@@ -100,19 +92,6 @@ use crate::executor::{LaneTask, PoolShared, Token};
 use crate::launch::{DispatchOrder, ExecMode, Gpu};
 use crate::metrics::{BlockStats, RunMetrics};
 use crate::timing::run_seconds;
-
-/// Whether an idle device may take jobs from a peer's shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Static sharding: every device runs exactly its seeded shard and
-    /// stops when it drains. Baseline for measuring what stealing buys.
-    Disabled,
-    /// A device whose shard has drained steals from the back of the
-    /// most-loaded eligible victim (see the [module docs](self) for the
-    /// simulated-time gate).
-    #[default]
-    StealOnIdle,
-}
 
 /// N independent simulated GPUs driven as one throughput tier.
 ///
@@ -144,7 +123,7 @@ impl DeviceGroup {
     /// A group of `count` devices each using `cfg` **exactly** — no
     /// [`DeviceConfig::for_group_member`] worker split. For tests that
     /// need a deterministic per-device worker count (e.g. a one-worker
-    /// pool to exercise a resident lane's token handoff) and for
+    /// pool to exercise a parked wait's token handoff) and for
     /// callers that have already budgeted host workers themselves.
     ///
     /// # Panics
@@ -184,42 +163,42 @@ impl DeviceGroup {
         self.devices.is_empty()
     }
 
-    /// Run a batch of independent jobs on the group's resident lanes under
-    /// `policy`; see the [module docs](self) for the scheduling discipline.
+    /// Run a batch of jobs on the group's resident lanes, one per device;
+    /// see the [module docs](self) for the scheduling discipline.
     ///
     /// The calling thread drives lane 0 on a token claimed from device 0's
     /// pool; lanes 1..N are queued on devices 1..N's pools and run on
-    /// their threads. Lanes borrow the batch and `run`, so this waits for
-    /// every lane to stop before it returns or re-raises a panic.
+    /// their threads. Every lane claims jobs in order from one counter, so
+    /// job *k* may wait on jobs `0..k` but never on a later one. Lanes
+    /// borrow the batch and `run`, so this waits for every lane to stop
+    /// before it returns or re-raises a panic.
     ///
-    /// `run` executes one job on the lane handle of whichever device the
-    /// scheduler lands it on and reports its metrics; it must not assume
-    /// *which* device it gets — jobs migrate. Its launches run on the lane,
-    /// inline or with helpers from the lane's device pool. A panic inside a
-    /// job, or inside any block it launches, aborts the whole batch and is
-    /// re-raised here.
-    pub fn run_batch<J, F>(&self, jobs: Vec<J>, policy: StealPolicy, run: F) -> GroupMetrics
+    /// `run` executes one job on the lane handle of whichever device
+    /// claimed it and reports its metrics; it must not assume *which*
+    /// device it gets. Its launches run on the lane, inline or with helpers
+    /// from the lane's device pool. A panic inside a job, or inside any
+    /// block it launches, aborts the whole batch and is re-raised here.
+    pub fn run_batch<J, F>(&self, jobs: Vec<J>, run: F) -> GroupMetrics
     where
         J: Send,
         F: Fn(&Gpu, J) -> RunMetrics + Sync,
     {
         let started = Instant::now();
         let devices: Vec<&Gpu> = self.devices.iter().collect();
-        let lanes = run_lanes(&devices, jobs, policy, &run);
-        GroupMetrics { lanes, wall_seconds: started.elapsed().as_secs_f64() }
+        let (lanes, job_seconds) = run_lanes(&devices, jobs, &run);
+        GroupMetrics { lanes, job_seconds, wall_seconds: started.elapsed().as_secs_f64() }
     }
 }
 
 impl Gpu {
-    /// Run a batch of independent jobs on `lanes` resident lanes of this
-    /// one device, and return the kernel count and the summed counters of
-    /// every job; see the [module docs](crate::group) for the lanes.
+    /// Run a batch of jobs on `lanes` resident lanes of this one device,
+    /// and return the kernel count and the summed counters of every job;
+    /// see the [module docs](crate::group) for the lanes.
     ///
     /// `lanes` is clamped to `1..=`[`Gpu::host_parallelism`]. Lane 0 runs
     /// on the calling thread and lanes 1.. on the device's pool threads,
-    /// whatever this handle's [`ExecMode`]. Lane *d* runs the contiguous
-    /// shard `[d·m/L, (d+1)·m/L)` of the `m` jobs in order and no job
-    /// migrates, so jobs on one lane never overlap and jobs on different
+    /// whatever this handle's [`ExecMode`]. Lanes claim jobs in order from
+    /// one counter, so jobs on one lane never overlap and jobs on different
     /// lanes may. `run` and a panic behave as in [`DeviceGroup::run_batch`].
     pub fn run_batch<J, F>(&self, lanes: usize, jobs: Vec<J>, run: F) -> (usize, BlockStats)
     where
@@ -228,7 +207,7 @@ impl Gpu {
     {
         let handles = vec![self; lanes.clamp(1, self.host_parallelism())];
         let mut total = (0, BlockStats::default());
-        for lane in run_lanes(&handles, jobs, StealPolicy::Disabled, &run) {
+        for lane in run_lanes(&handles, jobs, &run).0 {
             total.0 += lane.kernel_calls;
             total.1.merge(&lane.stats);
         }
@@ -237,29 +216,25 @@ impl Gpu {
 }
 
 /// The one batch driver: run `jobs` on one resident lane per handle of
-/// `devices` under `policy`, and return the lanes' records in lane order.
+/// `devices`, and return the lanes' records in lane order and each job's
+/// modeled seconds in job order.
 ///
 /// The calling thread drives lane 0 on a token claimed from `devices[0]`'s
 /// pool; lanes 1.. are queued on their handles' pools and run on their
 /// threads. Lanes borrow the batch and `run`, so this waits for every lane
 /// to stop before it returns or re-raises a panic.
-fn run_lanes<J, F>(devices: &[&Gpu], jobs: Vec<J>, policy: StealPolicy, run: &F) -> Vec<DeviceLane>
+fn run_lanes<J, F>(devices: &[&Gpu], jobs: Vec<J>, run: &F) -> (Vec<DeviceLane>, Vec<f64>)
 where
     J: Send,
     F: Fn(&Gpu, J) -> RunMetrics + Sync,
 {
     let nd = devices.len();
-    let m = jobs.len();
-    let mut iter = jobs.into_iter();
     let batch = Batch {
-        shards: (0..nd)
-            .map(|d| Mutex::new(iter.by_ref().take((d + 1) * m / nd - d * m / nd).collect()))
-            .collect(),
-        clocks: (0..nd).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-        policy,
+        seconds: jobs.iter().map(|_| AtomicU64::new(0)).collect(),
+        jobs: jobs.into_iter().map(|j| Mutex::new(Some(j))).collect(),
+        next: AtomicUsize::new(0),
         abort: Arc::new(AtomicBool::new(false)),
         first_panic: Mutex::new(None),
-        progress: Progress::default(),
     };
     // Start every pool first: starting one can panic, which must not
     // happen once a lane borrows this frame.
@@ -286,48 +261,8 @@ where
     if let Some(p) = batch.first_panic.into_inner().expect(POISONED) {
         resume_unwind(p);
     }
-    lanes.into_iter().map(|l| l.expect("a lane stops without a record only by panicking")).collect()
-}
-
-/// Batch progress signal: a generation counter bumped (with a broadcast
-/// wake) whenever a lane of a [`StealPolicy::StealOnIdle`] batch completes
-/// a job, or any batch aborts. Lanes whose simulated clock is ahead of
-/// every victim's wait here, parked like a flag wait, instead of polling.
-///
-/// The wait is purely **event-driven**: no timeout, no fixed-period
-/// polling. That is safe because `bump` takes the same mutex the waiter
-/// holds between its generation check and its sleep (no lost wakeup), and
-/// because a waiting lane can only be unblocked by events that all bump:
-/// a job completing (the owner of any non-empty shard never waits, so
-/// jobs remaining implies some lane is running) or the batch aborting.
-/// When the last job's completion bump wakes the final waiters they
-/// observe every shard empty and exit.
-#[derive(Default)]
-struct Progress {
-    generation: Mutex<u64>,
-    advanced: Condvar,
-}
-
-impl Progress {
-    /// Record one unit of forward progress and wake every waiting lane
-    /// (each re-evaluates steal eligibility itself — clocks live outside
-    /// this lock, so a targeted wake is not possible or necessary).
-    fn bump(&self) {
-        *self.generation.lock().unwrap() += 1;
-        self.advanced.notify_all();
-    }
-
-    /// Block until the generation moves past `seen`.
-    fn wait_past(&self, seen: u64) {
-        let mut g = self.generation.lock().unwrap();
-        while *g == seen {
-            g = self.advanced.wait(g).unwrap();
-        }
-    }
-
-    fn current(&self) -> u64 {
-        *self.generation.lock().unwrap()
-    }
+    let lanes = lanes.into_iter().map(|l| l.expect("a lane stops without a record only by panicking")).collect();
+    (lanes, batch.seconds.into_iter().map(|s| f64::from_bits(s.into_inner())).collect())
 }
 
 /// Jobs run under `catch_unwind` and never while a batch lock is held, so
@@ -336,17 +271,20 @@ const POISONED: &str = "batch scheduler panicked while holding a batch lock";
 
 /// The state the lanes of one batch share.
 struct Batch<J> {
-    /// Lane `d`'s remaining seeded (and not yet stolen) jobs.
-    shards: Vec<Mutex<VecDeque<J>>>,
-    /// Per-lane simulated clocks (f64 seconds as bits; non-negative floats
-    /// order identically to their bit patterns). Kept only under
-    /// [`StealPolicy::StealOnIdle`], the one policy that reads them.
-    clocks: Vec<AtomicU64>,
-    policy: StealPolicy,
+    /// Job *k*, until the lane that claims index *k* takes it.
+    jobs: Vec<Mutex<Option<J>>>,
+    /// The next unclaimed job index; it passes `jobs.len()` once every job
+    /// is claimed. `Relaxed`: it publishes no data, since each job moves
+    /// through its own slot's mutex.
+    next: AtomicUsize,
+    /// Job *k*'s modeled seconds (f64 bits), stored by the lane that ran it.
+    /// `Relaxed`: `run_lanes` reads them only after each lane's report has
+    /// crossed the channel (lane 0 runs on the caller), which orders
+    /// the stores before the reads.
+    seconds: Vec<AtomicU64>,
     /// Set by the first job to panic; every lane's blocks poll it.
     abort: Arc<AtomicBool>,
     first_panic: Mutex<Option<Box<dyn Any + Send>>>,
-    progress: Progress,
 }
 
 impl<J: Send> Batch<J> {
@@ -361,198 +299,123 @@ impl<J: Send> Batch<J> {
         catch_unwind(AssertUnwindSafe(|| self.drive(d, device, run, token()))).map_err(|p| self.fail(p)).ok()
     }
 
-    /// Abort the batch on panic `p`, keeping the first panic to re-raise,
-    /// and wake idle lanes to see the abort.
+    /// Abort the batch on panic `p`, keeping the first panic to re-raise.
     fn fail(&self, p: Box<dyn Any + Send>) {
         self.abort.store(true, Ordering::Relaxed);
         let mut fp = self.first_panic.lock().expect(POISONED);
         if fp.is_none() {
             *fp = Some(p);
         }
-        drop(fp);
-        self.progress.bump();
     }
 
-    /// The resident loop of lane `d`: pop own shard from the
-    /// front, steal from eligible victims' backs, block on the progress
-    /// condvar when neither applies.
+    /// The resident loop of lane `d`: claim the next job index, run that
+    /// job, and repeat until the counter passes the end of the batch or the
+    /// batch aborts.
     ///
     /// The lane holds `token`, one of its device pool's execution tokens,
-    /// for the whole batch, shares it with the lane handle its jobs launch
+    /// while it runs, and shares it with the lane handle its jobs launch
     /// through (a job may keep a clone of that handle, and the token with
-    /// it), and lends it back to the pool for the duration of every idle
-    /// wait, so pool launches submitted on the same device can always make
-    /// progress even on a one-worker pool. Exactly the contract parked
-    /// flag waits use.
+    /// it). Returning drops the lane's share, so a lane with nothing left
+    /// to claim gives its token back to the pool while other lanes finish.
     fn drive<F>(&self, d: usize, device: &Gpu, run: &F, token: Token) -> DeviceLane
     where
         F: Fn(&Gpu, J) -> RunMetrics,
     {
-        let token = Arc::new(token);
-        let gpu = device.for_lane(Arc::clone(&self.abort), Arc::clone(&token));
-        let mut lane = DeviceLane {
-            ordinal: d,
-            jobs: 0,
-            stolen: 0,
-            kernel_calls: 0,
-            stats: BlockStats::default(),
-            modeled_seconds: 0.0,
-            busy_seconds: 0.0,
-        };
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
-                break;
-            }
-            // The pop must be a standalone statement: as a match scrutinee the
-            // guard temporary would live for the whole match, so `steal`
-            // would lock other shards while this lane's shard is still held —
-            // two lanes stealing at once then deadlock ABBA on each other's
-            // shard mutex.
-            let own = self.shards[d].lock().expect(POISONED).pop_front();
-            let (job, stolen) = match own {
-                Some(j) => (Some(j), false),
-                None if self.policy == StealPolicy::StealOnIdle => (self.steal(d), true),
-                None => (None, false),
-            };
-            match job {
-                Some(j) => {
-                    let t0 = Instant::now();
-                    match catch_unwind(AssertUnwindSafe(|| run(&gpu, j))) {
-                        Ok(rm) => {
-                            lane.busy_seconds += t0.elapsed().as_secs_f64();
-                            lane.jobs += 1;
-                            lane.stolen += stolen as usize;
-                            lane.kernel_calls += rm.kernel_calls();
-                            lane.stats.merge(&rm.total_stats());
-                            lane.modeled_seconds += run_seconds(gpu.config(), &rm);
-                            // Only thieves read the clocks and only idle
-                            // lanes wait on progress; static shards have
-                            // neither.
-                            if self.policy == StealPolicy::StealOnIdle {
-                                self.clocks[d].store(lane.modeled_seconds.to_bits(), Ordering::Release);
-                                // Clock advance may make this lane a legal
-                                // victim: broadcast after the store so a
-                                // waiter that wakes is guaranteed to see the
-                                // new clock.
-                                self.progress.bump();
-                                // Give the waiters just woken a scheduling
-                                // window to observe eligibility and steal
-                                // before this lane claims its next job: a
-                                // resident lane runs inline and would
-                                // otherwise drain its whole shard in one
-                                // scheduler slice on a loaded single-core
-                                // host, starving thieves of the window.
-                                std::thread::yield_now();
-                            }
-                        }
-                        Err(p) => {
-                            self.fail(p);
-                            break;
-                        }
-                    }
+        let gpu = device.for_lane(Arc::clone(&self.abort), Arc::new(token));
+        let mut lane =
+            DeviceLane { ordinal: d, jobs: 0, kernel_calls: 0, stats: BlockStats::default(), busy_seconds: 0.0 };
+        while !self.abort.load(Ordering::Relaxed) {
+            let k = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.jobs.get(k) else { break };
+            let job = slot.lock().expect(POISONED).take().expect("a job index is claimed once");
+            let t0 = Instant::now();
+            match catch_unwind(AssertUnwindSafe(|| run(&gpu, job))) {
+                Ok(rm) => {
+                    lane.busy_seconds += t0.elapsed().as_secs_f64();
+                    lane.jobs += 1;
+                    lane.kernel_calls += rm.kernel_calls();
+                    lane.stats.merge(&rm.total_stats());
+                    self.seconds[k].store(run_seconds(gpu.config(), &rm).to_bits(), Ordering::Relaxed);
                 }
-                None => {
-                    // Capture the generation before re-checking the shards:
-                    // any progress after this point bumps it, so the wait
-                    // below cannot sleep through the wake that would have
-                    // made a victim eligible.
-                    let seen = self.progress.current();
-                    if self.shards.iter().all(|sh| sh.lock().expect(POISONED).is_empty()) {
-                        break;
-                    }
-                    if self.policy == StealPolicy::Disabled {
-                        // Static shards: remaining jobs belong to other
-                        // devices; this lane is done.
-                        break;
-                    }
-                    // Work exists but this lane's simulated clock is ahead of
-                    // every victim's: wait, with the token lent, for
-                    // another lane to report progress (their clocks advance
-                    // and eligibility returns, or the shards empty and the
-                    // loop exits).
-                    let _loan = token.lend(&mut lane.stats.token_handoffs);
-                    self.progress.wait_past(seen);
+                Err(p) => {
+                    self.fail(p);
+                    break;
                 }
             }
         }
         lane
     }
-
-    /// Take a job from the back of the most-loaded victim whose simulated
-    /// clock is at or ahead of the thief's, or `None` if no victim is
-    /// eligible right now.
-    fn steal(&self, thief: usize) -> Option<J> {
-        let my_clock = f64::from_bits(self.clocks[thief].load(Ordering::Acquire));
-        let mut best: Option<(usize, usize)> = None; // (victim, backlog)
-        for (v, shard) in self.shards.iter().enumerate() {
-            if v == thief {
-                continue;
-            }
-            let victim_clock = f64::from_bits(self.clocks[v].load(Ordering::Acquire));
-            if my_clock > victim_clock {
-                continue; // stealing would unbalance the simulated schedule
-            }
-            let backlog = shard.lock().expect(POISONED).len();
-            if backlog > 0 && best.is_none_or(|(_, b)| backlog > b) {
-                best = Some((v, backlog));
-            }
-        }
-        best.and_then(|(v, _)| self.shards[v].lock().expect(POISONED).pop_back())
-    }
 }
 
-/// What one device of a group did during a batch.
+/// The modeled clocks of `devices` devices that claim a batch's jobs in
+/// order: job *k* goes to the device whose clock is earliest (ties to the
+/// lowest ordinal) and advances it by `job_seconds[k]`.
 ///
-/// `jobs`, `stolen`, `busy_seconds`, and `modeled_seconds` describe the
-/// *schedule* and therefore legitimately vary run to run; `stats` summed
-/// across all lanes is schedule-independent (each job's counters are
-/// deterministic wherever it runs).
+/// This is the rule the lanes follow on the host, replayed on modeled
+/// clocks, so a batch's modeled schedule depends on its jobs alone and not
+/// on which lane the host let claim what.
+pub(crate) fn replay(job_seconds: &[f64], devices: usize) -> Vec<f64> {
+    let mut clocks = vec![0.0; devices];
+    for &s in job_seconds {
+        let d = (1..devices).fold(0, |e, d| if clocks[d] < clocks[e] { d } else { e });
+        clocks[d] += s;
+    }
+    clocks
+}
+
+/// What one lane of a batch did on the host.
+///
+/// `jobs`, `kernel_calls`, `stats` and `busy_seconds` describe the host's
+/// schedule and therefore vary run to run; `stats` summed across all lanes
+/// is schedule-independent (each job's counters are deterministic wherever
+/// it runs).
 #[derive(Debug, Clone)]
 pub struct DeviceLane {
-    /// The device's position in the group.
+    /// The lane's device position in the group.
     pub ordinal: usize,
-    /// Jobs this device completed (seeded + stolen).
+    /// Jobs this lane claimed and completed.
     pub jobs: usize,
-    /// Subset of `jobs` taken from another device's shard.
-    pub stolen: usize,
     /// Kernel launches performed across all jobs.
     pub kernel_calls: usize,
-    /// Aggregated access counters of every job this device ran.
+    /// Aggregated access counters of every job this lane ran.
     pub stats: BlockStats,
-    /// Simulated seconds of device time charged by the timing model.
-    pub modeled_seconds: f64,
     /// Host wall-clock seconds this lane spent executing jobs.
     pub busy_seconds: f64,
 }
 
-/// Snapshot of a whole multi-device batch: per-device breakdown plus
-/// schedule-independent totals.
+/// Snapshot of a whole multi-device batch: per-lane host records, each
+/// job's modeled seconds, and schedule-independent totals.
 #[derive(Debug, Clone)]
 pub struct GroupMetrics {
-    /// Per-device records, in ordinal order.
+    /// Per-lane records, in ordinal order.
     pub lanes: Vec<DeviceLane>,
+    /// Each job's modeled seconds ([`run_seconds`] of its metrics), in job
+    /// order, whichever lane ran it.
+    pub job_seconds: Vec<f64>,
     /// Host wall-clock seconds for the whole batch.
     pub wall_seconds: f64,
 }
 
 impl GroupMetrics {
-    /// Total jobs completed across all devices.
+    /// Total jobs completed across all lanes.
     pub fn total_jobs(&self) -> usize {
         self.lanes.iter().map(|l| l.jobs).sum()
     }
 
-    /// Total jobs that migrated off their seeded shard.
+    /// Always 0: lanes claim jobs from one counter, and nothing is stolen.
+    /// Kept only because perfbench (`perfbench/src/book.rs`) reads it for
+    /// its `group.steal_events` metric; it goes with that metric.
     pub fn steal_events(&self) -> usize {
-        self.lanes.iter().map(|l| l.stolen).sum()
+        0
     }
 
-    /// Total kernel launches across all devices.
+    /// Total kernel launches across all lanes.
     pub fn kernel_calls(&self) -> usize {
         self.lanes.iter().map(|l| l.kernel_calls).sum()
     }
 
     /// Aggregated counters over every job of the batch. A per-job sum, so
-    /// independent of which device ran which job.
+    /// independent of which lane ran which job.
     pub fn total_stats(&self) -> BlockStats {
         let mut t = BlockStats::default();
         for l in &self.lanes {
@@ -562,14 +425,14 @@ impl GroupMetrics {
     }
 
     /// The schedule-independent counter subset: bit-identical across
-    /// device counts, steal interleavings, and dispatch orders.
+    /// device counts, host schedules, and dispatch orders.
     pub fn deterministic(&self) -> BlockStats {
         self.total_stats().deterministic()
     }
 
     /// Total device-to-device transfers across all lanes. Like every
     /// other `stats` field this is a per-job sum, so it is deterministic;
-    /// the per-lane split shows *which* device paid for each exchange.
+    /// the per-lane split shows which lane's jobs paid for each exchange.
     pub fn d2d_transfers(&self) -> u64 {
         self.lanes.iter().map(|l| l.stats.d2d_transfers).sum()
     }
@@ -593,23 +456,30 @@ impl GroupMetrics {
         self.lanes.iter().map(|l| l.stats.wakeups).sum()
     }
 
-    /// Total worker-token handoffs (a blocked wait or an idle resident
-    /// driver returning its execution token to the pool) across all lanes.
+    /// Total worker-token handoffs (a parked wait lending its execution
+    /// token to the pool) across all lanes.
     pub fn token_handoffs(&self) -> u64 {
         self.lanes.iter().map(|l| l.stats.token_handoffs).sum()
     }
 
-    /// Modeled completion time of the batch: the devices run in parallel,
-    /// so the batch is done when the busiest lane's simulated clock is.
-    pub fn modeled_completion_seconds(&self) -> f64 {
-        self.lanes.iter().map(|l| l.modeled_seconds).fold(0.0, f64::max)
+    /// Each device's modeled clock at the end of the batch, replaying
+    /// `job_seconds` on the group's devices: job *k* runs on the device
+    /// whose clock is earliest, ties to the lowest ordinal.
+    pub fn device_clocks(&self) -> Vec<f64> {
+        replay(&self.job_seconds, self.lanes.len())
     }
 
-    /// Total simulated device-seconds across all lanes (the serial-
-    /// equivalent work; `modeled_completion_seconds` over this is the
-    /// load-balance quality).
+    /// Modeled completion time of the batch: the devices run in parallel,
+    /// so the batch is done when the latest replayed clock is.
+    pub fn modeled_completion_seconds(&self) -> f64 {
+        self.device_clocks().into_iter().fold(0.0, f64::max)
+    }
+
+    /// Total simulated device-seconds, the replayed clocks' sum (the
+    /// serial-equivalent work; `modeled_completion_seconds` over this is
+    /// the load-balance quality).
     pub fn modeled_device_seconds(&self) -> f64 {
-        self.lanes.iter().map(|l| l.modeled_seconds).sum()
+        self.device_clocks().iter().sum()
     }
 }
 
@@ -619,6 +489,8 @@ mod tests {
     use crate::global::GlobalBuffer;
     use crate::launch::LaunchConfig;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     /// One trivial job: fill a buffer and report the launch's metrics.
     fn fill_job(gpu: &Gpu, val: u64) -> RunMetrics {
@@ -630,6 +502,15 @@ mod tests {
         }));
         assert_eq!(buf.to_vec(), vec![val; 64]);
         rm
+    }
+
+    /// Spin until `flag` is set, failing after five seconds.
+    fn until(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !flag.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "the other lane never got there");
+            std::hint::spin_loop();
+        }
     }
 
     #[test]
@@ -658,30 +539,19 @@ mod tests {
         // Reference: the same jobs one after another on a sequential device.
         let jobs = || (0..12u64).map(|i| i + 1).collect::<Vec<_>>();
         let seq = Gpu::new(DeviceConfig::tiny());
-        let (mut want, mut want_seconds) = (BlockStats::default(), 0.0);
+        let (mut want, mut want_seconds) = (BlockStats::default(), Vec::new());
         for v in jobs() {
             let rm = fill_job(&seq, v);
             want.merge(&rm.total_stats());
-            want_seconds += run_seconds(seq.config(), &rm);
+            want_seconds.push(run_seconds(seq.config(), &rm));
         }
-        let one = DeviceGroup::new(DeviceConfig::tiny(), 1).run_batch(jobs(), StealPolicy::StealOnIdle, fill_job);
-        assert_eq!(one.steal_events(), 0, "one device has nobody to steal from");
         for nd in [1, 2, 4] {
-            let g = DeviceGroup::new(DeviceConfig::tiny(), nd);
-            for policy in [StealPolicy::Disabled, StealPolicy::StealOnIdle] {
-                let got = g.run_batch(jobs(), policy, fill_job);
-                assert_eq!(got.total_jobs(), 12, "{nd} devices, {policy:?}");
-                assert_eq!(got.kernel_calls(), 12, "{nd} devices, {policy:?}");
-                assert_eq!(
-                    got.deterministic(),
-                    want.deterministic(),
-                    "{nd} devices, {policy:?}: totals must not depend on the schedule"
-                );
-                assert!(
-                    (got.modeled_device_seconds() - want_seconds).abs() < 1e-12,
-                    "{nd} devices, {policy:?}: modeled work is a per-job sum"
-                );
-            }
+            let got = DeviceGroup::new(DeviceConfig::tiny(), nd).run_batch(jobs(), fill_job);
+            assert_eq!(got.total_jobs(), 12, "{nd} devices");
+            assert_eq!(got.kernel_calls(), 12, "{nd} devices");
+            assert_eq!(got.deterministic(), want.deterministic(), "{nd} devices: totals follow no schedule");
+            assert_eq!(got.job_seconds, want_seconds, "{nd} devices: job seconds are kept in job order");
+            assert_eq!(got.device_clocks(), replay(&want_seconds, nd), "{nd} devices: the clocks are the replay");
         }
         for lanes in [1, 2, 4] {
             let (kernels, stats) = seq.run_batch(lanes, jobs(), fill_job);
@@ -691,19 +561,26 @@ mod tests {
     }
 
     #[test]
-    fn static_sharding_splits_contiguously() {
-        let g = DeviceGroup::new(DeviceConfig::tiny(), 4);
-        let m = g.run_batch((0..10u64).collect(), StealPolicy::Disabled, fill_job);
-        let per_lane: Vec<usize> = m.lanes.iter().map(|l| l.jobs).collect();
-        // 10 jobs over 4 devices: [2, 3, 2, 3] by the [d*m/nd, (d+1)*m/nd) rule.
-        assert_eq!(per_lane, vec![2, 3, 2, 3]);
-        assert_eq!(m.steal_events(), 0);
+    fn replay_gives_each_job_to_the_earliest_clock() {
+        // Job 0 holds device 0 for 3 s while device 1 runs jobs 1 to 3.
+        assert_eq!(replay(&[3.0, 1.0, 1.0, 1.0], 2), vec![3.0, 3.0]);
+        // Equal clocks go to the lowest ordinal: job 0 to device 0, then
+        // job 1 to device 1, and job 2 back to device 0 at 1 s.
+        assert_eq!(replay(&[1.0, 2.0, 0.5], 2), vec![1.5, 2.0]);
+        assert_eq!(replay(&[2.0, 2.0, 2.0], 3), vec![2.0, 2.0, 2.0]);
+        assert_eq!(replay(&[2.0, 2.0], 3), vec![2.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn replay_on_one_device_is_the_sum_and_of_no_jobs_is_zero() {
+        assert_eq!(replay(&[0.5, 0.25, 2.0], 1), vec![2.75]);
+        assert_eq!(replay(&[], 3), vec![0.0; 3]);
     }
 
     #[test]
     fn empty_batch_completes() {
         let g = DeviceGroup::new(DeviceConfig::tiny(), 2);
-        let m = g.run_batch(Vec::<u64>::new(), StealPolicy::StealOnIdle, fill_job);
+        let m = g.run_batch(Vec::<u64>::new(), fill_job);
         assert_eq!(m.total_jobs(), 0);
         assert_eq!(m.lanes.len(), 2);
         assert_eq!(m.modeled_completion_seconds(), 0.0);
@@ -713,7 +590,7 @@ mod tests {
     fn job_panic_aborts_the_batch_and_reraises() {
         let g = DeviceGroup::new(DeviceConfig::tiny(), 2);
         let err = catch_unwind(AssertUnwindSafe(|| {
-            g.run_batch((0..8u64).collect(), StealPolicy::StealOnIdle, |gpu, i| {
+            g.run_batch((0..8u64).collect(), |gpu, i| {
                 if i == 3 {
                     panic!("job fault");
                 }
@@ -725,15 +602,23 @@ mod tests {
         assert_eq!(msg, "job fault");
     }
 
-    #[test]
-    fn all_work_on_one_shard_is_stolen_to_balance() {
-        // One job over two devices seeds shards [0, 1]: device 1 owns it, so
-        // lane 0 (which starts first, on the caller) runs it only by a steal.
-        let g = DeviceGroup::new(DeviceConfig::tiny(), 2);
-        let m = g.run_batch(vec![7u64], StealPolicy::StealOnIdle, fill_job);
-        assert_eq!(m.total_jobs(), 1);
-        assert_eq!(m.steal_events(), m.lanes[0].jobs, "lane 0 ran only a stolen job");
-        assert_eq!(m.lanes[1].stolen, 0, "lane 1 has no victim with work");
+    /// Run eight jobs through `batch` and return, per job, the id and name
+    /// of the thread that ran it. Job 0 returns only once job 1 has
+    /// started, so a lane other than job 0's runs job 1.
+    fn threads_of(batch: impl FnOnce(&(dyn Fn(&Gpu, u64) -> RunMetrics + Sync))) -> Vec<(ThreadId, String)> {
+        let started = AtomicBool::new(false);
+        let ran = Mutex::new(vec![None; 8]);
+        batch(&|gpu, j| {
+            let t = std::thread::current();
+            ran.lock().unwrap()[j as usize] = Some((t.id(), t.name().unwrap_or_default().to_string()));
+            match j {
+                0 => until(&started),
+                1 => started.store(true, Ordering::SeqCst),
+                _ => {}
+            }
+            fill_job(gpu, j)
+        });
+        ran.into_inner().unwrap().into_iter().map(|t| t.expect("every job ran")).collect()
     }
 
     #[test]
@@ -745,23 +630,16 @@ mod tests {
         let g = DeviceGroup::with_member_config(cfg, 2);
         let caller = std::thread::current().id();
         for call in 0..2 {
-            let ran = Mutex::new(Vec::new());
-            // Eight jobs over two devices shard as [0..4), [4..8).
-            g.run_batch((0..8u64).collect(), StealPolicy::Disabled, |gpu, j| {
-                let t = std::thread::current();
-                ran.lock().unwrap().push((j, t.id(), t.name().map(String::from)));
-                fill_job(gpu, j)
+            let ran = threads_of(|run| {
+                g.run_batch((0..8u64).collect(), run);
             });
-            let ran = ran.into_inner().unwrap();
-            assert_eq!(ran.len(), 8);
-            for (j, id, name) in ran {
-                if j < 4 {
-                    assert_eq!(id, caller, "call {call}: lane 0 ran job {j} off the caller");
-                } else {
-                    let name = name.unwrap_or_default();
-                    assert!(name.starts_with("gpu-sim-d1-"), "call {call}: lane 1 ran job {j} on {name:?}");
-                }
+            for (j, (id, name)) in ran.iter().enumerate() {
+                assert!(
+                    *id == caller || name.starts_with("gpu-sim-d1-"),
+                    "call {call}: job {j} ran on {name:?}, neither the caller nor device 1's pool"
+                );
             }
+            assert_ne!(ran[0].0, ran[1].0, "call {call}: jobs 0 and 1 ran on one lane");
         }
     }
 
@@ -769,8 +647,7 @@ mod tests {
     fn one_device_lanes_run_on_the_caller_and_on_its_pool() {
         // The lanes of one device are its caller and its own pool threads,
         // whatever the handle's mode, and their number is clamped to
-        // 1..=host_parallelism (here 2). Eight jobs shard as [0..8) on one
-        // lane and as [0..4), [4..8) on two.
+        // 1..=host_parallelism (here 2).
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         if cores < 2 {
             eprintln!("skipped: a second lane needs a second core, the host has {cores}");
@@ -781,24 +658,25 @@ mod tests {
         let gpu = Gpu::new(cfg);
         assert_eq!(gpu.host_parallelism(), 2);
         let caller = std::thread::current().id();
-        for (asked, lanes) in [(0, 1), (1, 1), (2, 2), (5, 2), (2, 2)] {
-            let ran = Mutex::new(Vec::new());
+        for asked in [0, 1] {
             let (kernels, _) = gpu.run_batch(asked, (0..8u64).collect(), |gpu, j| {
-                let t = std::thread::current();
-                ran.lock().unwrap().push((j, t.id(), t.name().map(String::from)));
+                assert_eq!(std::thread::current().id(), caller, "{asked} lanes asked: job {j} ran off the caller");
                 fill_job(gpu, j)
             });
             assert_eq!(kernels, 8);
-            let ran = ran.into_inner().unwrap();
-            assert_eq!(ran.len(), 8);
-            for (j, id, name) in ran {
-                if j < 8 / lanes {
-                    assert_eq!(id, caller, "{asked} lanes asked: lane 0 ran job {j} off the caller");
-                } else {
-                    let name = name.unwrap_or_default();
-                    assert!(name.starts_with("gpu-sim-d0-"), "{asked} lanes asked: lane 1 ran job {j} on {name:?}");
-                }
+        }
+        for asked in [2, 5, 2] {
+            let ran = threads_of(|run| {
+                let (kernels, _) = gpu.run_batch(asked, (0..8u64).collect(), run);
+                assert_eq!(kernels, 8);
+            });
+            for (j, (id, name)) in ran.iter().enumerate() {
+                assert!(
+                    *id == caller || name.starts_with("gpu-sim-d0-"),
+                    "{asked} lanes asked: job {j} ran on {name:?}, neither the caller nor the device's pool"
+                );
             }
+            assert_ne!(ran[0].0, ran[1].0, "{asked} lanes asked: jobs 0 and 1 ran on one lane");
         }
     }
 
@@ -818,13 +696,13 @@ mod tests {
         cfg.host_workers = 2;
         let g = DeviceGroup::with_member_config(cfg, 1);
         let ran_on = Mutex::new(Vec::new());
-        g.run_batch(vec![()], StealPolicy::Disabled, |gpu, ()| {
+        g.run_batch(vec![()], |gpu, ()| {
             let mut rm = RunMetrics::default();
             for _ in 0..2 {
                 let ids = Mutex::new(Vec::new());
                 rm.push(gpu.launch(LaunchConfig::new("busy-2ms", 4, 32), |_ctx| {
                     let t = Instant::now();
-                    while t.elapsed() < std::time::Duration::from_millis(2) {
+                    while t.elapsed() < Duration::from_millis(2) {
                         std::hint::spin_loop();
                     }
                     ids.lock().unwrap().push(std::thread::current().id());

@@ -14,7 +14,7 @@
 //!   [`launch::ExecMode::Concurrent`]; batches of jobs run on resident
 //!   lanes, several of one device ([`launch::Gpu::run_batch`]) or one per
 //!   device of a [`group::DeviceGroup`], which scales out to N independent
-//!   devices with a work-stealing batch scheduler;
+//!   devices; lanes claim a batch's jobs in order from one counter;
 //! * [`global::GlobalBuffer`] is device DRAM: shared by all blocks,
 //!   accounted for coalesced vs. strided traffic;
 //! * [`shared::SharedTile`] is per-block shared memory with bank-conflict
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::device::{DeviceConfig, WARP};
     pub use crate::elem::DeviceElem;
     pub use crate::global::GlobalBuffer;
-    pub use crate::group::{DeviceGroup, DeviceLane, GroupMetrics, StealPolicy};
+    pub use crate::group::{DeviceGroup, DeviceLane, GroupMetrics};
     pub use crate::launch::{BlockCtx, DispatchOrder, ExecMode, Gpu, LaunchConfig};
     pub use crate::metrics::{BlockStats, CriticalPath, KernelMetrics, RunMetrics};
     pub use crate::shared::{Arrangement, SharedTile};

@@ -86,9 +86,9 @@ pub struct BlockStats {
     pub wakeups: u64,
     /// Worker-token handoffs: times a thread holding a pool execution
     /// token lent it back for the duration of a blocking wait — a flag
-    /// wait whose first park cycle expired, or a resident group driver idle
-    /// between jobs. Whether a wait parks at all is host-scheduling noise,
-    /// so this is masked from `deterministic()` like `park_events`.
+    /// wait whose first park cycle expired. Whether a wait parks at all is
+    /// host-scheduling noise, so this is masked from `deterministic()` like
+    /// `park_events`.
     pub token_handoffs: u64,
 }
 

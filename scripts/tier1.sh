@@ -26,20 +26,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # pool-run lane grid), the schedule-parity suite (its group batches run
 # their lanes on pool threads, and its lane strategy runs every algorithm
 # and the duplication baseline as the job of a one-device batch), and
-# gpu-sim's unit tests (the token-balance test with its pool-run lane grid
-# and its two-lane batch of one device, the pool dropped on its own
-# thread, the park/wake tests in sync.rs, and in group.rs the lane thread
-# tests of a group and of one device and the lane wake-rule test). All are
-# also part of `cargo test --workspace`; run standalone in release so a
-# break is named directly in the tier-1 log.
+# gpu-sim's unit tests (the token-balance test with its group batch, its
+# pool-run lane grid and its two-lane batch of one device, the pool
+# dropped on its own thread, the park/wake tests in sync.rs, and in
+# group.rs the lane thread tests of a group and of one device and the lane
+# wake-rule test). All are also part of `cargo test --workspace`; run
+# standalone in release so a break is named directly in the tier-1 log.
 cargo test --release -q --test counter_parity --test parking --test scheduling_parity
 cargo test --release -q -p gpu-sim --lib
-# The cooperative multi-device tests pin modeled-time floors and the
-# skewed-band premise, which depend on what every band kernel costs; run
-# them at release speed too. The batch steal-vs-static test stays
-# debug-only: in release its thief can still starve, and it fails a few
-# runs in several hundred.
-cargo test --release -q --test multi_device cooperative_
+# The multi-device tests pin modeled-time floors and the skewed-batch and
+# skewed-band premises, which depend on what every kernel costs; run them
+# at release speed too. Their makespans replay the in-order claims on
+# modeled clocks, so no host schedule can move them.
+cargo test --release -q --test multi_device
 
 # The benchmark (perfbench/, described by BENCHMARK.json) is a package of
 # its own, outside this workspace: build it against the library and run its

@@ -135,7 +135,6 @@ fn batched_and_scalar_paths_charge_identically() {
                 &output,
                 n,
                 &[2, 2, 2, 2],
-                StealPolicy::StealOnIdle,
             );
             set_force_scalar(false);
             assert_eq!(Matrix::from_device(&output, n, n), expect, "{kernel:?} scalar={scalar}");

@@ -1,14 +1,14 @@
-//! Multi-device batch execution: work stealing must demonstrably engage
-//! and pay off on skewed shards, without ever changing what the batch
-//! computes or charges.
+//! Multi-device batch execution: devices that claim jobs in order from one
+//! counter must balance a skewed batch, without ever changing what the
+//! batch computes or charges.
 //!
-//! The scheduler shards a batch contiguously, so a batch whose first half
-//! is heavy images and second half is tiny ones seeds device 0 with
-//! nearly all the work. Static sharding then models completion at
-//! roughly the sum of the heavy jobs; steal-on-idle lets device 1 drain
-//! device 0's backlog and must model strictly faster. Steals are gated on
-//! the lanes' *simulated* clocks, so the modeled completion is
-//! reproducible on any host, including single-core CI.
+//! A batch whose first half is heavy images and second half is tiny ones
+//! is the worst case for a contiguous split, which would hand device 0
+//! nearly all the work and model completion at roughly the sum of the
+//! heavy jobs. In-order claims hand each job to whichever device is free
+//! first, and the modeled makespan replays that rule on the jobs' own
+//! modeled seconds, so it is the same on any host, including single-core
+//! CI, and needs no retries.
 
 use gpu_sim::prelude::*;
 use satcore::prelude::*;
@@ -19,7 +19,7 @@ const TINY_N: usize = 32;
 
 fn skewed_batch() -> (Vec<Matrix<u32>>, Vec<BatchImage<u32>>) {
     // 8 heavy images then 8 tiny ones: with 2 devices the contiguous
-    // split [d*m/nd, (d+1)*m/nd) seeds device 0 with every heavy job.
+    // split [d*m/nd, (d+1)*m/nd) gives device 0 every heavy job.
     let mats: Vec<Matrix<u32>> = (0..16)
         .map(|i| {
             let n = if i < 8 { HEAVY_N } else { TINY_N };
@@ -28,6 +28,17 @@ fn skewed_batch() -> (Vec<Matrix<u32>>, Vec<BatchImage<u32>>) {
         .collect();
     let imgs = mats.iter().map(|m| BatchImage::from_host(m.as_slice(), m.rows())).collect();
     (mats, imgs)
+}
+
+/// Each device's modeled clock under the contiguous split, device `d`
+/// running jobs `[d·m/nd, (d+1)·m/nd)`, from the same per-job seconds.
+fn contiguous_clocks(job_seconds: &[f64], nd: usize) -> Vec<f64> {
+    let m = job_seconds.len();
+    (0..nd).map(|d| job_seconds[d * m / nd..(d + 1) * m / nd].iter().sum()).collect()
+}
+
+fn makespan(clocks: &[f64]) -> f64 {
+    clocks.iter().copied().fold(0.0, f64::max)
 }
 
 fn check_outputs(mats: &[Matrix<u32>], imgs: &[BatchImage<u32>]) {
@@ -39,57 +50,33 @@ fn check_outputs(mats: &[Matrix<u32>], imgs: &[BatchImage<u32>]) {
 }
 
 #[test]
-fn stealing_engages_on_skewed_shards_and_beats_static() {
+fn in_order_claims_beat_the_contiguous_split_on_a_skewed_batch() {
     let params = SatParams { w: W, threads_per_block: 64 };
     let (mats, imgs) = skewed_batch();
-    let group = DeviceGroup::new(DeviceConfig::tiny(), 2);
-
-    let (static_report, static_gm) =
-        sat_batch_multi_device_policy(&group, params, &imgs, StealPolicy::Disabled);
+    let serial = sat_batch_serial(&Gpu::new(DeviceConfig::tiny()), params, &imgs);
     check_outputs(&mats, &imgs);
-    assert_eq!(static_gm.steal_events(), 0, "static sharding never steals");
-    // All heavy jobs sit on device 0's lane under static shards.
-    assert!(
-        static_gm.lanes[0].modeled_seconds > 4.0 * static_gm.lanes[1].modeled_seconds,
-        "the batch is not actually skewed: {:?}",
-        static_gm.lanes.iter().map(|l| l.modeled_seconds).collect::<Vec<_>>()
-    );
+    let group = DeviceGroup::new(DeviceConfig::tiny(), 2);
+    let (report, gm) = sat_batch_multi_device(&group, params, &imgs);
+    check_outputs(&mats, &imgs);
+    assert_eq!(report.deterministic(), serial.deterministic(), "the schedule changed the aggregate counters");
+    assert_eq!(gm.total_jobs(), imgs.len());
 
-    // Host thread scheduling decides *when* the idle device observes the
-    // backlog, so a single run can legitimately (if rarely) finish a tiny
-    // shard only after the heavy one drained. Steal engagement is a
-    // probabilistic property of the host schedule; modeled balance is
-    // asserted on the first run that engages.
-    let mut engaged = None;
-    for attempt in 0..5 {
-        let (report, gm) =
-            sat_batch_multi_device_policy(&group, params, &imgs, StealPolicy::StealOnIdle);
-        check_outputs(&mats, &imgs);
-        assert_eq!(
-            report.deterministic(),
-            static_report.deterministic(),
-            "steal schedule changed the aggregate counters (attempt {attempt})"
-        );
-        assert_eq!(gm.total_jobs(), imgs.len());
-        if gm.steal_events() > 0 {
-            engaged = Some(gm);
-            break;
-        }
-    }
-    let steal_gm = engaged.expect("no steals in 5 runs on a shard holding all heavy jobs");
-
-    // Work stealing must rebalance the modeled schedule: completion is
-    // the max lane clock, and moving heavy jobs off device 0 lowers it.
+    // The contiguous split puts every heavy job on device 0.
+    let split = contiguous_clocks(&gm.job_seconds, 2);
+    assert!(split[0] > 4.0 * split[1], "the batch is not actually skewed: {split:?}");
+    // In-order claims balance the modeled schedule: completion is the
+    // latest replayed clock, and sharing the heavy jobs lowers it.
     assert!(
-        steal_gm.modeled_completion_seconds() < 0.8 * static_gm.modeled_completion_seconds(),
-        "stealing did not beat static shards: {:.6}s vs {:.6}s",
-        steal_gm.modeled_completion_seconds(),
-        static_gm.modeled_completion_seconds()
+        gm.modeled_completion_seconds() < 0.8 * makespan(&split),
+        "in-order claims did not beat the contiguous split: {:.6}s vs {:.6}s",
+        gm.modeled_completion_seconds(),
+        makespan(&split)
     );
     // The serial-equivalent work is a per-job sum and cannot change.
+    let clocks = gm.device_clocks();
     assert!(
-        (steal_gm.modeled_device_seconds() - static_gm.modeled_device_seconds()).abs() < 1e-9,
-        "total modeled work drifted between schedules"
+        (gm.modeled_device_seconds() - gm.job_seconds.iter().sum::<f64>()).abs() < 1e-9,
+        "the replay lost or invented modeled work: {clocks:?}"
     );
 }
 
@@ -153,19 +140,16 @@ fn cooperative_huge_image_scales_across_devices() {
 }
 
 #[test]
-fn cooperative_skewed_bands_steal_beats_static_and_conserves_work() {
-    // Uneven band heights put the heavy bands in the second half, so the
-    // 2-device contiguous split seeds device 1 with 31x device 0's rows.
-    // Device 0 drains its tiny bands and must steal heavy bands off the
-    // back of device 1's queue. Steals are gated on the victims' simulated
-    // clocks, which only advance at job completion, so the victim needs a
-    // multi-band backlog for an eligibility window to exist at all — four
-    // heavy bands, not one monolithic one. Stealing must cut the modeled
-    // makespan well below the static split while the per-band sum of
-    // modeled work — device-seconds — stays exactly put. A band's modeled
-    // time grows with its height mostly through k1 and k3, while every
-    // band pays the same launches, so the skew needs tall bands: at n =
-    // 256 with 7-row bands the static split reads under 2x.
+fn cooperative_skewed_bands_replay_beats_the_contiguous_split_and_conserves_work() {
+    // Uneven band heights put the heavy bands in the second half, so a
+    // 2-device contiguous split would give device 1 31x device 0's rows.
+    // In-order claims hand the heavy bands to both devices, and the
+    // replayed makespan must sit well below the split's, computed from the
+    // same per-band modeled seconds, while the per-band sum of modeled work
+    // — device-seconds — stays exactly put. A band's modeled time grows
+    // with its height mostly through k1 and k3, while every band pays the
+    // same launches, so the skew needs tall bands: at n = 256 with 7-row
+    // bands the split reads under 2x.
     let params = SatParams { w: W, threads_per_block: 64 };
     let n = 1024; // t = 128 tile rows
     let band_rows = [1, 1, 1, 1, 31, 31, 31, 31];
@@ -173,50 +157,30 @@ fn cooperative_skewed_bands_steal_beats_static_and_conserves_work() {
     let expect = satcore::reference::sat(&mat);
     let input = mat.to_device();
     let output = gpu_sim::global::GlobalBuffer::<u32>::zeroed(n * n);
+
+    let one = DeviceGroup::new(DeviceConfig::tiny(), 1);
+    let (one_report, _) =
+        sat_huge_multi_device_bands(&one, params, CoopKernel::TwoROneW, &input, &output, n, &band_rows);
+    assert_eq!(Matrix::from_device(&output, n, n), expect, "1 device");
+    output.host_fill(0);
     let group = DeviceGroup::new(DeviceConfig::tiny(), 2);
+    let (report, gm) =
+        sat_huge_multi_device_bands(&group, params, CoopKernel::TwoROneW, &input, &output, n, &band_rows);
+    assert_eq!(Matrix::from_device(&output, n, n), expect, "2 devices");
+    assert_eq!(report.deterministic(), one_report.deterministic(), "the schedule changed the counters");
 
-    let (static_report, static_gm) = sat_huge_multi_device_bands(
-        &group, params, CoopKernel::TwoROneW, &input, &output, n, &band_rows,
-        StealPolicy::Disabled,
-    );
-    assert_eq!(Matrix::from_device(&output, n, n), expect, "static schedule");
-    assert_eq!(static_gm.steal_events(), 0);
+    let split = contiguous_clocks(&gm.job_seconds, 2);
+    assert!(split[1] > 2.0 * split[0], "the band layout is not actually skewed: {split:?}");
     assert!(
-        static_gm.lanes[1].modeled_seconds > 2.0 * static_gm.lanes[0].modeled_seconds,
-        "the band layout is not actually skewed: {:?}",
-        static_gm.lanes.iter().map(|l| l.modeled_seconds).collect::<Vec<_>>()
+        gm.modeled_completion_seconds() < 0.8 * makespan(&split),
+        "in-order claims did not beat the contiguous split: {:.6}s vs {:.6}s",
+        gm.modeled_completion_seconds(),
+        makespan(&split)
     );
-
-    // Steal engagement depends on when the idle device observes the
-    // backlog in host time; retry like the batch test does.
-    let mut engaged = None;
-    for attempt in 0..5 {
-        output.host_fill(0);
-        let (report, gm) = sat_huge_multi_device_bands(
-            &group, params, CoopKernel::TwoROneW, &input, &output, n, &band_rows,
-            StealPolicy::StealOnIdle,
-        );
-        assert_eq!(Matrix::from_device(&output, n, n), expect, "steal schedule (attempt {attempt})");
-        assert_eq!(
-            report.deterministic(),
-            static_report.deterministic(),
-            "steal schedule changed the counters (attempt {attempt})"
-        );
-        if gm.steal_events() > 0 {
-            engaged = Some(gm);
-            break;
-        }
-    }
-    let steal_gm = engaged.expect("no steals in 5 runs against a shard holding both heavy bands");
+    let clocks = gm.device_clocks();
     assert!(
-        steal_gm.modeled_completion_seconds() < 0.8 * static_gm.modeled_completion_seconds(),
-        "stealing did not beat static bands: {:.6}s vs {:.6}s",
-        steal_gm.modeled_completion_seconds(),
-        static_gm.modeled_completion_seconds()
-    );
-    assert!(
-        (steal_gm.modeled_device_seconds() - static_gm.modeled_device_seconds()).abs() < 1e-9,
-        "total modeled work drifted between schedules"
+        (clocks.iter().sum::<f64>() - split.iter().sum::<f64>()).abs() < 1e-9,
+        "total modeled work drifted between schedules: {clocks:?} vs {split:?}"
     );
 }
 

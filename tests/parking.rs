@@ -4,7 +4,6 @@
 
 use gpu_sim::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -174,96 +173,6 @@ fn a_panicking_launch_returns_the_callers_token() {
     assert_eq!(publishes, 1);
 }
 
-/// Synthetic run record whose only purpose is to advance a lane's
-/// simulated clock by a controlled amount: `bytes` of charged global
-/// reads model to proportional device time in `run_seconds`.
-fn synthetic_run(bytes: u64) -> RunMetrics {
-    let mut stats = BlockStats::default();
-    stats.charge_global_read(bytes / 4, bytes);
-    let mut rm = RunMetrics::default();
-    rm.push(KernelMetrics {
-        label: "synthetic".into(),
-        blocks: 1,
-        threads_per_block: 32,
-        stats,
-        critical_path: CriticalPath::NONE,
-        ilp: 1,
-        host_seconds: 0.0,
-    });
-    rm
-}
-
-/// The resident lane driver's token handoff: a driver blocked waiting for
-/// steal eligibility must hand its worker token back to its device pool,
-/// or a single-worker device wedges any launch on it whose blocks need a
-/// second token holder.
-///
-/// The constructed deadlock cycle (broken only by the handoff): device
-/// 0's driver finishes its one huge job, its simulated clock is far ahead
-/// of lane 1 so it cannot steal, and it blocks on the progress condvar
-/// holding — without the handoff — device 0's only worker token. Lane 1's
-/// job then launches, *on device 0*, the two-block handoff kernel: lane
-/// 1's thread claims a token in debt and runs the waiting block, whose
-/// publisher needs device 0's worker and so a free token. The driver
-/// releases its token only when the batch progresses, and the batch
-/// progresses only when lane 1's job (blocked in the launch) completes.
-/// With the handoff the waiting block's park passes the driver's token to
-/// device 0's worker, and the batch drains.
-#[test]
-fn blocked_resident_driver_hands_off_its_worker_token() {
-    let mut cfg = DeviceConfig::tiny();
-    cfg.host_workers = 1;
-    // No for_group_member split: each device keeps exactly one worker.
-    let group = Arc::new(DeviceGroup::with_member_config(cfg, 2));
-    let cross_ran = Arc::new(AtomicBool::new(false));
-    let lane0_drained = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = mpsc::channel();
-    let g = Arc::clone(&group);
-    let flag = Arc::clone(&cross_ran);
-    let drained = Arc::clone(&lane0_drained);
-    std::thread::spawn(move || {
-        // Three jobs over two devices shard as [j0], [j1, j2].
-        let gm = g.run_batch(vec![0usize, 1, 2], StealPolicy::StealOnIdle, |_gpu, j| {
-            match j {
-                // Lane 0's whole shard: instant on the host, enormous in
-                // simulated time, so lane 0 is steal-ineligible afterwards
-                // and its driver blocks until the batch ends.
-                0 => {
-                    drained.store(true, Ordering::SeqCst);
-                    synthetic_run(1 << 36)
-                }
-                1 => {
-                    // Wait for lane 0's shard to drain, then give its
-                    // driver a beat to reach the blocked wait.
-                    while !drained.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                    let km = g.device(0).launch(LaunchConfig::new("cross-device", 2, 32), handoff_kernel());
-                    assert_eq!(km.blocks, 2);
-                    flag.store(true, Ordering::SeqCst);
-                    synthetic_run(1 << 12)
-                }
-                _ => synthetic_run(1 << 12),
-            }
-        });
-        let _ = tx.send(gm);
-    });
-
-    let gm = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("batch wedged: blocked driver did not hand off its worker token");
-    assert!(cross_ran.load(Ordering::SeqCst), "cross-device launch never ran");
-    assert_eq!(gm.total_jobs(), 3, "lost or duplicated jobs");
-    assert!(
-        gm.token_handoffs() >= 1,
-        "driver never recorded a token handoff: {:?} parks / {:?} handoffs",
-        gm.park_events(),
-        gm.token_handoffs()
-    );
-}
-
 /// A job that panics on one device must release a peer that waits on its
 /// flag from another device: the lanes' blocks carry the batch's abort
 /// flag, so the remote wait fails within a park cycle instead of parking
@@ -273,14 +182,14 @@ fn blocked_resident_driver_hands_off_its_worker_token() {
 fn a_panicking_job_releases_its_peers_remote_waits() {
     let group = Arc::new(DeviceGroup::new(DeviceConfig::tiny(), 2));
     let board = Arc::new(StatusBoard::new(1));
-    // Job 0 panics only once job 1's block has begun its wait.
+    // Job 0 panics only once job 1's block has begun its wait, so job 1
+    // runs on another lane than job 0, and so on the other device.
     let waiting = Arc::new(Barrier::new(2));
     let (tx, rx) = mpsc::channel();
     let (g, b, w) = (Arc::clone(&group), Arc::clone(&board), Arc::clone(&waiting));
     std::thread::spawn(move || {
-        // Two jobs over two devices shard as [j0], [j1].
         let r = catch_unwind(AssertUnwindSafe(|| {
-            g.run_batch(vec![0usize, 1], StealPolicy::Disabled, |gpu, j| {
+            g.run_batch(vec![0usize, 1], |gpu, j| {
                 if j == 0 {
                     w.wait();
                     // Long enough for the wait to reach its parked phase;
@@ -309,8 +218,8 @@ fn a_panicking_job_releases_its_peers_remote_waits() {
 /// the waiting blocks belong to a lane grid that runs as a pool job on a
 /// two-worker device, so one of them waits on a helper thread. Job 0
 /// panics only once both blocks have begun their waits, which they can
-/// only do on two threads at once; both see the batch's abort flag, and
-/// the batch re-raises job 0's panic.
+/// only do on two threads at once, and on another lane than job 0's; both
+/// see the batch's abort flag, and the batch re-raises job 0's panic.
 #[test]
 fn a_panicking_job_releases_remote_waits_in_a_pool_run_lane_grid() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -326,9 +235,8 @@ fn a_panicking_job_releases_remote_waits_in_a_pool_run_lane_grid() {
     let (tx, rx) = mpsc::channel();
     let (g, b, w) = (Arc::clone(&group), Arc::clone(&board), Arc::clone(&waiting));
     std::thread::spawn(move || {
-        // Two jobs over two devices shard as [j0], [j1].
         let r = catch_unwind(AssertUnwindSafe(|| {
-            g.run_batch(vec![0usize, 1], StealPolicy::Disabled, |gpu, j| {
+            g.run_batch(vec![0usize, 1], |gpu, j| {
                 if j == 0 {
                     w.wait();
                     std::thread::sleep(Duration::from_millis(50));

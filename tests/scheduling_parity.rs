@@ -68,7 +68,7 @@ fn run_one(
 /// under `dispatch`: every launch it makes runs on the batch's lane.
 fn lane_stats(dispatch: DispatchOrder, run: impl Fn(&Gpu) -> RunMetrics + Sync) -> BlockStats {
     let group = DeviceGroup::new(DeviceConfig::tiny(), 1).with_dispatch(dispatch);
-    group.run_batch(vec![()], StealPolicy::Disabled, |gpu, ()| run(gpu)).total_stats()
+    group.run_batch(vec![()], |gpu, ()| run(gpu)).total_stats()
 }
 
 #[test]
@@ -109,8 +109,10 @@ fn deterministic_counters_are_schedule_invariant() {
 fn multi_device_batch_counters_are_schedule_invariant() {
     // The aggregated GroupMetrics counters of the multi-device batch are
     // per-job sums, so they must be bit-identical for 1, 2, and 4 devices,
-    // for any dispatch order inside each device, and across steal
-    // interleavings — and equal to the single-device serial batch.
+    // for any dispatch order inside each device, and whichever lane claims
+    // which image — and equal to the single-device serial batch. The
+    // replayed makespan of these identical images is a function of the
+    // jobs alone, so it repeats exactly on every run.
     let params = SatParams { w: W, threads_per_block: 64 };
     let mats: Vec<Matrix<u32>> =
         (0..10).map(|i| Matrix::<u32>::random(N, N, 0x6E0 + i, 16)).collect();
@@ -121,23 +123,22 @@ fn multi_device_batch_counters_are_schedule_invariant() {
         sat_batch_serial(&Gpu::new(DeviceConfig::tiny()), params, &images).deterministic();
 
     for devices in [1, 2, 4] {
-        for dispatch in [DispatchOrder::InOrder, DispatchOrder::Random(5)] {
-            for policy in [StealPolicy::Disabled, StealPolicy::StealOnIdle] {
-                for img in &images {
-                    img.output.host_fill(0);
-                }
-                let group =
-                    DeviceGroup::new(DeviceConfig::tiny(), devices).with_dispatch(dispatch);
-                let (report, gm) =
-                    sat_batch_multi_device_policy(&group, params, &images, policy);
-                let tag = format!("{devices} devices, {dispatch:?}, {policy:?}");
-                for (e, img) in expect.iter().zip(&images) {
-                    assert_eq!(&Matrix::from_device(&img.output, N, N), e, "{tag}: wrong SAT");
-                }
-                assert_eq!(report.deterministic(), serial, "{tag}: batch counters drifted");
-                assert_eq!(gm.deterministic(), serial, "{tag}: group counters drifted");
-                assert_eq!(gm.total_jobs(), images.len(), "{tag}: lost or duplicated jobs");
+        let mut makespan = None;
+        for dispatch in [DispatchOrder::InOrder, DispatchOrder::Random(5), DispatchOrder::InOrder] {
+            for img in &images {
+                img.output.host_fill(0);
             }
+            let group = DeviceGroup::new(DeviceConfig::tiny(), devices).with_dispatch(dispatch);
+            let (report, gm) = sat_batch_multi_device(&group, params, &images);
+            let tag = format!("{devices} devices, {dispatch:?}");
+            for (e, img) in expect.iter().zip(&images) {
+                assert_eq!(&Matrix::from_device(&img.output, N, N), e, "{tag}: wrong SAT");
+            }
+            assert_eq!(report.deterministic(), serial, "{tag}: batch counters drifted");
+            assert_eq!(gm.deterministic(), serial, "{tag}: group counters drifted");
+            assert_eq!(gm.total_jobs(), images.len(), "{tag}: lost or duplicated jobs");
+            let m = gm.modeled_completion_seconds().to_bits();
+            assert_eq!(*makespan.get_or_insert(m), m, "{tag}: the modeled makespan moved between runs");
         }
     }
 }
@@ -145,8 +146,8 @@ fn multi_device_batch_counters_are_schedule_invariant() {
 #[test]
 fn cooperative_huge_image_counters_are_schedule_invariant() {
     // Cooperative band decomposition of ONE image across the group: the
-    // SAT must be bit-identical to the reference for every device count,
-    // dispatch order, and steal policy. The eager-carry 2R1W pipeline
+    // SAT must be bit-identical to the reference for every device count and
+    // dispatch order, whichever lane claims which band. The eager-carry 2R1W pipeline
     // resolves inter-band dependencies with fixed-order carry reductions,
     // so its full deterministic counter set is schedule-invariant; the
     // look-back kernels walk as far as the physical schedule lets them, so
@@ -161,7 +162,7 @@ fn cooperative_huge_image_counters_are_schedule_invariant() {
 
     for kernel in [CoopKernel::TwoROneW, CoopKernel::SkssLb, CoopKernel::SkssSh] {
         let base_group = DeviceGroup::new(DeviceConfig::tiny(), 1);
-        let (base, _) = sat_huge_multi_device(&base_group, params, kernel, &input, &output, n);
+        let (base, base_gm) = sat_huge_multi_device(&base_group, params, kernel, &input, &output, n);
         assert_eq!(Matrix::from_device(&output, n, n), expect, "{}: reference run", kernel.name());
         let reference = base.deterministic();
         // 2R1W's publish blocks wait on flags too, but on a fixed set.
@@ -169,48 +170,26 @@ fn cooperative_huge_image_counters_are_schedule_invariant() {
 
         for devices in [1, 2, 4] {
             for dispatch in [DispatchOrder::InOrder, DispatchOrder::Random(5)] {
-                for policy in [StealPolicy::Disabled, StealPolicy::StealOnIdle] {
-                    output.host_fill(0);
-                    let group =
-                        DeviceGroup::new(DeviceConfig::tiny(), devices).with_dispatch(dispatch);
-                    let (report, gm) = sat_huge_multi_device_bands(
-                        &group,
-                        params,
-                        kernel,
-                        &input,
-                        &output,
-                        n,
-                        &even_bands(n / W, COOP_BANDS),
-                        policy,
-                    );
-                    let tag =
-                        format!("{} ({devices} devices, {dispatch:?}, {policy:?})", kernel.name());
-                    assert_eq!(Matrix::from_device(&output, n, n), expect, "{tag}: wrong SAT");
-                    let got = report.deterministic();
-                    if lookback {
-                        assert_eq!(got.global_writes, reference.global_writes, "{tag}: writes");
-                        assert_eq!(
-                            got.bytes_written, reference.bytes_written,
-                            "{tag}: write bytes"
-                        );
-                        assert_eq!(
-                            got.bank_conflict_cycles, reference.bank_conflict_cycles,
-                            "{tag}: bank conflicts"
-                        );
-                        assert_eq!(
-                            got.flag_publishes, reference.flag_publishes,
-                            "{tag}: publishes"
-                        );
-                    } else {
-                        assert_eq!(got, reference, "{tag}: deterministic counters drifted");
-                        assert_eq!(
-                            gm.deterministic(),
-                            reference,
-                            "{tag}: group counters drifted"
-                        );
-                    }
-                    assert_eq!(gm.total_jobs(), COOP_BANDS, "{tag}: lost or duplicated bands");
+                output.host_fill(0);
+                let group = DeviceGroup::new(DeviceConfig::tiny(), devices).with_dispatch(dispatch);
+                let bands = even_bands(n / W, COOP_BANDS);
+                let (report, gm) = sat_huge_multi_device_bands(&group, params, kernel, &input, &output, n, &bands);
+                let tag = format!("{} ({devices} devices, {dispatch:?})", kernel.name());
+                assert_eq!(Matrix::from_device(&output, n, n), expect, "{tag}: wrong SAT");
+                let got = report.deterministic();
+                if lookback {
+                    assert_eq!(got.global_writes, reference.global_writes, "{tag}: writes");
+                    assert_eq!(got.bytes_written, reference.bytes_written, "{tag}: write bytes");
+                    assert_eq!(got.bank_conflict_cycles, reference.bank_conflict_cycles, "{tag}: bank conflicts");
+                    assert_eq!(got.flag_publishes, reference.flag_publishes, "{tag}: publishes");
+                } else {
+                    assert_eq!(got, reference, "{tag}: deterministic counters drifted");
+                    assert_eq!(gm.deterministic(), reference, "{tag}: group counters drifted");
+                    // Each band's counters are fixed, so is its modeled
+                    // time, and the replayed makespan with it.
+                    assert_eq!(gm.job_seconds, base_gm.job_seconds, "{tag}: band modeled seconds drifted");
                 }
+                assert_eq!(gm.total_jobs(), COOP_BANDS, "{tag}: lost or duplicated bands");
             }
         }
     }
