@@ -3,21 +3,21 @@
 //! [`crate::launch::Gpu`] and [`crate::group::DeviceGroup`]).
 //!
 //! One pool of OS threads is started lazily per [`Gpu`](crate::launch::Gpu)
-//! lineage and parked between launches. A launch becomes a [`LaunchJob`]
-//! whose blocks are claimed off an atomic cursor (bounded residency,
-//! exactly like SMs picking blocks off the hardware scheduler) by the
-//! thread that starts the job and by any idle workers it wakes to help;
-//! each merges its blocks' counters into the job's total once, when its
-//! claim loop exits. A synchronous
+//! lineage and parked between launches. A launch that gets helpers becomes
+//! a [`LaunchJob`] whose blocks are claimed off an atomic cursor (bounded
+//! residency, exactly like SMs picking blocks off the hardware scheduler)
+//! by the thread that starts the job and by the idle workers it wakes to
+//! help; each merges its blocks' counters into the job's total once, when
+//! its claim loop exits. A synchronous
 //! [`Gpu::launch`](crate::launch::Gpu::launch) runs its own job
-//! ([`PoolShared::join`]) and then waits only for the blocks helpers still
-//! hold; so does a batch lane's launch of a grid that gets helpers, on the
-//! token the lane holds for its batch. Every job is run by the thread that
-//! launched it, so a worker only ever helps. The workers persist, so no
-//! launch pays thread spawn/join, and each keeps a warm [`ScratchArena`]
-//! across launches. A batch (`DeviceGroup::run_batch`, `Gpu::run_batch`)
-//! runs its lanes 1..N as [`LaneTask`]s on their devices' pools, so no
-//! batch pays thread spawn/join either.
+//! ([`PoolShared::join`]) on the token its thread holds — a batch lane's,
+//! or one a caller claims for the launch — and then waits only for the
+//! blocks helpers still hold. Every job is run by the thread that launched
+//! it, so a worker only ever helps. The workers persist, so no launch pays
+//! thread spawn/join, and each keeps a warm [`ScratchArena`] across
+//! launches. A batch (`DeviceGroup::run_batch`, `Gpu::run_batch`) runs its
+//! lanes 1..N as [`LaneTask`]s on their devices' pools, so no batch pays
+//! thread spawn/join either.
 //!
 //! ## Measured helper wakes
 //!
@@ -26,14 +26,13 @@
 //! The pool measures both sides itself, with no tuning constant: the
 //! latency from a notify to the woken thread's return from its wait, and
 //! the host time per block of each launch shape the last time it ran.
-//! [`PoolShared::publish`] wakes helpers only when the second, times the
-//! blocks left after the publisher's own, exceeds the first ([`helpers`]);
-//! a shape the pool has never run wakes as many as can help. A batch lane
-//! asks the same rule first ([`PoolShared::helpers_for`]) and runs a grid
-//! that would wake nobody inline, recording its block time
-//! ([`PoolShared::record_block_secs`]) as a completed job does; a caller
-//! publishes its job either way, because a block that parks hands its
-//! token only to work it finds on the queue.
+//! [`PoolShared::helpers_for`] wakes helpers only when the second, times
+//! the blocks left after the launching thread's own, exceeds the first
+//! ([`helpers`]); a shape the pool has never run wakes as many as can help.
+//! Every concurrent launch asks it first, a caller's and a batch lane's
+//! alike, and runs a grid that would wake nobody inline, recording its
+//! block time ([`PoolShared::record_block_secs`]) as a completed job does.
+//! Only a grid that wakes helpers goes on the queue.
 //!
 //! Panic discipline: the first panicking block wins; its payload is stored
 //! on the job, the job's `aborted` flag stops other blocks from starting
@@ -42,27 +41,24 @@
 //! payload from [`LaunchJob::wait`], so `#[should_panic]` tests behave
 //! identically in sequential and concurrent mode.
 //!
-//! ## Execution tokens and parked-wait handoff
+//! ## Execution tokens
 //!
 //! Bounded residency is enforced by **tokens**, not by the thread count:
-//! the pool starts with one token per base worker, and a thread must hold
-//! a [`Token`] to claim blocks off a job. Token holders are the pool's
-//! workers, the caller of a synchronous launch while it runs its own job,
-//! and batch lanes for their whole batch, whose pool jobs run on it too.
-//! After start-up only [`Token`] changes the count: [`Token::claim`] takes
-//! a token, dropping it returns it, and [`Token::lend`] hands it back while
-//! its holder blocks. When a block parks inside a flag wait
-//! ([`crate::sync::StatusBoard::wait_at_least`]), it lends its token so
-//! the residency slot is not wasted on a sleeper: an idle thread is woken
-//! — or, if none exists and unclaimed work is pending, a bounded
-//! *standby* thread is spawned — to run other ready blocks. When the
-//! [`Loan`] ends, the block takes its token back without blocking: the
-//! token count may go transiently negative ("debt", repaid by the next
-//! release), because making a woken waiter queue for a token could
-//! deadlock the very chain that woke it. OS threads may therefore briefly
-//! oversubscribe the base worker count (bounded by `max_threads`), but
-//! *runnable* block count stays residency-bounded and parked threads burn
-//! no CPU.
+//! the pool starts with one token per worker, and a thread must hold a
+//! [`Token`] to claim blocks off a job. Token holders are the pool's
+//! workers, the caller of a concurrent launch while it runs its own pool
+//! job, and batch lanes for their whole batch, whose pool jobs run on it
+//! too. After start-up only [`Token`] changes the count: [`Token::claim`]
+//! takes a token and dropping it returns it. A claim never blocks, so the
+//! count goes negative while claimants outnumber the workers, and a worker
+//! then waits for a token before it helps.
+//!
+//! A block that parks inside a flag wait
+//! ([`crate::sync::StatusBoard::wait_at_least`]) keeps its token, as a GPU
+//! block spinning on a flag keeps its SM slot: it waits only on blocks that
+//! have already started (virtual IDs, module `sync`), so no other block
+//! needs its slot to finish the wait. A pool therefore runs exactly its
+//! workers' threads, from [`WorkerPool::new`] until it drops.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -220,7 +216,6 @@ impl LaunchJob {
                         self.tracer.as_deref(),
                         arena,
                         self.aborted(),
-                        Some(token),
                     );
                     ctx.trace(EventKind::BlockStart);
                     (self.body.0)(&mut ctx);
@@ -291,18 +286,13 @@ struct QueueState {
     /// Batch lanes waiting for a worker ([`PoolShared::submit_lane`]).
     lanes: VecDeque<LaneTask>,
     shutdown: bool,
-    /// Execution tokens available for claiming blocks. Starts at the base
-    /// worker count; afterwards only [`Token`] and its [`Loan`] change it.
-    /// May go *negative*: a woken waiter takes its lent token back in debt
-    /// rather than blocking, so the wake chain that satisfied its flag can
-    /// never deadlock on token starvation. The debt is repaid by the next
-    /// release before any new block is admitted.
+    /// Execution tokens available for claiming blocks. Starts at the
+    /// worker count; afterwards only [`Token`] changes it. May go negative,
+    /// because [`Token::claim`] never blocks; workers then wait for the
+    /// count to turn positive before they help.
     tokens: isize,
     /// Threads currently blocked on `ready` (no job, or no token).
     idle: usize,
-    /// Total live threads (base workers + standbys), bounding standby
-    /// spawns at `PoolShared::max_threads`.
-    threads: usize,
     /// When the oldest notify not yet answered by a woken sleeper was sent.
     /// Set only while some thread is idle, so each stamp pairs with a real
     /// sleeper, and taken by the first thread to return from its wait.
@@ -377,45 +367,17 @@ fn helpers(blocks: usize, workers: usize, block_secs: Option<f64>, wake_secs: Op
 pub(crate) struct PoolShared {
     queue: Mutex<QueueState>,
     ready: Condvar,
-    /// Number of base worker threads (== the initial token count);
-    /// lets `publish` wake only as many workers as a small job can use.
+    /// Number of worker threads (== the initial token count); lets a
+    /// launch wake only as many workers as a small job can use.
     workers: usize,
-    /// Hard cap on live threads: base workers plus the standby budget.
-    /// Once reached, a park stops spawning replacements — unclaimed
-    /// blocks then wait for a running thread to free up, which the
-    /// virtual-ID wait discipline guarantees always happens.
-    max_threads: usize,
-    /// Owning device's group ordinal, for standby thread names.
-    ordinal: usize,
-    /// Join handles of standby threads spawned by [`Token::lend`]; joined
-    /// alongside the base workers at pool drop.
-    standby: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl PoolShared {
-    /// Enqueue a job of at least two blocks that the calling thread runs
-    /// itself, on a token it already holds, and wake idle workers to help
-    /// only if they would arrive in time: [`helpers`] decides from the
-    /// shape's measured block time and the pool's measured wake latency,
-    /// here, before the caller runs its first block. The job goes on the
-    /// queue even when none is woken, because a block that parks hands its
-    /// token only to work it finds there.
-    pub(crate) fn publish(&self, job: Arc<LaunchJob>) {
-        debug_assert!(job.blocks() > 1, "a one-block job gives helpers nothing to do");
-        let mut q = self.queue.lock().unwrap();
-        let wake = self.helpers_in(&q, job.shape, job.blocks());
-        q.jobs.push_back(job);
-        self.wake(q, wake);
-    }
-
     /// How many helpers a grid of `blocks` blocks of launch shape `shape`
     /// ([`shape_of`]) would wake now, when one thread already runs it:
     /// [`helpers`], from the pool's own measurements.
     pub(crate) fn helpers_for(&self, shape: u64, blocks: usize) -> usize {
-        self.helpers_in(&self.queue.lock().unwrap(), shape, blocks)
-    }
-
-    fn helpers_in(&self, q: &QueueState, shape: u64, blocks: usize) -> usize {
+        let q = self.queue.lock().unwrap();
         helpers(blocks, self.workers, q.block_secs.get(&shape).copied(), q.wake_secs.get())
     }
 
@@ -430,9 +392,10 @@ impl PoolShared {
     /// wake one. A lane waits for a thread but never for a token: the
     /// thread that takes it claims one whatever the count, as
     /// [`Token::claim`] does, so a lane cannot wait behind tokens its own
-    /// batch holds. Every thread either returns to the queue, where lanes
-    /// come first, or parks in a wait that lends its token, which wakes or
-    /// spawns a thread for a pending lane ([`Token::lend`]).
+    /// batch holds. A thread busy when the lane is queued returns to the
+    /// queue, where lanes come first, once its claim loop ends: its blocks
+    /// wait only on blocks and jobs already started, and a queued lane has
+    /// started none.
     ///
     /// Recovers a poisoned queue lock: a batch that has queued one lane
     /// must not unwind before that lane is done with its borrows.
@@ -459,34 +422,29 @@ impl PoolShared {
         }
     }
 
-    /// Run a synchronous launch's job on the calling thread, on `arena` and
-    /// `token`, until every block is claimed; the caller then waits
-    /// ([`LaunchJob::wait`]) for the blocks helpers still hold.
+    /// Queue a synchronous launch's job, wake `helpers` idle workers to
+    /// help ([`PoolShared::helpers_for`], asked before the job was built),
+    /// and run the job on the calling thread, on `arena` and `token`, until
+    /// every block is claimed; the caller then waits ([`LaunchJob::wait`])
+    /// for the blocks helpers still hold.
     ///
-    /// The caller holds `token` before the job is published, so a helper it
-    /// wakes cannot take the token it is about to run on, and its blocks
-    /// carry it, so a parked wait among them lends it to a helper. A plain
-    /// caller passes a fresh [`Token::claim`] and drops it before waiting,
-    /// because `wait` re-raises a block's panic; a batch lane passes the
-    /// token it holds for its whole batch.
-    pub(crate) fn join(&self, job: &Arc<LaunchJob>, arena: &mut ScratchArena, token: &Token) {
+    /// The caller holds `token` before the job is queued, so a helper it
+    /// wakes cannot take the token it is about to run on. A plain caller
+    /// passes a fresh [`Token::claim`] and drops it before waiting, because
+    /// `wait` re-raises a block's panic; a batch lane passes the token it
+    /// holds for its whole batch.
+    pub(crate) fn join(&self, job: &Arc<LaunchJob>, helpers: usize, arena: &mut ScratchArena, token: &Token) {
         debug_assert!(std::ptr::eq(Arc::as_ptr(&token.pool), self), "a token of another pool");
-        self.publish(Arc::clone(job));
+        debug_assert!(job.blocks() > 1 && helpers > 0, "a grid no helper joins runs inline");
+        let mut q = self.queue.lock().unwrap();
+        q.jobs.push_back(Arc::clone(job));
+        self.wake(q, helpers);
         job.run_blocks(token, arena);
     }
 
     /// Number of worker threads serving this pool.
     pub(crate) fn workers(&self) -> usize {
         self.workers
-    }
-
-    fn spawn_standby(self: &Arc<Self>) {
-        let shared = Arc::clone(self);
-        let h = std::thread::Builder::new()
-            .name(format!("gpu-sim-d{}-standby", self.ordinal))
-            .spawn(move || worker_loop(&shared))
-            .expect("spawn gpu-sim standby worker");
-        self.standby.lock().unwrap().push(h);
     }
 }
 
@@ -514,9 +472,9 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                     break (Token::take(shared, &mut q), Work::Lane(lane));
                 }
                 // Claiming blocks needs both a job and an execution token —
-                // a thread without a token (all handed to parked waiters'
-                // debts) waits like one without work, keeping runnable
-                // blocks residency-bounded.
+                // a thread without a token (every one held by a thread
+                // running blocks) waits like one without work, keeping
+                // runnable blocks residency-bounded.
                 if q.tokens > 0 {
                     if let Some(j) = q.jobs.front().map(Arc::clone) {
                         break (Token::take(shared, &mut q), Work::Launch(j));
@@ -564,21 +522,20 @@ impl LaneTask {
 }
 
 /// One of a pool's execution tokens, held by a thread while it runs blocks
-/// (see the module docs). [`Token::claim`] takes it, [`Token::lend`] hands
-/// it back while its holder blocks, and dropping it returns it. Its drops
-/// recover a poisoned queue lock instead of panicking, because they also
-/// run during unwinds; every update under that lock is a single step.
+/// (see the module docs). [`Token::claim`] takes it and dropping it returns
+/// it; its holder keeps it through parked flag waits. Its drop recovers a
+/// poisoned queue lock instead of panicking, because it also runs during
+/// unwinds; every update under that lock is a single step.
 pub(crate) struct Token {
     pool: Arc<PoolShared>,
 }
 
 impl Token {
     /// Take one of `pool`'s tokens, for a thread outside the worker loop
-    /// that runs blocks itself: the caller of a synchronous launch for its
-    /// own job, or a group batch's caller for lane 0. Never blocks: the
-    /// claimant is runnable, and should the pool already be
-    /// oversubscribed, the count goes into debt, which the debt model
-    /// tolerates by design.
+    /// that runs blocks itself: the caller of a concurrent launch for its
+    /// own pool job, or a group batch's caller for lane 0. Never blocks:
+    /// the claimant is runnable, so should every token be held, the count
+    /// goes negative until enough tokens drop.
     pub(crate) fn claim(pool: &Arc<PoolShared>) -> Token {
         Token::take(pool, &mut pool.queue.lock().unwrap())
     }
@@ -588,34 +545,12 @@ impl Token {
         q.tokens -= 1;
         Token { pool: Arc::clone(pool) }
     }
-
-    /// Lend the token back to the pool while its holder blocks, and count
-    /// the handoff in `handoffs` (a `token_handoffs` counter). If a group
-    /// lane is pending, or unclaimed blocks are and a token is now free, an
-    /// idle thread is woken to take it — or, when every live thread is
-    /// busy or parked, a standby thread is spawned, up to `max_threads`.
-    pub(crate) fn lend(&self, handoffs: &mut u64) -> Loan<'_> {
-        *handoffs += 1;
-        let pool = &self.pool;
-        let mut q = pool.queue.lock().unwrap();
-        q.tokens += 1;
-        if !q.lanes.is_empty() || (q.tokens > 0 && q.jobs.iter().any(|j| !j.exhausted())) {
-            if q.idle > 0 {
-                pool.wake(q, 1);
-            } else if q.threads < pool.max_threads {
-                q.threads += 1;
-                drop(q);
-                pool.spawn_standby();
-            }
-        }
-        Loan(self)
-    }
 }
 
 impl Drop for Token {
     /// Return the token and wake a waiting thread when claimable work is
-    /// pending. Drops exhausted jobs from the queue first: a job published
-    /// with no helper woken would otherwise stay there until some worker
+    /// pending. Drops exhausted jobs from the queue first: a job whose
+    /// helpers never came would otherwise stay there until some worker
     /// next looked.
     fn drop(&mut self) {
         let mut q = self.pool.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -624,21 +559,6 @@ impl Drop for Token {
         if q.tokens > 0 && q.idle > 0 && !q.jobs.is_empty() {
             self.pool.wake(q, 1);
         }
-    }
-}
-
-/// A [`Token`] lent back to its pool ([`Token::lend`]). Dropping the loan,
-/// on a satisfied wait and on an unwind alike, takes the token back
-/// without blocking: the count may go negative (debt), transiently
-/// oversubscribing runnable threads instead of risking a deadlock in which
-/// every token is held by a thread that transitively depends on this
-/// holder.
-#[must_use = "the token is taken back when the loan drops"]
-pub(crate) struct Loan<'a>(&'a Token);
-
-impl Drop for Loan<'_> {
-    fn drop(&mut self) {
-        self.0.pool.queue.lock().unwrap_or_else(PoisonError::into_inner).tokens -= 1;
     }
 }
 
@@ -663,20 +583,9 @@ impl WorkerPool {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let workers = cfg.host_workers.max(1).min(cores);
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(QueueState {
-                tokens: workers as isize,
-                threads: workers,
-                ..QueueState::default()
-            }),
+            queue: Mutex::new(QueueState { tokens: workers as isize, ..QueueState::default() }),
             ready: Condvar::new(),
             workers,
-            // Standby budget: enough replacements that a full complement
-            // of simultaneously parked workers still leaves `workers`
-            // runnable threads plus headroom for parked standbys, without
-            // letting a pathological park storm spawn without bound.
-            max_threads: workers + workers.max(8),
-            ordinal,
-            standby: Mutex::new(Vec::new()),
         });
         let handles = (0..workers)
             .map(|k| {
@@ -708,23 +617,13 @@ impl Drop for WorkerPool {
     /// reaches it through a lane task that owns the last handle.
     fn drop(&mut self) {
         self.shared.queue.lock().unwrap().shutdown = true;
-        self.ready_all();
+        self.shared.ready.notify_all();
         let me = std::thread::current().id();
-        // Standby threads spawned by parked-wait handoffs exit through the
-        // same shutdown flag; no launch is in flight at engine drop, so
-        // they are all idle by now.
-        let standby = std::mem::take(&mut *self.shared.standby.lock().unwrap());
-        for h in self.handles.drain(..).chain(standby) {
+        for h in self.handles.drain(..) {
             if h.thread().id() != me {
                 let _ = h.join();
             }
         }
-    }
-}
-
-impl WorkerPool {
-    fn ready_all(&self) {
-        self.shared.ready.notify_all();
     }
 }
 
@@ -734,7 +633,6 @@ mod tests {
     use crate::group::DeviceGroup;
     use crate::launch::{ExecMode, Gpu};
     use crate::metrics::RunMetrics;
-    use crate::sync::{DeviceCounter, StatusBoard};
     use std::time::Duration;
 
     fn tokens(pool: &PoolShared) -> isize {
@@ -757,19 +655,6 @@ mod tests {
         while !flag.load(Ordering::SeqCst) {
             assert!(Instant::now() < deadline, "the other thread never got there");
             std::hint::spin_loop();
-        }
-    }
-
-    /// A two-block grid whose first-claimed block waits on the other's
-    /// flag: on a one-token pool it finishes only through a loan.
-    fn handoff_kernel() -> impl Fn(&mut BlockCtx) + Send + Sync + 'static {
-        let (board, counter) = (StatusBoard::new(1), DeviceCounter::new());
-        move |ctx| {
-            if counter.next(ctx) == 0 {
-                board.wait_at_least(ctx, 0, 1);
-            } else {
-                board.publish(ctx, 0, 1);
-            }
         }
     }
 
@@ -799,6 +684,23 @@ mod tests {
     fn a_one_worker_pool_wakes_nobody() {
         assert_eq!(helpers(64, 1, None, None), 0);
         assert_eq!(helpers(64, 1, Some(1e-3), Some(10e-6)), 0);
+    }
+
+    #[test]
+    fn an_unhelped_callers_grid_queues_no_job() {
+        // A one-worker pool gives no grid a helper, so a caller's
+        // multi-block grid runs inline: while its blocks run, the queue
+        // holds no job and the caller holds no token.
+        let mut cfg = DeviceConfig::tiny();
+        cfg.host_workers = 1;
+        let gpu = Gpu::new(cfg).with_mode(ExecMode::Concurrent);
+        let pool = Arc::clone(gpu.pool_shared());
+        let seen = Mutex::new(Vec::new());
+        gpu.launch(LaunchConfig::new("unhelped", 4, 32), |_ctx| {
+            let q = pool.queue.lock().unwrap();
+            seen.lock().unwrap().push((q.jobs.len(), q.tokens));
+        });
+        assert_eq!(seen.into_inner().unwrap(), vec![(0, 1); 4], "(queued jobs, free tokens) per block");
     }
 
     #[test]
@@ -837,18 +739,6 @@ mod tests {
     fn every_token_path_returns_the_pool_to_its_base_count() {
         let mut cfg = DeviceConfig::tiny();
         cfg.host_workers = 1;
-        let gpu = Gpu::new(cfg.clone()).with_mode(ExecMode::Concurrent);
-        let pool = Arc::clone(gpu.pool_shared());
-
-        let km = gpu.launch(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
-        assert!(km.stats.token_handoffs >= 1, "the caller's waiting block lends its token");
-        assert_back_at_base(&pool, "a caller-run handoff launch");
-
-        let fault = catch_unwind(AssertUnwindSafe(|| {
-            gpu.launch(LaunchConfig::new("all-panic", 4, 32), |_ctx| panic!("block fault"))
-        }));
-        assert!(fault.is_err());
-        assert_back_at_base(&pool, "a caller-run launch whose blocks all panic");
 
         // A batch over two one-worker devices, then the same batch with a
         // panicking job: every lane returns its token, a lane that found
@@ -873,18 +763,38 @@ mod tests {
             }
         }
 
-        // A lane grid on the pool path: on a two-worker device a shape the
-        // pool has never measured wakes a helper, so the lane runs the grid
-        // as a pool job on its own token. Each block waits for the other to
-        // start, so one runs on the lane and one on the helper. The lane
-        // then waits for the helper's block with its token still claimed,
-        // which the helper sees as both tokens taken. Then the same grid
-        // whose helper-run block panics: the batch re-raises that panic.
+        // A caller-run pool launch whose blocks all panic: on a two-worker
+        // device a shape the pool has never measured wakes a helper, so the
+        // caller runs the grid as a pool job on a token it claims (its
+        // first block sees one token fewer free), and returns that token
+        // before it re-raises the panic.
         if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
-            eprintln!("skipped the pool-run lane grid and the two-lane batch: both need a second core");
+            eprintln!("skipped the pool launches and the two-lane batch: each needs a second core");
             return;
         }
         cfg.host_workers = 2;
+        let gpu = Gpu::new(cfg.clone()).with_mode(ExecMode::Concurrent);
+        let pool = Arc::clone(gpu.pool_shared());
+        let claimed = AtomicBool::new(false);
+        let fault = catch_unwind(AssertUnwindSafe(|| {
+            gpu.launch(LaunchConfig::new("all-panic", 4, 32), |_ctx| {
+                if tokens(&pool) < pool.workers as isize {
+                    claimed.store(true, Ordering::SeqCst);
+                }
+                panic!("block fault")
+            })
+        }));
+        assert!(fault.is_err());
+        assert!(claimed.load(Ordering::SeqCst), "the caller ran the grid as a pool job on a claimed token");
+        assert_back_at_base(&pool, "a caller-run pool launch whose blocks all panic");
+
+        // A lane grid on the pool path: a shape the pool has never measured
+        // wakes a helper, so the lane runs the grid as a pool job on its own
+        // token. Each block waits for the other to start, so one runs on
+        // the lane and one on the helper. The lane then waits for the
+        // helper's block with its token still claimed, which the helper
+        // sees as both tokens taken. Then the same grid whose helper-run
+        // block panics: the batch re-raises that panic.
         for fault in [false, true] {
             let group = DeviceGroup::with_member_config(cfg.clone(), 1);
             let pool = Arc::clone(group.device(0).pool_shared());
@@ -906,7 +816,7 @@ mod tests {
                         until(&lane_done);
                         let t = Instant::now();
                         while t.elapsed() < Duration::from_millis(5) {
-                            assert_eq!(tokens(&pool), 0, "the lane lent its token while it waited");
+                            assert_eq!(tokens(&pool), 0, "the lane keeps its token while it waits");
                         }
                     }));
                     rm
@@ -923,8 +833,6 @@ mod tests {
         // checked, so the two run on different lanes, and while both run
         // both of the pool's tokens are held. Then the same batch with a
         // panicking block in a later job: the batch re-raises it.
-        let gpu = Gpu::new(cfg).with_mode(ExecMode::Concurrent);
-        let pool = Arc::clone(gpu.pool_shared());
         for fault in [false, true] {
             let (here, checked) = (AtomicBool::new(false), AtomicBool::new(false));
             let batch = catch_unwind(AssertUnwindSafe(|| {

@@ -46,13 +46,19 @@
 //! one scratch arena reused from job to job. A grid runs inline there
 //! unless the device pool's measurements say a helper would arrive before
 //! its blocks run out; then it is a pool job that the lane runs beside the
-//! helpers it wakes, the rule every caller-run launch follows. Cross-job
+//! helpers it wakes, the rule every concurrent launch follows. Cross-job
 //! ordering is whatever the jobs enforce themselves (e.g. `StatusBoard`
 //! flags). A lane holds one execution token of its device pool while it
-//! runs — it executes blocks, so it takes a worker's place — and a parked
-//! flag wait inside one of its blocks lends it back, so pool launches on
-//! the same device always make progress. A lane with nothing left to claim
-//! exits and returns its token.
+//! runs — it executes blocks, so it takes a worker's place — and keeps it
+//! through its blocks' parked flag waits. A lane with nothing left to
+//! claim exits and returns its token.
+//!
+//! No lane waits for a thread forever. Lanes 1.. are queued before lane 0
+//! runs its first job, a pool thread takes a queued lane before any pool
+//! job, and it takes the lane's token whatever the count. A pool thread
+//! busy when a lane is queued is helping a grid whose blocks wait only on
+//! blocks already started and on jobs with smaller indices, all claimed by
+//! lanes that are running, so it returns to the queue and finds the lane.
 //!
 //! A job that panics aborts the batch: the lanes' blocks, helper-run ones
 //! included, carry the batch's abort flag, so a peer waiting on the dead
@@ -83,7 +89,7 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
@@ -123,8 +129,8 @@ impl DeviceGroup {
     /// A group of `count` devices each using `cfg` **exactly** — no
     /// [`DeviceConfig::for_group_member`] worker split. For tests that
     /// need a deterministic per-device worker count (e.g. a one-worker
-    /// pool to exercise a parked wait's token handoff) and for
-    /// callers that have already budgeted host workers themselves.
+    /// pool, which runs every grid inline on its lane) and for callers
+    /// that have already budgeted host workers themselves.
     ///
     /// # Panics
     /// If `count` is zero.
@@ -185,8 +191,18 @@ impl DeviceGroup {
     {
         let started = Instant::now();
         let devices: Vec<&Gpu> = self.devices.iter().collect();
-        let (lanes, job_seconds) = run_lanes(&devices, jobs, &run);
-        GroupMetrics { lanes, job_seconds, wall_seconds: started.elapsed().as_secs_f64() }
+        // Each job's modeled seconds, stored by the lane that ran it.
+        let job_seconds = Mutex::new(vec![0.0; jobs.len()]);
+        let lanes = run_lanes(&devices, jobs.into_iter().enumerate().collect(), &|gpu: &Gpu, (k, job)| {
+            let rm = run(gpu, job);
+            job_seconds.lock().expect(POISONED)[k] = run_seconds(gpu.config(), &rm);
+            rm
+        });
+        GroupMetrics {
+            lanes,
+            job_seconds: job_seconds.into_inner().expect(POISONED),
+            wall_seconds: started.elapsed().as_secs_f64(),
+        }
     }
 }
 
@@ -207,7 +223,7 @@ impl Gpu {
     {
         let handles = vec![self; lanes.clamp(1, self.host_parallelism())];
         let mut total = (0, BlockStats::default());
-        for lane in run_lanes(&handles, jobs, &run).0 {
+        for lane in run_lanes(&handles, jobs, &run) {
             total.0 += lane.kernel_calls;
             total.1.merge(&lane.stats);
         }
@@ -216,21 +232,19 @@ impl Gpu {
 }
 
 /// The one batch driver: run `jobs` on one resident lane per handle of
-/// `devices`, and return the lanes' records in lane order and each job's
-/// modeled seconds in job order.
+/// `devices`, and return the lanes' records in lane order.
 ///
 /// The calling thread drives lane 0 on a token claimed from `devices[0]`'s
 /// pool; lanes 1.. are queued on their handles' pools and run on their
 /// threads. Lanes borrow the batch and `run`, so this waits for every lane
 /// to stop before it returns or re-raises a panic.
-fn run_lanes<J, F>(devices: &[&Gpu], jobs: Vec<J>, run: &F) -> (Vec<DeviceLane>, Vec<f64>)
+fn run_lanes<J, F>(devices: &[&Gpu], jobs: Vec<J>, run: &F) -> Vec<DeviceLane>
 where
     J: Send,
     F: Fn(&Gpu, J) -> RunMetrics + Sync,
 {
     let nd = devices.len();
     let batch = Batch {
-        seconds: jobs.iter().map(|_| AtomicU64::new(0)).collect(),
         jobs: jobs.into_iter().map(|j| Mutex::new(Some(j))).collect(),
         next: AtomicUsize::new(0),
         abort: Arc::new(AtomicBool::new(false)),
@@ -261,8 +275,7 @@ where
     if let Some(p) = batch.first_panic.into_inner().expect(POISONED) {
         resume_unwind(p);
     }
-    let lanes = lanes.into_iter().map(|l| l.expect("a lane stops without a record only by panicking")).collect();
-    (lanes, batch.seconds.into_iter().map(|s| f64::from_bits(s.into_inner())).collect())
+    lanes.into_iter().map(|l| l.expect("a lane stops without a record only by panicking")).collect()
 }
 
 /// Jobs run under `catch_unwind` and never while a batch lock is held, so
@@ -277,11 +290,6 @@ struct Batch<J> {
     /// is claimed. `Relaxed`: it publishes no data, since each job moves
     /// through its own slot's mutex.
     next: AtomicUsize,
-    /// Job *k*'s modeled seconds (f64 bits), stored by the lane that ran it.
-    /// `Relaxed`: `run_lanes` reads them only after each lane's report has
-    /// crossed the channel (lane 0 runs on the caller), which orders
-    /// the stores before the reads.
-    seconds: Vec<AtomicU64>,
     /// Set by the first job to panic; every lane's blocks poll it.
     abort: Arc<AtomicBool>,
     first_panic: Mutex<Option<Box<dyn Any + Send>>>,
@@ -335,7 +343,6 @@ impl<J: Send> Batch<J> {
                     lane.jobs += 1;
                     lane.kernel_calls += rm.kernel_calls();
                     lane.stats.merge(&rm.total_stats());
-                    self.seconds[k].store(run_seconds(gpu.config(), &rm).to_bits(), Ordering::Relaxed);
                 }
                 Err(p) => {
                     self.fail(p);
@@ -456,10 +463,12 @@ impl GroupMetrics {
         self.lanes.iter().map(|l| l.stats.wakeups).sum()
     }
 
-    /// Total worker-token handoffs (a parked wait lending its execution
-    /// token to the pool) across all lanes.
+    /// Always 0: a parked wait keeps its execution token, and nothing is
+    /// handed off. Kept only because perfbench (`perfbench/src/book.rs`)
+    /// reads it for its `group.token_handoffs` metric; it goes with that
+    /// metric.
     pub fn token_handoffs(&self) -> u64 {
-        self.lanes.iter().map(|l| l.stats.token_handoffs).sum()
+        0
     }
 
     /// Each device's modeled clock at the end of the batch, replaying
@@ -624,7 +633,7 @@ mod tests {
     #[test]
     fn lanes_run_on_the_caller_and_on_device_pools() {
         // No thread is spawned per batch: lane 0 is the calling thread, and
-        // lane 1 a thread of device 1's pool (a worker or a standby).
+        // lane 1 a worker of device 1's pool.
         let mut cfg = DeviceConfig::tiny();
         cfg.host_workers = 2;
         let g = DeviceGroup::with_member_config(cfg, 2);

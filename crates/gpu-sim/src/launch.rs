@@ -18,21 +18,20 @@
 //!   SMs run them: the calling thread claims blocks off the launch's cursor
 //!   alongside idle workers of the persistent pool (module `executor`)
 //!   that it wakes to help — when the pool's measurements say they would
-//!   arrive before the blocks run out. Flag spinning, atomic ID
-//!   assignment, and publication ordering are exercised for real, and
-//!   back-to-back launches reuse warm threads and scratch arenas instead
-//!   of paying thread spawn/join.
+//!   arrive before the blocks run out, and inline on its own otherwise.
+//!   Flag spinning, atomic ID assignment, and publication ordering are
+//!   exercised for real, and back-to-back launches reuse warm threads and
+//!   scratch arenas instead of paying thread spawn/join.
 //!
 //! [`Gpu::launch`] is the one launch entry point. The handle a batch lane
 //! gives its jobs ([`DeviceGroup::run_batch`](crate::group::DeviceGroup::run_batch),
 //! [`Gpu::run_batch`]) runs it on the lane's thread (the batch's caller
-//! for lane 0, a pool thread of the lane's device otherwise) by the rule of
-//! a caller-run concurrent launch: inline when the pool's measurements give
-//! the grid no helper, otherwise beside the helpers it wakes.
+//! for lane 0, a pool thread of the lane's device otherwise) by the same
+//! concurrent rule, on the lane's token.
 
 use std::any::{Any, TypeId};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::time::Instant;
 
 use crate::device::DeviceConfig;
@@ -273,12 +272,6 @@ pub struct BlockCtx<'a> {
     /// a block or job panicked; soft-sync waits poll it so consumers of a
     /// dead producer fail fast instead of waiting out the deadlock limit.
     abort: Option<&'a AtomicBool>,
-    /// The execution token of the thread running this block, which a
-    /// parked flag wait lends to the pool ([`Token::lend`]). Set for every
-    /// block whose thread holds one: a pool worker's, the caller's in a
-    /// multi-block concurrent launch, and a batch lane's.
-    /// `None` only for blocks of `Gpu::run_inline` outside a lane.
-    token: Option<&'a Token>,
     /// The block's access counters; buffer and tile accessors charge here.
     pub stats: BlockStats,
 }
@@ -292,7 +285,6 @@ impl<'a> BlockCtx<'a> {
         tracer: Option<&'a Tracer>,
         arena: &'a mut ScratchArena,
         abort: &'a AtomicBool,
-        token: Option<&'a Token>,
     ) -> Self {
         BlockCtx {
             block_idx,
@@ -302,7 +294,6 @@ impl<'a> BlockCtx<'a> {
             tracer,
             arena,
             abort: Some(abort),
-            token,
             stats: BlockStats::default(),
         }
     }
@@ -311,13 +302,6 @@ impl<'a> BlockCtx<'a> {
     /// another block or job panicked.
     pub(crate) fn abort_requested(&self) -> bool {
         self.abort.is_some_and(|a| a.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// The execution token this block's thread holds, if any. The borrow
-    /// is tied to the block, not to `&self`, so a parked wait can hold the
-    /// token's loan while it charges `stats`.
-    pub(crate) fn token(&self) -> Option<&'a Token> {
-        self.token
     }
 
     /// The block's index within the grid (CUDA `blockIdx.x`). Note this is
@@ -403,11 +387,11 @@ struct Engine {
     seq_arena: Mutex<ScratchArena>,
 }
 
-/// What a batch lane lends the launches of its jobs: the scratch arena they
+/// What a batch lane gives the launches of its jobs: the scratch arena they
 /// reuse from launch to launch, the batch's abort flag, and the lane's
-/// execution token, which the lane runs their blocks on (parked waits lend
-/// it to the device pool). The token is shared by `Arc`, so it stays
-/// claimed while any clone of the lane handle lives, even past the batch.
+/// execution token, which the lane runs their pool jobs on. The token is
+/// shared by `Arc`, so it stays claimed while any clone of the lane handle
+/// lives, even past the batch.
 struct Lane {
     arena: Mutex<ScratchArena>,
     abort: Arc<AtomicBool>,
@@ -420,7 +404,6 @@ struct Inline<'a> {
     arena: &'a Mutex<ScratchArena>,
     sequential: bool,
     abort: Option<&'a AtomicBool>,
-    token: Option<&'a Token>,
 }
 
 /// A simulated GPU: a device description plus an execution policy.
@@ -537,8 +520,7 @@ impl Gpu {
     /// measurements give the grid helpers, which then claim blocks beside
     /// the lane. Every block, the helpers' too, carries the batch's `abort`
     /// flag, so a wait on a job that panicked on another lane fails fast,
-    /// and a block's panic stops the batch; a parked wait lends its
-    /// thread's token to the device pool. `is_sequential()` stays false.
+    /// and a block's panic stops the batch. `is_sequential()` stays false.
     pub(crate) fn for_lane(&self, abort: Arc<AtomicBool>, token: Arc<Token>) -> Gpu {
         let lane = Lane { arena: Mutex::default(), abort, token };
         Gpu { lane: Some(Arc::new(lane)), ..self.clone() }
@@ -547,14 +529,15 @@ impl Gpu {
     /// Launch a kernel: run `body` once per block and return the launch's
     /// aggregated metrics.
     ///
-    /// The handle picks where blocks run: on a resident batch lane, inline
-    /// or with the pool workers it wakes; inline on the
-    /// caller thread (sequential mode, and concurrent grids of at most one
-    /// block); or, for larger concurrent grids, on the caller thread
-    /// together with the pool workers it wakes to help. A lane and a
-    /// caller wake a helper only when the pool's measurements say it would
-    /// arrive before the blocks run out; a lane that wakes none runs the
-    /// grid inline, while a caller still queues its job.
+    /// Sequential mode runs the blocks inline on the calling thread, in
+    /// dispatch order. Concurrent mode, and the handle a batch lane gives
+    /// its jobs whatever its mode, follow one rule: a grid of at most one
+    /// block, or one the pool's measurements give no helper
+    /// (`executor::helpers`), runs inline on the calling thread, which
+    /// records its host time per block so the rule stays current. Any other
+    /// grid is a pool job that the calling thread runs on the token it
+    /// holds (a lane's own, or one a caller claims for this launch) while
+    /// the helpers it wakes claim blocks off the same cursor.
     ///
     /// The body must be `Fn` (not `FnMut`): blocks may run concurrently
     /// and in any order, so all cross-block state must live in
@@ -574,54 +557,36 @@ impl Gpu {
         );
         let seq_arena = &self.engine.seq_arena;
         let inline = match (&self.lane, self.mode) {
-            (Some(lane), _) => return self.launch_on_lane(lane, lc, &body),
-            (None, ExecMode::Sequential) => Inline { arena: seq_arena, sequential: true, abort: None, token: None },
-            // A grid of at most one block has no cross-block concurrency to
-            // exercise and gives a helper nothing to do: skip the pool.
-            (None, ExecMode::Concurrent) if lc.blocks <= 1 => {
-                Inline { arena: seq_arena, sequential: false, abort: None, token: None }
+            (Some(lane), _) => Inline { arena: &lane.arena, sequential: false, abort: Some(&lane.abort) },
+            (None, ExecMode::Sequential) => {
+                return self.run_inline(lc, &body, Inline { arena: seq_arena, sequential: true, abort: None });
             }
-            (None, ExecMode::Concurrent) => {
-                let pool = self.pool().shared();
-                let shape = shape_of(&lc);
-                let job = self.job(lc, shape, &body, None);
-                with_arena(seq_arena, |arena| pool.join(&job, arena, &Token::claim(pool)));
-                return job.wait();
-            }
+            (None, ExecMode::Concurrent) => Inline { arena: seq_arena, sequential: false, abort: None },
         };
-        self.run_inline(lc, &body, inline)
-    }
-
-    /// A launch on a batch lane ([`Gpu::for_lane`]), by the rule every
-    /// caller-run concurrent launch follows, decided before anything is
-    /// built: a grid the pool's measurements give no helper
-    /// (`executor::helpers`) runs inline on the lane, which records its
-    /// host time per block so the rule stays current. Any other grid is a
-    /// pool job that the lane runs on the token and arena it holds, while
-    /// the helpers it wakes claim blocks off the same cursor; the lane then
-    /// waits for the blocks they still hold.
-    ///
-    /// That wait keeps the token claimed instead of lending it. Every block
-    /// is claimed by then, and each helper holds a token of its own, which
-    /// it lends should its block park, so the wait needs nothing the token
-    /// could buy. The blocks still borrow `body`, so nothing between the
-    /// join and the wait may unwind, and a loan can (it may spawn a
-    /// standby thread).
-    fn launch_on_lane(&self, lane: &Lane, lc: LaunchConfig, body: &(dyn Fn(&mut BlockCtx) + Sync)) -> KernelMetrics {
-        let inline = Inline { arena: &lane.arena, sequential: false, abort: Some(&lane.abort), token: Some(&lane.token) };
+        // A grid of at most one block has no cross-block concurrency to
+        // exercise and gives a helper nothing to do: skip the pool.
         if lc.blocks <= 1 {
-            return self.run_inline(lc, body, inline);
+            return self.run_inline(lc, &body, inline);
         }
         let pool = self.pool().shared();
         let shape = shape_of(&lc);
-        if pool.helpers_for(shape, lc.blocks) == 0 {
+        let helpers = pool.helpers_for(shape, lc.blocks);
+        if helpers == 0 {
             let blocks = lc.blocks as f64;
-            let km = self.run_inline(lc, body, inline);
+            let km = self.run_inline(lc, &body, inline);
             pool.record_block_secs(shape, km.host_seconds / blocks);
             return km;
         }
-        let job = self.job(lc, shape, body, Some(Arc::clone(&lane.abort)));
-        with_arena(&lane.arena, |arena| pool.join(&job, arena, &lane.token));
+        // The thread then waits for the blocks its helpers still hold. A
+        // lane keeps its token through that wait, and a caller drops the
+        // one it claimed first, because the wait re-raises a block's panic.
+        // The blocks borrow `body`, so nothing between the join and the
+        // wait may unwind.
+        let job = self.job(lc, shape, &body, self.lane.as_ref().map(|lane| Arc::clone(&lane.abort)));
+        with_arena(inline.arena, |arena| match &self.lane {
+            Some(lane) => pool.join(&job, helpers, arena, &lane.token),
+            None => pool.join(&job, helpers, arena, &Token::claim(pool)),
+        });
         job.wait()
     }
 
@@ -659,7 +624,6 @@ impl Gpu {
                     tracer,
                     arena,
                     abort: at.abort,
-                    token: at.token,
                     stats: BlockStats::default(),
                 };
                 ctx.trace(EventKind::BlockStart);
@@ -674,11 +638,14 @@ impl Gpu {
 
 /// Run `f` on the persistent `arena` (block N+1 reuses what block N
 /// recycled, launch N+1 what launch N did), or on a launch-local arena
-/// while another thread holds it.
+/// while another thread holds it. A launch that panicked poisons the lock
+/// but leaves the arena's buffers valid, so a poisoned guard is taken as
+/// it is.
 fn with_arena<R>(arena: &Mutex<ScratchArena>, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
     match arena.try_lock() {
         Ok(mut g) => f(&mut g),
-        Err(_) => f(&mut ScratchArena::new()),
+        Err(TryLockError::Poisoned(p)) => f(&mut p.into_inner()),
+        Err(TryLockError::WouldBlock) => f(&mut ScratchArena::new()),
     }
 }
 
@@ -686,6 +653,7 @@ fn with_arena<R>(arena: &Mutex<ScratchArena>, f: impl FnOnce(&mut ScratchArena) 
 mod tests {
     use super::*;
     use crate::global::GlobalBuffer;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn permutations_cover_all_blocks() {
@@ -759,6 +727,33 @@ mod tests {
         });
         assert_eq!(m.stats.global_reads, 0);
         assert_eq!(m.blocks, 0);
+    }
+
+    #[test]
+    fn a_panicking_launch_leaves_the_arena_warm() {
+        // A 16-element take after a recycled 64-element take reuses the
+        // larger buffer. A panicking launch poisons the arena's lock; the
+        // launches after it must still find that buffer.
+        let gpu = Gpu::new(DeviceConfig::tiny());
+        let capacity = || {
+            let cap = GlobalBuffer::<u64>::zeroed(1);
+            gpu.launch(LaunchConfig::new("take-16", 1, 32), |ctx| {
+                let v = ctx.scratch::<u64>(16);
+                cap.write(ctx, 0, v.capacity() as u64);
+                ctx.recycle(v);
+            });
+            cap.host_read(0)
+        };
+        gpu.launch(LaunchConfig::new("take-64", 1, 32), |ctx| {
+            let v = ctx.scratch::<u64>(64);
+            ctx.recycle(v);
+        });
+        assert!(capacity() >= 64, "a warm arena serves the recycled buffer");
+        let fault = catch_unwind(AssertUnwindSafe(|| {
+            gpu.launch(LaunchConfig::new("fault", 1, 32), |_ctx| panic!("block fault"));
+        }));
+        assert!(fault.is_err());
+        assert!(capacity() >= 64, "the launch after a panic runs on the warm arena");
     }
 
     #[test]

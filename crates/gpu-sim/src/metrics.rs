@@ -11,10 +11,10 @@
 //!    the caller, one per kernel launch and one per algorithm run.
 //!
 //! Most counters depend only on what the algorithm does, so they are
-//! identical under sequential and concurrent execution. Six record how the
+//! identical under sequential and concurrent execution. Five record how the
 //! host serviced waits and vary with the schedule:
 //! `flag_poll_iterations`, `flag_backoff_events`, `d2d_backoff_events`,
-//! `park_events`, `wakeups` and `token_handoffs`.
+//! `park_events` and `wakeups`. A sixth, `token_handoffs`, is always 0.
 //! [`BlockStats::deterministic`] masks exactly those six.
 
 /// Per-block access counters. All quantities are totals over the block's
@@ -84,11 +84,10 @@ pub struct BlockStats {
     /// re-checked the flag on their own. Schedule noise, masked from
     /// `deterministic()` alongside `park_events`.
     pub wakeups: u64,
-    /// Worker-token handoffs: times a thread holding a pool execution
-    /// token lent it back for the duration of a blocking wait — a flag
-    /// wait whose first park cycle expired. Whether a wait parks at all is
-    /// host-scheduling noise, so this is masked from `deterministic()` like
-    /// `park_events`.
+    /// Always 0: a parked flag wait keeps its thread's execution token, and
+    /// nothing is handed off. Kept only because perfbench
+    /// (`perfbench/src/book.rs`) reads it; it goes with perfbench's
+    /// `group.token_handoffs` metric. Masked from `deterministic()`.
     pub token_handoffs: u64,
 }
 
@@ -185,10 +184,11 @@ impl BlockStats {
         self.token_handoffs += other.token_handoffs;
     }
 
-    /// The deterministic part of the counters: everything except the six
+    /// The deterministic part of the counters: everything except the five
     /// that record how the host serviced waits (`flag_poll_iterations`,
     /// `flag_backoff_events`, `d2d_backoff_events`, `park_events`,
-    /// `wakeups`, `token_handoffs`), which are zeroed. Two executions of
+    /// `wakeups`) and the always-zero `token_handoffs`, which are zeroed.
+    /// Two executions of
     /// the same algorithm must agree on this regardless of block
     /// scheduling.
     pub fn deterministic(&self) -> BlockStats {

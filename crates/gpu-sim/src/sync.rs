@@ -32,10 +32,13 @@
 //! therefore **parks**: the waiter registers `(slot, min)` in one of the
 //! board's striped condvar registries and sleeps; every publication that
 //! advances a flag past a registered threshold removes exactly the
-//! eligible entries and wakes their stripe. Parked threads burn no CPU,
-//! and a thread holding a pool execution token lends it back for the
-//! duration (`Token::lend` in module `executor`) so the residency slot
-//! runs other ready blocks.
+//! eligible entries and wakes their stripe. Parked threads burn no CPU.
+//! A parked block keeps its thread's pool execution token (module
+//! `executor`), as a GPU block spinning on a flag keeps its SM slot: by
+//! the deadlock discipline above it waits only on blocks that have already
+//! started, so no other block needs the slot for the wait to end, and
+//! admitting more look-back walkers mid-wait would only lengthen their
+//! walks.
 //!
 //! None of this changes the memory-model exercise: publication is still
 //! a single `Release` store, and a waiter only ever returns after an
@@ -286,10 +289,9 @@ impl StatusBoard {
     /// 3. a **parked wait**: the thread registers in the board's waiter
     ///    registry and sleeps on a condvar until an eligible publication
     ///    (or a 200 µs park-cycle expiry that re-checks everything) wakes
-    ///    it. From the second cycle on it also lends its pool execution
-    ///    token (`Token::lend` in module `executor`) so a standby thread
-    ///    can run other ready blocks. Zero CPU while blocked, prompt wake
-    ///    on publish.
+    ///    it, keeping its pool execution token (see the
+    ///    [module docs](self)). Zero CPU while blocked, prompt wake on
+    ///    publish.
     ///
     /// Every phase *transition* increments the `flag_backoff_events`
     /// counter, each timed park increments `park_events`, and each
@@ -333,13 +335,9 @@ impl StatusBoard {
         let limit = ctx.config().deadlock_limit * if remote { 64 } else { 1 };
         let mut iters: u64 = 0;
         let mut pause: u32 = 1;
-        // Set once the wait enters the parked phase. The loan hands the
-        // thread's execution token to the pool and takes it back on drop
-        // (normal return or unwind), so token accounting stays balanced
-        // even when the wait panics out of the loop below. Blocks of
-        // sequential and one-block launches hold no token to lend.
+        // Set once the wait enters the parked phase, which checks the abort
+        // flag every cycle.
         let mut parked = false;
-        let mut loan = None;
         loop {
             iters += 1;
             // The one load every return path goes through: `Acquire`, so
@@ -396,18 +394,7 @@ impl StatusBoard {
                     escalate(ctx, remote); // backoff -> park
                 }
             } else {
-                if !parked {
-                    parked = true;
-                } else if loan.is_none() {
-                    // The first park cycle expired without a wake: the wait
-                    // has proven itself long (a remote producer, or a sole
-                    // worker blocking the grid), so lend the execution
-                    // token before parking again. Short waits — the common
-                    // intra-device case — park once without touching pool
-                    // residency: admitting extra blocks mid-wait lengthens
-                    // look-back walks for no host-time gain.
-                    loan = ctx.token().map(|t| t.lend(&mut ctx.stats.token_handoffs));
-                }
+                parked = true;
                 self.park(ctx, i, min);
                 iters += PARK_ITERS - 1;
             }
@@ -559,11 +546,11 @@ mod tests {
             s.spawn(|| {
                 std::thread::sleep(std::time::Duration::from_millis(5));
                 let mut arena = ScratchArena::new();
-                let mut ctx = crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort, None);
+                let mut ctx = crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort);
                 board.publish(&mut ctx, 0, 1);
             });
             let mut arena = ScratchArena::new();
-            let mut ctx = crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort, None);
+            let mut ctx = crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort);
             assert_eq!(board.wait_at_least(&mut ctx, 0, 1), 1);
             ctx.stats.clone()
         });
@@ -581,7 +568,7 @@ mod tests {
 
         // An already-satisfied wait never leaves the hot path.
         let mut arena = ScratchArena::new();
-        let mut ctx = crate::launch::BlockCtx::for_worker(2, 32, &cfg, None, &mut arena, &abort, None);
+        let mut ctx = crate::launch::BlockCtx::for_worker(2, 32, &cfg, None, &mut arena, &abort);
         assert_eq!(board.wait_at_least(&mut ctx, 0, 1), 1);
         assert_eq!(ctx.stats.flag_backoff_events, 0);
     }
@@ -601,11 +588,11 @@ mod tests {
             s.spawn(|| {
                 std::thread::sleep(std::time::Duration::from_millis(5));
                 let mut arena = ScratchArena::new();
-                let mut ctx = crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort, None);
+                let mut ctx = crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort);
                 board.publish(&mut ctx, 0, 1);
             });
             let mut arena = ScratchArena::new();
-            let mut ctx = crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort, None);
+            let mut ctx = crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort);
             assert_eq!(board.wait_at_least_remote(&mut ctx, 0, 1), 1);
             ctx.stats.clone()
         });
@@ -620,7 +607,7 @@ mod tests {
 
         // A satisfied remote wait is pure hot path on either counter.
         let mut arena = ScratchArena::new();
-        let mut ctx = crate::launch::BlockCtx::for_worker(2, 32, &cfg, None, &mut arena, &abort, None);
+        let mut ctx = crate::launch::BlockCtx::for_worker(2, 32, &cfg, None, &mut arena, &abort);
         assert_eq!(board.wait_at_least_remote(&mut ctx, 0, 1), 1);
         assert_eq!(ctx.stats.flag_backoff_events + ctx.stats.d2d_backoff_events, 0);
     }
@@ -642,12 +629,12 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(5));
                 let mut arena = ScratchArena::new();
                 let mut ctx =
-                    crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort, None);
+                    crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort);
                 board.publish(&mut ctx, 2, 1);
             });
             let mut arena = ScratchArena::new();
             let mut ctx =
-                crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort, None);
+                crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort);
             assert_eq!(board.wait_at_least(&mut ctx, 2, 1), 1);
             ctx.stats.clone()
         });
@@ -690,12 +677,12 @@ mod tests {
             s.spawn(|| {
                 let mut arena = ScratchArena::new();
                 let mut ctx =
-                    crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort, None);
+                    crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort);
                 assert_eq!(board.wait_at_least(&mut ctx, 0, 2), 2);
             });
             let mut arena = ScratchArena::new();
             let mut ctx =
-                crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort, None);
+                crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort);
             std::thread::sleep(std::time::Duration::from_millis(3));
             board.publish(&mut ctx, 0, 1); // below the waiter's threshold
             std::thread::sleep(std::time::Duration::from_millis(3));

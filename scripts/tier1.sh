@@ -21,18 +21,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # transactions, windowed look-back) must charge exactly what its scalar
 # expansion charges, for all eight kernels under every dispatch order and
 # for the cooperative look-back pipelines.
-# The parked-wait and token-handoff races depend on timing, so they run
-# at release speed too: the parking suite (with a remote wait inside a
-# pool-run lane grid), the schedule-parity suite (its group batches run
-# their lanes on pool threads, and its lane strategy runs every algorithm
-# and the duplication baseline as the job of a one-device batch), and
-# gpu-sim's unit tests (the token-balance test with its group batch, its
-# pool-run lane grid and its two-lane batch of one device, the pool
-# dropped on its own thread, the park/wake tests in sync.rs, and in
-# group.rs the lane thread tests of a group and of one device and the lane
-# wake-rule test). All are also part of `cargo test --workspace`; run
-# standalone in release so a break is named directly in the tier-1 log.
-cargo test --release -q --test counter_parity --test parking --test scheduling_parity
+# The parked-wait races depend on timing, so they run at release speed
+# too: the parking suite (with a remote wait inside a pool-run lane grid),
+# the concurrency suite (its caller wake-rule test, the twin of the lane
+# one below), the schedule-parity suite (its group batches run their lanes
+# on pool threads, and its lane strategy runs every algorithm and the
+# duplication baseline as the job of a one-device batch), and gpu-sim's
+# unit tests (the token-balance test with its group batch, its caller-run
+# pool launch, its pool-run lane grid and its two-lane batch of one
+# device, the pool dropped on its own thread, the park/wake tests in
+# sync.rs, and in group.rs the lane thread tests of a group and of one
+# device and the lane wake-rule test). All are also part of
+# `cargo test --workspace`; run standalone in release so a break is named
+# directly in the tier-1 log.
+cargo test --release -q --test concurrency --test counter_parity --test parking --test scheduling_parity
 cargo test --release -q -p gpu-sim --lib
 # The multi-device tests pin modeled-time floors and the skewed-batch and
 # skewed-band premises, which depend on what every kernel costs; run them

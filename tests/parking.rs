@@ -1,6 +1,6 @@
-//! Parked flag waits under adversarial schedules: the lost-wakeup races,
-//! fast-fail guarantees, and worker-token handoff the park/wake contract
-//! promises (see `gpu_sim::sync`, "Parked waits").
+//! Parked flag waits under adversarial schedules: the lost-wakeup races
+//! and fast-fail guarantees the park/wake contract promises (see
+//! `gpu_sim::sync`, "Parked waits").
 
 use gpu_sim::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,111 +66,62 @@ fn racing_publishers_never_lose_a_wakeup() {
     }
 }
 
-/// A parked wait with no producer must still hit the deadlock limit and
-/// fail fast: every park cycle charges its wall time in iterations, so the
-/// limit bounds the wait's wall time instead of a hang (or a timeout-free
-/// infinite condvar wait).
+/// A parked wait that nothing will satisfy must still hit the deadlock
+/// limit and fail fast: every park cycle charges its wall time in
+/// iterations, so the limit bounds the wait's wall time instead of a hang
+/// (or a timeout-free infinite condvar wait). Two such waits: one with no
+/// producer at all, and one whose producer is a later block of its own
+/// grid. The second breaks the deadlock discipline (a block waits only on
+/// smaller virtual IDs); on a one-worker pool the grid runs inline, and a
+/// parked wait keeps its token, so nothing runs the producer.
 #[test]
 fn parked_wait_past_the_deadlock_limit_fails_fast() {
+    let stuck = |gpu: &Gpu, blocks: usize| {
+        let (board, counter) = (StatusBoard::new(1), DeviceCounter::new());
+        let t0 = Instant::now();
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            gpu.launch(LaunchConfig::new("stuck-parked", blocks, 32), |ctx| {
+                if counter.next(ctx) == 0 {
+                    board.wait_at_least(ctx, 0, 1);
+                } else {
+                    board.publish(ctx, 0, 1);
+                }
+            });
+        }))
+        .expect_err("an unsatisfiable wait must panic at the deadlock limit");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(msg.contains("soft-sync deadlock"), "{blocks} blocks: unexpected panic: {msg}");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "{blocks} blocks: deadlock fast-fail took {:?} — parking must not stretch the limit",
+            t0.elapsed()
+        );
+    };
     let mut cfg = DeviceConfig::tiny();
     cfg.deadlock_limit = 5_000;
-    let gpu = Gpu::new(cfg).with_mode(ExecMode::Concurrent);
-    let board = StatusBoard::new(1);
-    let t0 = Instant::now();
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        gpu.launch(LaunchConfig::new("stuck-parked", 1, 32), |ctx| {
-            board.wait_at_least(ctx, 0, 1);
-        });
-    }))
-    .expect_err("a producerless wait must panic at the deadlock limit");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    assert!(msg.contains("soft-sync deadlock"), "unexpected panic: {msg}");
-    assert!(
-        t0.elapsed() < Duration::from_secs(10),
-        "deadlock fast-fail took {:?} — parking must not stretch the limit",
-        t0.elapsed()
-    );
-}
-
-/// A Concurrent GPU whose pool has a single worker, and so a single
-/// execution token.
-fn one_worker_gpu() -> Gpu {
-    let mut cfg = DeviceConfig::tiny();
+    stuck(&Gpu::new(cfg.clone()).with_mode(ExecMode::Concurrent), 1);
     cfg.host_workers = 1;
-    Gpu::new(cfg).with_mode(ExecMode::Concurrent)
+    stuck(&Gpu::new(cfg).with_mode(ExecMode::Concurrent), 2);
 }
 
-/// A two-block kernel whose first-claimed block waits on a flag the other
-/// block publishes: on a one-token pool it finishes only if the waiter
-/// hands its token off.
-fn handoff_kernel() -> impl Fn(&mut BlockCtx) + Send + Sync + 'static {
-    let board = StatusBoard::new(1);
-    let counter = DeviceCounter::new();
-    move |ctx| {
-        if counter.next(ctx) == 0 {
-            // First-claimed block blocks the sole token holder on purpose.
-            assert_eq!(board.wait_at_least(ctx, 0, 1), 1);
-        } else {
-            board.publish(ctx, 0, 1);
-        }
-    }
-}
-
-/// The worker-token handoff: with a single host worker, a block that
-/// parks on a flag hands its execution token back, which wakes an idle
-/// worker or spawns a standby thread to run the publishing block. Without
-/// the handoff this grid cannot finish at all — the only token holder
-/// would sit inside the waiting block until the deadlock limit.
-#[test]
-fn token_handoff_lets_one_worker_run_dependent_blocks() {
-    let km = one_worker_gpu().launch(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
-    assert!(
-        km.stats.park_events >= 1,
-        "the waiting block must have parked, got {:?}",
-        km.stats
-    );
-    assert_eq!(km.stats.flag_waits, 1);
-    assert_eq!(km.stats.flag_publishes, 1);
-}
-
-/// A multi-block Concurrent launch runs on the thread that starts it: the
-/// caller holds the pool's only token, so no worker joins and every block
+/// A multi-block Concurrent launch that gets no helper runs inline on the
+/// thread that starts it: a one-worker pool wakes no helper, so every block
 /// runs on the calling thread.
 #[test]
 fn the_caller_runs_its_own_launch() {
-    let gpu = one_worker_gpu();
+    let mut cfg = DeviceConfig::tiny();
+    cfg.host_workers = 1;
+    let gpu = Gpu::new(cfg).with_mode(ExecMode::Concurrent);
     let ran_on = Mutex::new(Vec::new());
     gpu.launch(LaunchConfig::new("caller-run", 4, 32), |_ctx| {
         ran_on.lock().unwrap().push(std::thread::current().id());
     });
     let ran_on = ran_on.into_inner().unwrap();
     assert_eq!(ran_on, vec![std::thread::current().id(); 4]);
-}
-
-/// A caller returns its token before re-raising a block's panic: after a
-/// launch whose caller-run blocks all panic, the one-token handoff launch
-/// on the same GPU still completes. A leaked token would leave its parked
-/// waiter nothing to hand off to.
-#[test]
-fn a_panicking_launch_returns_the_callers_token() {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let gpu = one_worker_gpu();
-        let fault = catch_unwind(AssertUnwindSafe(|| {
-            gpu.launch(LaunchConfig::new("all-panic", 4, 32), |_ctx| panic!("block fault"));
-        }));
-        let km = gpu.launch(LaunchConfig::new("handoff", 2, 32), handoff_kernel());
-        let _ = tx.send((fault.is_err(), km.stats.flag_publishes));
-    });
-    let (faulted, publishes) = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the handoff launch after a panicking launch wedged: the caller kept its token");
-    assert!(faulted, "the panicking launch must re-raise");
-    assert_eq!(publishes, 1);
 }
 
 /// A job that panics on one device must release a peer that waits on its
