@@ -58,8 +58,10 @@
 //!
 //! Host cost of waiting: both pipelines funnel every cross-band wait
 //! through `StatusBoard`, so a band blocked on an earlier band's flag
-//! parks, hands its execution token back to the device's worker pool, and
-//! burns no host CPU until the publishing band wakes it. Parking changes
+//! parks and burns no host CPU until the publishing band wakes it. The
+//! parked wait keeps its execution token, as a GPU block spinning on a
+//! flag keeps its SM slot: nothing else runs on that token until the wait
+//! ends. Parking changes
 //! *when* a look-back walk observes remote flags, so schedule-dependent
 //! traffic counters (`d2d_transfers` on the look-back read side,
 //! poll/backoff/park events) may shift; the deterministic counter subset

@@ -18,6 +18,16 @@
 //! Host-side accessors (`host_*`, [`GlobalBuffer::to_vec`]) are free: they
 //! model `cudaMemcpy` of inputs/outputs, which the paper excludes from all
 //! timings.
+//!
+//! ## Host memory path
+//!
+//! How a bulk accessor moves its data on the host is invisible to the
+//! counters, so it follows the host's memory system: a stride-1 column
+//! moves as one slice copy, and a strided 2-D window first prefetches every
+//! cache line it covers into L2 and then copies its rows. Tiles are handed
+//! out in diagonal-major order, so consecutive tiles share no cache line
+//! and no hardware-prefetch stream; without the prefetch each tile row is a
+//! fresh miss.
 
 use crate::device::WARP;
 use crate::elem::{AtomBacking, DeviceElem};
@@ -77,6 +87,9 @@ fn advise_huge_pages(ptr: *const u8, bytes: usize) {
     #[cfg(not(target_os = "linux"))]
     let _ = (ptr, bytes);
 }
+
+/// Host cache-line size, the step of [`GlobalBuffer::prefetch_window`].
+const LINE: usize = 64;
 
 /// A typed allocation in simulated device global memory.
 pub struct GlobalBuffer<T: DeviceElem> {
@@ -209,7 +222,10 @@ impl<T: DeviceElem> GlobalBuffer<T> {
     }
 
     /// Strided bulk read: `dst.len()` elements at `start`, `start+stride`,
-    /// `start+2*stride`, ...
+    /// `start+2*stride`, ... (a `stride` of 0 reads as 1). With a stride of
+    /// 1 the elements are contiguous in memory and move as one slice copy,
+    /// under the data-race contract of [`DeviceElem::load_slice`]; the
+    /// charge is the strided one either way.
     pub fn load_col(&self, ctx: &mut BlockCtx, start: usize, stride: usize, dst: &mut [T]) {
         if force_scalar() {
             for (k, d) in dst.iter_mut().enumerate() {
@@ -222,8 +238,12 @@ impl<T: DeviceElem> GlobalBuffer<T> {
         if dst.is_empty() {
             return;
         }
-        let src = &self.data[start..=start + (dst.len() - 1) * stride.max(1)];
-        for (d, a) in dst.iter_mut().zip(src.iter().step_by(stride.max(1))) {
+        if stride <= 1 {
+            T::load_slice(&self.data[start..start + dst.len()], dst);
+            return;
+        }
+        let src = &self.data[start..=start + (dst.len() - 1) * stride];
+        for (d, a) in dst.iter_mut().zip(src.iter().step_by(stride)) {
             *d = T::from_bits(a.load_bits());
         }
     }
@@ -241,8 +261,12 @@ impl<T: DeviceElem> GlobalBuffer<T> {
         if src.is_empty() {
             return;
         }
-        let dst = &self.data[start..=start + (src.len() - 1) * stride.max(1)];
-        for (a, &v) in dst.iter().step_by(stride.max(1)).zip(src) {
+        if stride <= 1 {
+            T::store_slice(&self.data[start..start + src.len()], src);
+            return;
+        }
+        let dst = &self.data[start..=start + (src.len() - 1) * stride];
+        for (a, &v) in dst.iter().step_by(stride).zip(src) {
             a.store_bits(v.to_bits());
         }
     }
@@ -250,11 +274,14 @@ impl<T: DeviceElem> GlobalBuffer<T> {
     /// Coalesced 2-D bulk read: `rows` rows of `row_len` consecutive
     /// elements, starting `stride` apart, packed row-major into `dst`
     /// (`dst.len()` must equal `rows * row_len`). Accounting is exactly
-    /// `rows` [`GlobalBuffer::load_row`] calls charged in one bump.
+    /// `rows` [`GlobalBuffer::load_row`] calls charged in one bump. A
+    /// strided window has its cache lines prefetched before its rows are
+    /// copied.
     pub fn load_2d(&self, ctx: &mut BlockCtx, offset: usize, stride: usize, row_len: usize, dst: &mut [T]) {
-        assert_eq!(dst.len() % row_len.max(1), 0, "dst must hold whole rows");
+        let w = row_len.max(1);
+        assert_eq!(dst.len() % w, 0, "dst must hold whole rows");
         if force_scalar() {
-            for (r, chunk) in dst.chunks_exact_mut(row_len.max(1)).enumerate() {
+            for (r, chunk) in dst.chunks_exact_mut(w).enumerate() {
                 for (k, d) in chunk.iter_mut().enumerate() {
                     *d = self.read(ctx, offset + r * stride + k);
                 }
@@ -263,7 +290,8 @@ impl<T: DeviceElem> GlobalBuffer<T> {
         }
         let n = dst.len() as u64;
         ctx.stats.charge_global_read(n, n * T::BYTES);
-        for (r, chunk) in dst.chunks_exact_mut(row_len.max(1)).enumerate() {
+        self.prefetch_window(offset, stride, w, dst.len() / w);
+        for (r, chunk) in dst.chunks_exact_mut(w).enumerate() {
             let base = offset + r * stride;
             T::load_slice(&self.data[base..base + chunk.len()], chunk);
         }
@@ -271,9 +299,10 @@ impl<T: DeviceElem> GlobalBuffer<T> {
 
     /// Coalesced 2-D bulk write, the mirror of [`GlobalBuffer::load_2d`].
     pub fn store_2d(&self, ctx: &mut BlockCtx, offset: usize, stride: usize, row_len: usize, src: &[T]) {
-        assert_eq!(src.len() % row_len.max(1), 0, "src must hold whole rows");
+        let w = row_len.max(1);
+        assert_eq!(src.len() % w, 0, "src must hold whole rows");
         if force_scalar() {
-            for (r, chunk) in src.chunks_exact(row_len.max(1)).enumerate() {
+            for (r, chunk) in src.chunks_exact(w).enumerate() {
                 for (k, &v) in chunk.iter().enumerate() {
                     self.write(ctx, offset + r * stride + k, v);
                 }
@@ -282,9 +311,49 @@ impl<T: DeviceElem> GlobalBuffer<T> {
         }
         let n = src.len() as u64;
         ctx.stats.charge_global_write(n, n * T::BYTES);
-        for (r, chunk) in src.chunks_exact(row_len.max(1)).enumerate() {
+        self.prefetch_window(offset, stride, w, src.len() / w);
+        for (r, chunk) in src.chunks_exact(w).enumerate() {
             let base = offset + r * stride;
             T::store_slice(&self.data[base..base + chunk.len()], chunk);
+        }
+    }
+
+    /// Ask the host to pull every cache line of a 2-D window into its L2
+    /// cache: `rows` rows of `row_len` elements, `stride` apart, from
+    /// `offset`. Strided copies call it before moving their rows, so the
+    /// misses of a whole tile overlap instead of stalling row by row. The
+    /// hint targets L2, not L1: rows a multiple of 4 KB apart share one
+    /// pair of L1 sets, so a tile's 64 lines would evict each other there
+    /// before the copy reads them. A contiguous window
+    /// (`stride == row_len`) is one sequential run, which the hardware
+    /// prefetcher follows, so it gets no hints. A hint only: it moves no
+    /// data and charges nothing.
+    pub(crate) fn prefetch_window(&self, offset: usize, stride: usize, row_len: usize, rows: usize) {
+        if rows == 0 || stride == row_len {
+            return;
+        }
+        let end = offset + (rows - 1) * stride + row_len;
+        assert!(end <= self.len, "window [{offset}, {end}) overruns a buffer of {} elements", self.len);
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
+            let row_bytes = row_len * std::mem::size_of::<T::Atom>();
+            for r in 0..rows {
+                let row = self.data.as_ptr().wrapping_add(offset + r * stride) as *const i8;
+                // Walk from the start of the line holding the row's first
+                // byte, so a row that starts mid-line gets its last line
+                // hinted too.
+                let lead = row as usize % LINE;
+                for k in (0..lead + row_bytes).step_by(LINE) {
+                    // SAFETY: a prefetch never faults, reads nothing into
+                    // the program and changes no memory, so any address is
+                    // sound to hint. The wrapping arithmetic keeps the
+                    // pointer derived from the buffer without claiming it
+                    // stays inside it (a row's first line may begin before
+                    // the buffer does).
+                    unsafe { _mm_prefetch::<_MM_HINT_T1>(row.wrapping_sub(lead).wrapping_add(k)) };
+                }
+            }
         }
     }
 
@@ -626,6 +695,17 @@ mod tests {
             dst.fill(ctx, 100, 9, 7);
             dst.copy_from(ctx, 120, &b, 60, 11);
             dst.copy_within(ctx, 120, 140, 11);
+            // A strided window whose last row ends at the buffer's last
+            // element: the prefetch's bound.
+            b.load_2d(ctx, 256 - 2 * 16 - 4, 16, 4, &mut tile);
+            dst.store_2d(ctx, 256 - 5 * 16 - 2, 16, 2, &tile);
+            // A contiguous window (`stride == row_len`), which gets no hints.
+            let mut block = vec![0u32; 24];
+            b.load_2d(ctx, 160, 8, 8, &mut block);
+            dst.store_2d(ctx, 200, 8, 8, &block);
+            // A stride-1 column pair: one slice copy, charged as strided.
+            b.load_col(ctx, 5, 1, &mut row);
+            dst.store_col(ctx, 60, 1, &row);
         };
         let batched = g.launch(LaunchConfig::new("bulk", 1, 32), body);
         let snapshot = dst.to_vec();

@@ -421,7 +421,9 @@ impl<T: DeviceElem> SharedTile<T> {
     /// row `i + 1` consumes it as its carry, saving a full pass over the
     /// tile. Charges exactly the unfused SAT followed by the store, and
     /// every add happens in the same order, so output values and counters
-    /// are bit-identical to the unfused sequence.
+    /// are bit-identical to the unfused sequence. A strided window's cache
+    /// lines are prefetched before the scan, so their misses overlap with
+    /// it.
     pub fn sat_store_to_global(&mut self, ctx: &mut BlockCtx, dst: &GlobalBuffer<T>, offset: usize, stride: usize) {
         let elems = (self.w * (self.w - 1)) as u64;
         Self::account(ctx, 2 * elems, self.col_conflict);
@@ -433,6 +435,7 @@ impl<T: DeviceElem> SharedTile<T> {
         }
         let n = self.data.len() as u64;
         ctx.stats.charge_global_write(n, n * T::BYTES);
+        dst.prefetch_window(offset, stride, w, w);
         Self::prefix_rows(&mut self.data, w);
         for i in 0..w {
             if i > 0 {

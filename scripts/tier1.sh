@@ -10,6 +10,35 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
+
+# Paper artifacts: rerun every deterministic sat-cli report and diff it
+# against its committed copy in results/, so a change that moves a
+# paper-facing number (a counter, a modeled time, a table row) fails here
+# and names the file. Left out: results/trace.txt, which prints host wall
+# clock, and the ablations' dispatch-order block, whose Concurrent
+# look-back reads vary from run to run.
+check_artifact() { # <file in results/> <sat-cli arguments...>
+  local file=$1
+  shift
+  diff -u "results/$file" <(target/release/sat-cli "$@") || {
+    echo "results/$file differs from sat-cli $*" >&2
+    return 1
+  }
+}
+check_artifact table3_synthetic.txt table3 --synthetic --paper
+check_artifact table3_measured.txt table3 --sizes 256,512,1024
+check_artifact table3_v100.txt table3 --synthetic --device v100 --sizes 8192,32768
+check_artifact table1.txt table1 --n 512
+for figure in fig2 fig3 fig4 fig9; do
+  check_artifact "$figure.txt" "$figure"
+done
+check_artifact f32_error.txt f32-error
+without_dispatch_order() { awk '/^Ablation: /{ skip = /dispatch-order/ } !skip'; }
+diff -u <(without_dispatch_order <results/ablations.txt) <(target/release/sat-cli ablations | without_dispatch_order) || {
+  echo "results/ablations.txt differs from sat-cli ablations" >&2
+  exit 1
+}
+
 cargo test --workspace -q
 cargo clippy --all-targets --workspace -- -D warnings
 
