@@ -94,17 +94,6 @@ pub fn tile_for_serial(serial: usize, t: usize) -> (usize, usize) {
     (ti, d - ti)
 }
 
-/// Look-back window: once a flag walk has located its terminal, up to
-/// this many predecessors' published sums move in one bulk transaction
-/// instead of one scalar round-trip each. The charges are identical to the
-/// scalar walk's (`gpu_sim::global::force_scalar`), so the window sets only
-/// host-side transaction granularity. EXPERIMENTS.md records the
-/// W ∈ {1, 4, 8, 16} sweep that picked it, under "Host-overhead reduction"
-/// and "Shuffle-only SKSS": W = 8 is within noise of 16 and ahead of 1 at
-/// large `n` under concurrency. The shuffle-only variant (`skss_sh`) and
-/// the cooperative pipeline (`coop`) reuse this module's walks.
-pub(crate) const LOOKBACK_WINDOW: usize = 8;
-
 /// The paper's algorithm, with ablation knobs: the shared-memory
 /// arrangement (diagonal vs. row-major, Section II), and whether the
 /// look-back walks are decoupled (the paper's LB technique) or replaced by
@@ -146,8 +135,8 @@ impl SkssLb {
 ///
 /// Crate-visible because the shuffle-only variant
 /// ([`super::skss_sh::SkssSh`]) keeps the inter-tile propagation protocol
-/// — flags, aux buffers, and windowed look-back walks — byte-for-byte
-/// identical and only replaces the intra-tile shared-memory pipeline.
+/// — flags, aux buffers, and look-back walks — byte-for-byte identical
+/// and only replaces the intra-tile shared-memory pipeline.
 pub(crate) struct State<T: DeviceElem> {
     pub(crate) grid: TileGrid,
     pub(crate) counter: DeviceCounter,
@@ -233,138 +222,18 @@ impl<T: DeviceElem> State<T> {
     }
 
     /// Step 2.A.2 (Fig. 10): compute `GRS(I, J-1)` by walking leftwards,
-    /// summing `LRS` vectors until some predecessor's `GRS` appears.
-    ///
-    /// Unless `force_scalar` is set, the flag walk runs exactly as in the
-    /// scalar loop (same `wait_at_least` calls, same observations), but the
-    /// located predecessors' rows are then slurped in bulk transactions of
-    /// up to [`LOOKBACK_WINDOW`] rows each instead of one scalar round-trip
-    /// per predecessor. Published values never change, so deferring the data
-    /// loads past the walk is safe; accumulation stays in the walk's
-    /// descending-`j` order, so the result is bit-identical even for
-    /// floats, and every charge lands on the same [`gpu_sim::metrics`]
-    /// sink methods the scalar expansion would hit.
+    /// summing `LRS` vectors until some predecessor's `GRS` appears. The
+    /// coupled ablation waits for the left neighbour's `GRS` instead.
     pub(crate) fn look_back_grs(&self, ctx: &mut BlockCtx, ti: usize, tj: usize, decoupled: bool) -> Vec<T> {
-        let w = self.grid.w;
-        let mut acc: Vec<T> = ctx.scratch(w);
-        if tj == 0 {
-            return acc;
-        }
-        if !decoupled {
-            // Ablation: coupled wait for the left neighbour's GRS.
-            self.r_flags.wait_at_least(ctx, self.grid.tile_index(ti, tj - 1), R_GRS);
-            self.grs.read_vec_into(ctx, ti, tj - 1, &mut acc);
-            return acc;
-        }
-        if !gpu_sim::global::force_scalar() {
-            // Phase 1 — flag walk, identical to the scalar loop below.
-            let mut j = tj - 1;
-            let (term_j, term_grs) = loop {
-                let st = self.r_flags.wait_at_least(ctx, self.grid.tile_index(ti, j), R_LRS);
-                if st >= R_GRS {
-                    break (j, true);
-                }
-                if j == 0 {
-                    // GRS(I,0) = LRS(I,0): the walk completes at column 0.
-                    break (0, false);
-                }
-                j -= 1;
-            };
-            // Phase 2 — bulk loads: LRS rows above the terminal in
-            // window-sized contiguous chunks (VecAux rows of one tile row
-            // are adjacent), then the terminal row.
-            let mut buf: Vec<T> = ctx.scratch_overwrite(LOOKBACK_WINDOW * w);
-            let lo = term_j + 1;
-            let mut hi = tj;
-            while hi > lo {
-                let c = (hi - lo).min(LOOKBACK_WINDOW);
-                let dst = &mut buf[..c * w];
-                self.lrs.read_row_window_into(ctx, ti, hi - c, c, dst);
-                for row in dst.chunks_exact(w).rev() {
-                    gpu_sim::simd::zip_add(&mut acc, row);
-                }
-                hi -= c;
-            }
-            let term = &mut buf[..w];
-            if term_grs {
-                self.grs.read_vec_into(ctx, ti, term_j, term);
-            } else {
-                self.lrs.read_vec_into(ctx, ti, term_j, term);
-            }
-            gpu_sim::simd::zip_add(&mut acc, term);
-            ctx.recycle(buf);
-            return acc;
-        }
-        let mut tmp: Vec<T> = ctx.scratch(w);
-        let mut j = tj - 1;
-        loop {
-            let st = self.r_flags.wait_at_least(ctx, self.grid.tile_index(ti, j), R_LRS);
-            let done = if st >= R_GRS {
-                self.grs.read_vec_into(ctx, ti, j, &mut tmp);
-                true
-            } else {
-                self.lrs.read_vec_into(ctx, ti, j, &mut tmp);
-                // GRS(I,0) = LRS(I,0): the walk is complete at column 0.
-                j == 0
-            };
-            gpu_sim::simd::zip_add(&mut acc, &tmp);
-            if done {
-                ctx.recycle(tmp);
-                return acc;
-            }
-            j -= 1;
-        }
-    }
-
-    /// Wait on a tile's flag, routing through the cross-device variant
-    /// when the tile's row belongs to an earlier band of a cooperative
-    /// decomposition (`row < d2d_below`; the plain algorithms pass 0, so
-    /// every wait stays local).
-    fn wait_flag(
-        &self,
-        board: &StatusBoard,
-        ctx: &mut BlockCtx,
-        row: usize,
-        idx: usize,
-        min: u8,
-        d2d_below: usize,
-    ) -> u8 {
-        if row < d2d_below {
-            board.wait_at_least_remote(ctx, idx, min)
-        } else {
-            board.wait_at_least(ctx, idx, min)
-        }
-    }
-
-    /// Pull one `w`-wide aux row owned by an earlier band's device. The
-    /// bytes cross the interconnect as a single transfer (charged through
-    /// [`gpu_sim::metrics::BlockStats::charge_d2d`]), deliberately *not*
-    /// as local global-memory reads — the timing model prices the two
-    /// pipelines separately.
-    fn read_row_d2d(&self, ctx: &mut BlockCtx, src: &VecAux<T>, ti: usize, tj: usize, dst: &mut [T]) {
-        dst.copy_from_slice(&src.peek_vec(ti, tj));
-        ctx.stats.charge_d2d(1, self.grid.w as u64 * T::BYTES);
-    }
-
-    /// Pull one aux scalar owned by an earlier band's device: one
-    /// interconnect transfer of `T::BYTES`.
-    fn read_scalar_d2d(&self, ctx: &mut BlockCtx, src: &ScalarAux<T>, ti: usize, tj: usize) -> T {
-        ctx.stats.charge_d2d(1, T::BYTES);
-        src.peek(ti, tj)
+        let min = if decoupled { R_LRS } else { R_GRS };
+        let preds = (0..tj).rev().map(|j| (ti, j));
+        self.walk_vec(ctx, &self.r_flags, preds, (&self.lrs, &self.grs), (min, R_GRS), 0)
     }
 
     /// Step 2.B.2: the same walk upwards over `C`/`LCS`/`GCS` for
-    /// `GCS(I-1, J)`. Windowed exactly like [`State::look_back_grs`],
-    /// except the visited rows sit one tile-row apart in the aux buffer,
-    /// so the bulk phase uses a strided 2-D load (still one row-coalesced
-    /// transaction per visited row).
-    ///
-    /// Unlike the row walk, the upward walk *can* cross a cooperative band
-    /// boundary: tile-rows below `d2d_below` live on an earlier band's
-    /// device, so their flags are awaited remotely and their rows move as
-    /// one interconnect transfer each — identically in the scalar and
-    /// windowed paths (the bulk phase splits its chunks at the boundary),
-    /// preserving the scalar-vs-vector counter-parity contract.
+    /// `GCS(I-1, J)`. Unlike the row walk it *can* cross a cooperative
+    /// band boundary: tile-rows below `d2d_below` live on an earlier band's
+    /// device, so their flags are awaited remotely.
     pub(crate) fn look_back_gcs(
         &self,
         ctx: &mut BlockCtx,
@@ -373,114 +242,65 @@ impl<T: DeviceElem> State<T> {
         decoupled: bool,
         d2d_below: usize,
     ) -> Vec<T> {
-        let w = self.grid.w;
-        let mut acc: Vec<T> = ctx.scratch(w);
-        if ti == 0 {
-            return acc;
-        }
-        if !decoupled {
-            let idx = self.grid.tile_index(ti - 1, tj);
-            self.wait_flag(&self.c_flags, ctx, ti - 1, idx, C_GCS, d2d_below);
-            if ti - 1 < d2d_below {
-                self.read_row_d2d(ctx, &self.gcs, ti - 1, tj, &mut acc);
-            } else {
-                self.gcs.read_vec_into(ctx, ti - 1, tj, &mut acc);
-            }
-            return acc;
-        }
-        if !gpu_sim::global::force_scalar() {
-            // Phase 1 — flag walk, identical to the scalar loop below.
-            let mut i = ti - 1;
-            let (term_i, term_gcs) = loop {
-                let st =
-                    self.wait_flag(&self.c_flags, ctx, i, self.grid.tile_index(i, tj), C_LCS, d2d_below);
-                if st >= C_GCS {
-                    break (i, true);
-                }
-                if i == 0 {
-                    break (0, false);
-                }
-                i -= 1;
-            };
-            // Phase 2 — bulk loads, descending-i accumulation order. Local
-            // rows (>= d2d_below) move in window-sized chunks; rows owned
-            // by an earlier band move one interconnect transfer each, in
-            // the same per-row order the scalar walk uses.
-            let mut buf: Vec<T> = ctx.scratch_overwrite(LOOKBACK_WINDOW * w);
-            let lo = term_i + 1;
-            let local_lo = lo.max(d2d_below);
-            let mut hi = ti;
-            while hi > local_lo {
-                let c = (hi - local_lo).min(LOOKBACK_WINDOW);
-                let dst = &mut buf[..c * w];
-                self.lcs.read_col_window_into(ctx, hi - c, tj, c, dst);
-                for row in dst.chunks_exact(w).rev() {
-                    gpu_sim::simd::zip_add(&mut acc, row);
-                }
-                hi -= c;
-            }
-            let mut i = local_lo;
-            while i > lo {
-                i -= 1;
-                self.read_row_d2d(ctx, &self.lcs, i, tj, &mut buf[..w]);
-                gpu_sim::simd::zip_add(&mut acc, &buf[..w]);
-            }
-            let term_remote = term_i < d2d_below;
-            let term = &mut buf[..w];
-            match (term_gcs, term_remote) {
-                (true, false) => self.gcs.read_vec_into(ctx, term_i, tj, term),
-                (true, true) => self.read_row_d2d(ctx, &self.gcs, term_i, tj, term),
-                (false, false) => self.lcs.read_vec_into(ctx, term_i, tj, term),
-                (false, true) => self.read_row_d2d(ctx, &self.lcs, term_i, tj, term),
-            }
-            gpu_sim::simd::zip_add(&mut acc, term);
-            ctx.recycle(buf);
-            return acc;
-        }
-        let mut tmp: Vec<T> = ctx.scratch(w);
-        let mut i = ti - 1;
-        loop {
-            let st =
-                self.wait_flag(&self.c_flags, ctx, i, self.grid.tile_index(i, tj), C_LCS, d2d_below);
+        let min = if decoupled { C_LCS } else { C_GCS };
+        let preds = (0..ti).rev().map(|i| (i, tj));
+        self.walk_vec(ctx, &self.c_flags, preds, (&self.lcs, &self.gcs), (min, C_GCS), d2d_below)
+    }
+
+    /// One vector look-back walk over `preds`, the predecessor tiles
+    /// nearest first: await each until its flag reaches `min`, sum its
+    /// partial vector, and stop at the first whose flag reaches `done`
+    /// (summing its full vector instead) or at the last one, where the
+    /// partial sum is the full one. Accumulation runs in walk order, so
+    /// the result is bit-identical under any schedule, floats included.
+    ///
+    /// Only the first step is charged, as the paper's walk takes one on
+    /// the device: one flag wait and one coalesced `w`-vector read, or,
+    /// when that predecessor's row is below `d2d_below` (an earlier
+    /// band's device), one remote wait and one D2D transfer. Every
+    /// further step is host scheduling: its wait counts `host_walk_steps`
+    /// ([`StatusBoard::wait_walk_step`]) and keeps the remote ladder past
+    /// a band edge, and its vector is read unaccounted.
+    fn walk_vec(
+        &self,
+        ctx: &mut BlockCtx,
+        board: &StatusBoard,
+        preds: impl Iterator<Item = (usize, usize)>,
+        (part, full): (&VecAux<T>, &VecAux<T>),
+        (min, done): (u8, u8),
+        d2d_below: usize,
+    ) -> Vec<T> {
+        let mut acc: Vec<T> = ctx.scratch(self.grid.w);
+        for (step, (i, j)) in preds.enumerate() {
             let remote = i < d2d_below;
-            let done = if st >= C_GCS {
-                if remote {
-                    self.read_row_d2d(ctx, &self.gcs, i, tj, &mut tmp);
-                } else {
-                    self.gcs.read_vec_into(ctx, i, tj, &mut tmp);
-                }
-                true
+            let st = board.wait_walk_step(ctx, self.grid.tile_index(i, j), min, remote, step);
+            let src = if st >= done { full } else { part };
+            if step > 0 {
+                gpu_sim::simd::zip_add(&mut acc, &src.peek_vec(i, j));
+            } else if remote {
+                // The bytes cross the interconnect as one transfer, priced
+                // by the timing model's own d2d term, never as DRAM reads.
+                ctx.stats.charge_d2d(1, self.grid.w as u64 * T::BYTES);
+                gpu_sim::simd::zip_add(&mut acc, &src.peek_vec(i, j));
             } else {
-                if remote {
-                    self.read_row_d2d(ctx, &self.lcs, i, tj, &mut tmp);
-                } else {
-                    self.lcs.read_vec_into(ctx, i, tj, &mut tmp);
-                }
-                i == 0
-            };
-            gpu_sim::simd::zip_add(&mut acc, &tmp);
-            if done {
-                ctx.recycle(tmp);
-                return acc;
+                let mut row: Vec<T> = ctx.scratch_overwrite(self.grid.w);
+                src.read_vec_into(ctx, i, j, &mut row);
+                gpu_sim::simd::zip_add(&mut acc, &row);
+                ctx.recycle(row);
             }
-            i -= 1;
+            if st >= done {
+                break;
+            }
         }
+        acc
     }
 
     /// Step 3.2 (Fig. 11): compute `GS(I-1, J-1)` by walking the diagonal,
-    /// summing `GLS` strips until some predecessor's `GS` appears.
-    ///
-    /// Windowed: the flag walk locates the terminal as in the scalar loop,
-    /// then the visited `GLS` scalars (which sit `t+1` apart along the
-    /// diagonal of the aux buffer) are fetched through a batched gather,
-    /// [`LOOKBACK_WINDOW`] at a time, accumulated in the walk's ascending-`k`
-    /// order.
-    ///
-    /// The diagonal walk crosses a cooperative band boundary the same way
-    /// the upward walk does: predecessors on tile-rows below `d2d_below`
-    /// are awaited remotely and their scalars fetched one interconnect
-    /// transfer each, with the gather batches split at the boundary so the
-    /// scalar and windowed paths charge identically.
+    /// summing `GLS` strips until some predecessor's `GS` appears; `GLS`
+    /// on the border equals `GS` there (`GS(-1,·) = 0`). Charged like
+    /// [`State::walk_vec`]: the first step is one flag wait and one scalar
+    /// read (or, across a band boundary, one remote wait and one D2D
+    /// transfer of `T::BYTES`), and every further step is a host step.
     pub(crate) fn look_back_gs(
         &self,
         ctx: &mut BlockCtx,
@@ -489,96 +309,27 @@ impl<T: DeviceElem> State<T> {
         decoupled: bool,
         d2d_below: usize,
     ) -> T {
+        let min = if decoupled { R_GLS } else { R_GS };
         let mut acc = T::zero();
-        if ti == 0 || tj == 0 {
-            return acc;
-        }
-        if !decoupled {
-            let idx = self.grid.tile_index(ti - 1, tj - 1);
-            self.wait_flag(&self.r_flags, ctx, ti - 1, idx, R_GS, d2d_below);
-            return if ti - 1 < d2d_below {
-                self.read_scalar_d2d(ctx, &self.gs, ti - 1, tj - 1)
-            } else {
-                self.gs.read(ctx, ti - 1, tj - 1)
-            };
-        }
-        if !gpu_sim::global::force_scalar() {
-            // Phase 1 — flag walk, identical to the scalar loop below.
-            let mut k = 1;
-            let (term_k, term_gs) = loop {
-                let (pi, pj) = (ti - k, tj - k);
-                let st =
-                    self.wait_flag(&self.r_flags, ctx, pi, self.grid.tile_index(pi, pj), R_GLS, d2d_below);
-                if st >= R_GS {
-                    break (k, true);
-                }
-                if pi == 0 || pj == 0 {
-                    // GLS on the border equals GS there (GS(-1,·) = 0).
-                    break (k, false);
-                }
-                k += 1;
-            };
-            // Phase 2 — gather the visited GLS strip values (all of them
-            // when the walk ended at the border, all but the terminal when
-            // it ended on a published GS). Local rows batch through the
-            // gather; rows below the band boundary (k > ti - d2d_below)
-            // move one interconnect transfer per scalar, in the same
-            // ascending-k order.
-            let gls_last = if term_gs { term_k - 1 } else { term_k };
-            let local_last = gls_last.min(ti.saturating_sub(d2d_below));
-            let mut idx = [0usize; LOOKBACK_WINDOW];
-            let mut vals = [T::zero(); LOOKBACK_WINDOW];
-            let mut k0 = 1;
-            while k0 <= local_last {
-                let c = (local_last - k0 + 1).min(LOOKBACK_WINDOW);
-                for (m, slot) in idx[..c].iter_mut().enumerate() {
-                    *slot = self.gls.index(ti - (k0 + m), tj - (k0 + m));
-                }
-                self.gls.gather(ctx, &idx[..c], &mut vals[..c]);
-                for &v in &vals[..c] {
-                    acc = acc.add(v);
-                }
-                k0 += c;
-            }
-            for k in (local_last + 1)..=gls_last {
-                acc = acc.add(self.read_scalar_d2d(ctx, &self.gls, ti - k, tj - k));
-            }
-            if term_gs {
-                let (pi, pj) = (ti - term_k, tj - term_k);
-                acc = acc.add(if pi < d2d_below {
-                    self.read_scalar_d2d(ctx, &self.gs, pi, pj)
-                } else {
-                    self.gs.read(ctx, pi, pj)
-                });
-            }
-            return acc;
-        }
-        let mut k = 1;
-        loop {
+        for (step, k) in (1..=ti.min(tj)).enumerate() {
             let (pi, pj) = (ti - k, tj - k);
-            let st =
-                self.wait_flag(&self.r_flags, ctx, pi, self.grid.tile_index(pi, pj), R_GLS, d2d_below);
             let remote = pi < d2d_below;
-            if st >= R_GS {
-                let v = if remote {
-                    self.read_scalar_d2d(ctx, &self.gs, pi, pj)
-                } else {
-                    self.gs.read(ctx, pi, pj)
-                };
-                return acc.add(v);
-            }
-            let v = if remote {
-                self.read_scalar_d2d(ctx, &self.gls, pi, pj)
+            let st = self.r_flags.wait_walk_step(ctx, self.grid.tile_index(pi, pj), min, remote, step);
+            let src = if st >= R_GS { &self.gs } else { &self.gls };
+            let v = if step > 0 {
+                src.peek(pi, pj)
+            } else if remote {
+                ctx.stats.charge_d2d(1, T::BYTES);
+                src.peek(pi, pj)
             } else {
-                self.gls.read(ctx, pi, pj)
+                src.read(ctx, pi, pj)
             };
             acc = acc.add(v);
-            if pi == 0 || pj == 0 {
-                // GLS on the border equals GS there (GS(-1,·) = 0).
-                return acc;
+            if st >= R_GS {
+                break;
             }
-            k += 1;
         }
+        acc
     }
 }
 
@@ -773,6 +524,72 @@ mod tests {
         assert_eq!(run.kernels[0].blocks, (n / w) * (n / w));
         let s = run.total_stats();
         assert_eq!(s.strided_reads + s.strided_writes, 0, "fully coalesced");
+    }
+
+    /// Runs `publish` in one Sequential launch and `walk` in the next on a
+    /// fresh 4 x 4-tile `State` (W = 4), returning the walk's counters.
+    fn walk_stats(
+        publish: impl Fn(&mut BlockCtx, &State<u64>) + Sync,
+        walk: impl Fn(&mut BlockCtx, &State<u64>) + Sync,
+    ) -> BlockStats {
+        let gpu = Gpu::new(DeviceConfig::tiny());
+        let state = State::<u64>::new(TileGrid::new(16, 4));
+        gpu.launch(LaunchConfig::new("publish", 1, 16), |ctx| publish(ctx, &state));
+        gpu.launch(LaunchConfig::new("walk", 1, 16), |ctx| walk(ctx, &state)).stats
+    }
+
+    #[test]
+    fn a_walk_past_its_first_predecessor_is_charged_one_step() {
+        // Only partial sums are published, so each walk must step past its
+        // first predecessor; it is charged that first step alone, and
+        // counts every further one as a host step.
+        let part = |ti: usize, tj: usize| -> Vec<u64> { (0..4).map(|k| (100 * ti + 10 * tj + k) as u64).collect() };
+        let sum = |tiles: &[(usize, usize)]| -> Vec<u64> {
+            (0..4).map(|k| tiles.iter().map(|&(i, j)| part(i, j)[k]).sum()).collect()
+        };
+        let gls = |k: usize| 7 * k as u64 + 1;
+
+        // Row: LRS of tiles (0,0) and (0,1), walked from tile (0,2).
+        let row = walk_stats(
+            |ctx, st| {
+                for tj in 0..2 {
+                    st.lrs.write_vec(ctx, 0, tj, &part(0, tj));
+                    st.r_flags.publish(ctx, st.grid.tile_index(0, tj), R_LRS);
+                }
+            },
+            |ctx, st| assert_eq!(st.look_back_grs(ctx, 0, 2, true), sum(&[(0, 1), (0, 0)])),
+        );
+        assert_eq!((row.flag_waits, row.global_reads, row.d2d_transfers), (1, 4, 0), "row: one wait, one w-vector");
+        assert_eq!(row.host_walk_steps, 1, "row");
+
+        // Column: LCS of column 1's top three tiles, walked from tile (3,1)
+        // with rows below 3 on an earlier band's device, so the first
+        // predecessor is remote.
+        let col = walk_stats(
+            |ctx, st| {
+                for ti in 0..3 {
+                    st.lcs.write_vec(ctx, ti, 1, &part(ti, 1));
+                    st.c_flags.publish(ctx, st.grid.tile_index(ti, 1), C_LCS);
+                }
+            },
+            |ctx, st| assert_eq!(st.look_back_gcs(ctx, 3, 1, true, 3), sum(&[(2, 1), (1, 1), (0, 1)])),
+        );
+        assert_eq!((col.flag_waits, col.global_reads), (1, 0), "column: one remote wait, no DRAM read");
+        assert_eq!((col.d2d_transfers, col.d2d_bytes), (1, 4 * 8), "column: one D2D row");
+        assert_eq!(col.host_walk_steps, 2, "column");
+
+        // Diagonal: GLS of tiles (0,0), (1,1) and (2,2), walked from (3,3).
+        let diag = walk_stats(
+            |ctx, st| {
+                for k in 0..3 {
+                    st.gls.write(ctx, k, k, gls(k));
+                    st.r_flags.publish(ctx, st.grid.tile_index(k, k), R_GLS);
+                }
+            },
+            |ctx, st| assert_eq!(st.look_back_gs(ctx, 3, 3, true, 0), gls(2) + gls(1) + gls(0)),
+        );
+        assert_eq!((diag.flag_waits, diag.global_reads, diag.d2d_transfers), (1, 1, 0), "diagonal: one scalar");
+        assert_eq!(diag.host_walk_steps, 2, "diagonal");
     }
 
     #[test]

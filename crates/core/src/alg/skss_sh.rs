@@ -10,9 +10,9 @@
 //!
 //! * **Inter-tile propagation is byte-for-byte SKSS-LB.** Diagonal-major
 //!   `atomicAdd` tile claiming, the two 8-bit status boards, and the
-//!   windowed look-back walks (eight predecessors per bulk transaction)
-//!   are reused verbatim from [`super::skss_lb`] — same aux buffers, same
-//!   flag protocol, same charges. Anything that differs between the two
+//!   look-back walks (one charged step each) are reused verbatim from
+//!   [`super::skss_lb`] — same aux buffers, same flag protocol, same
+//!   charges. Anything that differs between the two
 //!   algorithms is therefore attributable to the intra-tile pipeline.
 //! * **Intra-tile work is register-systolic.** The block is one warp of
 //!   `W` threads; thread `j` holds column `j` of the tile in a `W`-deep

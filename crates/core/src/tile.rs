@@ -282,7 +282,9 @@ impl<T: DeviceElem> VecAux<T> {
         self.buf.store_2d(ctx, self.base(ti_lo, tj), self.grid.t * self.grid.w, self.grid.w, src);
     }
 
-    /// Host-side read for tests.
+    /// Unaccounted host-side read of tile `(I,J)`'s vector: for tests, for
+    /// a look-back walk's host steps, and for a value whose D2D transfer
+    /// the caller charges itself.
     pub fn peek_vec(&self, ti: usize, tj: usize) -> Vec<T> {
         let base = self.base(ti, tj);
         (0..self.grid.w).map(|k| self.buf.host_read(base + k)).collect()
@@ -316,21 +318,8 @@ impl<T: DeviceElem> ScalarAux<T> {
         self.buf.write(ctx, self.grid.tile_index(ti, tj), v);
     }
 
-    /// Raw buffer index of tile `(I,J)`'s scalar, for building
-    /// [`ScalarAux::gather`] index lists.
-    #[inline]
-    pub fn index(&self, ti: usize, tj: usize) -> usize {
-        self.grid.tile_index(ti, tj)
-    }
-
-    /// Batched warp gather of several tiles' scalars (indices from
-    /// [`ScalarAux::index`]); accounted exactly like one
-    /// [`ScalarAux::read`] per tile.
-    pub fn gather(&self, ctx: &mut BlockCtx, indices: &[usize], dst: &mut [T]) {
-        self.buf.gather(ctx, indices, dst);
-    }
-
-    /// Host-side read for tests.
+    /// Unaccounted host-side read of tile `(I,J)`'s scalar, for the same
+    /// callers as [`VecAux::peek_vec`].
     pub fn peek(&self, ti: usize, tj: usize) -> T {
         self.buf.host_read(self.grid.tile_index(ti, tj))
     }

@@ -29,7 +29,6 @@
 //! and no hardware-prefetch stream; without the prefetch each tile row is a
 //! fresh miss.
 
-use crate::device::WARP;
 use crate::elem::{AtomBacking, DeviceElem};
 use crate::launch::BlockCtx;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -357,61 +356,6 @@ impl<T: DeviceElem> GlobalBuffer<T> {
         }
     }
 
-    /// Batched warp gather: `dst[k] = self[indices[k]]`. Charged exactly
-    /// like `indices.len()` scalar [`GlobalBuffer::read`] calls, with one
-    /// contiguity classification per warp-sized chunk of the index slice
-    /// (instead of per element) selecting between a `memcpy` fast path and
-    /// an element loop. The caller decides coalesced-vs-strided semantics
-    /// by choosing this or a `load_col`, exactly as with the scalar
-    /// accessors.
-    pub fn gather(&self, ctx: &mut BlockCtx, indices: &[usize], dst: &mut [T]) {
-        assert_eq!(indices.len(), dst.len(), "gather length mismatch");
-        if force_scalar() {
-            for (d, &i) in dst.iter_mut().zip(indices) {
-                *d = self.read(ctx, i);
-            }
-            return;
-        }
-        let n = indices.len() as u64;
-        ctx.stats.charge_global_read(n, n * T::BYTES);
-        for (idx, out) in indices.chunks(WARP).zip(dst.chunks_mut(WARP)) {
-            let first = idx[0];
-            if crate::simd::is_contiguous_run(idx) {
-                T::load_slice(&self.data[first..first + idx.len()], out);
-            } else {
-                for (d, &i) in out.iter_mut().zip(idx) {
-                    *d = T::from_bits(self.data[i].load_bits());
-                }
-            }
-        }
-    }
-
-    /// Batched warp scatter: `self[indices[k]] = src[k]`, the mirror of
-    /// [`GlobalBuffer::gather`]. Indices within one warp chunk must be
-    /// distinct (a real warp scatter to a duplicated address has undefined
-    /// winner; callers in the simulator never do it).
-    pub fn scatter(&self, ctx: &mut BlockCtx, indices: &[usize], src: &[T]) {
-        assert_eq!(indices.len(), src.len(), "scatter length mismatch");
-        if force_scalar() {
-            for (&v, &i) in src.iter().zip(indices) {
-                self.write(ctx, i, v);
-            }
-            return;
-        }
-        let n = indices.len() as u64;
-        ctx.stats.charge_global_write(n, n * T::BYTES);
-        for (idx, vals) in indices.chunks(WARP).zip(src.chunks(WARP)) {
-            let first = idx[0];
-            if crate::simd::is_contiguous_run(idx) {
-                T::store_slice(&self.data[first..first + idx.len()], vals);
-            } else {
-                for (&v, &i) in vals.iter().zip(idx) {
-                    self.data[i].store_bits(v.to_bits());
-                }
-            }
-        }
-    }
-
     /// Accounted device-side `memset`: fill `len` elements starting at
     /// `offset` with `v`. Charges exactly like a `store_row` of `len`
     /// elements (each thread writes one coalesced element).
@@ -640,41 +584,6 @@ mod tests {
         assert_eq!(m.stats.bytes_written, 12 * 4);
         assert_eq!(b.host_read(5 * 8 + 4), 17);
         assert_eq!(b.host_read(7 * 8 + 7), 36);
-    }
-
-    #[test]
-    fn gather_scatter_match_scalar_expansion() {
-        let g = gpu();
-        let b = GlobalBuffer::from_slice(&(0..128u32).map(|v| v * 3).collect::<Vec<_>>());
-        let out = GlobalBuffer::<u32>::zeroed(128);
-        // Mixed pattern: one contiguous warp chunk, one diagonal-strided
-        // chunk, plus a partial tail — both classification branches run.
-        let mut indices: Vec<usize> = (8..40).collect();
-        indices.extend((0..32).map(|k| k * 3));
-        indices.extend([5usize, 99, 17]);
-        let run = |scalar: bool| {
-            set_force_scalar(scalar);
-            let m = g.launch(LaunchConfig::new("gs", 1, 32), |ctx| {
-                let mut vals = vec![0u32; indices.len()];
-                b.gather(ctx, &indices, &mut vals);
-                for (k, &i) in indices.iter().enumerate() {
-                    assert_eq!(vals[k], (i as u32) * 3);
-                }
-                let dsts: Vec<usize> = indices.iter().map(|&i| 127 - i).collect();
-                out.scatter(ctx, &dsts, &vals);
-            });
-            set_force_scalar(false);
-            m.stats.deterministic()
-        };
-        let batched = run(false);
-        let scalar = run(true);
-        assert_eq!(batched, scalar);
-        assert_eq!(batched.global_reads, 67);
-        assert_eq!(batched.global_writes, 67);
-        assert_eq!(batched.bytes_read, 67 * 4);
-        for &i in &indices {
-            assert_eq!(out.host_read(127 - i), (i as u32) * 3);
-        }
     }
 
     #[test]

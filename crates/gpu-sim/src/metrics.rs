@@ -11,11 +11,20 @@
 //!    the caller, one per kernel launch and one per algorithm run.
 //!
 //! Most counters depend only on what the algorithm does, so they are
-//! identical under sequential and concurrent execution. Five record how the
-//! host serviced waits and vary with the schedule:
+//! identical under sequential and concurrent execution. Six record how the
+//! host serviced waits and walks and vary with the schedule:
 //! `flag_poll_iterations`, `flag_backoff_events`, `d2d_backoff_events`,
-//! `park_events` and `wakeups`. A sixth, `token_handoffs`, is always 0.
-//! [`BlockStats::deterministic`] masks exactly those six.
+//! `park_events`, `wakeups` and `host_walk_steps`. A seventh,
+//! `token_handoffs`, is always 0. [`BlockStats::deterministic`] masks
+//! exactly those seven.
+//!
+//! A decoupled look-back walk is charged one step, as on the GPU the paper
+//! argues for: one flag wait on the nearest predecessor and one read of its
+//! value (or one D2D transfer when that predecessor sits on an earlier
+//! band's device). How many more predecessors the walk visits depends on
+//! which host thread ran first, on a few host cores rather than 80 SMs, so
+//! each further step counts `host_walk_steps` and is priced by neither
+//! `crate::timing` nor `satcore::model`.
 
 /// Per-block access counters. All quantities are totals over the block's
 /// lifetime; `bytes_*` fields are *effective* traffic as charged by the
@@ -84,6 +93,14 @@ pub struct BlockStats {
     /// re-checked the flag on their own. Schedule noise, masked from
     /// `deterministic()` alongside `park_events`.
     pub wakeups: u64,
+    /// Look-back walk steps past the walk's first, charged predecessor:
+    /// one per further predecessor awaited
+    /// ([`crate::sync::StatusBoard::wait_walk_step`] with `step > 0`).
+    /// Such a step's wait is not a `flag_waits` wait and its read charges
+    /// nothing: whether a walk takes it depends on what the host had run,
+    /// not on the algorithm. Masked from `deterministic()`, and read by
+    /// neither [`crate::timing`] nor `satcore::model`.
+    pub host_walk_steps: u64,
     /// Always 0: a parked flag wait keeps its thread's execution token, and
     /// nothing is handed off. Kept only because perfbench
     /// (`perfbench/src/book.rs`) reads it; it goes with perfbench's
@@ -181,16 +198,18 @@ impl BlockStats {
         self.d2d_backoff_events += other.d2d_backoff_events;
         self.park_events += other.park_events;
         self.wakeups += other.wakeups;
+        self.host_walk_steps += other.host_walk_steps;
         self.token_handoffs += other.token_handoffs;
     }
 
-    /// The deterministic part of the counters: everything except the five
-    /// that record how the host serviced waits (`flag_poll_iterations`,
-    /// `flag_backoff_events`, `d2d_backoff_events`, `park_events`,
-    /// `wakeups`) and the always-zero `token_handoffs`, which are zeroed.
-    /// Two executions of
-    /// the same algorithm must agree on this regardless of block
-    /// scheduling.
+    /// The deterministic part of the counters: everything except the six
+    /// that record how the host serviced waits and walks
+    /// (`flag_poll_iterations`, `flag_backoff_events`, `d2d_backoff_events`,
+    /// `park_events`, `wakeups`, `host_walk_steps`) and the always-zero
+    /// `token_handoffs`, which are zeroed. Every look-back walk charges
+    /// its first step alone, so two executions of the same algorithm
+    /// agree on this under any schedule, dispatch order, worker count and
+    /// device placement.
     pub fn deterministic(&self) -> BlockStats {
         let mut c = self.clone();
         c.flag_poll_iterations = 0;
@@ -198,23 +217,17 @@ impl BlockStats {
         c.d2d_backoff_events = 0;
         c.park_events = 0;
         c.wakeups = 0;
+        c.host_walk_steps = 0;
         c.token_handoffs = 0;
         c
     }
 
-    /// The deterministic subset for *look-back* kernels: additionally
-    /// masks the read side of the decoupled look-back walk. How far a
-    /// walk steps before finding an inclusive prefix depends on what the
-    /// predecessor had published at that instant, so read counts, read
-    /// bytes, wait calls, and (for cross-band walks) D2D traffic all
-    /// legitimately vary with the schedule — BENCH_6 measured
-    /// `d2d_transfers` drifting 7161→7162 between 2 and 4 devices from
-    /// exactly this. The write side (every block publishes each state
-    /// exactly once) and the in-tile work (shared memory, barriers,
-    /// shuffles, one claim atomic per tile) stay schedule-free and are
-    /// kept. Non-look-back kernels never take unsatisfied walks, so for
-    /// them [`deterministic`](Self::deterministic) is the right, stricter
-    /// comparison.
+    /// [`deterministic`](Self::deterministic) with the read side (reads,
+    /// read bytes, strided reads, flag waits and D2D traffic) also masked.
+    /// Nothing in the library needs it, since a look-back walk's charges
+    /// do not follow the schedule. Kept only because perfbench
+    /// (`perfbench/src/book.rs`) reads it; it goes with perfbench's
+    /// look-back mask.
     pub fn deterministic_lookback(&self) -> BlockStats {
         let mut c = self.deterministic();
         c.global_reads = 0;
@@ -371,6 +384,7 @@ mod tests {
         a.d2d_backoff_events = 5;
         a.park_events = 7;
         a.wakeups = 4;
+        a.host_walk_steps = 6;
         a.token_handoffs = 2;
         let mut b = stats(1, 1);
         b.flag_poll_iterations = 3;
@@ -378,6 +392,7 @@ mod tests {
         b.d2d_backoff_events = 0;
         b.park_events = 0;
         b.wakeups = 0;
+        b.host_walk_steps = 0;
         b.token_handoffs = 0;
         assert_ne!(a, b);
         assert_eq!(a.deterministic(), b.deterministic());

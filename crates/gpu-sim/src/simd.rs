@@ -15,8 +15,8 @@
 use crate::elem::DeviceElem;
 
 /// `dst[i] += src[i]`, elementwise. The column-scan inner loop of
-/// [`SharedTile`](crate::shared::SharedTile) and the windowed look-back
-/// accumulations are this shape.
+/// [`SharedTile`](crate::shared::SharedTile) and the look-back walks'
+/// vector accumulations are this shape.
 #[inline]
 pub fn zip_add<T: DeviceElem>(dst: &mut [T], src: &[T]) {
     debug_assert_eq!(dst.len(), src.len());
@@ -66,13 +66,6 @@ pub fn shift_down<T: DeviceElem>(lanes: &mut [T], delta: usize) {
     }
 }
 
-/// Gather/scatter lane classification: is `idx` the consecutive run
-/// `first, first+1, ...`?
-#[inline]
-pub fn is_contiguous_run(idx: &[usize]) -> bool {
-    idx.first().is_none_or(|&first| idx.iter().zip(first..).all(|(&i, want)| i == want))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,24 +103,6 @@ mod tests {
                 shift_down(&mut got, delta);
                 let want: Vec<u64> = (0..n).map(|i| if i + delta < n { a(i + delta) } else { a(i) }).collect();
                 assert_eq!(got, want, "shift_down n={n} delta={delta}");
-            }
-        }
-    }
-
-    #[test]
-    fn contiguity_classification() {
-        for n in [0usize, 1, 5, 8, 9, 32, 33] {
-            let run: Vec<usize> = (10..10 + n).collect();
-            assert!(is_contiguous_run(&run), "run n={n}");
-            if n >= 2 {
-                for broken_at in [0, n / 2, n - 1] {
-                    let mut bad = run.clone();
-                    bad[broken_at] += 1;
-                    // Breaking lane 0 tears the run at lane 1 (it now
-                    // repeats lane 0's value); any other break tears it at
-                    // the broken lane.
-                    assert!(!is_contiguous_run(&bad), "n={n} broken_at={broken_at}");
-                }
             }
         }
     }

@@ -300,6 +300,7 @@ impl StatusBoard {
     /// excluded from
     /// [`BlockStats::deterministic`](crate::metrics::BlockStats::deterministic).
     pub fn wait_at_least(&self, ctx: &mut BlockCtx, i: usize, min: u8) -> u8 {
+        ctx.stats.flag_waits += 1;
         self.wait_inner(ctx, i, min, false)
     }
 
@@ -313,7 +314,27 @@ impl StatusBoard {
     /// [`BlockStats::charge_d2d`](crate::metrics::BlockStats::charge_d2d) —
     /// the wait itself moves only the one-byte flag.
     pub fn wait_at_least_remote(&self, ctx: &mut BlockCtx, i: usize, min: u8) -> u8 {
+        ctx.stats.flag_waits += 1;
         self.wait_inner(ctx, i, min, true)
+    }
+
+    /// The wait of a decoupled look-back walk on its `step`-th predecessor
+    /// (0 is the nearest), on the remote ladder of
+    /// [`StatusBoard::wait_at_least_remote`] when `remote`.
+    ///
+    /// Step 0 is the step the walk is charged for: one flag wait, exactly
+    /// [`StatusBoard::wait_at_least`] or its remote twin. A later step
+    /// exists only because the host had not yet run the predecessor that
+    /// would have ended the walk, so it runs the same ladder but counts
+    /// `host_walk_steps` instead of `flag_waits`; its caller reads the
+    /// predecessor's value through an unaccounted host accessor.
+    pub fn wait_walk_step(&self, ctx: &mut BlockCtx, i: usize, min: u8, remote: bool, step: usize) -> u8 {
+        if step == 0 {
+            ctx.stats.flag_waits += 1;
+        } else {
+            ctx.stats.host_walk_steps += 1;
+        }
+        self.wait_inner(ctx, i, min, remote)
     }
 
     fn wait_inner(&self, ctx: &mut BlockCtx, i: usize, min: u8, remote: bool) -> u8 {
@@ -326,7 +347,6 @@ impl StatusBoard {
             }
         }
 
-        ctx.stats.flag_waits += 1;
         // A remote producer is a whole other device lane that may be several
         // band-sized kernels away from publishing — legitimately orders of
         // magnitude slower than any intra-launch dependency — so the

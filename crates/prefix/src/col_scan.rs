@@ -115,23 +115,27 @@ pub fn device_col_scan<T: DeviceElem>(
             aggregates.store_row(ctx, strip * cols + c0, &buf[agg_base..agg_base + width]);
             status.publish(ctx, vid, COL_STATUS_AGGREGATE);
 
-            let mut p = strip - 1;
+            // Only the first step is charged (one flag wait and one
+            // vector read); a step past it is host scheduling, counted in
+            // `host_walk_steps` and read unaccounted. Strip 0 always
+            // publishes a prefix, so the walk always ends on one.
             let mut tmp: Vec<T> = ctx.scratch(width);
-            loop {
-                let st = status.wait_at_least(ctx, p * bands + band, COL_STATUS_AGGREGATE);
-                if st >= COL_STATUS_PREFIX {
-                    prefixes.load_row(ctx, p * cols + c0, &mut tmp);
-                    for (e, v) in exclusive.iter_mut().zip(&tmp) {
-                        *e = e.add(*v);
+            for (step, p) in (0..strip).rev().enumerate() {
+                let st = status.wait_walk_step(ctx, p * bands + band, COL_STATUS_AGGREGATE, false, step);
+                let src = if st >= COL_STATUS_PREFIX { &prefixes } else { &aggregates };
+                if step == 0 {
+                    src.load_row(ctx, p * cols + c0, &mut tmp);
+                } else {
+                    for (k, v) in tmp.iter_mut().enumerate() {
+                        *v = src.host_read(p * cols + c0 + k);
                     }
-                    break;
                 }
-                aggregates.load_row(ctx, p * cols + c0, &mut tmp);
                 for (e, v) in exclusive.iter_mut().zip(&tmp) {
                     *e = e.add(*v);
                 }
-                // Strip 0 always publishes a prefix, so p never underflows.
-                p -= 1;
+                if st >= COL_STATUS_PREFIX {
+                    break;
+                }
             }
             let mut inclusive = tmp;
             for (out, (e, a)) in inclusive.iter_mut().zip(exclusive.iter().zip(&buf[agg_base..agg_base + width])) {

@@ -112,50 +112,18 @@ pub fn device_row_scan<T: DeviceElem>(
         } else {
             aggregates.write(ctx, vid, aggregate);
             status.publish(ctx, vid, STATUS_AGGREGATE);
+            // Only the first step is charged (one flag wait and one
+            // read); a step past it is host scheduling, counted in
+            // `host_walk_steps` and read unaccounted. Tile 0 of every row
+            // publishes a prefix, so the walk always ends on one.
             let mut acc = T::zero();
-            if gpu_sim::global::force_scalar() {
-                let mut j = vid - rows;
-                loop {
-                    let st = status.wait_at_least(ctx, j, STATUS_AGGREGATE);
-                    if st >= STATUS_PREFIX {
-                        acc = acc.add(prefixes.read(ctx, j));
-                        break;
-                    }
-                    acc = acc.add(aggregates.read(ctx, j));
-                    j -= rows;
+            for (step, j) in (r..vid).step_by(rows).rev().enumerate() {
+                let st = status.wait_walk_step(ctx, j, STATUS_AGGREGATE, false, step);
+                let src = if st >= STATUS_PREFIX { &prefixes } else { &aggregates };
+                acc = acc.add(if step == 0 { src.read(ctx, j) } else { src.host_read(j) });
+                if st >= STATUS_PREFIX {
+                    break;
                 }
-            } else {
-                // Windowed look-back: the flag walk observes exactly what
-                // the scalar loop would (tile 0 of every row publishes a
-                // prefix, so it always terminates on one), then the
-                // visited aggregates — `rows` slots apart — are fetched
-                // through a batched gather, accumulated in the walk's
-                // descending order.
-                let mut j = vid - rows;
-                let term_j = loop {
-                    let st = status.wait_at_least(ctx, j, STATUS_AGGREGATE);
-                    if st >= STATUS_PREFIX {
-                        break j;
-                    }
-                    j -= rows;
-                };
-                const WINDOW: usize = 8;
-                let mut idx = [0usize; WINDOW];
-                let mut agg = [T::zero(); WINDOW];
-                let count = (vid - term_j) / rows - 1;
-                let mut done = 0;
-                while done < count {
-                    let c = (count - done).min(WINDOW);
-                    for (m, slot) in idx[..c].iter_mut().enumerate() {
-                        *slot = vid - (done + m + 1) * rows;
-                    }
-                    aggregates.gather(ctx, &idx[..c], &mut agg[..c]);
-                    for &v in &agg[..c] {
-                        acc = acc.add(v);
-                    }
-                    done += c;
-                }
-                acc = acc.add(prefixes.read(ctx, term_j));
             }
             prefixes.write(ctx, vid, acc.add(aggregate));
             status.publish(ctx, vid, STATUS_PREFIX);

@@ -15,8 +15,7 @@ cargo build --release --workspace
 # against its committed copy in results/, so a change that moves a
 # paper-facing number (a counter, a modeled time, a table row) fails here
 # and names the file. Left out: results/trace.txt, which prints host wall
-# clock, and the ablations' dispatch-order block, whose Concurrent
-# look-back reads vary from run to run.
+# clock.
 check_artifact() { # <file in results/> <sat-cli arguments...>
   local file=$1
   shift
@@ -33,11 +32,7 @@ for figure in fig2 fig3 fig4 fig9; do
   check_artifact "$figure.txt" "$figure"
 done
 check_artifact f32_error.txt f32-error
-without_dispatch_order() { awk '/^Ablation: /{ skip = /dispatch-order/ } !skip'; }
-diff -u <(without_dispatch_order <results/ablations.txt) <(target/release/sat-cli ablations | without_dispatch_order) || {
-  echo "results/ablations.txt differs from sat-cli ablations" >&2
-  exit 1
-}
+check_artifact ablations.txt ablations
 
 cargo test --workspace -q
 cargo clippy --all-targets --workspace -- -D warnings
@@ -47,9 +42,9 @@ cargo clippy --all-targets --workspace -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Scalar-vs-batched accounting parity: every bulk fast path (warp
-# transactions, windowed look-back) must charge exactly what its scalar
-# expansion charges, for all eight kernels under every dispatch order and
-# for the cooperative look-back pipelines.
+# transactions) must charge exactly what its scalar expansion charges, for
+# all nine kernels under every dispatch order and for the cooperative
+# pipelines.
 # The parked-wait races depend on timing, so they run at release speed
 # too: the parking suite (with a remote wait inside a pool-run lane grid),
 # the concurrency suite (its caller wake-rule test, the twin of the lane
@@ -80,10 +75,31 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 # timed passes; it checks every output against reference::sat and every
 # call's counters against the first call of its configuration, so the last
 # stdout line reads "correct": true only if nothing failed.
+#
+# Each workload's modeled_ms is a function of its calls' deterministic
+# counters (a look-back walk is charged one step under any schedule), so it
+# is pinned exactly here: a model or counter change shows first in tier-1.
+# batch_tiny and coop_8k size their device groups by the host's cores
+# (nproc, capped at 2), so their pins hold only on hosts with at least 2
+# cores and are skipped on a one-core host.
+declare -A modeled_ms=(
+  [roster_seq]=20.80009581707246
+  [roster_conc]=20.80009581707246
+  [batch_tiny]=1.7940472248888855
+  [coop_8k]=13.867097464820578
+)
 for workload in roster_seq roster_conc batch_tiny coop_8k; do
   result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -n 1)
   case "$result" in
     *'"correct": true'*) ;;
     *) echo "perfbench $workload: not correct: $result" >&2; exit 1 ;;
   esac
+  case "$workload" in
+    batch_tiny | coop_8k) [ "$(nproc)" -ge 2 ] || continue ;;
+  esac
+  got=$(python3 -c 'import json, sys; print(repr(json.loads(sys.argv[1])["metrics"]["modeled_ms"]["value"]))' "$result")
+  if [ "$got" != "${modeled_ms[$workload]}" ]; then
+    echo "perfbench $workload: modeled_ms $got, pinned at ${modeled_ms[$workload]}" >&2
+    exit 1
+  fi
 done

@@ -1,29 +1,25 @@
 //! Scalar-vs-batched counter parity.
 //!
-//! The warp-transaction fast paths (bulk `GlobalBuffer` transfers,
-//! `gather`/`scatter`, windowed look-back) claim to be *pure host-side*
-//! optimizations: every batched operation charges exactly what its
-//! per-element scalar expansion would charge, through the same
+//! The warp-transaction fast paths (bulk `GlobalBuffer` transfers and the
+//! `SharedTile` whole-row and whole-tile operations) claim to be *pure
+//! host-side* optimizations: every batched operation charges exactly what
+//! its per-element scalar expansion would charge, through the same
 //! `BlockStats` accounting-sink methods. This suite proves the claim the
 //! strong way: it flips the process-global `force_scalar` switch — which
-//! makes every bulk operation execute its scalar expansion and every
-//! windowed look-back take the scalar walk — and asserts outputs and
-//! `deterministic()` counters are identical to the batched run, for all
-//! eight algorithms, several sizes, all dispatch orders, sequential and
-//! concurrent. At n = 128 (t = 16 tiles per side) a concurrent walk can
-//! run past one look-back window. The cooperative pipelines run the same
-//! comparison: the look-back ones with walks that leave their band and
-//! cross the interconnect, the eager-carry 2R1W with its carry grid's
-//! column windows.
+//! makes every bulk operation execute its scalar expansion — and asserts
+//! outputs and `deterministic()` counters are identical to the batched
+//! run, for all nine algorithms, several sizes, all dispatch orders,
+//! sequential and concurrent. A look-back walk is charged its first step
+//! only, however far the schedule made it walk, so concurrent runs compare
+//! exactly too. The cooperative pipelines run the same comparison: the
+//! look-back ones with walks that leave their band and cross the
+//! interconnect, the eager-carry 2R1W with its carry grid's column
+//! windows.
 //!
 //! `force_scalar` is process-global, so everything lives in ONE `#[test]`
 //! (Rust runs tests of a binary on parallel threads; a sibling test could
 //! otherwise observe the switch mid-run — harmless for correctness, since
 //! both paths charge identically, but it would defeat the comparison).
-//!
-//! As in `scheduling_parity`, the look-back algorithms' *read* side under
-//! a concurrent schedule legitimately depends on how far the walks ran, so
-//! those runs compare the schedule-independent subset.
 
 use gpu_sim::global::{force_scalar, set_force_scalar};
 use gpu_sim::metrics::BlockStats;
@@ -78,42 +74,19 @@ fn batched_and_scalar_paths_charge_identically() {
                     let scalar =
                         run_one(alg.as_ref(), mode, dispatch, &input, n, &expect, &tag);
                     set_force_scalar(false);
-                    let lookback = batched.flag_waits > 0;
-                    if lookback && mode == ExecMode::Concurrent {
-                        // Look-back read depth is schedule-dependent;
-                        // compare the schedule-independent subset.
-                        assert_eq!(scalar.global_writes, batched.global_writes, "{tag}: writes");
-                        assert_eq!(
-                            scalar.bytes_written, batched.bytes_written,
-                            "{tag}: write bytes"
-                        );
-                        assert_eq!(
-                            scalar.bank_conflict_cycles, batched.bank_conflict_cycles,
-                            "{tag}: bank conflicts"
-                        );
-                        assert_eq!(
-                            scalar.flag_publishes, batched.flag_publishes,
-                            "{tag}: publishes"
-                        );
-                    } else {
-                        assert_eq!(scalar, batched, "{tag}: scalar expansion drifted");
-                    }
+                    assert_eq!(scalar, batched, "{tag}: scalar expansion drifted");
                 }
             }
         }
     }
 
     // Cooperative SKSS-LB and SKSS-SH: one device runs four bands in
-    // order, so every band's first tile row walks into the band above,
-    // and the windowed walks must charge the remote rows exactly as the
-    // scalar walks do. The exact comparison needs a device that runs one
-    // block at a time: on a one-worker pool no band grid gets a helper, so
-    // the lane runs every block inline. With two workers a band grid may
-    // get one, and the look-back read side then follows the schedule, so
-    // that run compares the schedule-independent subset. Cooperative 2R1W
-    // charges the same counters under any schedule, so its carry grid's
-    // bulk column reads and writes are held to their scalar expansions on
-    // both pools.
+    // order, so every band's first tile row walks into the band above and
+    // charges the remote rows as D2D transfers, on a one-worker pool (no
+    // band grid gets a helper, so the lane runs every block inline) and on
+    // a two-worker one (a band grid may get a helper). Cooperative 2R1W's
+    // carry grid holds its bulk column reads and writes to their scalar
+    // expansions on both pools.
     let n = 64;
     let a = Matrix::<u32>::random(n, n, 0xC0B4D, 16);
     let expect = satcore::reference::sat(&a);
@@ -144,13 +117,6 @@ fn batched_and_scalar_paths_charge_identically() {
         let scalar = run(true);
         let tag = format!("{kernel:?} on {workers} worker(s)");
         assert!(batched.d2d_transfers > 0, "{tag}: nothing crossed the interconnect");
-        if workers == 1 || kernel == CoopKernel::TwoROneW {
-            assert_eq!(scalar, batched, "{tag}: cooperative scalar expansion drifted");
-        } else {
-            assert_eq!(scalar.global_writes, batched.global_writes, "{tag}: writes");
-            assert_eq!(scalar.bytes_written, batched.bytes_written, "{tag}: write bytes");
-            assert_eq!(scalar.bank_conflict_cycles, batched.bank_conflict_cycles, "{tag}: bank conflicts");
-            assert_eq!(scalar.flag_publishes, batched.flag_publishes, "{tag}: publishes");
-        }
+        assert_eq!(scalar, batched, "{tag}: cooperative scalar expansion drifted");
     }
 }

@@ -7,9 +7,12 @@
 //! loop it replaced, a migration altering an algorithm's access pattern —
 //! must fail here rather than silently shifting the paper's results.
 //!
-//! Goldens are captured in Sequential mode: the SKSS-LB look-back walks a
-//! schedule-dependent number of steps under concurrent execution, so only
-//! the sequential schedule gives bit-reproducible read counts.
+//! Goldens are captured in Sequential mode, where every look-back walk
+//! takes exactly the one step it is charged for. A concurrent walk may
+//! step further on the host, but only its first step is charged (the rest
+//! count `host_walk_steps`, which `deterministic()` masks), so these
+//! counters are also what every concurrent schedule charges;
+//! `tests/scheduling_parity.rs` holds that.
 
 use gpu_sim::global::GlobalBuffer;
 use gpu_sim::launch::{ExecMode, Gpu, LaunchConfig};
