@@ -5,10 +5,18 @@
 //! `d = I + J`:
 //!
 //! * **A** (`d < sqrt(r) * n/W`, the top-left triangle) — processed with
-//!   2R1W-style kernels (read twice, write once);
+//!   2R1W's kernels (read twice, write once);
 //! * **B** (the middle band) — processed with 1R1W diagonal waves;
-//! * **C** (the bottom-right triangle, mirror of A) — 2R1W-style again,
-//!   seeded with the `GRS`/`GCS`/`GS` values B left in global memory.
+//! * **C** (the bottom-right triangle, mirror of A) — 2R1W's kernels
+//!   again, seeded with the `GRS`/`GCS`/`GS` values B left in global
+//!   memory.
+//!
+//! All three phases share one [`TwoROneWAux`]. A and C run 2R1W's own
+//! Kernel 1 and Kernel 3 tile bodies over their triangles, and band B runs
+//! 1R1W's wave tile body. Only Kernel 2 is the hybrid's own
+//! (`accumulate_globals`): its scans carry in from outside the band and its
+//! `GS` pass reads band B's values back from global memory, where 2R1W's
+//! pieces scan from zero.
 //!
 //! Tiles in A and C are read twice, so total reads are
 //! `(1+r) n^2 + O(n^2/W)`; kernel calls drop to about
@@ -19,11 +27,11 @@ use gpu_sim::elem::DeviceElem;
 use gpu_sim::global::GlobalBuffer;
 use gpu_sim::launch::{BlockCtx, Gpu, LaunchConfig};
 use gpu_sim::metrics::RunMetrics;
-use gpu_sim::shared::Arrangement;
 
 use super::one_r_one_w::process_wave_tile;
+use super::two_r_one_w::{k1_tile, k3_tile, TwoROneWAux};
 use super::{SatAlgorithm, SatParams};
-use crate::tile::{load_tile, load_tile_with_col_sums, store_tile, tile_gsat_in_place, ScalarAux, TileGrid, VecAux};
+use crate::tile::TileGrid;
 
 /// The hybrid 2R1W / 1R1W algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -51,32 +59,6 @@ impl HybridR1W {
     }
 }
 
-/// Local sums of one tile, written to the aux arrays (the shared Kernel-1
-/// body of the A and C phases).
-#[allow(clippy::too_many_arguments)]
-fn local_sums_tile<T: DeviceElem>(
-    ctx: &mut BlockCtx,
-    input: &GlobalBuffer<T>,
-    grid: TileGrid,
-    ti: usize,
-    tj: usize,
-    lrs: &VecAux<T>,
-    lcs: &VecAux<T>,
-    ls: &ScalarAux<T>,
-) {
-    let (tile, lcs_v) = load_tile_with_col_sums(ctx, input, grid, ti, tj, Arrangement::Diagonal);
-    let mut lrs_v: Vec<T> = ctx.scratch(grid.w);
-    tile.row_sums_into(ctx, &mut lrs_v);
-    tile.release(ctx);
-    ctx.syncthreads();
-    let total = lcs_v.iter().fold(T::zero(), |a, &b| a.add(b));
-    lrs.write_vec(ctx, ti, tj, &lrs_v);
-    lcs.write_vec(ctx, ti, tj, &lcs_v);
-    ls.write(ctx, ti, tj, total);
-    ctx.recycle(lrs_v);
-    ctx.recycle(lcs_v);
-}
-
 /// The `(I, J)` tiles of tile-row `ti` whose diagonal lies in `diags`.
 fn row_range(grid: TileGrid, ti: usize, diags: &std::ops::Range<usize>) -> std::ops::Range<usize> {
     let lo = diags.start.saturating_sub(ti).min(grid.t);
@@ -84,23 +66,15 @@ fn row_range(grid: TileGrid, ti: usize, diags: &std::ops::Range<usize>) -> std::
     lo..hi.max(lo)
 }
 
-/// The shared Kernel-2 body of the A and C phases, parallelized like
-/// 2R1W's Kernel 2: blocks `0..t` scan tile-rows (`GRS`), blocks `t..2t`
-/// scan tile-columns (`GCS`), block `2t` runs the 2-D inclusion-exclusion
-/// over `LS`/`GS` in diagonal order. For the C phase, the boundary values
-/// just outside the band were written by the B waves.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_globals<T: DeviceElem>(
-    ctx: &mut BlockCtx,
-    grid: TileGrid,
-    diags: std::ops::Range<usize>,
-    lrs: &VecAux<T>,
-    lcs: &VecAux<T>,
-    grs: &VecAux<T>,
-    gcs: &VecAux<T>,
-    ls: &ScalarAux<T>,
-    gs: &ScalarAux<T>,
-) {
+/// The banded Kernel-2 body of the A and C phases over the tiles whose
+/// diagonal lies in `diags`, parallelized like 2R1W's Kernel 2: blocks
+/// `0..t` scan tile-rows (`GRS`), blocks `t..2t` scan tile-columns
+/// (`GCS`), block `2t` runs the 2-D inclusion-exclusion over `LS`/`GS` in
+/// diagonal order. Each scan starts from the value just outside the band,
+/// which for the C phase the B waves wrote.
+fn accumulate_globals<T: DeviceElem>(ctx: &mut BlockCtx, aux: &TwoROneWAux<T>, diags: std::ops::Range<usize>) {
+    let grid = aux.grid;
+    let TwoROneWAux { lrs, lcs, grs, gcs, ls, gs, .. } = aux;
     // Up to this many tile vectors per bulk transaction in the running
     // prefix below; the charges are identical to the per-tile loop (reads
     // and writes of the same `count * w` elements), only the host-side
@@ -174,34 +148,6 @@ fn accumulate_globals<T: DeviceElem>(
     }
 }
 
-/// GSAT of one tile from the carried borders (the shared Kernel-3 body).
-#[allow(clippy::too_many_arguments)]
-fn gsat_tile<T: DeviceElem>(
-    ctx: &mut BlockCtx,
-    input: &GlobalBuffer<T>,
-    output: &GlobalBuffer<T>,
-    grid: TileGrid,
-    ti: usize,
-    tj: usize,
-    grs: &VecAux<T>,
-    gcs: &VecAux<T>,
-    gs: &ScalarAux<T>,
-) {
-    let mut tile = load_tile(ctx, input, grid, ti, tj, Arrangement::Diagonal);
-    let left = if tj > 0 { Some(grs.read_vec(ctx, ti, tj - 1)) } else { None };
-    let top = if ti > 0 { Some(gcs.read_vec(ctx, ti - 1, tj)) } else { None };
-    let corner = if ti > 0 && tj > 0 { gs.read(ctx, ti - 1, tj - 1) } else { T::zero() };
-    tile_gsat_in_place(ctx, &mut tile, left.as_deref(), top.as_deref(), corner);
-    store_tile(ctx, output, grid, ti, tj, &tile);
-    tile.release(ctx);
-    if let Some(v) = left {
-        ctx.recycle(v);
-    }
-    if let Some(v) = top {
-        ctx.recycle(v);
-    }
-}
-
 impl<T: DeviceElem> SatAlgorithm<T> for HybridR1W {
     fn name(&self) -> String {
         format!("hybrid_r{:.2}_w{}", self.r, self.params.w)
@@ -214,12 +160,7 @@ impl<T: DeviceElem> SatAlgorithm<T> for HybridR1W {
         let da = self.split_diagonals(t);
         let last = grid.diagonals(); // 2t - 1 diagonals, indices 0..last
 
-        let lrs = VecAux::<T>::new(grid);
-        let lcs = VecAux::<T>::new(grid);
-        let grs = VecAux::<T>::new(grid);
-        let gcs = VecAux::<T>::new(grid);
-        let ls = ScalarAux::<T>::new(grid);
-        let gs = ScalarAux::<T>::new(grid);
+        let aux = TwoROneWAux::<T>::new(grid);
         let mut run = RunMetrics::default();
 
         let band_tiles = |lo: usize, hi: usize| -> Vec<(usize, usize)> {
@@ -231,14 +172,14 @@ impl<T: DeviceElem> SatAlgorithm<T> for HybridR1W {
             let a_tiles = band_tiles(0, da);
             run.push(gpu.launch(LaunchConfig::new("hybrid_a1", a_tiles.len(), tpb), |ctx| {
                 let (ti, tj) = a_tiles[ctx.block_idx()];
-                local_sums_tile(ctx, input, grid, ti, tj, &lrs, &lcs, &ls);
+                k1_tile(ctx, input, &aux, ti, tj);
             }));
             run.push(gpu.launch(LaunchConfig::new("hybrid_a2", 2 * t + 1, grid.w.min(tpb)), |ctx| {
-                accumulate_globals(ctx, grid, 0..da, &lrs, &lcs, &grs, &gcs, &ls, &gs);
+                accumulate_globals(ctx, &aux, 0..da);
             }));
             run.push(gpu.launch(LaunchConfig::new("hybrid_a3", a_tiles.len(), tpb), |ctx| {
                 let (ti, tj) = a_tiles[ctx.block_idx()];
-                gsat_tile(ctx, input, output, grid, ti, tj, &grs, &gcs, &gs);
+                k3_tile(ctx, input, output, &aux, ti, tj);
             }));
         }
 
@@ -248,7 +189,7 @@ impl<T: DeviceElem> SatAlgorithm<T> for HybridR1W {
             let label = format!("hybrid_b{d}");
             run.push(gpu.launch(LaunchConfig::new(label, tiles.len(), tpb), |ctx| {
                 let (ti, tj) = tiles[ctx.block_idx()];
-                process_wave_tile(ctx, input, output, grid, ti, tj, &grs, &gcs, &gs);
+                process_wave_tile(ctx, input, output, grid, ti, tj, &aux.grs, &aux.gcs, &aux.gs);
             }));
         }
 
@@ -257,14 +198,14 @@ impl<T: DeviceElem> SatAlgorithm<T> for HybridR1W {
             let c_tiles = band_tiles(last - da, last);
             run.push(gpu.launch(LaunchConfig::new("hybrid_c1", c_tiles.len(), tpb), |ctx| {
                 let (ti, tj) = c_tiles[ctx.block_idx()];
-                local_sums_tile(ctx, input, grid, ti, tj, &lrs, &lcs, &ls);
+                k1_tile(ctx, input, &aux, ti, tj);
             }));
             run.push(gpu.launch(LaunchConfig::new("hybrid_c2", 2 * t + 1, grid.w.min(tpb)), |ctx| {
-                accumulate_globals(ctx, grid, last - da..last, &lrs, &lcs, &grs, &gcs, &ls, &gs);
+                accumulate_globals(ctx, &aux, last - da..last);
             }));
             run.push(gpu.launch(LaunchConfig::new("hybrid_c3", c_tiles.len(), tpb), |ctx| {
                 let (ti, tj) = c_tiles[ctx.block_idx()];
-                gsat_tile(ctx, input, output, grid, ti, tj, &grs, &gcs, &gs);
+                k3_tile(ctx, input, output, &aux, ti, tj);
             }));
         }
 

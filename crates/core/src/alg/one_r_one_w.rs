@@ -17,10 +17,7 @@ use gpu_sim::metrics::RunMetrics;
 use gpu_sim::shared::Arrangement;
 
 use super::{SatAlgorithm, SatParams};
-use crate::tile::{
-    load_tile_with_col_sums, store_tile, tile_gsat_in_place, ScalarAux, TileGrid, VecAux,
-    MAX_STACK_W,
-};
+use crate::tile::{load_tile_with_sums, tile_gsat_store, ScalarAux, TileGrid, VecAux, MAX_STACK_W};
 
 /// Diagonal-wave tile SAT: one kernel per anti-diagonal.
 #[derive(Debug, Clone, Copy)]
@@ -50,9 +47,7 @@ pub(crate) fn process_wave_tile<T: DeviceElem>(
     gcs: &VecAux<T>,
     gs: &ScalarAux<T>,
 ) {
-    let (mut tile, lcs_v) = load_tile_with_col_sums(ctx, input, grid, ti, tj, Arrangement::Diagonal);
-    let mut lrs_v: Vec<T> = ctx.scratch_overwrite(grid.w);
-    tile.row_sums_into(ctx, &mut lrs_v);
+    let (mut tile, lcs_v, lrs_v) = load_tile_with_sums(ctx, input, grid, ti, tj, Arrangement::Diagonal);
     ctx.syncthreads();
 
     let mut lbuf = [T::zero(); MAX_STACK_W];
@@ -80,11 +75,10 @@ pub(crate) fn process_wave_tile<T: DeviceElem>(
     gcs.write_vec(ctx, ti, tj, &gcs_cur);
     ctx.recycle(gcs_cur);
 
-    tile_gsat_in_place(ctx, &mut tile, left, top, corner);
+    tile_gsat_store(ctx, &mut tile, left, top, corner, output, grid, ti, tj);
     // GS(I,J) is the bottom-right corner of GSAT(I,J) (paper §III-B).
     let gs_cur = tile.get(ctx, grid.w - 1, grid.w - 1);
     gs.write(ctx, ti, tj, gs_cur);
-    store_tile(ctx, output, grid, ti, tj, &tile);
     tile.release(ctx);
 }
 

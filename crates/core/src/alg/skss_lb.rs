@@ -643,7 +643,7 @@ mod tests {
         let a = Matrix::<u32>::random(n, n, 56, 10);
         let (_, run) = compute_sat(&gpu, &alg(w), &a);
         let tiles = ((n / w) * (n / w)) as u64;
-        // tile_gsat_in_place issues 3; plus the post-load barrier = 4
+        // tile_gsat_store issues 3; plus the post-load barrier = 4
         // structural barriers in this implementation. The count must be
         // exactly proportional to the tile count.
         assert_eq!(run.total_stats().barriers % tiles, 0);

@@ -155,7 +155,7 @@ impl<T: DeviceElem> SatAlgorithm<T> for SkssSh {
                     return;
                 }
                 let (ti, tj) = tile_for_serial(serial, t);
-                process_tile_systolic(ctx, input, output, &state, ti, tj, 0);
+                process_tile_systolic(ctx, input, output, &state, ti, tj);
             }
         }));
         run
@@ -164,17 +164,14 @@ impl<T: DeviceElem> SatAlgorithm<T> for SkssSh {
 
 /// The register-systolic tile pipeline for one tile: load into registers,
 /// shuffle-only local sums, the SKSS-LB flag/look-back protocol, and the
-/// Kogge-Stone intra-tile SAT. Shared by the one-shot [`SkssSh::run`] loop
-/// (`d2d_below = 0`) and the cooperative band decomposition in
-/// [`crate::coop`], exactly like [`super::skss_lb::process_tile`].
-pub(crate) fn process_tile_systolic<T: DeviceElem>(
+/// Kogge-Stone intra-tile SAT.
+fn process_tile_systolic<T: DeviceElem>(
     ctx: &mut BlockCtx,
     input: &GlobalBuffer<T>,
     output: &GlobalBuffer<T>,
     state: &State<T>,
     ti: usize,
     tj: usize,
-    d2d_below: usize,
 ) {
     let grid = state.grid;
     let w = grid.w;
@@ -201,7 +198,7 @@ pub(crate) fn process_tile_systolic<T: DeviceElem>(
     }
 
     // Steps 2–3: SKSS-LB's publications and look-back walks, verbatim.
-    let (grs_left, gcs_top, gs_prev) = state.propagate(ctx, ti, tj, &lrs_v, lcs_v, true, d2d_below);
+    let (grs_left, gcs_top, gs_prev) = state.propagate(ctx, ti, tj, &lrs_v, lcs_v, true, 0);
 
     // Step 4: borders folded straight into registers (free, as
     // all register arithmetic), in the same order the shared

@@ -28,8 +28,9 @@ use crate::tile::{
 /// The auxiliary device arrays of one 2R1W run (local and global row /
 /// column / tile sums), bundled so the kernel bodies can be shared between
 /// [`TwoROneW::run`], the one per-image path (the batch calls in
-/// [`crate::batch`] run it per image), and the cooperative bands in
-/// [`crate::coop`].
+/// [`crate::batch`] run it per image), the cooperative bands in
+/// [`crate::coop`], and the (1+r)R1W hybrid ([`super::hybrid`]), whose
+/// three phases all run on one of these.
 pub struct TwoROneWAux<T: DeviceElem> {
     /// Tile decomposition the arrays are sized for.
     pub grid: TileGrid,
@@ -64,7 +65,8 @@ fn k1_local_sums<T: DeviceElem>(ctx: &mut BlockCtx, input: &GlobalBuffer<T>, aux
 }
 
 /// Kernel 1 for one explicit tile — the unit [`crate::coop`] dispatches
-/// with band-local block indices.
+/// with band-local block indices, and the hybrid's A1 and C1 kernels over
+/// their triangles.
 pub(crate) fn k1_tile<T: DeviceElem>(
     ctx: &mut BlockCtx,
     input: &GlobalBuffer<T>,
@@ -93,7 +95,8 @@ fn k2_global_sums<T: DeviceElem>(ctx: &mut BlockCtx, aux: &TwoROneWAux<T>) {
     if b < t {
         k2_row_scan(ctx, aux, b);
     } else if b < 2 * t {
-        k2_col_scan(ctx, aux, b - t, 0, t);
+        let sum = k2_col_scan(ctx, aux, b - t, 0, t);
+        ctx.recycle(sum);
     } else {
         k2_grid(ctx, aux, 0, t);
     }
@@ -120,14 +123,16 @@ pub(crate) fn k2_row_scan<T: DeviceElem>(ctx: &mut BlockCtx, aux: &TwoROneWAux<T
 /// Kernel 2 column piece over tile-rows `ti0..ti1`: prefix-sum `LCS` down
 /// tile-column `tj` into `GCS`, starting from zero at `ti0`. The one-shot
 /// path uses the full range `(0, t)`; a cooperative band scans only its own
-/// rows and lets the carry exchange upgrade the result to global.
+/// rows and lets the carry exchange upgrade the result to global. Returns
+/// the running sum, a scratch vector equal to the last `GCS` row written
+/// (`GCS(ti1 - 1, tj)`), for the caller to recycle.
 pub(crate) fn k2_col_scan<T: DeviceElem>(
     ctx: &mut BlockCtx,
     aux: &TwoROneWAux<T>,
     tj: usize,
     ti0: usize,
     ti1: usize,
-) {
+) -> Vec<T> {
     let grid = aux.grid;
     let mut acc: Vec<T> = ctx.scratch(grid.w);
     let mut v: Vec<T> = ctx.scratch(grid.w);
@@ -138,8 +143,8 @@ pub(crate) fn k2_col_scan<T: DeviceElem>(
         }
         aux.gcs.write_vec(ctx, ti, tj, &acc);
     }
-    ctx.recycle(acc);
     ctx.recycle(v);
+    acc
 }
 
 /// Kernel 2 grid piece over tile-rows `ti0..ti1`: SAT of the `LS` subgrid
@@ -181,8 +186,9 @@ fn k3_gsat<T: DeviceElem>(
 
 /// Kernel 3 for one explicit tile. Reads whatever `GRS`/`GCS`/`GS` hold at
 /// the tile's borders — the cooperative publish block and carry grid
-/// rewrite those rows to global values first, so this body is shared
-/// unchanged.
+/// rewrite those rows to global values first, and the hybrid's Kernel 2
+/// and B waves leave global values there, so this body is shared
+/// unchanged by [`crate::coop`] and the hybrid's A3 and C3 kernels.
 pub(crate) fn k3_tile<T: DeviceElem>(
     ctx: &mut BlockCtx,
     input: &GlobalBuffer<T>,

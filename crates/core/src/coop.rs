@@ -16,10 +16,11 @@
 //! * [`CoopKernel::TwoROneW`] — an **eager carry exchange**. Each band
 //!   runs k1 and a band-local k2 (full-width row scans; column and grid
 //!   scans restricted to its rows). Each column-scan block also copies its
-//!   segment of the band's total column sums (the last band-local `GCS`
-//!   row, `n` elements in all) into a peer-visible bounds buffer. A
-//!   one-block *publish* kernel then charges that row as one
-//!   [`charge_d2d`] transfer and raises the band's flag. For band `d > 0`
+//!   segment of the band's total column sums (its running sum, which is the
+//!   last band-local `GCS` row, `n` elements in all) into a peer-visible
+//!   bounds buffer, reading nothing back. A one-block *publish* kernel then
+//!   charges that row as one [`charge_d2d`] transfer and raises the band's
+//!   flag. For band `d > 0`
 //!   the same block remote-waits on bands `0..d`, charges one transfer per
 //!   pulled boundary row, and folds the carry's column prefix into `GS`
 //!   tile-row `r0 - 1`. It moves no other data. A *carry* grid, one block
@@ -33,11 +34,11 @@
 //!   reads, writes, transfers, and flag waits are identical for any
 //!   device count, dispatch order, and host schedule.
 //!
-//! * [`CoopKernel::SkssLb`] / [`CoopKernel::SkssSh`] — the paper's
-//!   **look-back protocol stretched across devices**. All bands share one
-//!   full-grid [`State`]; a band's blocks claim its tiles in band-local
-//!   column-major order and run the unmodified per-tile protocol with
-//!   `d2d_below` set to the band's first tile row. Look-back walks that
+//! * [`CoopKernel::SkssLb`] — the paper's **look-back protocol stretched
+//!   across devices**. All bands share one full-grid [`State`]; a band's
+//!   blocks claim its tiles in band-local column-major order and run
+//!   SKSS-LB's unmodified per-tile protocol with `d2d_below` set to the
+//!   band's first tile row. Look-back walks that
 //!   step above that row wait on the remote band's flags with
 //!   [`wait_at_least_remote`] and fetch its `LCS`/`GCS`/`GLS`/`GS` values
 //!   over the interconnect — soft synchronization between devices with no
@@ -102,7 +103,6 @@ use gpu_sim::shared::Arrangement;
 use gpu_sim::sync::{DeviceCounter, StatusBoard};
 
 use crate::alg::skss_lb::{self, State};
-use crate::alg::skss_sh;
 use crate::alg::two_r_one_w::{self, TwoROneWAux};
 use crate::alg::SatParams;
 use crate::tile::TileGrid;
@@ -121,8 +121,6 @@ pub enum CoopKernel {
     TwoROneW,
     /// Single-kernel SKSS-LB with cross-device look-back.
     SkssLb,
-    /// Shuffle-only software-systolic variant, same cross-device protocol.
-    SkssSh,
 }
 
 impl CoopKernel {
@@ -131,7 +129,6 @@ impl CoopKernel {
         match self {
             CoopKernel::TwoROneW => "coop_2r1w",
             CoopKernel::SkssLb => "coop_skss_lb",
-            CoopKernel::SkssSh => "coop_skss_sh",
         }
     }
 }
@@ -245,7 +242,7 @@ pub fn sat_huge_multi_device_bands<T: DeviceElem>(
 
     let gm = match kernel {
         CoopKernel::TwoROneW => run_coop_2r1w(group, params, input, output, grid, &bands),
-        CoopKernel::SkssLb | CoopKernel::SkssSh => run_coop_skss(group, params, kernel, input, output, grid, &bands),
+        CoopKernel::SkssLb => run_coop_skss(group, params, input, output, grid, &bands),
     };
     let report = CoopReport {
         n,
@@ -262,9 +259,9 @@ pub fn sat_huge_multi_device_bands<T: DeviceElem>(
 /// band `d`'s publish block overwrites `GS` tile-row `r0 - 1` and its
 /// carry grid overwrites `GCS` row `r0 - 1` and adds to both arrays' rows
 /// `r0 .. r1-2`, all after waiting on flag `d - 1`; its own k3 reads
-/// exactly rows `r0-1 .. r1-2`. Band `d`'s k2 wrote and re-read row
-/// `r1 - 1` *before* its publish raised flag `d`, and that row is the one
-/// band `d + 1` overwrites *after* waiting on flag `d`. No two bands ever
+/// exactly rows `r0-1 .. r1-2`. Band `d`'s k2 wrote row `r1 - 1` *before*
+/// its publish raised flag `d`, and that row is the one band `d + 1`
+/// overwrites *after* waiting on flag `d`. No two bands ever
 /// touch the same row unordered.
 fn run_coop_2r1w<T: DeviceElem>(
     group: &DeviceGroup,
@@ -303,22 +300,19 @@ fn run_coop_2r1w<T: DeviceElem>(
 
         // Band-local k2: h full-width row scans (GRS is already global),
         // t column scans over the band's rows, one band GS grid scan. Each
-        // column scan then reads its segment of the band's last GCS row
-        // back (`k2_col_scan` keeps its running sum private) and copies it
-        // into the band's `bounds` row.
+        // column scan then copies its running sum, its segment of the
+        // band's last GCS row, into the band's `bounds` row.
         rm.push(gpu.launch(LaunchConfig::new("coop_2r1w_k2", h + t + 1, stpb), |ctx| {
             let b = ctx.block_idx();
             if b < h {
                 two_r_one_w::k2_row_scan(ctx, &aux, r0 + b);
             } else if b < h + t {
                 let tj = b - h;
-                two_r_one_w::k2_col_scan(ctx, &aux, tj, r0, r1);
-                let mut row: Vec<T> = ctx.scratch_overwrite(w);
-                aux.gcs.read_vec_into(ctx, r1 - 1, tj, &mut row);
-                for (x, &v) in row.iter().enumerate() {
+                let sum = two_r_one_w::k2_col_scan(ctx, &aux, tj, r0, r1);
+                for (x, &v) in sum.iter().enumerate() {
                     bounds.host_write(d * n + tj * w + x, v);
                 }
-                ctx.recycle(row);
+                ctx.recycle(sum);
             } else {
                 two_r_one_w::k2_grid(ctx, &aux, r0, r1);
             }
@@ -394,28 +388,22 @@ fn run_coop_2r1w<T: DeviceElem>(
 fn run_coop_skss<T: DeviceElem>(
     group: &DeviceGroup,
     params: SatParams,
-    kernel: CoopKernel,
     input: &GlobalBuffer<T>,
     output: &GlobalBuffer<T>,
     grid: TileGrid,
     bands: &[BandPlan],
 ) -> GroupMetrics {
-    let (t, w) = (grid.t, grid.w);
+    let t = grid.t;
     let state = State::<T>::new(grid);
-    let systolic = kernel == CoopKernel::SkssSh;
-    let label = kernel.name();
 
     let run_band = |gpu: &Gpu, band: &BandPlan| -> RunMetrics {
         let h = band.r1 - band.r0;
-        let tpb = if systolic { w } else { params.threads_per_block.min(gpu.config().max_threads_per_block) };
+        let tpb = params.threads_per_block.min(gpu.config().max_threads_per_block);
         // The band's own wavefront spans h + t - 1 anti-diagonals; the
         // cross-band dependency is priced by the remote waits and D2D
         // charges the walks themselves record.
         let cp = CriticalPath { hops: (h + t - 1) as u64, bytes_per_hop: 0 };
-        let mut lc = LaunchConfig::new(label, h * t, tpb).with_critical_path(cp);
-        if systolic {
-            lc = lc.with_ilp(w);
-        }
+        let lc = LaunchConfig::new(CoopKernel::SkssLb.name(), h * t, tpb).with_critical_path(cp);
         let counter = DeviceCounter::new();
         let mut rm = RunMetrics::default();
         rm.push(gpu.launch(lc, |ctx| loop {
@@ -424,11 +412,7 @@ fn run_coop_skss<T: DeviceElem>(
                 return;
             }
             let (ti, tj) = band.order(s);
-            if systolic {
-                skss_sh::process_tile_systolic(ctx, input, output, &state, ti, tj, band.r0);
-            } else {
-                skss_lb::process_tile(ctx, input, output, &state, ti, tj, Arrangement::Diagonal, true, band.r0);
-            }
+            skss_lb::process_tile(ctx, input, output, &state, ti, tj, Arrangement::Diagonal, true, band.r0);
         }));
         rm
     };
@@ -439,6 +423,8 @@ fn run_coop_skss<T: DeviceElem>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alg::compute_sat;
+    use crate::alg::two_r_one_w::TwoROneW;
     use crate::matrix::Matrix;
     use crate::reference;
     use gpu_sim::prelude::*;
@@ -495,6 +481,27 @@ mod tests {
     }
 
     #[test]
+    fn one_band_2r1w_charges_plain_2r1w_plus_its_publish() {
+        // One band runs plain 2R1W's three kernels plus the publish block,
+        // which charges one D2D transfer of the band's n-element bounds row
+        // and raises one flag. The bounds row comes from the column scans'
+        // running sums, so k2 reads nothing back.
+        let (n, w) = (64, 8);
+        let mat = Matrix::<u64>::random(n, n, 41, 100);
+        let (out, rep, _) = coop_run(CoopKernel::TwoROneW, 1, &mat, &[n / w], w);
+        assert_eq!(out, reference::sat(&mat));
+        assert_eq!(rep.kernels, 4);
+        let gpu = Gpu::new(DeviceConfig::tiny());
+        let plain = TwoROneW::new(SatParams { w, threads_per_block: w * w });
+        let (_, run) = compute_sat(&gpu, &plain, &mat);
+        let mut want = run.total_stats().deterministic();
+        want.d2d_transfers += 1;
+        want.d2d_bytes += n as u64 * 8;
+        want.flag_publishes += 1;
+        assert_eq!(rep.deterministic(), want);
+    }
+
+    #[test]
     fn coop_2r1w_skewed_bands_are_exact() {
         let n = 48;
         let w = 8; // t = 6
@@ -513,14 +520,12 @@ mod tests {
         let mat = Matrix::<u64>::random(n, n, 37, 100);
         let want = reference::sat(&mat);
         let bands = even_bands(n / w, 4);
-        for kernel in [CoopKernel::SkssLb, CoopKernel::SkssSh] {
-            let (out1, rep1, _) = coop_run(kernel, 1, &mat, &bands, w);
-            assert_eq!(out1, want, "{kernel:?} single device");
-            for devices in [2, 4] {
-                let (out, rep, _) = coop_run(kernel, devices, &mat, &bands, w);
-                assert_eq!(out, want, "{kernel:?} {devices} devices");
-                assert_eq!(rep.deterministic(), rep1.deterministic(), "{kernel:?} {devices} devices");
-            }
+        let (out1, rep1, _) = coop_run(CoopKernel::SkssLb, 1, &mat, &bands, w);
+        assert_eq!(out1, want, "single device");
+        for devices in [2, 4] {
+            let (out, rep, _) = coop_run(CoopKernel::SkssLb, devices, &mat, &bands, w);
+            assert_eq!(out, want, "{devices} devices");
+            assert_eq!(rep.deterministic(), rep1.deterministic(), "{devices} devices");
         }
     }
 }

@@ -202,13 +202,6 @@ impl<T: DeviceElem> VecAux<T> {
         self.grid.tile_index(ti, tj) * self.grid.w
     }
 
-    /// Coalesced read of tile `(I,J)`'s vector.
-    pub fn read_vec(&self, ctx: &mut BlockCtx, ti: usize, tj: usize) -> Vec<T> {
-        let mut v = ctx.scratch_overwrite(self.grid.w);
-        self.buf.load_row(ctx, self.base(ti, tj), &mut v);
-        v
-    }
-
     /// Coalesced read of tile `(I,J)`'s vector into a caller buffer.
     pub fn read_vec_into(&self, ctx: &mut BlockCtx, ti: usize, tj: usize, dst: &mut [T]) {
         assert_eq!(dst.len(), self.grid.w);
@@ -217,8 +210,9 @@ impl<T: DeviceElem> VecAux<T> {
 
     /// Coalesced read of tile `(I,J)`'s vector into a caller-provided
     /// stack buffer, returning the filled `w`-long prefix. Accounting is
-    /// identical to [`VecAux::read_vec`]; the stack storage just avoids a
-    /// round-trip through the scratch arena on the per-tile hot path.
+    /// identical to [`VecAux::read_vec_into`]; the stack storage just
+    /// avoids a round-trip through the scratch arena on the per-tile hot
+    /// path.
     /// Shared-memory capacity caps realistic tile widths far below
     /// [`MAX_STACK_W`].
     pub fn read_vec_stack<'b>(
@@ -345,26 +339,13 @@ pub fn load_tile<T: DeviceElem>(
     tile
 }
 
-/// [`load_tile`] computing the tile's column sums (`LCS`) during the copy
-/// — Step 1 of the shared-memory column-wise/row-wise sum algorithm, which
-/// gets the column sums "for free" while the data streams past.
-pub fn load_tile_with_col_sums<T: DeviceElem>(
-    ctx: &mut BlockCtx,
-    input: &GlobalBuffer<T>,
-    grid: TileGrid,
-    ti: usize,
-    tj: usize,
-    arrangement: Arrangement,
-) -> (SharedTile<T>, Vec<T>) {
-    let mut tile = SharedTile::alloc_scratch_uninit(ctx, grid.w, arrangement);
-    let mut col_sums: Vec<T> = ctx.scratch_overwrite(grid.w);
-    tile.load_from_global_with_col_sums(ctx, input, grid.elem_offset(ti, tj, 0, 0), grid.n, &mut col_sums);
-    (tile, col_sums)
-}
-
-/// [`load_tile_with_col_sums`] also producing the tile's row sums (`LRS`)
-/// in the same streaming pass. Values and counters are bit-identical to
-/// the unfused load + [`SharedTile::row_sums_into`] sequence.
+/// [`load_tile`] computing the tile's column sums (`LCS`) and row sums
+/// (`LRS`) during the copy — Step 1 of the shared-memory
+/// column-wise/row-wise sum algorithm, which gets the sums "for free" while
+/// the data streams past. Returns `(tile, LCS, LRS)`. Values and counters
+/// are bit-identical to [`load_tile`] with column sums taken over the
+/// loaded data (unaccounted, as reading the staging buffer would be)
+/// followed by [`SharedTile::row_sums_into`].
 pub fn load_tile_with_sums<T: DeviceElem>(
     ctx: &mut BlockCtx,
     input: &GlobalBuffer<T>,
@@ -424,30 +405,15 @@ pub fn apply_borders<T: DeviceElem>(
     }
 }
 
-/// Compute `GSAT(I,J)` in shared memory given the tile data and its
-/// carried borders, returning the tile ready to store. This is the
-/// composite the 1R1W-family algorithms run per tile.
-pub fn tile_gsat_in_place<T: DeviceElem>(
-    ctx: &mut BlockCtx,
-    tile: &mut SharedTile<T>,
-    left: Option<&[T]>,
-    top: Option<&[T]>,
-    corner: T,
-) {
-    apply_borders(ctx, tile, left, top, corner);
-    ctx.syncthreads();
-    tile.sat_in_place(ctx);
-    // The fused scan stands in for two barrier-separated passes; charge
-    // both barriers so the counters match the unfused sequence.
-    ctx.syncthreads();
-    ctx.syncthreads();
-}
-
-/// [`tile_gsat_in_place`] fused with the store of the finished `GSAT`
-/// tile back to global memory — the column-accumulation pass writes each
-/// finalized row straight out instead of staging it and copying in a
-/// separate [`store_tile`] pass. Output values and counters are
-/// bit-identical to `tile_gsat_in_place` followed by `store_tile`.
+/// Compute `GSAT(I,J)` in shared memory from the tile data and its
+/// carried borders, and store it to tile `(I,J)` of `output` — the
+/// composite 2R1W's Kernel 3 and 1R1W's waves run per tile. The
+/// column-accumulation pass writes each finalized row straight out instead
+/// of staging the tile and copying it in a separate [`store_tile`] pass.
+/// The tile keeps the finished `GSAT` block. Output values and counters
+/// are bit-identical to the unfused sequence [`apply_borders`],
+/// [`SharedTile::scan_rows`], [`SharedTile::scan_cols`], [`store_tile`]
+/// with a barrier after each of the first three steps.
 #[allow(clippy::too_many_arguments)]
 pub fn tile_gsat_store<T: DeviceElem>(
     ctx: &mut BlockCtx,
@@ -556,8 +522,7 @@ mod tests {
         let gs = sums.gs(0, 0);
         gpu.launch(LaunchConfig::new("tile", 1, 16), |ctx| {
             let mut tile = load_tile(ctx, &input, grid, 1, 1, Arrangement::Diagonal);
-            tile_gsat_in_place(ctx, &mut tile, Some(&grs), Some(&gcs), gs);
-            store_tile(ctx, &output, grid, 1, 1, &tile);
+            tile_gsat_store(ctx, &mut tile, Some(&grs), Some(&gcs), gs, &output, grid, 1, 1);
         });
         let expect = sums.gsat(1, 1);
         let got = Matrix::from_device(&output, n, n);
@@ -569,62 +534,82 @@ mod tests {
     }
 
     #[test]
-    fn load_with_col_sums_matches_lcs() {
+    fn load_with_sums_matches_lcs_and_lrs() {
         let n = 8;
         let a = sample(n);
         let grid = TileGrid::new(n, 4);
         let gpu = Gpu::new(DeviceConfig::tiny());
         let input = a.to_device();
-        let lcs_out = GlobalBuffer::<u64>::zeroed(4);
-        let sums = TileSums::new(&a, grid);
-        gpu.launch(LaunchConfig::new("lcs", 1, 16), |ctx| {
-            let (_tile, lcs) = load_tile_with_col_sums(ctx, &input, grid, 1, 0, Arrangement::Diagonal);
-            lcs_out.store_row(ctx, 0, &lcs);
+        let sums_out = GlobalBuffer::<u64>::zeroed(8);
+        let oracle = TileSums::new(&a, grid);
+        gpu.launch(LaunchConfig::new("sums", 1, 16), |ctx| {
+            let (_tile, lcs, lrs) = load_tile_with_sums(ctx, &input, grid, 1, 0, Arrangement::Diagonal);
+            sums_out.store_row(ctx, 0, &lcs);
+            sums_out.store_row(ctx, 4, &lrs);
         });
-        assert_eq!(lcs_out.to_vec(), sums.lcs(1, 0));
+        let got = sums_out.to_vec();
+        assert_eq!(got[..4], oracle.lcs(1, 0));
+        assert_eq!(got[4..], oracle.lrs(1, 0));
+    }
+
+    /// Tile `(1, 1)` of `a` through the fused load and GSAT store
+    /// (`fused`), or through the unfused reference steps they stand in
+    /// for: returns the output, the tile's `LCS` and `LRS`, and the
+    /// launch's deterministic counters.
+    fn gsat_tile_run<T: DeviceElem>(a: &Matrix<T>, fused: bool) -> (Vec<T>, Vec<T>, BlockStats) {
+        let n = a.rows();
+        let grid = TileGrid::new(n, 4);
+        let input = a.to_device();
+        let sums = TileSums::new(a, grid);
+        let (grs, gcs, gs) = (sums.grs(1, 0), sums.gcs(0, 1), sums.gs(0, 0));
+        let gpu = Gpu::new(DeviceConfig::tiny());
+        let output = GlobalBuffer::<T>::zeroed(n * n);
+        let sums_out = GlobalBuffer::<T>::zeroed(8);
+        let m = gpu.launch(LaunchConfig::new("fuse", 1, 16), |ctx| {
+            if fused {
+                let (mut tile, lcs, lrs) = load_tile_with_sums(ctx, &input, grid, 1, 1, Arrangement::Diagonal);
+                sums_out.store_row(ctx, 0, &lcs);
+                sums_out.store_row(ctx, 4, &lrs);
+                tile_gsat_store(ctx, &mut tile, Some(&grs), Some(&gcs), gs, &output, grid, 1, 1);
+            } else {
+                let mut tile = load_tile(ctx, &input, grid, 1, 1, Arrangement::Diagonal);
+                let mut lcs = vec![T::zero(); 4];
+                for i in 0..4 {
+                    for (j, s) in lcs.iter_mut().enumerate() {
+                        *s = s.add(tile.peek(i, j));
+                    }
+                }
+                let mut lrs = vec![T::zero(); 4];
+                tile.row_sums_into(ctx, &mut lrs);
+                sums_out.store_row(ctx, 0, &lcs);
+                sums_out.store_row(ctx, 4, &lrs);
+                apply_borders(ctx, &mut tile, Some(&grs), Some(&gcs), gs);
+                ctx.syncthreads();
+                tile.scan_rows(ctx);
+                ctx.syncthreads();
+                tile.scan_cols(ctx);
+                ctx.syncthreads();
+                store_tile(ctx, &output, grid, 1, 1, &tile);
+            }
+        });
+        (output.to_vec(), sums_out.to_vec(), m.stats.deterministic())
     }
 
     #[test]
     fn fused_load_and_gsat_store_match_unfused_values_and_counters() {
-        let n = 8;
-        let a = sample(n);
-        let grid = TileGrid::new(n, 4);
-        let input = a.to_device();
-        let sums = TileSums::new(&a, grid);
-        let grs = sums.grs(1, 0);
-        let gcs = sums.gcs(0, 1);
-        let gs = sums.gs(0, 0);
-
-        let run = |fused: bool| {
-            let gpu = Gpu::new(DeviceConfig::tiny());
-            let output = GlobalBuffer::<u64>::zeroed(n * n);
-            let sums_out = GlobalBuffer::<u64>::zeroed(8);
-            let m = gpu.launch(LaunchConfig::new("fuse", 1, 16), |ctx| {
-                if fused {
-                    let (mut tile, lcs, lrs) =
-                        load_tile_with_sums(ctx, &input, grid, 1, 1, Arrangement::Diagonal);
-                    sums_out.store_row(ctx, 0, &lcs);
-                    sums_out.store_row(ctx, 4, &lrs);
-                    tile_gsat_store(ctx, &mut tile, Some(&grs), Some(&gcs), gs, &output, grid, 1, 1);
-                } else {
-                    let (mut tile, lcs) =
-                        load_tile_with_col_sums(ctx, &input, grid, 1, 1, Arrangement::Diagonal);
-                    let mut lrs = vec![0u64; 4];
-                    tile.row_sums_into(ctx, &mut lrs);
-                    sums_out.store_row(ctx, 0, &lcs);
-                    sums_out.store_row(ctx, 4, &lrs);
-                    tile_gsat_in_place(ctx, &mut tile, Some(&grs), Some(&gcs), gs);
-                    store_tile(ctx, &output, grid, 1, 1, &tile);
-                }
-            });
-            (output.to_vec(), sums_out.to_vec(), m.stats.deterministic())
-        };
-
-        let (out_f, sums_f, det_f) = run(true);
-        let (out_u, sums_u, det_u) = run(false);
-        assert_eq!(out_f, out_u);
-        assert_eq!(sums_f, sums_u);
-        assert_eq!(det_f, det_u, "fused paths must charge exactly the unfused counters");
+        fn check<T: DeviceElem>(a: &Matrix<T>, tag: &str) {
+            let (out_f, sums_f, det_f) = gsat_tile_run(a, true);
+            let (out_u, sums_u, det_u) = gsat_tile_run(a, false);
+            let same_bits =
+                |x: &[T], y: &[T]| x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits());
+            assert!(same_bits(&out_f, &out_u), "{tag}: GSAT {out_f:?} vs {out_u:?}");
+            assert!(same_bits(&sums_f, &sums_u), "{tag}: sums {sums_f:?} vs {sums_u:?}");
+            assert_eq!(det_f, det_u, "{tag}: fused paths must charge exactly the unfused counters");
+        }
+        check(&sample(8), "u64");
+        // Fractions over magnitudes 1 to 2^24, so a reordered float add
+        // changes bits.
+        check(&Matrix::<f32>::from_fn(8, 8, |i, j| (((i + 2 * j) % 5) as f32 * 6.0).exp2() + 0.1 * j as f32), "f32");
     }
 
     #[test]
@@ -635,8 +620,9 @@ mod tests {
         let saux = ScalarAux::<u64>::new(grid);
         gpu.launch(LaunchConfig::new("aux", 1, 16), |ctx| {
             vaux.write_vec(ctx, 1, 0, &[1, 2, 3, 4]);
-            let v = vaux.read_vec(ctx, 1, 0);
-            assert_eq!(v, vec![1, 2, 3, 4]);
+            let mut v = [0u64; 4];
+            vaux.read_vec_into(ctx, 1, 0, &mut v);
+            assert_eq!(v, [1, 2, 3, 4]);
             saux.write(ctx, 0, 1, 99);
             assert_eq!(saux.read(ctx, 0, 1), 99);
         });

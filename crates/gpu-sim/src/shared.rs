@@ -66,19 +66,13 @@ impl<T: DeviceElem> SharedTile<T> {
 
     /// Allocate like [`SharedTile::alloc`], but draw the backing store
     /// from the worker's scratch arena so repeated tile allocations across
-    /// blocks reuse one heap buffer. Pair with [`SharedTile::release`].
-    pub fn alloc_scratch(ctx: &mut BlockCtx, w: usize, arrangement: Arrangement) -> Self {
-        Self::check_capacity(ctx, w);
-        let data = ctx.scratch::<T>(w * w);
-        Self::from_data(data, w, arrangement)
-    }
-
-    /// Allocate like [`SharedTile::alloc_scratch`], but leave whatever the
-    /// recycled buffer last held in place instead of zero-filling it — the
-    /// CUDA shared-memory model, where a `__shared__` array starts with
-    /// undefined contents and kernels that need zeros must clear it
-    /// themselves. Only sound when every element is overwritten before it
-    /// is read, as in [`SharedTile::load_from_global`].
+    /// blocks reuse one heap buffer (pair with [`SharedTile::release`]),
+    /// and leave whatever the recycled buffer last held in place instead of
+    /// zero-filling it — the CUDA shared-memory model, where a `__shared__`
+    /// array starts with undefined contents and kernels that need zeros
+    /// must clear it themselves. Only sound when every element is
+    /// overwritten before it is read, as in
+    /// [`SharedTile::load_from_global`].
     pub fn alloc_scratch_uninit(ctx: &mut BlockCtx, w: usize, arrangement: Arrangement) -> Self {
         Self::check_capacity(ctx, w);
         let data = ctx.scratch_overwrite::<T>(w * w);
@@ -271,30 +265,13 @@ impl<T: DeviceElem> SharedTile<T> {
     }
 
     /// [`SharedTile::load_from_global`], also accumulating the tile's
-    /// column sums into `sums` as the data streams past (unaccounted, like
-    /// reading the staging buffer would have been).
-    pub fn load_from_global_with_col_sums(
-        &mut self,
-        ctx: &mut BlockCtx,
-        src: &GlobalBuffer<T>,
-        offset: usize,
-        stride: usize,
-        sums: &mut [T],
-    ) {
-        assert_eq!(sums.len(), self.w);
-        self.load_from_global(ctx, src, offset, stride);
-        sums.fill(T::zero());
-        for row in self.data.chunks_exact(self.w) {
-            simd::zip_add(sums, row);
-        }
-    }
-
-    /// [`SharedTile::load_from_global_with_col_sums`], additionally writing
-    /// each row's sum into `row_sums` while the row is still cache-hot.
-    /// Charges exactly the unfused load-with-col-sums followed by
-    /// [`SharedTile::row_sums_into`], and the sums are accumulated in the
-    /// same order, so values and counters are bit-identical to the unfused
-    /// sequence.
+    /// column sums into `col_sums` as the data streams past (unaccounted,
+    /// like reading the staging buffer would have been) and writing each
+    /// row's sum into `row_sums` while the row is still cache-hot. Charges
+    /// exactly the load followed by [`SharedTile::row_sums_into`], and the
+    /// sums are accumulated in the same order as a column-by-column pass
+    /// and that call, so values and counters are bit-identical to the
+    /// unfused sequence.
     pub fn load_from_global_with_sums(
         &mut self,
         ctx: &mut BlockCtx,
@@ -390,40 +367,17 @@ impl<T: DeviceElem> SharedTile<T> {
         }
     }
 
-    /// In-place 2-D inclusive prefix sums: [`SharedTile::scan_rows`]
-    /// followed by [`SharedTile::scan_cols`], fused into one pass so each
-    /// element is touched once. Charges exactly the sum of the two scans.
-    pub fn sat_in_place(&mut self, ctx: &mut BlockCtx) {
-        let elems = (self.w * (self.w - 1)) as u64;
-        Self::account(ctx, 2 * elems, self.col_conflict);
-        Self::account(ctx, 2 * elems, self.row_conflict);
-        let w = self.w;
-        if w == 0 {
-            return;
-        }
-        // Row scans first (independent chains, interleaved), then the
-        // column accumulation (no loop-carried dependence within a row, so
-        // it vectorizes). Each element sees its adds in the same order as
-        // [`SharedTile::scan_rows`] + [`SharedTile::scan_cols`], so the
-        // result is bit-identical to the unfused sequence for floats too.
-        Self::prefix_rows(&mut self.data, w);
-        for i in 1..w {
-            let (above, below) = self.data.split_at_mut(i * w);
-            let prev = &above[(i - 1) * w..];
-            let cur = &mut below[..w];
-            simd::zip_add(cur, &prev[..w]);
-        }
-    }
-
-    /// [`SharedTile::sat_in_place`] fused with
-    /// [`SharedTile::store_to_global`]: row `i`'s column accumulation is
-    /// finalized and the row written straight out to global memory before
-    /// row `i + 1` consumes it as its carry, saving a full pass over the
-    /// tile. Charges exactly the unfused SAT followed by the store, and
-    /// every add happens in the same order, so output values and counters
-    /// are bit-identical to the unfused sequence. A strided window's cache
-    /// lines are prefetched before the scan, so their misses overlap with
-    /// it.
+    /// In-place 2-D inclusive prefix sums fused with
+    /// [`SharedTile::store_to_global`]: the row scans run first
+    /// (independent chains, interleaved), then row `i`'s column
+    /// accumulation is finalized and the row written straight out to
+    /// global memory before row `i + 1` consumes it as its carry, saving a
+    /// full pass over the tile. Charges exactly [`SharedTile::scan_rows`],
+    /// [`SharedTile::scan_cols`] and the store, and every add happens in
+    /// the same order, so output values (floats too) and counters are
+    /// bit-identical to that unfused sequence. The tile keeps the finished
+    /// SAT. A strided window's cache lines are prefetched before the scan,
+    /// so their misses overlap with it.
     pub fn sat_store_to_global(&mut self, ctx: &mut BlockCtx, dst: &GlobalBuffer<T>, offset: usize, stride: usize) {
         let elems = (self.w * (self.w - 1)) as u64;
         Self::account(ctx, 2 * elems, self.col_conflict);
@@ -447,17 +401,6 @@ impl<T: DeviceElem> SharedTile<T> {
         }
     }
 
-    /// Column sums of the tile written into `sums` (one pass of row-wise
-    /// warp accesses).
-    pub fn col_sums_into(&self, ctx: &mut BlockCtx, sums: &mut [T]) {
-        assert_eq!(sums.len(), self.w);
-        Self::account(ctx, (self.w * self.w) as u64, self.row_conflict);
-        sums.fill(T::zero());
-        for row in self.data.chunks_exact(self.w) {
-            simd::zip_add(sums, row);
-        }
-    }
-
     /// Row sums of the tile written into `sums` (one pass of column-wise
     /// warp accesses, each thread reducing its own row).
     pub fn row_sums_into(&self, ctx: &mut BlockCtx, sums: &mut [T]) {
@@ -470,21 +413,6 @@ impl<T: DeviceElem> SharedTile<T> {
             }
             *s = acc;
         }
-    }
-
-    /// Column sums of the tile (one pass of row-wise warp accesses).
-    pub fn col_sums(&self, ctx: &mut BlockCtx) -> Vec<T> {
-        let mut sums = vec![T::zero(); self.w];
-        self.col_sums_into(ctx, &mut sums);
-        sums
-    }
-
-    /// Row sums of the tile (one pass of row-wise warp accesses, each
-    /// thread reducing its own row).
-    pub fn row_sums(&self, ctx: &mut BlockCtx) -> Vec<T> {
-        let mut sums = vec![T::zero(); self.w];
-        self.row_sums_into(ctx, &mut sums);
-        sums
     }
 }
 
@@ -630,16 +558,20 @@ mod tests {
 
     #[test]
     fn sums() {
+        // Row i holds i + 1 everywhere: every column sums to 10, row i to
+        // 4(i + 1).
+        let vals: Vec<u32> = (0..16).map(|k| k / 4 + 1).collect();
+        let src = GlobalBuffer::from_slice(&vals);
         with_ctx(|ctx| {
             for arr in [Arrangement::RowMajor, Arrangement::Diagonal] {
                 let mut t = SharedTile::<u32>::alloc(ctx, 4, arr);
-                for i in 0..4 {
-                    for j in 0..4 {
-                        t.set(ctx, i, j, (i + 1) as u32);
-                    }
-                }
-                assert_eq!(t.col_sums(ctx), vec![10; 4], "{arr:?}");
-                assert_eq!(t.row_sums(ctx), vec![4, 8, 12, 16], "{arr:?}");
+                let (mut cols, mut rows) = ([0u32; 4], [0u32; 4]);
+                t.load_from_global_with_sums(ctx, &src, 0, 4, &mut cols, &mut rows);
+                assert_eq!(cols, [10; 4], "{arr:?}");
+                assert_eq!(rows, [4, 8, 12, 16], "{arr:?}");
+                let mut again = [0u32; 4];
+                t.row_sums_into(ctx, &mut again);
+                assert_eq!(again, rows, "{arr:?}");
             }
         });
     }
@@ -683,55 +615,38 @@ mod tests {
 
     #[test]
     fn fused_sat_matches_two_scans_data_and_counters() {
+        // The fused SAT-and-store against scan_rows + scan_cols +
+        // store_to_global, both into the same strided window of a wider
+        // buffer.
         for arr in [Arrangement::RowMajor, Arrangement::Diagonal] {
             for w in [4usize, 5, 32, 33] {
                 let gpu = Gpu::new(DeviceConfig::titan_v()).with_mode(ExecMode::Sequential);
                 let vals: Vec<u64> = (0..(w * w) as u64).map(|x| x % 7 + 1).collect();
-                let out_two = std::sync::Mutex::new(Vec::new());
-                let two = gpu.launch(LaunchConfig::new("two", 1, 32), |ctx| {
-                    let mut t = SharedTile::<u64>::alloc(ctx, w, arr);
-                    t.write_rows_from(ctx, &vals);
-                    t.scan_rows(ctx);
-                    t.scan_cols(ctx);
-                    let mut out = vec![0u64; w * w];
-                    t.read_rows_into(ctx, &mut out);
-                    *out_two.lock().unwrap() = out;
-                });
-                let out_fused = std::sync::Mutex::new(Vec::new());
-                let fused = gpu.launch(LaunchConfig::new("fused", 1, 32), |ctx| {
-                    let mut t = SharedTile::<u64>::alloc(ctx, w, arr);
-                    t.write_rows_from(ctx, &vals);
-                    t.sat_in_place(ctx);
-                    let mut out = vec![0u64; w * w];
-                    t.read_rows_into(ctx, &mut out);
-                    *out_fused.lock().unwrap() = out;
-                });
-                assert_eq!(*out_two.lock().unwrap(), *out_fused.lock().unwrap(), "{arr:?} w={w}");
-                assert_eq!(two.stats.deterministic(), fused.stats.deterministic(), "{arr:?} w={w}");
+                let (offset, stride) = (2, w + 3);
+                let run = |fused: bool| {
+                    let dst = GlobalBuffer::<u64>::zeroed(offset + w * stride);
+                    let m = gpu.launch(LaunchConfig::new("sat", 1, 32), |ctx| {
+                        let mut t = SharedTile::<u64>::alloc(ctx, w, arr);
+                        t.write_rows_from(ctx, &vals);
+                        if fused {
+                            t.sat_store_to_global(ctx, &dst, offset, stride);
+                        } else {
+                            t.scan_rows(ctx);
+                            t.scan_cols(ctx);
+                            t.store_to_global(ctx, &dst, offset, stride);
+                        }
+                    });
+                    (dst.to_vec(), m.stats.deterministic())
+                };
+                let (out_two, two) = run(false);
+                let (out_fused, fused) = run(true);
+                assert_eq!(out_fused, out_two, "{arr:?} w={w}");
+                assert_eq!(fused, two, "{arr:?} w={w}");
+                // The window's bottom-right element is the tile's total.
+                let total: u64 = vals.iter().sum();
+                assert_eq!(out_two[offset + (w - 1) * stride + w - 1], total, "{arr:?} w={w}");
             }
         }
-    }
-
-    #[test]
-    fn scratch_tile_matches_fresh_tile() {
-        with_ctx(|ctx| {
-            let mut t = SharedTile::<u32>::alloc_scratch(ctx, 8, Arrangement::Diagonal);
-            for i in 0..8 {
-                for j in 0..8 {
-                    assert_eq!(t.peek(i, j), 0, "scratch tile starts zeroed");
-                    t.set(ctx, i, j, (i * 8 + j) as u32);
-                }
-            }
-            t.release(ctx);
-            // A second scratch tile reuses the buffer but must be zeroed.
-            let t2 = SharedTile::<u32>::alloc_scratch(ctx, 8, Arrangement::Diagonal);
-            for i in 0..8 {
-                for j in 0..8 {
-                    assert_eq!(t2.peek(i, j), 0, "recycled tile is re-zeroed");
-                }
-            }
-            t2.release(ctx);
-        });
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! `charge_shuffles` per shuffle step, one `charge_shared` per tile row),
 //! so the host loops that move the actual lane values are pure simulation
 //! overhead. The helpers here are plain elementwise loops, which the
-//! autovectorizer turns into packed SIMD, plus `copy_within` for the
-//! lane-shift patterns behind `shfl_up`/`shfl_down`.
+//! autovectorizer turns into packed SIMD.
 //!
 //! Every helper is **elementwise**: it never reassociates a reduction, so
 //! results are bit-identical to a lane-by-lane loop for floats too.
@@ -44,34 +43,12 @@ pub fn add_scalar<T: DeviceElem>(dst: &mut [T], v: T) {
     }
 }
 
-/// The `shfl_up` lane move: `lanes[i] = lanes[i - delta]` for
-/// `i >= delta`, low lanes unchanged.
-#[inline]
-pub fn shift_up<T: DeviceElem>(lanes: &mut [T], delta: usize) {
-    debug_assert!(delta >= 1);
-    let n = lanes.len();
-    if delta < n {
-        lanes.copy_within(0..n - delta, delta);
-    }
-}
-
-/// The `shfl_down` lane move: `lanes[i] = lanes[i + delta]` for in-range
-/// sources, high lanes unchanged.
-#[inline]
-pub fn shift_down<T: DeviceElem>(lanes: &mut [T], delta: usize) {
-    debug_assert!(delta >= 1);
-    let n = lanes.len();
-    if delta < n {
-        lanes.copy_within(delta..n, 0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Each helper against its closed-form result, across the lengths
-    /// around vector-width boundaries and every shift distance.
+    /// around vector-width boundaries.
     #[test]
     fn helpers_match_their_elementwise_definitions() {
         for n in [0usize, 1, 7, 8, 9, 31, 32, 100] {
@@ -92,18 +69,6 @@ mod tests {
             let mut got = src_a.clone();
             add_scalar(&mut got, 5);
             assert_eq!(got, (0..n).map(|i| 3 * i as u64 + 6).collect::<Vec<_>>(), "add_scalar n={n}");
-
-            for delta in 1..=n + 1 {
-                let mut got = src_a.clone();
-                shift_up(&mut got, delta);
-                let want: Vec<u64> = (0..n).map(|i| if i >= delta { a(i - delta) } else { a(i) }).collect();
-                assert_eq!(got, want, "shift_up n={n} delta={delta}");
-
-                let mut got = src_a.clone();
-                shift_down(&mut got, delta);
-                let want: Vec<u64> = (0..n).map(|i| if i + delta < n { a(i + delta) } else { a(i) }).collect();
-                assert_eq!(got, want, "shift_down n={n} delta={delta}");
-            }
         }
     }
 }

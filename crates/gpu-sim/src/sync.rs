@@ -115,11 +115,6 @@ impl DeviceCounter {
         self.value.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Host-side reset so a counter can be reused across launches.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-
     /// Host-side peek (not accounted).
     pub fn peek(&self) -> u32 {
         self.value.load(Ordering::Relaxed)
@@ -260,13 +255,6 @@ impl StatusBoard {
             }
             None => false,
         }
-    }
-
-    /// One `Acquire` poll of slot `i` without waiting (the look-back reads
-    /// the predecessor's status once per step and branches on the value).
-    pub fn load(&self, ctx: &mut BlockCtx, i: usize) -> u8 {
-        ctx.stats.flag_poll_iterations += 1;
-        self.flags[i].load(Ordering::Acquire)
     }
 
     /// Spin until slot `i` holds at least `min`, returning the observed
@@ -425,13 +413,6 @@ impl StatusBoard {
     pub fn peek(&self, i: usize) -> u8 {
         self.flags[i].load(Ordering::Relaxed)
     }
-
-    /// Host-side reset of every flag to zero.
-    pub fn clear(&self) {
-        for f in self.flags.iter() {
-            f.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -530,10 +511,9 @@ mod tests {
         gpu.launch(LaunchConfig::new("mono", 1, 32), |ctx| {
             board.publish(ctx, 3, 1);
             board.publish(ctx, 3, 4);
-            assert_eq!(board.load(ctx, 3), 4);
         });
-        board.clear();
-        assert_eq!(board.peek(3), 0);
+        assert_eq!(board.peek(3), 4);
+        assert_eq!(board.peek(2), 0);
     }
 
     #[test]

@@ -1,32 +1,17 @@
 //! Warp-synchronous primitives.
 //!
 //! A warp is 32 threads executing in lockstep; its "register file" for one
-//! variable is modeled as a slice of up to 32 lanes. Lane exchange goes
-//! through simulated `__shfl_up_sync`, and the paper's *warp prefix-sum
-//! algorithm* (Section II, Fig. 4) is the Kogge-Stone inclusive scan built
-//! on it: `log2(w)` shuffle steps, each lane `i >= 2^j` adding the value of
-//! lane `i - 2^j`.
+//! variable is modeled as a slice of up to 32 lanes. Lanes exchange values
+//! through warp shuffles, which are charged, not simulated one by one: the
+//! paper's *warp prefix-sum algorithm* (Section II, Fig. 4) is the
+//! Kogge-Stone inclusive scan, `ceil(log2(w))` shuffle steps in which each
+//! lane `i >= 2^j` adds the value of lane `i - 2^j`, each step charging one
+//! shuffle per live lane.
 
 use crate::device::WARP;
 use crate::elem::DeviceElem;
 use crate::launch::BlockCtx;
 use crate::simd;
-
-/// Simulated `__shfl_up_sync`: every lane `i` receives the value of lane
-/// `i - delta`; lanes with `i < delta` keep their own value (CUDA returns
-/// the source lane's own value unchanged in that case).
-///
-/// Accounting is exact: a `delta == 0` shuffle (every lane reads itself)
-/// and an empty lane slice exchange nothing and charge nothing; any real
-/// shuffle charges one exchange per participating lane.
-pub fn shfl_up<T: DeviceElem>(ctx: &mut BlockCtx, lanes: &mut [T], delta: usize) {
-    assert!(lanes.len() <= WARP, "a warp has at most {WARP} lanes");
-    if delta == 0 || lanes.is_empty() {
-        return;
-    }
-    ctx.stats.charge_shuffles(lanes.len() as u64);
-    simd::shift_up(lanes, delta);
-}
 
 /// The paper's warp prefix-sum algorithm (Fig. 4): in-place inclusive scan
 /// of up to one warp's worth of lane registers in `log2(w)` shuffle steps.
@@ -52,18 +37,6 @@ pub fn warp_inclusive_scan<T: DeviceElem>(ctx: &mut BlockCtx, lanes: &mut [T]) {
         simd::zip_add_into(&mut lanes[d..], &snap[d..n], &snap[..n - d]);
         d <<= 1;
     }
-}
-
-/// Simulated `__shfl_down_sync`: every lane `i` receives the value of lane
-/// `i + delta`; lanes past the end keep their own value. Accounting is
-/// exact in the sense of [`shfl_up`].
-pub fn shfl_down<T: DeviceElem>(ctx: &mut BlockCtx, lanes: &mut [T], delta: usize) {
-    assert!(lanes.len() <= WARP, "a warp has at most {WARP} lanes");
-    if delta == 0 || lanes.is_empty() {
-        return;
-    }
-    ctx.stats.charge_shuffles(lanes.len() as u64);
-    simd::shift_down(lanes, delta);
 }
 
 /// Warp sum reduction: after an inclusive scan the last lane holds the sum
@@ -180,38 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn shfl_charges_are_exact() {
-        let gpu = Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Sequential);
-        // delta = 0 moves nothing and must charge nothing; an empty slice
-        // likewise; a real shuffle charges one exchange per lane.
-        let m = gpu.launch(LaunchConfig::new("t", 1, 32), |ctx| {
-            let mut lanes: Vec<u32> = (0..8).collect();
-            shfl_up(ctx, &mut lanes, 0);
-            shfl_down(ctx, &mut lanes, 0);
-            assert_eq!(lanes, (0..8).collect::<Vec<u32>>());
-            let mut empty: Vec<u32> = Vec::new();
-            shfl_up(ctx, &mut empty, 3);
-            shfl_down(ctx, &mut empty, 3);
-        });
-        assert_eq!(m.stats.warp_shuffles, 0);
-        let m = gpu.launch(LaunchConfig::new("t", 1, 32), |ctx| {
-            let mut lanes = [7u32; 8];
-            shfl_up(ctx, &mut lanes, 2);
-            shfl_down(ctx, &mut lanes, 5);
-        });
-        assert_eq!(m.stats.warp_shuffles, 2 * 8);
-    }
-
-    #[test]
-    fn shfl_up_shifts_lanes() {
-        with_ctx(|ctx| {
-            let mut lanes: Vec<u32> = (0..8).collect();
-            shfl_up(ctx, &mut lanes, 3);
-            assert_eq!(lanes, vec![0, 1, 2, 0, 1, 2, 3, 4]);
-        });
-    }
-
-    #[test]
     fn reduce_sum() {
         with_ctx(|ctx| {
             let lanes: Vec<u64> = (1..=32).collect();
@@ -251,15 +192,6 @@ mod tests {
             block_inclusive_scan(ctx, &mut regs);
         });
         assert_eq!(m.stats.barriers, 2);
-    }
-
-    #[test]
-    fn shfl_down_shifts_lanes() {
-        with_ctx(|ctx| {
-            let mut lanes: Vec<u32> = (0..8).collect();
-            shfl_down(ctx, &mut lanes, 3);
-            assert_eq!(lanes, vec![3, 4, 5, 6, 7, 5, 6, 7]);
-        });
     }
 
     #[test]

@@ -76,17 +76,24 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 # call's counters against the first call of its configuration, so the last
 # stdout line reads "correct": true only if nothing failed.
 #
-# Each workload's modeled_ms is a function of its calls' deterministic
-# counters (a look-back walk is charged one step under any schedule), so it
-# is pinned exactly here: a model or counter change shows first in tier-1.
-# batch_tiny and coop_8k size their device groups by the host's cores
-# (nproc, capped at 2), so their pins hold only on hosts with at least 2
-# cores and are skipped on a one-core host.
+# Each workload's modeled_ms, and its modeled_scaling (a ratio of modeled
+# times), is a function of its calls' deterministic counters (a look-back
+# walk is charged one step under any schedule), so both are pinned exactly
+# here: a model or counter change shows first in tier-1. batch_tiny and
+# coop_8k size their device groups by the host's cores (nproc, capped at
+# 2), so their pins hold only on hosts with at least 2 cores and are
+# skipped on a one-core host.
 declare -A modeled_ms=(
   [roster_seq]=20.80009581707246
   [roster_conc]=20.80009581707246
   [batch_tiny]=1.7940472248888855
-  [coop_8k]=13.867097464820578
+  [coop_8k]=13.8656334495403
+)
+declare -A modeled_scaling=(
+  [roster_seq]=1.0
+  [roster_conc]=1.0
+  [batch_tiny]=2.0
+  [coop_8k]=1.8041218564737591
 )
 for workload in roster_seq roster_conc batch_tiny coop_8k; do
   result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -n 1)
@@ -97,9 +104,15 @@ for workload in roster_seq roster_conc batch_tiny coop_8k; do
   case "$workload" in
     batch_tiny | coop_8k) [ "$(nproc)" -ge 2 ] || continue ;;
   esac
-  got=$(python3 -c 'import json, sys; print(repr(json.loads(sys.argv[1])["metrics"]["modeled_ms"]["value"]))' "$result")
-  if [ "$got" != "${modeled_ms[$workload]}" ]; then
-    echo "perfbench $workload: modeled_ms $got, pinned at ${modeled_ms[$workload]}" >&2
+  read -r ms scaling <<<"$(python3 -c 'import json, sys
+m = json.loads(sys.argv[1])["metrics"]
+print(repr(m["modeled_ms"]["value"]), repr(m["modeled_scaling"]["value"]))' "$result")"
+  if [ "$ms" != "${modeled_ms[$workload]}" ]; then
+    echo "perfbench $workload: modeled_ms $ms, pinned at ${modeled_ms[$workload]}" >&2
+    exit 1
+  fi
+  if [ "$scaling" != "${modeled_scaling[$workload]}" ]; then
+    echo "perfbench $workload: modeled_scaling $scaling, pinned at ${modeled_scaling[$workload]}" >&2
     exit 1
   fi
 done

@@ -8,13 +8,12 @@
 //! strong way: it flips the process-global `force_scalar` switch — which
 //! makes every bulk operation execute its scalar expansion — and asserts
 //! outputs and `deterministic()` counters are identical to the batched
-//! run, for all nine algorithms, several sizes, all dispatch orders,
+//! run, for all eight algorithms, several sizes, all dispatch orders,
 //! sequential and concurrent. A look-back walk is charged its first step
 //! only, however far the schedule made it walk, so concurrent runs compare
-//! exactly too. The cooperative pipelines run the same comparison: the
-//! look-back ones with walks that leave their band and cross the
-//! interconnect, the eager-carry 2R1W with its carry grid's column
-//! windows.
+//! exactly too. Both cooperative pipelines run the same comparison:
+//! SKSS-LB with walks that leave their band and cross the interconnect,
+//! the eager-carry 2R1W with its carry grid's column windows.
 //!
 //! `force_scalar` is process-global, so everything lives in ONE `#[test]`
 //! (Rust runs tests of a binary on parallel threads; a sibling test could
@@ -80,19 +79,19 @@ fn batched_and_scalar_paths_charge_identically() {
         }
     }
 
-    // Cooperative SKSS-LB and SKSS-SH: one device runs four bands in
-    // order, so every band's first tile row walks into the band above and
-    // charges the remote rows as D2D transfers, on a one-worker pool (no
-    // band grid gets a helper, so the lane runs every block inline) and on
-    // a two-worker one (a band grid may get a helper). Cooperative 2R1W's
-    // carry grid holds its bulk column reads and writes to their scalar
-    // expansions on both pools.
+    // Cooperative SKSS-LB: one device runs four bands in order, so every
+    // band's first tile row walks into the band above and charges the
+    // remote rows as D2D transfers, on a one-worker pool (no band grid gets
+    // a helper, so the lane runs every block inline) and on a two-worker one
+    // (a band grid may get a helper). Cooperative 2R1W's carry grid holds
+    // its bulk column reads and writes to their scalar expansions on both
+    // pools.
     let n = 64;
     let a = Matrix::<u32>::random(n, n, 0xC0B4D, 16);
     let expect = satcore::reference::sat(&a);
     let input = a.to_device();
     let params = SatParams { w: W, threads_per_block: 64 };
-    let kernels = [CoopKernel::SkssLb, CoopKernel::SkssSh, CoopKernel::TwoROneW];
+    let kernels = [CoopKernel::SkssLb, CoopKernel::TwoROneW];
     for (kernel, workers) in kernels.into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
         let run = |scalar: bool| {
             set_force_scalar(scalar);
