@@ -54,7 +54,7 @@ pub(crate) fn process_wave_tile<T: DeviceElem>(
     let mut tbuf = [T::zero(); MAX_STACK_W];
     let left = if tj > 0 { Some(grs.read_vec_stack(ctx, ti, tj - 1, &mut lbuf)) } else { None };
     let top = if ti > 0 { Some(gcs.read_vec_stack(ctx, ti - 1, tj, &mut tbuf)) } else { None };
-    let corner = if ti > 0 && tj > 0 { gs.read(ctx, ti - 1, tj - 1) } else { T::zero() };
+    let corner = (ti > 0 && tj > 0).then(|| gs.read(ctx, ti - 1, tj - 1));
 
     // Publish this tile's global sums for the next wave: GRS(I,J) =
     // GRS(I,J-1) + LRS(I,J), GCS(I,J) = GCS(I-1,J) + LCS(I,J).

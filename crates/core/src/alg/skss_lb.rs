@@ -403,7 +403,8 @@ pub(crate) fn process_tile<T: DeviceElem>(
     // accumulation finalizes each row.
     let left = (tj > 0).then_some(grs_left.as_slice());
     let top = (ti > 0).then_some(gcs_top.as_slice());
-    tile_gsat_store(ctx, &mut tile, left, top, gs_prev, output, grid, ti, tj);
+    let corner = (ti > 0 && tj > 0).then_some(gs_prev);
+    tile_gsat_store(ctx, &mut tile, left, top, corner, output, grid, ti, tj);
     tile.release(ctx);
     ctx.recycle(lrs_v);
     ctx.recycle(grs_left);

@@ -67,39 +67,6 @@ impl SkssSh {
     }
 }
 
-/// Shuffle steps of a `len`-lane Kogge-Stone scan or butterfly reduction:
-/// `ceil(log2 len)`, 0 for a single lane.
-fn kogge_stone_steps(len: usize) -> u64 {
-    if len <= 1 {
-        0
-    } else {
-        (usize::BITS - (len - 1).leading_zeros()) as u64
-    }
-}
-
-/// Closed-form warp shuffles charged per tile: row sums plus row scans,
-/// each `W` rows of `W` lanes at `ceil(log2 W)` steps — `2 W^2 log2 W`
-/// for warp-sized tiles. Rows wider than a warp add one carry hand-off
-/// round per extra segment: `(W - 32) per row` for sums and scans alike.
-pub fn shuffles_per_tile(w: usize) -> u64 {
-    let full: u64 = (0..w)
-        .map(|_| {
-            let mut per_row = 0u64;
-            let mut off = 0usize;
-            while off < w {
-                let len = (w - off).min(WARP);
-                per_row += kogge_stone_steps(len) * len as u64;
-                if off > 0 {
-                    per_row += len as u64; // carry broadcast into this segment
-                }
-                off += len;
-            }
-            per_row
-        })
-        .sum();
-    2 * full
-}
-
 /// Warp reduction of one register row, chunked over warp segments for
 /// `W > 32`; the inter-segment combine rides in registers and is charged
 /// as one carry-broadcast shuffle round per extra segment.
@@ -242,6 +209,40 @@ mod tests {
     use crate::matrix::Matrix;
     use crate::reference;
     use gpu_sim::prelude::*;
+
+    /// Shuffle steps of a `len`-lane Kogge-Stone scan or butterfly reduction:
+    /// `ceil(log2 len)`, 0 for a single lane.
+    fn kogge_stone_steps(len: usize) -> u64 {
+        if len <= 1 {
+            0
+        } else {
+            (usize::BITS - (len - 1).leading_zeros()) as u64
+        }
+    }
+
+    /// The oracle for the warp shuffles charged per tile: row sums plus
+    /// row scans, each `W` rows of `W` lanes at `ceil(log2 W)` steps —
+    /// `2 W^2 log2 W` for warp-sized tiles. Rows wider than a warp add one
+    /// carry hand-off round per extra segment: `(W - 32) per row` for sums
+    /// and scans alike.
+    fn shuffles_per_tile(w: usize) -> u64 {
+        let full: u64 = (0..w)
+            .map(|_| {
+                let mut per_row = 0u64;
+                let mut off = 0usize;
+                while off < w {
+                    let len = (w - off).min(WARP);
+                    per_row += kogge_stone_steps(len) * len as u64;
+                    if off > 0 {
+                        per_row += len as u64; // carry broadcast into this segment
+                    }
+                    off += len;
+                }
+                per_row
+            })
+            .sum();
+        2 * full
+    }
 
     fn alg(w: usize) -> SkssSh {
         SkssSh::new(SatParams { w, threads_per_block: (w * w).min(256) })

@@ -203,7 +203,7 @@ pub(crate) fn k3_tile<T: DeviceElem>(
     let mut tbuf = [T::zero(); MAX_STACK_W];
     let left = if tj > 0 { Some(aux.grs.read_vec_stack(ctx, ti, tj - 1, &mut lbuf)) } else { None };
     let top = if ti > 0 { Some(aux.gcs.read_vec_stack(ctx, ti - 1, tj, &mut tbuf)) } else { None };
-    let corner = if ti > 0 && tj > 0 { aux.gs.read(ctx, ti - 1, tj - 1) } else { T::zero() };
+    let corner = (ti > 0 && tj > 0).then(|| aux.gs.read(ctx, ti - 1, tj - 1));
     tile_gsat_store(ctx, &mut tile, left, top, corner, output, grid, ti, tj);
     tile.release(ctx);
 }

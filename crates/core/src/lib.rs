@@ -56,7 +56,6 @@ pub mod batch;
 pub mod coop;
 pub mod filters;
 pub mod matrix;
-pub mod model;
 pub mod numerics;
 pub mod reference;
 pub mod tile;

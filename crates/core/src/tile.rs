@@ -385,13 +385,15 @@ pub fn store_tile<T: DeviceElem>(
 /// `GRS(I,J-1)` down the leftmost column, `GCS(I-1,J)` across the topmost
 /// row, and `GS(I-1,J-1)` to the top-left element. After `scan_rows` +
 /// `scan_cols` the tile then holds `GSAT(I,J)` (paper, 2R1W Kernel 3 and
-/// 1R1W).
+/// 1R1W). Each border is `Some` exactly when the tile has that neighbour
+/// (`corner` when `I > 0` and `J > 0`), so what is charged follows the
+/// tile's position, never the values it adds.
 pub fn apply_borders<T: DeviceElem>(
     ctx: &mut BlockCtx,
     tile: &mut SharedTile<T>,
     left: Option<&[T]>,
     top: Option<&[T]>,
-    corner: T,
+    corner: Option<T>,
 ) {
     if let Some(grs) = left {
         tile.add_to_col(ctx, 0, grs);
@@ -399,8 +401,8 @@ pub fn apply_borders<T: DeviceElem>(
     if let Some(gcs) = top {
         tile.add_to_row(ctx, 0, gcs);
     }
-    if corner != T::zero() {
-        let v = tile.get(ctx, 0, 0).add(corner);
+    if let Some(gs) = corner {
+        let v = tile.get(ctx, 0, 0).add(gs);
         tile.set(ctx, 0, 0, v);
     }
 }
@@ -420,7 +422,7 @@ pub fn tile_gsat_store<T: DeviceElem>(
     tile: &mut SharedTile<T>,
     left: Option<&[T]>,
     top: Option<&[T]>,
-    corner: T,
+    corner: Option<T>,
     output: &GlobalBuffer<T>,
     grid: TileGrid,
     ti: usize,
@@ -522,7 +524,7 @@ mod tests {
         let gs = sums.gs(0, 0);
         gpu.launch(LaunchConfig::new("tile", 1, 16), |ctx| {
             let mut tile = load_tile(ctx, &input, grid, 1, 1, Arrangement::Diagonal);
-            tile_gsat_store(ctx, &mut tile, Some(&grs), Some(&gcs), gs, &output, grid, 1, 1);
+            tile_gsat_store(ctx, &mut tile, Some(&grs), Some(&gcs), Some(gs), &output, grid, 1, 1);
         });
         let expect = sums.gsat(1, 1);
         let got = Matrix::from_device(&output, n, n);
@@ -570,7 +572,7 @@ mod tests {
                 let (mut tile, lcs, lrs) = load_tile_with_sums(ctx, &input, grid, 1, 1, Arrangement::Diagonal);
                 sums_out.store_row(ctx, 0, &lcs);
                 sums_out.store_row(ctx, 4, &lrs);
-                tile_gsat_store(ctx, &mut tile, Some(&grs), Some(&gcs), gs, &output, grid, 1, 1);
+                tile_gsat_store(ctx, &mut tile, Some(&grs), Some(&gcs), Some(gs), &output, grid, 1, 1);
             } else {
                 let mut tile = load_tile(ctx, &input, grid, 1, 1, Arrangement::Diagonal);
                 let mut lcs = vec![T::zero(); 4];
@@ -583,7 +585,7 @@ mod tests {
                 tile.row_sums_into(ctx, &mut lrs);
                 sums_out.store_row(ctx, 0, &lcs);
                 sums_out.store_row(ctx, 4, &lrs);
-                apply_borders(ctx, &mut tile, Some(&grs), Some(&gcs), gs);
+                apply_borders(ctx, &mut tile, Some(&grs), Some(&gcs), Some(gs));
                 ctx.syncthreads();
                 tile.scan_rows(ctx);
                 ctx.syncthreads();

@@ -29,14 +29,25 @@
 //! establishes the happens-before edge that makes the plain access
 //! race-free. Racy *scalar* accesses remain well-defined (they stay
 //! atomic); only the bulk paths assume the soft-sync discipline.
+//!
+//! ## The counting element
+//!
+//! [`CountOnly`] is zero-sized and holds no value, but the traffic model
+//! charges it as a 4-byte `float`. A kernel run on it executes its own
+//! control flow and charges what an `f32` run of the same shape charges,
+//! with no data behind it, so a 32K x 32K matrix of it occupies no memory.
+//! Its SATs mean nothing. This holds only because no kernel charges by
+//! value: counters are a function of shape alone, which
+//! `tests/counter_parity.rs` pins for every algorithm.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// An atomic word that can back a device scalar.
 ///
-/// Implemented for [`AtomicU32`] and [`AtomicU64`]; selected per element
-/// type through [`DeviceElem::Atom`] so that 4-byte elements occupy 4 bytes
-/// of host memory (a 32K x 32K `f32` matrix is 4 GiB, not 8).
+/// Implemented for [`AtomicU32`] and [`AtomicU64`], and for the zero-sized
+/// `()` behind [`CountOnly`]; selected per element type through
+/// [`DeviceElem::Atom`] so that 4-byte elements occupy 4 bytes of host
+/// memory (a 32K x 32K `f32` matrix is 4 GiB, not 8).
 pub trait AtomBacking: Default + Send + Sync + 'static {
     /// The plain integer carrying the element's bit pattern.
     type Bits: Copy + Eq + Send + Sync + 'static;
@@ -86,6 +97,22 @@ impl AtomBacking for AtomicU64 {
     #[inline(always)]
     fn compare_exchange_bits(&self, current: u64, new: u64) -> Result<u64, u64> {
         self.compare_exchange_weak(current, new, Ordering::AcqRel, Ordering::Relaxed)
+    }
+}
+
+/// The zero-sized word behind [`CountOnly`]: nothing to load or store.
+impl AtomBacking for () {
+    type Bits = ();
+
+    #[inline(always)]
+    fn load_bits(&self) {}
+
+    #[inline(always)]
+    fn store_bits(&self, _bits: ()) {}
+
+    #[inline(always)]
+    fn compare_exchange_bits(&self, _current: (), _new: ()) -> Result<(), ()> {
+        Ok(())
     }
 }
 
@@ -330,6 +357,64 @@ impl DeviceElem for f64 {
     impl_bulk_bitcopy!();
 }
 
+/// The counting-only element (see the module docs): zero-sized, charged as
+/// a 4-byte `float`. Its loads, stores and bulk transfers move nothing,
+/// and its arithmetic has one result, so any SAT computed on it means
+/// nothing; only the counters of the run do.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CountOnly;
+
+impl DeviceElem for CountOnly {
+    type Atom = ();
+    const BYTES: u64 = 4;
+
+    #[inline(always)]
+    fn to_bits(self) {}
+
+    #[inline(always)]
+    fn from_bits(_bits: ()) -> Self {
+        CountOnly
+    }
+
+    #[inline(always)]
+    fn zero() -> Self {
+        CountOnly
+    }
+
+    #[inline(always)]
+    fn add(self, _rhs: Self) -> Self {
+        CountOnly
+    }
+
+    #[inline(always)]
+    fn sub(self, _rhs: Self) -> Self {
+        CountOnly
+    }
+
+    #[inline(always)]
+    fn from_u32(_v: u32) -> Self {
+        CountOnly
+    }
+
+    #[inline(always)]
+    fn load_slice(src: &[()], dst: &mut [Self]) {
+        assert_eq!(src.len(), dst.len(), "bulk load length mismatch");
+    }
+
+    #[inline(always)]
+    fn store_slice(dst: &[()], src: &[Self]) {
+        assert_eq!(dst.len(), src.len(), "bulk store length mismatch");
+    }
+
+    #[inline(always)]
+    fn copy_slice(dst: &[()], src: &[()]) {
+        assert_eq!(dst.len(), src.len(), "bulk copy length mismatch");
+    }
+
+    #[inline(always)]
+    fn fill_slice(_dst: &[()], _v: Self) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,6 +469,13 @@ mod tests {
         assert_eq!(<f32 as DeviceElem>::BYTES, 4);
         assert_eq!(<u64 as DeviceElem>::BYTES, 8);
         assert_eq!(<f64 as DeviceElem>::BYTES, 8);
+    }
+
+    #[test]
+    fn counting_element_is_zero_sized_and_charged_as_f32() {
+        assert_eq!(std::mem::size_of::<CountOnly>(), 0);
+        assert_eq!(std::mem::size_of::<<CountOnly as DeviceElem>::Atom>(), 0);
+        assert_eq!(CountOnly::BYTES, 4);
     }
 
     #[test]

@@ -446,7 +446,10 @@ impl<T: DeviceElem> std::fmt::Debug for GlobalBuffer<T> {
 mod tests {
     use super::*;
     use crate::device::DeviceConfig;
+    use crate::elem::CountOnly;
     use crate::launch::{ExecMode, Gpu, LaunchConfig};
+    use crate::metrics::BlockStats;
+    use crate::shared::{Arrangement, SharedTile};
 
     fn gpu() -> Gpu {
         Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Sequential)
@@ -624,6 +627,47 @@ mod tests {
         set_force_scalar(false);
         assert_eq!(batched.stats.deterministic(), scalar.stats.deterministic());
         assert_eq!(dst.to_vec(), snapshot);
+    }
+
+    /// Coalesced, strided, 2-D window, fill and shared-tile accesses charge
+    /// the same on the counting element as on `f32`, on the batched paths
+    /// and on their scalar expansions.
+    #[test]
+    fn counting_element_charges_like_f32() {
+        fn stats<T: DeviceElem>() -> BlockStats {
+            let n = 32;
+            let src = GlobalBuffer::from_slice(&(0..(n * n) as u32).map(T::from_u32).collect::<Vec<_>>());
+            let dst = GlobalBuffer::<T>::zeroed(n * n);
+            let m = gpu().launch(LaunchConfig::new("mix", 1, 32), |ctx| {
+                let mut line = vec![T::zero(); n];
+                src.load_row(ctx, 5, &mut line);
+                dst.store_row(ctx, 40, &line);
+                src.load_col(ctx, 3, n, &mut line);
+                dst.store_col(ctx, 7, n, &line);
+                let mut window = vec![T::zero(); 8 * 8];
+                src.load_2d(ctx, 2 * n + 8, n, 8, &mut window);
+                dst.store_2d(ctx, 9 * n + 16, n, 8, &window);
+                dst.fill(ctx, 20 * n, n, T::zero());
+                let mut tile = SharedTile::<T>::alloc(ctx, 8, Arrangement::RowMajor);
+                tile.load_from_global(ctx, &src, 8 * n + 8, n);
+                tile.scan_rows(ctx);
+                tile.sat_store_to_global(ctx, &dst, 24 * n, n);
+            });
+            m.stats
+        }
+        for scalar in [false, true] {
+            set_force_scalar(scalar);
+            let (counted, float) = (stats::<CountOnly>(), stats::<f32>());
+            set_force_scalar(false);
+            assert_eq!(counted, float, "force_scalar = {scalar}");
+        }
+    }
+
+    #[test]
+    fn counting_element_buffers_hold_no_bytes() {
+        let b = GlobalBuffer::<CountOnly>::zeroed(1 << 24);
+        assert_eq!(b.len(), 1 << 24);
+        assert_eq!(std::mem::size_of_val(&*b.data), 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod warp;
 /// The handful of names nearly every consumer wants.
 pub mod prelude {
     pub use crate::device::{DeviceConfig, WARP};
-    pub use crate::elem::DeviceElem;
+    pub use crate::elem::{CountOnly, DeviceElem};
     pub use crate::global::GlobalBuffer;
     pub use crate::group::{DeviceGroup, DeviceLane, GroupMetrics};
     pub use crate::launch::{BlockCtx, DispatchOrder, ExecMode, Gpu, LaunchConfig};

@@ -23,8 +23,8 @@
 //! value (or one D2D transfer when that predecessor sits on an earlier
 //! band's device). How many more predecessors the walk visits depends on
 //! which host thread ran first, on a few host cores rather than 80 SMs, so
-//! each further step counts `host_walk_steps` and is priced by neither
-//! `crate::timing` nor `satcore::model`.
+//! each further step counts `host_walk_steps`, which `crate::timing` does
+//! not price.
 
 /// Per-block access counters. All quantities are totals over the block's
 /// lifetime; `bytes_*` fields are *effective* traffic as charged by the
@@ -98,8 +98,8 @@ pub struct BlockStats {
     /// ([`crate::sync::StatusBoard::wait_walk_step`] with `step > 0`).
     /// Such a step's wait is not a `flag_waits` wait and its read charges
     /// nothing: whether a walk takes it depends on what the host had run,
-    /// not on the algorithm. Masked from `deterministic()`, and read by
-    /// neither [`crate::timing`] nor `satcore::model`.
+    /// not on the algorithm. Masked from `deterministic()`, and not read
+    /// by [`crate::timing`].
     pub host_walk_steps: u64,
     /// Always 0: a parked flag wait keeps its thread's execution token, and
     /// nothing is handed off. Kept only because perfbench

@@ -60,6 +60,8 @@ fn usage() -> &'static str {
        table3     Table III: modeled running times and overhead vs duplication\n\
                   options: --sizes a,b,c  --widths a,b,c  --synthetic  --paper  --csv\n\
                            --device titan-v|v100|gtx1080 (projection presets)\n\
+                  --synthetic runs every kernel on a zero-sized counting element\n\
+                  (no data, no SAT check); its default sizes are 256..32K\n\
        fig2       the 9x9 SAT example of Figure 2\n\
        fig3       shared-memory bank maps of Figure 3 (--w, default 8)\n\
        fig4       warp prefix-sum trace of Figure 4 (--w, default 8)\n\

@@ -2,20 +2,22 @@
 //! matrix duplication, per algorithm, matrix size, and tile width.
 
 use gpu_sim::prelude::*;
-use satcore::model::{synthesize, AlgKind};
 use satcore::prelude::*;
 
 use crate::paper;
 use crate::report::{fmt_ms, fmt_pct, size_label, Table};
 
-/// How Table III entries are produced.
+/// How Table III entries are produced. Both modes execute every kernel;
+/// they differ in the element the kernels run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Execute every algorithm functionally (verifying the SAT against
-    /// the sequential reference) and model time from *measured* counters.
+    /// Run on a `u32` matrix, verify every SAT against the sequential
+    /// reference, and model time from the run's counters.
     Measured,
-    /// Synthesize the counters analytically (validated against measured
-    /// runs in satcore's tests) — allows the full 256..32K size sweep.
+    /// Execute the same kernels on the counting-only element
+    /// [`CountOnly`], which charges what an `f32` run charges and holds no
+    /// data, and model time from the executed counters: the full 256..32K
+    /// size sweep in seconds, at no memory cost.
     Synthetic,
 }
 
@@ -47,63 +49,41 @@ pub struct Config {
     pub csv: bool,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            sizes: vec![256, 512, 1024, 2048, 4096, 8192],
-            widths: vec![32, 64, 128],
-            mode: Mode::Measured,
-            paper_compare: false,
-            csv: false,
-        }
-    }
-}
+/// The algorithm rows in paper order, `(label, tiled)`, one for each entry
+/// of [`all_algorithms`].
+const ROWS: [(&str, bool); 8] = [
+    ("2R2W", false),
+    ("2R2W-optimal", false),
+    ("2R1W", true),
+    ("1R1W", true),
+    ("(1+r)R1W", true),
+    ("1R1W-SKSS", true),
+    ("1R1W-SKSS-LB", true),
+    ("1R1W-SKSS-SH", true),
+];
 
-/// The algorithm rows in paper order: (label, tiled?, synthetic kind).
-fn roster() -> Vec<(&'static str, bool, AlgKind)> {
-    vec![
-        ("2R2W", false, AlgKind::TwoRTwoW),
-        ("2R2W-optimal", false, AlgKind::TwoRTwoWOpt),
-        ("2R1W", true, AlgKind::TwoROneW),
-        ("1R1W", true, AlgKind::OneROneW),
-        ("(1+r)R1W", true, AlgKind::Hybrid(0.25)),
-        ("1R1W-SKSS", true, AlgKind::Skss),
-        ("1R1W-SKSS-LB", true, AlgKind::SkssLb),
-        ("1R1W-SKSS-SH", true, AlgKind::SkssSh),
-    ]
-}
-
-fn measured_cell(gpu: &Gpu, kind: AlgKind, n: usize, params: SatParams) -> f64 {
-    let a = Matrix::<u32>::random(n, n, 0xA5, 4);
-    let run = match kind {
-        AlgKind::Duplicate => {
-            let input = a.to_device();
-            let output = GlobalBuffer::zeroed(n * n);
-            Duplicate::new().copy(gpu, &input, &output)
-        }
-        _ => {
-            let alg = alg_for(kind, params);
-            let (sat, run) = compute_sat(gpu, alg.as_ref(), &a);
-            let expect = satcore::reference::sat(&a);
-            assert_eq!(sat, expect, "{} produced a wrong SAT at n={n}", kind.label());
-            run
+/// Every cell of one matrix size, run on `a`: the duplication baseline,
+/// each untiled row at the first tile width's block size, and each tiled
+/// row at every tile width up to the side. `check` sees each SAT.
+fn size_cells<T: DeviceElem>(cfg: &Config, gpu: &Gpu, a: &Matrix<T>, check: impl Fn(&str, &Matrix<T>)) -> Vec<Cell> {
+    let n = a.rows();
+    let millis = |run: &RunMetrics| run_millis(gpu.config(), run);
+    let dup = Duplicate::new().copy(gpu, &a.to_device(), &GlobalBuffer::zeroed(n * n));
+    let mut out = vec![Cell { algorithm: "duplication".into(), w: 0, n, ms: millis(&dup) }];
+    let mut run_rows = |w: usize, tiled: bool| {
+        for (&(label, is_tiled), alg) in ROWS.iter().zip(all_algorithms::<T>(SatParams::paper(w))) {
+            if is_tiled == tiled {
+                let (sat, run) = compute_sat(gpu, alg.as_ref(), a);
+                check(label, &sat);
+                out.push(Cell { algorithm: label.into(), w: if tiled { w } else { 0 }, n, ms: millis(&run) });
+            }
         }
     };
-    run_millis(gpu.config(), &run)
-}
-
-fn alg_for(kind: AlgKind, params: SatParams) -> Box<dyn SatAlgorithm<u32>> {
-    match kind {
-        AlgKind::TwoRTwoW => Box::new(TwoRTwoW::new(params.threads_per_block)),
-        AlgKind::TwoRTwoWOpt => Box::new(TwoRTwoWOpt::new(params)),
-        AlgKind::TwoROneW => Box::new(TwoROneW::new(params)),
-        AlgKind::OneROneW => Box::new(OneROneW::new(params)),
-        AlgKind::Hybrid(r) => Box::new(HybridR1W::new(params, r)),
-        AlgKind::Skss => Box::new(Skss::new(params)),
-        AlgKind::SkssLb => Box::new(SkssLb::new(params)),
-        AlgKind::SkssSh => Box::new(SkssSh::new(params)),
-        AlgKind::Duplicate => unreachable!("handled by caller"),
+    run_rows(cfg.widths[0].min(n), false);
+    for &w in cfg.widths.iter().filter(|&&w| w <= n) {
+        run_rows(w, true);
     }
+    out
 }
 
 /// Produce every cell of the configured Table III slice, including the
@@ -111,28 +91,14 @@ fn alg_for(kind: AlgKind, params: SatParams) -> Box<dyn SatAlgorithm<u32>> {
 pub fn cells(cfg: &Config, gpu: &Gpu) -> Vec<Cell> {
     let mut out = Vec::new();
     for &n in &cfg.sizes {
-        let dup_ms = match cfg.mode {
-            Mode::Measured => measured_cell(gpu, AlgKind::Duplicate, n, SatParams::paper(32)),
-            Mode::Synthetic => {
-                run_millis(gpu.config(), &synthesize(AlgKind::Duplicate, n, SatParams::paper(32), gpu.config()))
+        out.extend(match cfg.mode {
+            Mode::Measured => {
+                let a = Matrix::<u32>::random(n, n, 0xA5, 4);
+                let expect = satcore::reference::sat(&a);
+                size_cells(cfg, gpu, &a, |label, sat| assert_eq!(sat, &expect, "{label} produced a wrong SAT at n={n}"))
             }
-        };
-        out.push(Cell { algorithm: "duplication".into(), w: 0, n, ms: dup_ms });
-        for (label, tiled, kind) in roster() {
-            let widths: Vec<usize> = if tiled {
-                cfg.widths.iter().copied().filter(|&w| w <= n).collect()
-            } else {
-                vec![cfg.widths[0].min(n)]
-            };
-            for w in widths {
-                let params = SatParams::paper(w);
-                let ms = match cfg.mode {
-                    Mode::Measured => measured_cell(gpu, kind, n, params),
-                    Mode::Synthetic => run_millis(gpu.config(), &synthesize(kind, n, params, gpu.config())),
-                };
-                out.push(Cell { algorithm: label.into(), w: if tiled { w } else { 0 }, n, ms });
-            }
-        }
+            Mode::Synthetic => size_cells(cfg, gpu, &Matrix::<CountOnly>::zeros(n, n), |_, _| {}),
+        });
     }
     out
 }
@@ -149,7 +115,11 @@ pub fn best_ms(cells: &[Cell], algorithm: &str, n: usize) -> Option<f64> {
 
 /// Render the report.
 pub fn render(cfg: &Config, gpu: &Gpu) -> String {
-    let data = cells(cfg, gpu);
+    render_cells(cfg, gpu.config().name, &cells(cfg, gpu))
+}
+
+/// Render the report from the cells of `cfg` on the device named `device`.
+fn render_cells(cfg: &Config, device: &str, data: &[Cell]) -> String {
     let mut header: Vec<String> = vec!["algorithm".into(), "W".into()];
     for &n in &cfg.sizes {
         header.push(size_label(n));
@@ -169,20 +139,20 @@ pub fn render(cfg: &Config, gpu: &Gpu) -> String {
         table.row(row);
     }
 
-    push_series(&mut table, &data, &cfg.sizes, "duplication", 0);
-    for (label, tiled, _) in roster() {
+    push_series(&mut table, data, &cfg.sizes, "duplication", 0);
+    for (label, tiled) in ROWS {
         if tiled {
             for &w in &cfg.widths {
-                push_series(&mut table, &data, &cfg.sizes, label, w);
+                push_series(&mut table, data, &cfg.sizes, label, w);
             }
         } else {
-            push_series(&mut table, &data, &cfg.sizes, label, 0);
+            push_series(&mut table, data, &cfg.sizes, label, 0);
         }
         // Overhead row for the best configuration, as in the paper.
         let mut row = vec![format!("{label} overhead"), "best".into()];
         for &n in &cfg.sizes {
-            let dup = best_ms(&data, "duplication", n).unwrap();
-            let best = best_ms(&data, label, n);
+            let dup = best_ms(data, "duplication", n).unwrap();
+            let best = best_ms(data, label, n);
             row.push(best.map_or("-".into(), |b| fmt_pct(overhead_percent(b, dup))));
         }
         table.row(row);
@@ -190,18 +160,18 @@ pub fn render(cfg: &Config, gpu: &Gpu) -> String {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "Table III — modeled running time (ms), {} mode, device: {}\n\n",
+        "Table III — modeled running time (ms), {}, device: {}\n\n",
         match cfg.mode {
-            Mode::Measured => "measured-counters",
-            Mode::Synthetic => "synthetic-counters",
+            Mode::Measured => "measured-counters mode",
+            Mode::Synthetic => "synthetic mode (counters of kernels executed on a zero-sized counting element)",
         },
-        gpu.config().name
+        device
     ));
     out.push_str(&if cfg.csv { table.render_csv() } else { table.render() });
 
     if cfg.paper_compare {
         out.push('\n');
-        out.push_str(&render_paper_comparison(cfg, &data));
+        out.push_str(&render_paper_comparison(cfg, data));
     }
     out
 }
@@ -248,6 +218,8 @@ fn render_paper_comparison(cfg: &Config, data: &[Cell]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
 
     fn quick_cfg(mode: Mode) -> Config {
@@ -262,17 +234,27 @@ mod tests {
         assert!(s.contains("overhead"));
     }
 
+    /// The synthetic table at every paper size and width, computed once for
+    /// the two tests that read it.
+    fn paper_table() -> &'static (Config, Vec<Cell>) {
+        static TABLE: OnceLock<(Config, Vec<Cell>)> = OnceLock::new();
+        TABLE.get_or_init(|| {
+            let cfg = Config {
+                sizes: paper::SIZES.to_vec(),
+                widths: vec![32, 64, 128],
+                mode: Mode::Synthetic,
+                paper_compare: true,
+                csv: false,
+            };
+            let data = cells(&cfg, &Gpu::new(DeviceConfig::titan_v()));
+            (cfg, data)
+        })
+    }
+
     #[test]
     fn synthetic_table_covers_paper_sizes() {
-        let gpu = Gpu::new(DeviceConfig::titan_v());
-        let cfg = Config {
-            sizes: paper::SIZES.to_vec(),
-            widths: vec![32, 64, 128],
-            mode: Mode::Synthetic,
-            paper_compare: true,
-            csv: false,
-        };
-        let s = render(&cfg, &gpu);
+        let (cfg, data) = paper_table();
+        let s = render_cells(cfg, DeviceConfig::titan_v().name, data);
         assert!(s.contains("32K^2"));
         assert!(s.contains("model/paper"));
     }
@@ -283,25 +265,17 @@ mod tests {
         // paper's own Table III rows. The shuffle-only follow-on variant
         // (not a paper row) is allowed to — and at large sizes should —
         // edge it out, since its shared-memory term vanishes entirely.
-        let gpu = Gpu::new(DeviceConfig::titan_v());
-        let cfg = Config {
-            sizes: paper::SIZES.to_vec(),
-            widths: vec![32, 64, 128],
-            mode: Mode::Synthetic,
-            paper_compare: false,
-            csv: false,
-        };
-        let data = cells(&cfg, &gpu);
+        let (cfg, data) = paper_table();
         for &n in &cfg.sizes {
-            let lb = best_ms(&data, "1R1W-SKSS-LB", n).unwrap();
-            for (label, _, _) in roster() {
+            let lb = best_ms(data, "1R1W-SKSS-LB", n).unwrap();
+            for (label, _) in ROWS {
                 if label != "1R1W-SKSS-LB" && label != "1R1W-SKSS-SH" {
-                    let other = best_ms(&data, label, n).unwrap();
+                    let other = best_ms(data, label, n).unwrap();
                     assert!(lb <= other, "n={n}: SKSS-LB {lb} vs {label} {other}");
                 }
             }
             // The shuffle-only variant never models slower than SKSS-LB.
-            let sh = best_ms(&data, "1R1W-SKSS-SH", n).unwrap();
+            let sh = best_ms(data, "1R1W-SKSS-SH", n).unwrap();
             assert!(sh <= lb, "n={n}: SKSS-SH {sh} vs SKSS-LB {lb}");
         }
     }

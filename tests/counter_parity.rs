@@ -1,4 +1,4 @@
-//! Scalar-vs-batched counter parity.
+//! Counter parity: scalar vs batched paths, and input values vs shape.
 //!
 //! The warp-transaction fast paths (bulk `GlobalBuffer` transfers and the
 //! `SharedTile` whole-row and whole-tile operations) claim to be *pure
@@ -19,6 +19,12 @@
 //! (Rust runs tests of a binary on parallel threads; a sibling test could
 //! otherwise observe the switch mid-run — harmless for correctness, since
 //! both paths charge identically, but it would defeat the comparison).
+//!
+//! The second test holds that counters are a function of shape alone: a
+//! random input, an all-zero input and the counting-only element
+//! [`CountOnly`] charge the same per-kernel counters. Table III's
+//! paper-size cells are runs on `CountOnly`, so a charge that depended on
+//! a value would skew them.
 
 use gpu_sim::global::{force_scalar, set_force_scalar};
 use gpu_sim::metrics::BlockStats;
@@ -117,5 +123,59 @@ fn batched_and_scalar_paths_charge_identically() {
         let tag = format!("{kernel:?} on {workers} worker(s)");
         assert!(batched.d2d_transfers > 0, "{tag}: nothing crossed the interconnect");
         assert_eq!(scalar, batched, "{tag}: cooperative scalar expansion drifted");
+    }
+}
+
+/// Per-kernel `(label, blocks, deterministic counters)` of one run.
+fn per_kernel(run: &RunMetrics) -> Vec<(String, usize, BlockStats)> {
+    run.kernels.iter().map(|k| (k.label.clone(), k.blocks, k.stats.deterministic())).collect()
+}
+
+/// Kernel count, deterministic counters and per-job modeled seconds of one
+/// cooperative call on `a`.
+fn coop_counters<T: DeviceElem>(
+    group: &DeviceGroup,
+    kernel: CoopKernel,
+    params: SatParams,
+    a: &Matrix<T>,
+) -> (usize, BlockStats, Vec<f64>) {
+    let n = a.rows();
+    let output = GlobalBuffer::<T>::zeroed(n * n);
+    let (report, gm) = sat_huge_multi_device(group, params, kernel, &a.to_device(), &output, n);
+    (report.kernels, report.deterministic(), gm.job_seconds)
+}
+
+#[test]
+fn counters_are_a_function_of_shape_alone() {
+    let gpu = Gpu::new(DeviceConfig::titan_v());
+    for n in [256usize, 512] {
+        let random = Matrix::<f32>::random(n, n, 0x5A9E + n as u64, 16);
+        let zeros = Matrix::<f32>::zeros(n, n);
+        let counting = Matrix::<CountOnly>::zeros(n, n);
+        for w in [32usize, 64, 128] {
+            let params = SatParams::paper(w);
+            for (alg, counting_alg) in all_algorithms::<f32>(params).into_iter().zip(all_algorithms(params)) {
+                let tag = format!("{} n={n}", alg.name());
+                let expect = per_kernel(&compute_sat(&gpu, alg.as_ref(), &random).1);
+                assert_eq!(per_kernel(&compute_sat(&gpu, alg.as_ref(), &zeros).1), expect, "{tag}: all-zero input");
+                let counted = per_kernel(&compute_sat(&gpu, counting_alg.as_ref(), &counting).1);
+                assert_eq!(counted, expect, "{tag}: counting element");
+            }
+        }
+    }
+
+    let n = 512;
+    let params = SatParams::paper(32);
+    let random = Matrix::<f32>::random(n, n, 0xC0B5, 16);
+    for kernel in [CoopKernel::TwoROneW, CoopKernel::SkssLb] {
+        for devices in [1, 2] {
+            let group = DeviceGroup::new(DeviceConfig::titan_v(), devices);
+            let tag = format!("{kernel:?} on {devices} device(s)");
+            let expect = coop_counters(&group, kernel, params, &random);
+            let zeros = coop_counters(&group, kernel, params, &Matrix::<f32>::zeros(n, n));
+            assert_eq!(zeros, expect, "{tag}: all-zero input");
+            let counted = coop_counters(&group, kernel, params, &Matrix::<CountOnly>::zeros(n, n));
+            assert_eq!(counted, expect, "{tag}: counting element");
+        }
     }
 }

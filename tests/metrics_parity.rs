@@ -52,19 +52,8 @@ const GOLDEN: &[(&str, usize, u64, u64, u64, u64, u64)] = &[
     ("skss_sh", 1024, 1113025, 1181696, 4452100, 4726784, 0),
 ];
 
-fn roster(w: usize) -> Vec<(&'static str, Box<dyn SatAlgorithm<u32>>)> {
-    let params = SatParams::paper(w);
-    vec![
-        ("2r2w", Box::new(TwoRTwoW::new(params.threads_per_block)) as Box<dyn SatAlgorithm<u32>>),
-        ("2r2w_opt", Box::new(TwoRTwoWOpt::new(params))),
-        ("2r1w", Box::new(TwoROneW::new(params))),
-        ("1r1w", Box::new(OneROneW::new(params))),
-        ("hybrid", Box::new(HybridR1W::new(params, 0.25))),
-        ("skss", Box::new(Skss::new(params))),
-        ("skss_lb", Box::new(SkssLb::new(params))),
-        ("skss_sh", Box::new(SkssSh::new(params))),
-    ]
-}
+/// The golden labels, one for each entry of `all_algorithms`.
+const LABELS: [&str; 8] = ["2r2w", "2r2w_opt", "2r1w", "1r1w", "hybrid", "skss", "skss_lb", "skss_sh"];
 
 fn golden_for(label: &str, n: usize) -> (u64, u64, u64, u64, u64) {
     let g = GOLDEN
@@ -95,7 +84,7 @@ fn sequential_counters_match_pre_migration_goldens() {
         let dup = Duplicate::new().copy(&gpu, &input, &output);
         assert_golden("duplication", n, &dup.total_stats().deterministic());
 
-        for (label, alg) in roster(W) {
+        for (label, alg) in LABELS.into_iter().zip(all_algorithms::<u32>(SatParams::paper(W))) {
             let run = alg.run(&gpu, &input, &output, n);
             assert_eq!(Matrix::from_device(&output, n, n), expect, "{label} n={n} wrong SAT");
             assert_golden(label, n, &run.total_stats().deterministic());

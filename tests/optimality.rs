@@ -3,7 +3,6 @@
 //! modeled-time dominance of duplication.
 
 use gpu_sim::prelude::*;
-use satcore::model::{all_kinds, synthesize, AlgKind};
 use satcore::prelude::*;
 
 /// "any SAT algorithm must issue n^2 read and n^2 write requests": every
@@ -45,24 +44,25 @@ fn one_read_one_write_family_is_within_lower_order_terms() {
     }
 }
 
+/// The duplication baseline's run on `a`, a matrix of the counting element.
+fn duplicate(gpu: &Gpu, a: &Matrix<CountOnly>) -> RunMetrics {
+    Duplicate::new().copy(gpu, &a.to_device(), &GlobalBuffer::zeroed(a.rows() * a.cols()))
+}
+
 /// Modeled duplication time lower-bounds every algorithm's modeled time at
 /// every paper size and tile width — the definition of "overhead" cannot
 /// go negative.
 #[test]
 fn duplication_lower_bounds_all_modeled_times() {
     let cfg = DeviceConfig::titan_v();
+    let gpu = Gpu::new(cfg.clone());
     for n in [256usize, 1024, 4096, 16384, 32768] {
-        let dup = gpu_sim::timing::run_seconds(&cfg, &synthesize(AlgKind::Duplicate, n, SatParams::paper(32), &cfg));
-        for kind in all_kinds() {
-            for w in [32usize, 64, 128] {
-                if w > n {
-                    continue;
-                }
-                let t = gpu_sim::timing::run_seconds(&cfg, &synthesize(kind, n, SatParams::paper(w), &cfg));
-                assert!(
-                    t >= dup * 0.999,
-                    "{kind:?} W={w} n={n}: modeled {t} < duplication {dup}"
-                );
+        let a = Matrix::<CountOnly>::zeros(n, n);
+        let dup = run_seconds(&cfg, &duplicate(&gpu, &a));
+        for w in [32usize, 64, 128] {
+            for alg in all_algorithms(SatParams::paper(w)) {
+                let t = run_seconds(&cfg, &compute_sat(&gpu, alg.as_ref(), &a).1);
+                assert!(t >= dup * 0.999, "{} n={n}: modeled {t} < duplication {dup}", alg.name());
             }
         }
     }
@@ -73,13 +73,15 @@ fn duplication_lower_bounds_all_modeled_times() {
 #[test]
 fn skss_lb_overhead_reaches_single_digits() {
     let cfg = DeviceConfig::titan_v();
+    let gpu = Gpu::new(cfg.clone());
     for n in [8192usize, 16384, 32768] {
-        let dup = gpu_sim::timing::run_millis(&cfg, &synthesize(AlgKind::Duplicate, n, SatParams::paper(32), &cfg));
+        let a = Matrix::<CountOnly>::zeros(n, n);
+        let dup = run_millis(&cfg, &duplicate(&gpu, &a));
         let best = [32, 64, 128]
             .iter()
-            .map(|&w| gpu_sim::timing::run_millis(&cfg, &synthesize(AlgKind::SkssLb, n, SatParams::paper(w), &cfg)))
+            .map(|&w| run_millis(&cfg, &compute_sat(&gpu, &SkssLb::new(SatParams::paper(w)), &a).1))
             .fold(f64::INFINITY, f64::min);
-        let overhead = gpu_sim::timing::overhead_percent(best, dup);
+        let overhead = overhead_percent(best, dup);
         assert!(overhead < 10.0, "n={n}: overhead {overhead:.1}%");
         assert!(overhead > 0.0, "n={n}: overhead {overhead:.1}%");
     }

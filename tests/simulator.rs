@@ -5,32 +5,46 @@
 use std::sync::Arc;
 
 use gpu_sim::prelude::*;
-use satcore::model::{synthesize, AlgKind};
 use satcore::prelude::*;
+
+/// Modeled seconds of duplication and of every algorithm on an `n x n`
+/// matrix of the counting element, with the paper's parameters for `w`.
+fn modeled_seconds(cfg: &DeviceConfig, n: usize, w: usize) -> Vec<(String, f64)> {
+    let gpu = Gpu::new(cfg.clone());
+    let a = Matrix::<CountOnly>::zeros(n, n);
+    let dup = Duplicate::new().copy(&gpu, &a.to_device(), &GlobalBuffer::zeroed(n * n));
+    let mut out = vec![("duplication".to_string(), run_seconds(cfg, &dup))];
+    for alg in all_algorithms(SatParams::paper(w)) {
+        out.push((alg.name(), run_seconds(cfg, &compute_sat(&gpu, alg.as_ref(), &a).1)));
+    }
+    out
+}
 
 /// Modeled time is monotone in matrix size for every algorithm.
 #[test]
 fn modeled_time_is_monotone_in_n() {
     let cfg = DeviceConfig::titan_v();
-    for kind in satcore::model::all_kinds() {
-        let mut last = 0.0;
-        for n in [256usize, 1024, 4096, 16384] {
-            let t = gpu_sim::timing::run_seconds(&cfg, &synthesize(kind, n, SatParams::paper(32), &cfg));
-            assert!(t > last, "{kind:?} at n={n}: {t} <= {last}");
-            last = t;
+    let mut last = modeled_seconds(&cfg, 256, 32);
+    for n in [1024usize, 4096, 16384] {
+        let now = modeled_seconds(&cfg, n, 32);
+        for ((name, t), (_, before)) in now.iter().zip(&last) {
+            assert!(t > before, "{name} at n={n}: {t} <= {before}");
         }
+        last = now;
     }
 }
 
 /// The projection presets order the same algorithm by device capability.
 #[test]
 fn faster_devices_model_faster() {
-    let run = |cfg: &DeviceConfig| {
-        gpu_sim::timing::run_seconds(cfg, &synthesize(AlgKind::SkssLb, 8192, SatParams::paper(64), cfg))
+    let a = Matrix::<CountOnly>::zeros(8192, 8192);
+    let run = |cfg: DeviceConfig| {
+        let (_, metrics) = compute_sat(&Gpu::new(cfg.clone()), &SkssLb::new(SatParams::paper(64)), &a);
+        run_seconds(&cfg, &metrics)
     };
-    let consumer = run(&DeviceConfig::gtx1080());
-    let titan = run(&DeviceConfig::titan_v());
-    let dc = run(&DeviceConfig::v100());
+    let consumer = run(DeviceConfig::gtx1080());
+    let titan = run(DeviceConfig::titan_v());
+    let dc = run(DeviceConfig::v100());
     assert!(dc < titan && titan < consumer, "v100 {dc} < titan {titan} < gtx1080 {consumer}");
 }
 
