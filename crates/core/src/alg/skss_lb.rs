@@ -28,7 +28,7 @@ use gpu_sim::global::GlobalBuffer;
 use gpu_sim::launch::{BlockCtx, Gpu, LaunchConfig};
 use gpu_sim::metrics::{CriticalPath, RunMetrics};
 use gpu_sim::shared::Arrangement;
-use gpu_sim::sync::{DeviceCounter, StatusBoard};
+use gpu_sim::sync::{DeviceCounter, Pred, StatusBoard};
 
 use super::{SatAlgorithm, SatParams};
 use crate::tile::{load_tile_with_sums, tile_gsat_store, ScalarAux, TileGrid, VecAux};
@@ -226,8 +226,10 @@ impl<T: DeviceElem> State<T> {
     /// coupled ablation waits for the left neighbour's `GRS` instead.
     pub(crate) fn look_back_grs(&self, ctx: &mut BlockCtx, ti: usize, tj: usize, decoupled: bool) -> Vec<T> {
         let min = if decoupled { R_LRS } else { R_GRS };
-        let preds = (0..tj).rev().map(|j| (ti, j));
-        self.walk_vec(ctx, &self.r_flags, preds, (&self.lrs, &self.grs), (min, R_GRS), 0)
+        let preds = (0..tj).rev().map(|j| self.pred(ti, j, self.grid.w, 0));
+        let mut acc = ctx.scratch(self.grid.w);
+        self.r_flags.look_back(ctx, preds, (&self.lrs.buf, &self.grs.buf), (min, R_GRS), &mut acc);
+        acc
     }
 
     /// Step 2.B.2: the same walk upwards over `C`/`LCS`/`GCS` for
@@ -243,64 +245,15 @@ impl<T: DeviceElem> State<T> {
         d2d_below: usize,
     ) -> Vec<T> {
         let min = if decoupled { C_LCS } else { C_GCS };
-        let preds = (0..ti).rev().map(|i| (i, tj));
-        self.walk_vec(ctx, &self.c_flags, preds, (&self.lcs, &self.gcs), (min, C_GCS), d2d_below)
-    }
-
-    /// One vector look-back walk over `preds`, the predecessor tiles
-    /// nearest first: await each until its flag reaches `min`, sum its
-    /// partial vector, and stop at the first whose flag reaches `done`
-    /// (summing its full vector instead) or at the last one, where the
-    /// partial sum is the full one. Accumulation runs in walk order, so
-    /// the result is bit-identical under any schedule, floats included.
-    ///
-    /// Only the first step is charged, as the paper's walk takes one on
-    /// the device: one flag wait and one coalesced `w`-vector read, or,
-    /// when that predecessor's row is below `d2d_below` (an earlier
-    /// band's device), one remote wait and one D2D transfer. Every
-    /// further step is host scheduling: its wait counts `host_walk_steps`
-    /// ([`StatusBoard::wait_walk_step`]) and keeps the remote ladder past
-    /// a band edge, and its vector is read unaccounted.
-    fn walk_vec(
-        &self,
-        ctx: &mut BlockCtx,
-        board: &StatusBoard,
-        preds: impl Iterator<Item = (usize, usize)>,
-        (part, full): (&VecAux<T>, &VecAux<T>),
-        (min, done): (u8, u8),
-        d2d_below: usize,
-    ) -> Vec<T> {
-        let mut acc: Vec<T> = ctx.scratch(self.grid.w);
-        for (step, (i, j)) in preds.enumerate() {
-            let remote = i < d2d_below;
-            let st = board.wait_walk_step(ctx, self.grid.tile_index(i, j), min, remote, step);
-            let src = if st >= done { full } else { part };
-            if step > 0 {
-                gpu_sim::simd::zip_add(&mut acc, &src.peek_vec(i, j));
-            } else if remote {
-                // The bytes cross the interconnect as one transfer, priced
-                // by the timing model's own d2d term, never as DRAM reads.
-                ctx.stats.charge_d2d(1, self.grid.w as u64 * T::BYTES);
-                gpu_sim::simd::zip_add(&mut acc, &src.peek_vec(i, j));
-            } else {
-                let mut row: Vec<T> = ctx.scratch_overwrite(self.grid.w);
-                src.read_vec_into(ctx, i, j, &mut row);
-                gpu_sim::simd::zip_add(&mut acc, &row);
-                ctx.recycle(row);
-            }
-            if st >= done {
-                break;
-            }
-        }
+        let preds = (0..ti).rev().map(|i| self.pred(i, tj, self.grid.w, d2d_below));
+        let mut acc = ctx.scratch(self.grid.w);
+        self.c_flags.look_back(ctx, preds, (&self.lcs.buf, &self.gcs.buf), (min, C_GCS), &mut acc);
         acc
     }
 
     /// Step 3.2 (Fig. 11): compute `GS(I-1, J-1)` by walking the diagonal,
     /// summing `GLS` strips until some predecessor's `GS` appears; `GLS`
-    /// on the border equals `GS` there (`GS(-1,·) = 0`). Charged like
-    /// [`State::walk_vec`]: the first step is one flag wait and one scalar
-    /// read (or, across a band boundary, one remote wait and one D2D
-    /// transfer of `T::BYTES`), and every further step is a host step.
+    /// on the border equals `GS` there (`GS(-1,·) = 0`).
     pub(crate) fn look_back_gs(
         &self,
         ctx: &mut BlockCtx,
@@ -310,26 +263,18 @@ impl<T: DeviceElem> State<T> {
         d2d_below: usize,
     ) -> T {
         let min = if decoupled { R_GLS } else { R_GS };
-        let mut acc = T::zero();
-        for (step, k) in (1..=ti.min(tj)).enumerate() {
-            let (pi, pj) = (ti - k, tj - k);
-            let remote = pi < d2d_below;
-            let st = self.r_flags.wait_walk_step(ctx, self.grid.tile_index(pi, pj), min, remote, step);
-            let src = if st >= R_GS { &self.gs } else { &self.gls };
-            let v = if step > 0 {
-                src.peek(pi, pj)
-            } else if remote {
-                ctx.stats.charge_d2d(1, T::BYTES);
-                src.peek(pi, pj)
-            } else {
-                src.read(ctx, pi, pj)
-            };
-            acc = acc.add(v);
-            if st >= R_GS {
-                break;
-            }
-        }
-        acc
+        let preds = (1..=ti.min(tj)).map(|k| self.pred(ti - k, tj - k, 1, d2d_below));
+        let mut acc = [T::zero()];
+        self.r_flags.look_back(ctx, preds, (&self.gls.buf, &self.gs.buf), (min, R_GS), &mut acc);
+        acc[0]
+    }
+
+    /// Tile `(I, J)` as a walk predecessor whose values are `width`-element
+    /// runs in tile order (a [`VecAux`] vector or a [`ScalarAux`] scalar),
+    /// remote when its tile-row is below `d2d_below`.
+    fn pred(&self, ti: usize, tj: usize, width: usize, d2d_below: usize) -> Pred {
+        let slot = self.grid.tile_index(ti, tj);
+        Pred { slot, offset: slot * width, remote: ti < d2d_below }
     }
 }
 

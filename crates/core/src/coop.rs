@@ -77,7 +77,7 @@
 //!
 //! Both pipelines run their band sequences as **persistent per-device
 //! jobs**: one resident lane driver per device claims the next band, runs
-//! its blocks on its own thread against a per-lane scratch arena that
+//! its blocks on its own thread against that thread's scratch arena, which
 //! survives from band to band, and claims again, instead of the host
 //! issuing one pool launch per band. A band grid whose measured blocks
 //! outlast a helper's wake also gets the device pool's idle workers, which

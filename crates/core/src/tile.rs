@@ -188,7 +188,8 @@ impl<'a, T: DeviceElem> TileSums<'a, T> {
 /// values of one tile are consecutive (the layout the paper prescribes for
 /// LRS/LCS/GRS/GCS so reads are coalesced).
 pub struct VecAux<T: DeviceElem> {
-    buf: GlobalBuffer<T>,
+    /// Tile `(I,J)`'s vector at `tile_index(I, J) * W`.
+    pub(crate) buf: GlobalBuffer<T>,
     grid: TileGrid,
 }
 
@@ -275,14 +276,6 @@ impl<T: DeviceElem> VecAux<T> {
         assert_eq!(src.len(), count * self.grid.w);
         self.buf.store_2d(ctx, self.base(ti_lo, tj), self.grid.t * self.grid.w, self.grid.w, src);
     }
-
-    /// Unaccounted host-side read of tile `(I,J)`'s vector: for tests, for
-    /// a look-back walk's host steps, and for a value whose D2D transfer
-    /// the caller charges itself.
-    pub fn peek_vec(&self, ti: usize, tj: usize) -> Vec<T> {
-        let base = self.base(ti, tj);
-        (0..self.grid.w).map(|k| self.buf.host_read(base + k)).collect()
-    }
 }
 
 /// Capacity of the stack-allocated border vectors used on per-tile hot
@@ -292,7 +285,8 @@ pub const MAX_STACK_W: usize = 256;
 
 /// Per-tile scalars in global memory (LS / GLS / GS).
 pub struct ScalarAux<T: DeviceElem> {
-    buf: GlobalBuffer<T>,
+    /// Tile `(I,J)`'s scalar at `tile_index(I, J)`.
+    pub(crate) buf: GlobalBuffer<T>,
     grid: TileGrid,
 }
 
@@ -310,12 +304,6 @@ impl<T: DeviceElem> ScalarAux<T> {
     /// Accounted write of tile `(I,J)`'s scalar.
     pub fn write(&self, ctx: &mut BlockCtx, ti: usize, tj: usize, v: T) {
         self.buf.write(ctx, self.grid.tile_index(ti, tj), v);
-    }
-
-    /// Unaccounted host-side read of tile `(I,J)`'s scalar, for the same
-    /// callers as [`VecAux::peek_vec`].
-    pub fn peek(&self, ti: usize, tj: usize) -> T {
-        self.buf.host_read(self.grid.tile_index(ti, tj))
     }
 }
 
@@ -628,8 +616,7 @@ mod tests {
             saux.write(ctx, 0, 1, 99);
             assert_eq!(saux.read(ctx, 0, 1), 99);
         });
-        assert_eq!(vaux.peek_vec(1, 0), vec![1, 2, 3, 4]);
-        assert_eq!(vaux.peek_vec(0, 0), vec![0, 0, 0, 0]);
-        assert_eq!(saux.peek(0, 1), 99);
+        assert_eq!(vaux.buf.to_vec(), [0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 0, 0, 0, 0], "tile (1,0) is the third");
+        assert_eq!(saux.buf.host_read(1), 99);
     }
 }

@@ -19,19 +19,12 @@ pub struct DeviceConfig {
     pub name: &'static str,
     /// Number of streaming multiprocessors.
     pub sm_count: usize,
-    /// Processor cores per SM (TITAN V: 64).
-    pub cores_per_sm: usize,
     /// Maximum resident threads per SM (CUDA: 2048 on Volta).
     pub max_threads_per_sm: usize,
     /// Maximum threads per block (CUDA: 1024).
     pub max_threads_per_block: usize,
     /// Shared memory capacity per block in bytes (TITAN V: up to 96 KiB).
     pub shared_mem_per_block: usize,
-    /// Global memory capacity in bytes (TITAN V: 12 GiB HBM2).
-    pub global_mem_bytes: u64,
-    /// Size in bytes of one global-memory transaction sector. CUDA devices
-    /// service global loads in 32-byte sectors.
-    pub sector_bytes: u64,
     /// Saturated DRAM bandwidth in bytes/second at full occupancy. This is
     /// the *effective* `cudaMemcpy` bandwidth, not the theoretical HBM2
     /// peak; Table III's duplication row at 16K-32K implies ~584 GB/s
@@ -51,9 +44,9 @@ pub struct DeviceConfig {
     pub kernel_launch_overhead: f64,
     /// Effective bytes charged per element of a fully strided (column-major
     /// walk of a row-major array) 4-byte access. A naive sector model would
-    /// charge [`DeviceConfig::sector_bytes`]; measured hardware does better
-    /// thanks to L2 residency, so this is calibrated from the paper's 2R2W
-    /// row instead.
+    /// charge a whole 32-byte sector; measured hardware does better thanks
+    /// to L2 residency, so this is calibrated from the paper's 2R2W row
+    /// instead.
     pub strided_bytes_per_elem: f64,
     /// One-way latency of publishing a status flag in global memory and
     /// having a polling block observe it, in seconds. Drives the
@@ -96,12 +89,9 @@ impl DeviceConfig {
         DeviceConfig {
             name: "NVIDIA TITAN V (simulated)",
             sm_count: 80,
-            cores_per_sm: 64,
             max_threads_per_sm: 2048,
             max_threads_per_block: 1024,
             shared_mem_per_block: 96 * 1024,
-            global_mem_bytes: 12 * (1 << 30),
-            sector_bytes: 32,
             saturated_bandwidth: 726.0e9,
             l2_capacity: 4_718_592,
             l2_bandwidth: 1.5e12,
@@ -124,7 +114,6 @@ impl DeviceConfig {
     pub fn v100() -> Self {
         DeviceConfig {
             name: "Tesla V100 (projected)",
-            global_mem_bytes: 16 * (1 << 30),
             saturated_bandwidth: 900.0e9,
             l2_capacity: 6 * 1024 * 1024,
             l2_bandwidth: 1.8e12,
@@ -139,9 +128,7 @@ impl DeviceConfig {
         DeviceConfig {
             name: "GTX 1080 (projected)",
             sm_count: 20,
-            cores_per_sm: 128,
             shared_mem_per_block: 48 * 1024,
-            global_mem_bytes: 8 * (1 << 30),
             saturated_bandwidth: 280.0e9,
             l2_capacity: 2 * 1024 * 1024,
             l2_bandwidth: 0.9e12,
@@ -170,12 +157,9 @@ impl DeviceConfig {
         DeviceConfig {
             name: "tiny test device",
             sm_count: 4,
-            cores_per_sm: 8,
             max_threads_per_sm: 256,
             max_threads_per_block: 256,
             shared_mem_per_block: 48 * 1024,
-            global_mem_bytes: 1 << 30,
-            sector_bytes: 32,
             saturated_bandwidth: 100.0e9,
             l2_capacity: 1 << 20,
             l2_bandwidth: 400.0e9,
@@ -266,7 +250,6 @@ mod tests {
     fn titan_v_shape() {
         let d = DeviceConfig::titan_v();
         assert_eq!(d.sm_count, 80);
-        assert_eq!(d.cores_per_sm, 64);
         assert_eq!(d.max_resident_threads(), 80 * 2048);
         assert_eq!(d.max_threads_per_block, 1024);
     }

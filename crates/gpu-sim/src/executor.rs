@@ -13,11 +13,12 @@
 //! ([`PoolShared::join`]) on the token its thread holds — a batch lane's,
 //! or one a caller claims for the launch — and then waits only for the
 //! blocks helpers still hold. Every job is run by the thread that launched
-//! it, so a worker only ever helps. The workers persist, so no launch pays
-//! thread spawn/join, and each keeps a warm [`ScratchArena`] across
-//! launches. A batch (`DeviceGroup::run_batch`, `Gpu::run_batch`) runs its
-//! lanes 1..N as [`LaneTask`]s on their devices' pools, so no batch pays
-//! thread spawn/join either.
+//! it, so a worker only ever helps. Every thread runs its share of a job
+//! through the one block loop of module `launch`, on its own scratch arena.
+//! The workers persist, so no launch pays thread spawn/join, and each keeps
+//! its arena warm across launches. A batch (`DeviceGroup::run_batch`,
+//! `Gpu::run_batch`) runs its lanes 1..N as [`LaneTask`]s on their devices'
+//! pools, so no batch pays thread spawn/join either.
 //!
 //! ## Measured helper wakes
 //!
@@ -34,12 +35,13 @@
 //! block time ([`PoolShared::record_block_secs`]) as a completed job does.
 //! Only a grid that wakes helpers goes on the queue.
 //!
-//! Panic discipline: the first panicking block wins; its payload is stored
-//! on the job, the job's `aborted` flag stops other blocks from starting
-//! (and makes soft-sync waiters of the dead producer fail fast via
-//! [`BlockCtx::abort_requested`]), and the launching thread re-raises the
-//! payload from [`LaunchJob::wait`], so `#[should_panic]` tests behave
-//! identically in sequential and concurrent mode.
+//! Panic discipline: the first panicking block wins; the block loop stores
+//! its payload on the job's grid, whose abort flag stops other blocks from
+//! starting (and makes soft-sync waiters of the dead producer fail fast via
+//! [`BlockCtx::abort_requested`](crate::launch::BlockCtx::abort_requested)),
+//! and the launching thread re-raises the payload from [`LaunchJob::wait`],
+//! so `#[should_panic]` tests behave identically in sequential and
+//! concurrent mode.
 //!
 //! ## Execution tokens
 //!
@@ -60,44 +62,36 @@
 //! needs its slot to finish the wait. A pool therefore runs exactly its
 //! workers' threads, from [`WorkerPool::new`] until it drops.
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::device::DeviceConfig;
-use crate::launch::{BlockCtx, LaunchConfig, ScratchArena};
+use crate::launch::{Grid, LaunchConfig, PANIC_SLOT};
 use crate::metrics::{BlockStats, KernelMetrics};
-use crate::trace::{EventKind, Tracer};
 
-/// A caller-owned kernel body with its lifetime erased.
+/// `grid`, whose borrows of its launch's body, device and abort flag
+/// have their lifetime erased, for a pool job. The `'static` is an
+/// erasure, not a claim.
 ///
-/// Lifetime contract: a `BorrowedBody` is only created by launching
-/// threads that block on [`LaunchJob::wait`] before returning, and every
-/// call happens while some block of the job is still unfinished — i.e.
-/// strictly before `wait` can return — so the closure outlives all uses.
-/// The `'static` in the field type is an erasure, not a claim.
-pub(crate) struct BorrowedBody(&'static (dyn Fn(&mut BlockCtx) + Sync));
-
-impl BorrowedBody {
-    pub(crate) fn new(body: &(dyn Fn(&mut BlockCtx) + Sync)) -> Self {
-        // SAFETY: lifetime erasure under the contract in the type docs.
-        BorrowedBody(unsafe {
-            std::mem::transmute::<&(dyn Fn(&mut BlockCtx) + Sync), &'static (dyn Fn(&mut BlockCtx) + Sync)>(
-                body,
-            )
-        })
-    }
+/// # Safety
+/// The caller must run the grid's job and block on [`LaunchJob::wait`]
+/// before anything the grid borrows goes out of scope, without unwinding
+/// in between. Every use of a borrow happens while some block of the job
+/// is unfinished, strictly before `wait` can return, so what the grid
+/// borrows outlives every use.
+pub(crate) unsafe fn erase_grid<'a>(grid: Grid<'a>) -> Grid<'static> {
+    // SAFETY: lifetime erasure under the contract above.
+    unsafe { std::mem::transmute::<Grid<'a>, Grid<'static>>(grid) }
 }
 
 #[derive(Default)]
 struct JobState {
     complete: bool,
-    panic: Option<Box<dyn Any + Send>>,
     /// Counters of the blocks run so far: each thread that runs blocks of
     /// the job merges its share in once, before its `finished` bump.
     stats: BlockStats,
@@ -108,28 +102,13 @@ struct JobState {
 
 /// One kernel launch in flight on the pool.
 pub(crate) struct LaunchJob {
-    lc: LaunchConfig,
+    /// Its blocks, whose borrows' lifetime is erased ([`erase_grid`]).
+    grid: Grid<'static>,
     /// Hash of the launch shape (label, blocks, threads per block): the
     /// pool's key for this shape's block time.
     shape: u64,
-    cfg: DeviceConfig,
-    /// Dispatch permutation; empty means identity (in-order dispatch).
-    order: Vec<usize>,
-    body: BorrowedBody,
-    tracer: Option<Arc<Tracer>>,
-    /// Next unclaimed dispatch position.
-    cursor: AtomicUsize,
     /// Number of blocks fully executed (or skipped after an abort).
     finished: AtomicUsize,
-    /// Set when any block panics: remaining blocks are skipped and
-    /// soft-sync waiters fail fast.
-    aborted: AtomicBool,
-    /// A batch lane's job uses its batch's abort flag in place of
-    /// `aborted`, so its blocks also stop for a panic elsewhere in the
-    /// batch, and a panic among them stops the batch. Other jobs keep the
-    /// flag inline: allocating one per launch cost perfbench's
-    /// `batch_tiny` about 4% of its images per second on a 2-vCPU host.
-    batch_abort: Option<Arc<AtomicBool>>,
     state: Mutex<JobState>,
     done: Condvar,
     started: Instant,
@@ -144,107 +123,37 @@ pub(crate) fn shape_of(lc: &LaunchConfig) -> u64 {
 }
 
 impl LaunchJob {
-    /// A job of `lc`, whose [`shape_of`] is `shape`, that aborts on its own
-    /// flag, or on `batch_abort`, a group batch's, for a lane's job.
-    pub(crate) fn new(
-        lc: LaunchConfig,
-        shape: u64,
-        cfg: DeviceConfig,
-        order: Vec<usize>,
-        body: BorrowedBody,
-        tracer: Option<Arc<Tracer>>,
-        batch_abort: Option<Arc<AtomicBool>>,
-    ) -> Self {
+    /// A job that runs `grid`, whose launch's [`shape_of`] is `shape`.
+    pub(crate) fn new(grid: Grid<'static>, shape: u64) -> Self {
         LaunchJob {
+            grid,
             shape,
-            lc,
-            cfg,
-            order,
-            body,
-            tracer,
-            cursor: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
-            batch_abort,
-            state: Mutex::new(JobState::default()),
+            state: Mutex::default(),
             done: Condvar::new(),
             started: Instant::now(),
         }
     }
 
-    pub(crate) fn blocks(&self) -> usize {
-        self.lc.blocks
-    }
-
-    /// The flag this job's blocks abort on.
-    fn aborted(&self) -> &AtomicBool {
-        self.batch_abort.as_deref().unwrap_or(&self.aborted)
-    }
-
-    /// Whether every dispatch position has been claimed by some thread
-    /// (the job may still be executing its last blocks).
-    fn exhausted(&self) -> bool {
-        self.cursor.load(Ordering::Relaxed) >= self.lc.blocks
-    }
-
-    /// Claim and execute blocks until none remain, on `token`.
+    /// Claim and execute blocks through the block loop until none remain,
+    /// on `token`.
     ///
     /// Counters and completion are batched per thread: each thread (a
-    /// worker, or the launch's caller) merges its blocks' stats into a
-    /// local [`BlockStats`], then merges that into the job's total under
-    /// the job's lock and bumps `finished` once, when its claim loop exits.
-    /// Totals do not depend on the split because field-wise addition is
-    /// associative, and exactly one thread (the one whose bump brings
-    /// `finished` to `blocks`) triggers completion.
-    fn run_blocks(&self, token: &Token, arena: &mut ScratchArena) {
+    /// worker, or the launch's caller) merges the stats its loop returns
+    /// into the job's total under the job's lock and bumps `finished` once,
+    /// when its loop exits. Totals do not depend on the split because
+    /// field-wise addition is associative, and exactly one thread (the one
+    /// whose bump brings `finished` to `blocks`) triggers completion.
+    fn run_blocks(&self, token: &Token) {
         let started = Instant::now();
-        let mut local = BlockStats::default();
-        let mut ran = 0usize;
-        loop {
-            let k = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if k >= self.lc.blocks {
-                break;
-            }
-            ran += 1;
-            if !self.aborted().load(Ordering::Relaxed) {
-                let block_idx = if self.order.is_empty() { k } else { self.order[k] };
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut ctx = BlockCtx::for_worker(
-                        block_idx,
-                        self.lc.threads_per_block,
-                        &self.cfg,
-                        self.tracer.as_deref(),
-                        arena,
-                        self.aborted(),
-                    );
-                    ctx.trace(EventKind::BlockStart);
-                    (self.body.0)(&mut ctx);
-                    ctx.trace(EventKind::BlockEnd);
-                    std::mem::take(&mut ctx.stats)
-                }));
-                match result {
-                    Ok(stats) => local.merge(&stats),
-                    Err(p) => {
-                        // Keep the payload before raising the flag: a block
-                        // that fails because it saw the flag then never
-                        // displaces the panic that raised it.
-                        let mut st = self.state.lock().unwrap();
-                        if st.panic.is_none() {
-                            st.panic = Some(p);
-                        }
-                        drop(st);
-                        self.aborted().store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        if ran > 0 {
+        let (stats, claimed) = self.grid.run();
+        if claimed > 0 {
             {
                 let mut st = self.state.lock().unwrap();
-                st.stats.merge(&local);
+                st.stats.merge(&stats);
                 st.busy_secs += started.elapsed().as_secs_f64();
             }
-            if self.finished.fetch_add(ran, Ordering::AcqRel) + ran == self.lc.blocks {
+            if self.finished.fetch_add(claimed, Ordering::AcqRel) + claimed == self.grid.lc.blocks {
                 self.complete(&token.pool);
             }
         }
@@ -253,11 +162,8 @@ impl LaunchJob {
     /// All blocks done: record the shape's block time for the wake rule and
     /// wake the launching thread.
     fn complete(&self, pool: &PoolShared) {
-        // Only a grid of two or more blocks is ever published for helpers.
-        if self.lc.blocks > 1 {
-            let secs = self.state.lock().unwrap().busy_secs / self.lc.blocks as f64;
-            pool.record_block_secs(self.shape, secs);
-        }
+        let secs = self.state.lock().unwrap().busy_secs / self.grid.lc.blocks as f64;
+        pool.record_block_secs(self.shape, secs);
         self.state.lock().unwrap().complete = true;
         self.done.notify_all();
     }
@@ -270,13 +176,12 @@ impl LaunchJob {
         while !st.complete {
             st = self.done.wait(st).unwrap();
         }
-        if let Some(p) = st.panic.take() {
-            drop(st);
-            resume_unwind(p);
-        }
         let stats = std::mem::take(&mut st.stats);
         drop(st);
-        self.lc.clone().finish(stats, self.started.elapsed().as_secs_f64())
+        if let Some(p) = self.grid.panic.lock().expect(PANIC_SLOT).take() {
+            resume_unwind(p);
+        }
+        self.grid.lc.clone().finish(stats, self.started.elapsed().as_secs_f64())
     }
 }
 
@@ -424,8 +329,8 @@ impl PoolShared {
 
     /// Queue a synchronous launch's job, wake `helpers` idle workers to
     /// help ([`PoolShared::helpers_for`], asked before the job was built),
-    /// and run the job on the calling thread, on `arena` and `token`, until
-    /// every block is claimed; the caller then waits ([`LaunchJob::wait`])
+    /// and run the job on the calling thread, on `token`, until every block
+    /// is claimed; the caller then waits ([`LaunchJob::wait`])
     /// for the blocks helpers still hold.
     ///
     /// The caller holds `token` before the job is queued, so a helper it
@@ -433,13 +338,13 @@ impl PoolShared {
     /// passes a fresh [`Token::claim`] and drops it before waiting, because
     /// `wait` re-raises a block's panic; a batch lane passes the token it
     /// holds for its whole batch.
-    pub(crate) fn join(&self, job: &Arc<LaunchJob>, helpers: usize, arena: &mut ScratchArena, token: &Token) {
+    pub(crate) fn join(&self, job: &Arc<LaunchJob>, helpers: usize, token: &Token) {
         debug_assert!(std::ptr::eq(Arc::as_ptr(&token.pool), self), "a token of another pool");
-        debug_assert!(job.blocks() > 1 && helpers > 0, "a grid no helper joins runs inline");
+        debug_assert!(job.grid.lc.blocks > 1 && helpers > 0, "a grid no helper joins runs inline");
         let mut q = self.queue.lock().unwrap();
         q.jobs.push_back(Arc::clone(job));
         self.wake(q, helpers);
-        job.run_blocks(token, arena);
+        job.run_blocks(token);
     }
 
     /// Number of worker threads serving this pool.
@@ -455,9 +360,6 @@ enum Work {
 }
 
 fn worker_loop(shared: &Arc<PoolShared>) {
-    // The arena persists across launches: a worker that just ran kernel K
-    // serves kernel K+1's scratch takes from warm buffers.
-    let mut arena = ScratchArena::new();
     loop {
         let (token, work) = {
             let mut q = shared.queue.lock().unwrap();
@@ -465,7 +367,7 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                 // Jobs whose blocks are all claimed complete on the threads
                 // still running them; drop them from the queue so a newer
                 // job's helpers find it first.
-                q.jobs.retain(|j| !j.exhausted());
+                q.jobs.retain(|j| !j.grid.exhausted());
                 // A batch lane takes a token whatever the count, like
                 // `Token::claim` (see `PoolShared::submit_lane`).
                 if let Some(lane) = q.lanes.pop_front() {
@@ -492,7 +394,7 @@ fn worker_loop(shared: &Arc<PoolShared>) {
             }
         };
         match work {
-            Work::Launch(job) => job.run_blocks(&token, &mut arena),
+            Work::Launch(job) => job.run_blocks(&token),
             Work::Lane(lane) => (lane.0)(token),
         }
     }
@@ -555,7 +457,7 @@ impl Drop for Token {
     fn drop(&mut self) {
         let mut q = self.pool.queue.lock().unwrap_or_else(PoisonError::into_inner);
         q.tokens += 1;
-        q.jobs.retain(|j| !j.exhausted());
+        q.jobs.retain(|j| !j.grid.exhausted());
         if q.tokens > 0 && q.idle > 0 && !q.jobs.is_empty() {
             self.pool.wake(q, 1);
         }
@@ -563,7 +465,8 @@ impl Drop for Token {
 }
 
 /// The persistent worker pool: threads are spawned once, parked on a
-/// condvar between launches, and joined when the owning engine drops.
+/// condvar between launches, and joined when the last `Gpu` handle that
+/// shares it drops.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -609,7 +512,7 @@ impl Drop for WorkerPool {
     /// Shut the pool down and join its threads — all but the current one,
     /// which exits through the shutdown flag once it returns to the queue:
     /// joining itself would panic. Nothing the crate runs on a pool thread
-    /// owns a handle to the engine today (a block or lane borrows it from a
+    /// owns a handle to the pool today (a block or lane borrows it from a
     /// caller that holds one), so no public path drops the last handle
     /// there; the skip keeps a future owner — a lane task that outlives its
     /// batch, say — from turning that drop into a panic, and the unit test
@@ -633,6 +536,8 @@ mod tests {
     use crate::group::DeviceGroup;
     use crate::launch::{ExecMode, Gpu};
     use crate::metrics::RunMetrics;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
     fn tokens(pool: &PoolShared) -> isize {

@@ -199,6 +199,31 @@ impl<T: DeviceElem> GlobalBuffer<T> {
         T::load_slice(&self.data[offset..offset + dst.len()], dst);
     }
 
+    /// [`GlobalBuffer::load_row`] that adds the `dst.len()` consecutive
+    /// elements starting at `offset` into `dst` instead of overwriting it:
+    /// the same charge, and no staging buffer.
+    pub(crate) fn add_row_into(&self, ctx: &mut BlockCtx, offset: usize, dst: &mut [T]) {
+        if force_scalar() {
+            for (k, d) in dst.iter_mut().enumerate() {
+                *d = d.add(self.read(ctx, offset + k));
+            }
+            return;
+        }
+        let n = dst.len() as u64;
+        ctx.stats.charge_global_read(n, n * T::BYTES);
+        self.add_row_raw(offset, dst);
+    }
+
+    /// [`GlobalBuffer::add_row_into`] with no accounting, for a caller
+    /// that has charged the read otherwise or not at all.
+    #[inline]
+    pub(crate) fn add_row_raw(&self, offset: usize, dst: &mut [T]) {
+        let src = &self.data[offset..offset + dst.len()];
+        for (d, a) in dst.iter_mut().zip(src) {
+            *d = d.add(T::from_bits(a.load_bits()));
+        }
+    }
+
     /// Physical write of consecutive elements with no accounting. The
     /// caller must already have charged the equivalent bulk store;
     /// crate-internal building block for fused compute+store paths.

@@ -43,7 +43,7 @@
 //! thread (named `gpu-sim-d{d}-…`; every lane of [`Gpu::run_batch`] is on
 //! the one device's pool). Each lane hands its jobs a lane handle: a clone
 //! of its device's [`Gpu`] whose launches run on the lane's thread, against
-//! one scratch arena reused from job to job. A grid runs inline there
+//! that thread's scratch arena, reused from job to job. A grid runs inline there
 //! unless the device pool's measurements say a helper would arrive before
 //! its blocks run out; then it is a pool job that the lane runs beside the
 //! helpers it wakes, the rule every concurrent launch follows. Cross-job
@@ -448,19 +448,6 @@ impl GroupMetrics {
     /// lanes.
     pub fn d2d_bytes(&self) -> u64 {
         self.lanes.iter().map(|l| l.stats.d2d_bytes).sum()
-    }
-
-    /// Total timed condvar parks across all lanes (scheduling artifact,
-    /// masked from the deterministic counter set; recorded to show how
-    /// often waits actually slept).
-    pub fn park_events(&self) -> u64 {
-        self.lanes.iter().map(|l| l.stats.park_events).sum()
-    }
-
-    /// Total publisher-initiated wakes of parked waiters across all lanes
-    /// (`park_events - wakeups` parks expired on the timeout instead).
-    pub fn wakeups(&self) -> u64 {
-        self.lanes.iter().map(|l| l.stats.wakeups).sum()
     }
 
     /// Always 0: a parked wait keeps its execution token, and nothing is

@@ -23,6 +23,10 @@
 //!   exercised for real, and back-to-back launches reuse warm threads and
 //!   scratch arenas instead of paying thread spawn/join.
 //!
+//! Whichever thread runs blocks, it runs them through one claim loop
+//! (`Grid::run`) on its own scratch arena: a Sequential launch, a grid run
+//! inline on its caller or on a batch lane, and every thread of a pool job.
+//!
 //! [`Gpu::launch`] is the one launch entry point. The handle a batch lane
 //! gives its jobs ([`DeviceGroup::run_batch`](crate::group::DeviceGroup::run_batch),
 //! [`Gpu::run_batch`]) runs it on the lane's thread (the batch's caller
@@ -30,13 +34,15 @@
 //! concurrent rule, on the lane's token.
 
 use std::any::{Any, TypeId};
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::device::DeviceConfig;
 use crate::elem::DeviceElem;
-use crate::executor::{shape_of, BorrowedBody, LaunchJob, PoolShared, Token, WorkerPool};
+use crate::executor::{erase_grid, shape_of, LaunchJob, PoolShared, Token, WorkerPool};
 use crate::metrics::{BlockStats, CriticalPath, KernelMetrics};
 use crate::trace::{EventKind, Tracer};
 
@@ -168,14 +174,15 @@ impl LaunchConfig {
     }
 }
 
-/// A per-worker pool of reusable scratch buffers, keyed by element type.
+/// A per-thread pool of reusable scratch buffers, keyed by element type.
 ///
 /// Block bodies that need temporary storage (a staged tile row, a look-back
 /// accumulator, a shared-memory backing array) draw it through
-/// [`BlockCtx::scratch`] and hand it back with [`BlockCtx::recycle`]. The
-/// pool lives for the whole launch — one instance per worker thread — so in
-/// steady state block bodies perform **zero** heap allocations: every
-/// buffer is reused from an earlier block that ran on the same worker.
+/// [`BlockCtx::scratch`] and hand it back with [`BlockCtx::recycle`]. Each
+/// thread has one (`ARENA`) for its whole life, so in steady state block
+/// bodies perform **zero** heap allocations: every buffer is reused from an
+/// earlier block that ran on the same thread, in this launch or an earlier
+/// one, through any `Gpu` handle.
 ///
 /// Buffers are typed `Vec<T>`s; each element type's pool is one
 /// `Vec<Vec<T>>` stored behind a single `dyn Any` box, so steady-state
@@ -184,16 +191,11 @@ impl LaunchConfig {
 /// list itself is a small linear-scanned `Vec` — kernels use at most a
 /// couple of element types, so this beats hashing a `TypeId` per call.
 #[derive(Default)]
-pub(crate) struct ScratchArena {
+struct ScratchArena {
     pools: Vec<(TypeId, Box<dyn Any + Send>)>,
 }
 
 impl ScratchArena {
-    /// An empty arena.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     fn pool_mut<T: DeviceElem>(&mut self) -> &mut Vec<Vec<T>> {
         let id = TypeId::of::<T>();
         let idx = match self.pools.iter().position(|(t, _)| *t == id) {
@@ -258,9 +260,15 @@ impl ScratchArena {
     }
 }
 
+thread_local! {
+    /// The calling thread's scratch arena, which each block loop the
+    /// thread runs takes and puts back.
+    static ARENA: Cell<ScratchArena> = const { Cell::new(ScratchArena { pools: Vec::new() }) };
+}
+
 /// Per-block execution context handed to the kernel body: the block's
-/// identity, its access counters, the device description, and the worker's
-/// scratch arena.
+/// identity, its access counters, the device description, and its
+/// thread's scratch arena.
 pub struct BlockCtx<'a> {
     block_idx: usize,
     threads_per_block: usize,
@@ -271,37 +279,16 @@ pub struct BlockCtx<'a> {
     /// Set when the launch (or, for a batch lane, the batch) aborts because
     /// a block or job panicked; soft-sync waits poll it so consumers of a
     /// dead producer fail fast instead of waiting out the deadlock limit.
-    abort: Option<&'a AtomicBool>,
+    abort: &'a AtomicBool,
     /// The block's access counters; buffer and tile accessors charge here.
     pub stats: BlockStats,
 }
 
-impl<'a> BlockCtx<'a> {
-    /// Context for one block of a pool job (never sequential).
-    pub(crate) fn for_worker(
-        block_idx: usize,
-        threads_per_block: usize,
-        cfg: &'a DeviceConfig,
-        tracer: Option<&'a Tracer>,
-        arena: &'a mut ScratchArena,
-        abort: &'a AtomicBool,
-    ) -> Self {
-        BlockCtx {
-            block_idx,
-            threads_per_block,
-            sequential: false,
-            cfg,
-            tracer,
-            arena,
-            abort: Some(abort),
-            stats: BlockStats::default(),
-        }
-    }
-
+impl BlockCtx<'_> {
     /// Whether the launch (or the lane's batch) was aborted because
     /// another block or job panicked.
     pub(crate) fn abort_requested(&self) -> bool {
-        self.abort.is_some_and(|a| a.load(std::sync::atomic::Ordering::Relaxed))
+        self.abort.load(Ordering::Relaxed)
     }
 
     /// The block's index within the grid (CUDA `blockIdx.x`). Note this is
@@ -351,9 +338,9 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Take a zero-initialized scratch buffer of `len` elements from the
-    /// worker's reusable pool. Semantically identical to
+    /// thread's reusable pool. Semantically identical to
     /// `vec![T::zero(); len]`, but after warmup the buffer comes from an
-    /// earlier block on the same worker instead of the heap. Hand it back
+    /// earlier block on the same thread instead of the heap. Hand it back
     /// with [`BlockCtx::recycle`] when done; dropping it instead is
     /// correct but forfeits the reuse.
     pub fn scratch<T: DeviceElem>(&mut self, len: usize) -> Vec<T> {
@@ -370,40 +357,117 @@ impl<'a> BlockCtx<'a> {
         self.arena.take_raw(len)
     }
 
-    /// Return a scratch buffer to the worker's pool for reuse.
+    /// Return a scratch buffer to the thread's pool for reuse.
     pub fn recycle<T: DeviceElem>(&mut self, v: Vec<T>) {
         self.arena.put(v);
     }
 }
 
-/// State shared by every clone of a [`Gpu`]: the lazily started worker
-/// pool and the persistent scratch arena of launches the caller thread
-/// runs inline. Sharing it through an `Arc` means builder-style clones
-/// (`with_mode`, `with_dispatch`) and lane handles all reuse the same warm
-/// workers.
-#[derive(Default)]
-struct Engine {
-    pool: OnceLock<WorkerPool>,
-    seq_arena: Mutex<ScratchArena>,
+/// One grid in flight: its blocks and what the threads that run them
+/// share. It borrows its body, device and abort flag from the launching
+/// `Gpu::launch`; an inline launch keeps it on its own frame, and a pool
+/// job ([`LaunchJob`]) holds it with those borrows' lifetime erased.
+pub(crate) struct Grid<'a> {
+    pub(crate) lc: LaunchConfig,
+    cfg: &'a DeviceConfig,
+    /// Dispatch permutation; empty means identity (in-order dispatch).
+    order: Vec<usize>,
+    tracer: Option<&'a Tracer>,
+    body: &'a (dyn Fn(&mut BlockCtx) + Sync),
+    sequential: bool,
+    /// Next unclaimed dispatch position.
+    cursor: AtomicUsize,
+    /// Raised when a block panics: blocks not yet started are skipped,
+    /// and soft-sync waiters fail fast. A batch lane's grid uses its
+    /// batch's flag, so its blocks also stop for a panic elsewhere in the
+    /// batch, and a panic among them stops the batch; any other grid uses
+    /// a flag on its launching frame.
+    abort: &'a AtomicBool,
+    /// The first panic of a block of the grid, re-raised on the thread
+    /// that launched it.
+    pub(crate) panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// What a batch lane gives the launches of its jobs: the scratch arena they
-/// reuse from launch to launch, the batch's abort flag, and the lane's
-/// execution token, which the lane runs their pool jobs on. The token is
-/// shared by `Arc`, so it stays claimed while any clone of the lane handle
-/// lives, even past the batch.
+/// Nothing panics while it holds a grid's panic slot.
+pub(crate) const PANIC_SLOT: &str = "a grid's panic slot is held only to store or take a payload";
+
+impl Grid<'_> {
+    /// Whether every dispatch position has been claimed by some thread
+    /// (the grid may still be executing its last blocks).
+    pub(crate) fn exhausted(&self) -> bool {
+        self.cursor.load(Ordering::Relaxed) >= self.lc.blocks
+    }
+
+    /// The one block loop: claim dispatch positions off the cursor until
+    /// none remain, and run each claimed block on the thread's scratch
+    /// arena between its `BlockStart` and `BlockEnd` trace events, unless
+    /// the grid has aborted. A block's panic is caught, and its payload
+    /// kept before the abort flag is raised, so a block that fails because
+    /// it saw the flag never displaces the panic that raised it. Returns
+    /// the summed counters of the blocks this thread ran and the number of
+    /// positions it claimed.
+    ///
+    /// The loop takes the thread's arena and puts it back when it ends, so
+    /// a launch from inside a block runs on an empty arena, and nothing
+    /// here unwinds once a pool job is queued ([`erase_grid`]).
+    pub(crate) fn run(&self) -> (BlockStats, usize) {
+        let mut arena = ARENA.try_with(Cell::take).unwrap_or_default();
+        let (mut stats, mut claimed) = (BlockStats::default(), 0);
+        loop {
+            let k = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= self.lc.blocks {
+                break;
+            }
+            claimed += 1;
+            if self.abort.load(Ordering::Relaxed) {
+                continue;
+            }
+            let mut ctx = BlockCtx {
+                block_idx: if self.order.is_empty() { k } else { self.order[k] },
+                threads_per_block: self.lc.threads_per_block,
+                sequential: self.sequential,
+                cfg: self.cfg,
+                tracer: self.tracer,
+                arena: &mut arena,
+                abort: self.abort,
+                stats: BlockStats::default(),
+            };
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                ctx.trace(EventKind::BlockStart);
+                (self.body)(&mut ctx);
+                ctx.trace(EventKind::BlockEnd);
+            }));
+            match ran {
+                Ok(()) => stats.merge(&ctx.stats),
+                Err(p) => {
+                    self.panic.lock().expect(PANIC_SLOT).get_or_insert(p);
+                    self.abort.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        let _ = ARENA.try_with(|slot| slot.set(arena));
+        (stats, claimed)
+    }
+
+    /// Every block in dispatch order on the calling thread, through the
+    /// block loop; re-raises a block's panic.
+    fn run_inline(self) -> KernelMetrics {
+        let start = Instant::now();
+        let (stats, _) = self.run();
+        if let Some(p) = self.panic.into_inner().expect(PANIC_SLOT) {
+            resume_unwind(p);
+        }
+        self.lc.finish(stats, start.elapsed().as_secs_f64())
+    }
+}
+
+/// What a batch lane gives the launches of its jobs: the batch's abort
+/// flag, and the lane's execution token, which the lane runs their pool
+/// jobs on. The token is shared by `Arc`, so it stays claimed while any
+/// clone of the lane handle lives, even past the batch.
 struct Lane {
-    arena: Mutex<ScratchArena>,
     abort: Arc<AtomicBool>,
     token: Arc<Token>,
-}
-
-/// How an inline launch runs its blocks, one after another on the calling
-/// thread.
-struct Inline<'a> {
-    arena: &'a Mutex<ScratchArena>,
-    sequential: bool,
-    abort: Option<&'a AtomicBool>,
 }
 
 /// A simulated GPU: a device description plus an execution policy.
@@ -413,7 +477,10 @@ pub struct Gpu {
     mode: ExecMode,
     dispatch: DispatchOrder,
     tracer: Option<Arc<Tracer>>,
-    engine: Arc<Engine>,
+    /// The worker pool, started on first use and shared by every clone, so
+    /// builder-style clones (`with_mode`, `with_dispatch`) and lane handles
+    /// all reuse the same warm workers.
+    pool: Arc<OnceLock<WorkerPool>>,
     /// The batch lane whose thread runs this handle's launches in place of
     /// its [`ExecMode`] default ([`Gpu::for_lane`]).
     lane: Option<Arc<Lane>>,
@@ -440,7 +507,7 @@ impl Gpu {
             mode: ExecMode::Sequential,
             dispatch: DispatchOrder::InOrder,
             tracer: None,
-            engine: Arc::new(Engine::default()),
+            pool: Arc::default(),
             lane: None,
             ordinal: 0,
         }
@@ -497,7 +564,7 @@ impl Gpu {
 
     /// The shared worker pool, started on first use.
     fn pool(&self) -> &WorkerPool {
-        self.engine.pool.get_or_init(|| WorkerPool::new(&self.cfg, self.ordinal))
+        self.pool.get_or_init(|| WorkerPool::new(&self.cfg, self.ordinal))
     }
 
     /// The pool's shared state (started on first use) — for batch lanes,
@@ -515,14 +582,13 @@ impl Gpu {
     }
 
     /// The handle a batch lane gives its jobs: every launch runs on the
-    /// lane's thread and `token`, against one arena that persists across
-    /// the lane's jobs, inline in dispatch order unless the device pool's
-    /// measurements give the grid helpers, which then claim blocks beside
-    /// the lane. Every block, the helpers' too, carries the batch's `abort`
+    /// lane's thread and `token`, inline in dispatch order unless the
+    /// device pool's measurements give the grid helpers, which then claim
+    /// blocks beside the lane. Every block, the helpers' too, carries the batch's `abort`
     /// flag, so a wait on a job that panicked on another lane fails fast,
     /// and a block's panic stops the batch. `is_sequential()` stays false.
     pub(crate) fn for_lane(&self, abort: Arc<AtomicBool>, token: Arc<Token>) -> Gpu {
-        let lane = Lane { arena: Mutex::default(), abort, token };
+        let lane = Lane { abort, token };
         Gpu { lane: Some(Arc::new(lane)), ..self.clone() }
     }
 
@@ -545,6 +611,10 @@ impl Gpu {
     /// [`StatusBoard`](crate::sync::StatusBoard)s, or
     /// [`DeviceCounter`](crate::sync::DeviceCounter)s — the same rule CUDA
     /// imposes.
+    ///
+    /// A body may itself launch, on this `Gpu` or another (CUDA's dynamic
+    /// parallelism): the nested grid runs by the same rules, and the blocks
+    /// it runs on the launching thread draw on an empty scratch arena.
     pub fn launch<F>(&self, lc: LaunchConfig, body: F) -> KernelMetrics
     where
         F: Fn(&mut BlockCtx) + Sync,
@@ -555,97 +625,43 @@ impl Gpu {
             lc.threads_per_block,
             self.cfg.max_threads_per_block
         );
-        let seq_arena = &self.engine.seq_arena;
-        let inline = match (&self.lane, self.mode) {
-            (Some(lane), _) => Inline { arena: &lane.arena, sequential: false, abort: Some(&lane.abort) },
-            (None, ExecMode::Sequential) => {
-                return self.run_inline(lc, &body, Inline { arena: seq_arena, sequential: true, abort: None });
-            }
-            (None, ExecMode::Concurrent) => Inline { arena: seq_arena, sequential: false, abort: None },
+        let aborted = AtomicBool::new(false);
+        let grid = Grid {
+            order: self.dispatch.launch_order(lc.blocks),
+            lc,
+            cfg: &self.cfg,
+            tracer: self.tracer.as_deref(),
+            body: &body,
+            sequential: self.lane.is_none() && self.mode == ExecMode::Sequential,
+            cursor: AtomicUsize::new(0),
+            abort: self.lane.as_ref().map_or(&aborted, |lane| &lane.abort),
+            panic: Mutex::new(None),
         };
         // A grid of at most one block has no cross-block concurrency to
         // exercise and gives a helper nothing to do: skip the pool.
-        if lc.blocks <= 1 {
-            return self.run_inline(lc, &body, inline);
+        if grid.sequential || grid.lc.blocks <= 1 {
+            return grid.run_inline();
         }
         let pool = self.pool().shared();
-        let shape = shape_of(&lc);
-        let helpers = pool.helpers_for(shape, lc.blocks);
+        let shape = shape_of(&grid.lc);
+        let helpers = pool.helpers_for(shape, grid.lc.blocks);
         if helpers == 0 {
-            let blocks = lc.blocks as f64;
-            let km = self.run_inline(lc, &body, inline);
-            pool.record_block_secs(shape, km.host_seconds / blocks);
+            let km = grid.run_inline();
+            pool.record_block_secs(shape, km.host_seconds / km.blocks as f64);
             return km;
         }
         // The thread then waits for the blocks its helpers still hold. A
         // lane keeps its token through that wait, and a caller drops the
         // one it claimed first, because the wait re-raises a block's panic.
-        // The blocks borrow `body`, so nothing between the join and the
-        // wait may unwind.
-        let job = self.job(lc, shape, &body, self.lane.as_ref().map(|lane| Arc::clone(&lane.abort)));
-        with_arena(inline.arena, |arena| match &self.lane {
-            Some(lane) => pool.join(&job, helpers, arena, &lane.token),
-            None => pool.join(&job, helpers, arena, &Token::claim(pool)),
-        });
+        // SAFETY: the grid borrows `body`, `aborted` and `self`, which
+        // outlive the wait below, and nothing between the join and the wait
+        // unwinds (`Grid::run` catches every block's panic).
+        let job = Arc::new(LaunchJob::new(unsafe { erase_grid(grid) }, shape));
+        match &self.lane {
+            Some(lane) => pool.join(&job, helpers, &lane.token),
+            None => pool.join(&job, helpers, &Token::claim(pool)),
+        }
         job.wait()
-    }
-
-    /// A pool job of `lc`, whose [`shape_of`] is `shape`, that runs `body`
-    /// (see [`LaunchJob::new`] for `batch_abort`).
-    fn job(
-        &self,
-        lc: LaunchConfig,
-        shape: u64,
-        body: &(dyn Fn(&mut BlockCtx) + Sync),
-        batch_abort: Option<Arc<AtomicBool>>,
-    ) -> Arc<LaunchJob> {
-        let order = self.dispatch.launch_order(lc.blocks);
-        let body = BorrowedBody::new(body);
-        Arc::new(LaunchJob::new(lc, shape, self.cfg.clone(), order, body, self.tracer.clone(), batch_abort))
-    }
-
-    /// The one inline block loop: every block of `lc` in dispatch order on
-    /// the calling thread.
-    fn run_inline<F>(&self, lc: LaunchConfig, body: &F, at: Inline) -> KernelMetrics
-    where
-        F: Fn(&mut BlockCtx) + Sync + ?Sized,
-    {
-        let order = self.dispatch.launch_order(lc.blocks);
-        let start = Instant::now();
-        with_arena(at.arena, |arena| {
-            let tracer = self.tracer.as_deref();
-            let mut stats = BlockStats::default();
-            for k in 0..lc.blocks {
-                let mut ctx = BlockCtx {
-                    block_idx: if order.is_empty() { k } else { order[k] },
-                    threads_per_block: lc.threads_per_block,
-                    sequential: at.sequential,
-                    cfg: &self.cfg,
-                    tracer,
-                    arena,
-                    abort: at.abort,
-                    stats: BlockStats::default(),
-                };
-                ctx.trace(EventKind::BlockStart);
-                body(&mut ctx);
-                ctx.trace(EventKind::BlockEnd);
-                stats.merge(&ctx.stats);
-            }
-            lc.finish(stats, start.elapsed().as_secs_f64())
-        })
-    }
-}
-
-/// Run `f` on the persistent `arena` (block N+1 reuses what block N
-/// recycled, launch N+1 what launch N did), or on a launch-local arena
-/// while another thread holds it. A launch that panicked poisons the lock
-/// but leaves the arena's buffers valid, so a poisoned guard is taken as
-/// it is.
-fn with_arena<R>(arena: &Mutex<ScratchArena>, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
-    match arena.try_lock() {
-        Ok(mut g) => f(&mut g),
-        Err(TryLockError::Poisoned(p)) => f(&mut p.into_inner()),
-        Err(TryLockError::WouldBlock) => f(&mut ScratchArena::new()),
     }
 }
 
@@ -732,28 +748,46 @@ mod tests {
     #[test]
     fn a_panicking_launch_leaves_the_arena_warm() {
         // A 16-element take after a recycled 64-element take reuses the
-        // larger buffer. A panicking launch poisons the arena's lock; the
-        // launches after it must still find that buffer.
-        let gpu = Gpu::new(DeviceConfig::tiny());
-        let capacity = || {
-            let cap = GlobalBuffer::<u64>::zeroed(1);
-            gpu.launch(LaunchConfig::new("take-16", 1, 32), |ctx| {
-                let v = ctx.scratch::<u64>(16);
-                cap.write(ctx, 0, v.capacity() as u64);
+        // larger buffer. Every launch a thread makes draws on that thread's
+        // one arena, whichever `Gpu` makes it, and the block loop catches a
+        // block's panic before it puts the arena back, so each launch below
+        // gets back the very buffer the first recycled.
+        let scratch_ptr = |gpu: &Gpu, len: usize| {
+            let ptr = GlobalBuffer::<u64>::zeroed(1);
+            gpu.launch(LaunchConfig::new("scratch-ptr", 1, 32), |ctx| {
+                let v = ctx.scratch::<u64>(len);
+                ptr.write(ctx, 0, v.as_ptr() as u64);
                 ctx.recycle(v);
             });
-            cap.host_read(0)
+            ptr.host_read(0)
         };
-        gpu.launch(LaunchConfig::new("take-64", 1, 32), |ctx| {
-            let v = ctx.scratch::<u64>(64);
-            ctx.recycle(v);
-        });
-        assert!(capacity() >= 64, "a warm arena serves the recycled buffer");
+        let (a, b) = (Gpu::new(DeviceConfig::tiny()), Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Concurrent));
+        let first = scratch_ptr(&a, 64);
+        assert_eq!(scratch_ptr(&b, 16), first, "a launch of another `Gpu` on the same thread");
         let fault = catch_unwind(AssertUnwindSafe(|| {
-            gpu.launch(LaunchConfig::new("fault", 1, 32), |_ctx| panic!("block fault"));
+            a.launch(LaunchConfig::new("fault", 1, 32), |_ctx| panic!("block fault"));
         }));
         assert!(fault.is_err());
-        assert!(capacity() >= 64, "the launch after a panic runs on the warm arena");
+        assert_eq!(scratch_ptr(&a, 16), first, "the launch after a panic");
+    }
+
+    #[test]
+    fn a_block_may_launch_a_grid_of_its_own() {
+        // An unmeasured shape wakes a helper wherever the host has two
+        // cores, so the nested grid is a pool job, queued after the loop
+        // running the outer block has taken its thread's arena.
+        let gpu = Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Concurrent);
+        let out = GlobalBuffer::<u64>::zeroed(24);
+        gpu.launch(LaunchConfig::new("outer", 3, 32), |ctx| {
+            let (base, held) = (ctx.block_idx() * 8, ctx.scratch::<u64>(4));
+            gpu.launch(LaunchConfig::new("inner", 8, 32), |ctx| {
+                let v = ctx.scratch::<u64>(4);
+                out.write(ctx, base + ctx.block_idx(), (base + ctx.block_idx() + 1) as u64);
+                ctx.recycle(v);
+            });
+            ctx.recycle(held);
+        });
+        assert_eq!((0..24).map(|i| out.host_read(i)).collect::<Vec<_>>(), (1..=24).collect::<Vec<u64>>());
     }
 
     #[test]

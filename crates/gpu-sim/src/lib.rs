@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::launch::{BlockCtx, DispatchOrder, ExecMode, Gpu, LaunchConfig};
     pub use crate::metrics::{BlockStats, CriticalPath, KernelMetrics, RunMetrics};
     pub use crate::shared::{Arrangement, SharedTile};
-    pub use crate::sync::{DeviceCounter, StatusBoard};
+    pub use crate::sync::{DeviceCounter, Pred, StatusBoard};
     pub use crate::timing::{kernel_time, overhead_percent, run_millis, run_seconds};
     pub use crate::trace::{Event, EventKind, Tracer};
     pub use crate::warp::{block_inclusive_scan, warp_inclusive_scan, warp_reduce_sum};

@@ -18,13 +18,14 @@
 //! `token_handoffs`, is always 0. [`BlockStats::deterministic`] masks
 //! exactly those seven.
 //!
-//! A decoupled look-back walk is charged one step, as on the GPU the paper
-//! argues for: one flag wait on the nearest predecessor and one read of its
-//! value (or one D2D transfer when that predecessor sits on an earlier
-//! band's device). How many more predecessors the walk visits depends on
-//! which host thread ran first, on a few host cores rather than 80 SMs, so
-//! each further step counts `host_walk_steps`, which `crate::timing` does
-//! not price.
+//! A decoupled look-back walk
+//! ([`StatusBoard::look_back`](crate::sync::StatusBoard::look_back)) is
+//! charged one step, as on the GPU the paper argues for: one flag wait on
+//! the nearest predecessor and one read of its value (or one D2D transfer
+//! when that predecessor sits on an earlier band's device). How many more
+//! predecessors the walk visits depends on which host thread ran first, on
+//! a few host cores rather than 80 SMs, so each further step counts
+//! `host_walk_steps`, which `crate::timing` does not price.
 
 /// Per-block access counters. All quantities are totals over the block's
 /// lifetime; `bytes_*` fields are *effective* traffic as charged by the
@@ -94,12 +95,12 @@ pub struct BlockStats {
     /// `deterministic()` alongside `park_events`.
     pub wakeups: u64,
     /// Look-back walk steps past the walk's first, charged predecessor:
-    /// one per further predecessor awaited
-    /// ([`crate::sync::StatusBoard::wait_walk_step`] with `step > 0`).
-    /// Such a step's wait is not a `flag_waits` wait and its read charges
-    /// nothing: whether a walk takes it depends on what the host had run,
-    /// not on the algorithm. Masked from `deterministic()`, and not read
-    /// by [`crate::timing`].
+    /// one per further predecessor a
+    /// [`StatusBoard::look_back`](crate::sync::StatusBoard::look_back)
+    /// walk awaits. Such a step's wait is not a `flag_waits` wait and its
+    /// read charges nothing: whether a walk takes it depends on what the
+    /// host had run, not on the algorithm. Masked from `deterministic()`,
+    /// and not read by [`crate::timing`].
     pub host_walk_steps: u64,
     /// Always 0: a parked flag wait keeps its thread's execution token, and
     /// nothing is handed off. Kept only because perfbench

@@ -65,7 +65,7 @@ impl<T: DeviceElem> SharedTile<T> {
     }
 
     /// Allocate like [`SharedTile::alloc`], but draw the backing store
-    /// from the worker's scratch arena so repeated tile allocations across
+    /// from the thread's scratch arena so repeated tile allocations across
     /// blocks reuse one heap buffer (pair with [`SharedTile::release`]),
     /// and leave whatever the recycled buffer last held in place instead of
     /// zero-filling it — the CUDA shared-memory model, where a `__shared__`
@@ -79,7 +79,7 @@ impl<T: DeviceElem> SharedTile<T> {
         Self::from_data(data, w, arrangement)
     }
 
-    /// Return the tile's backing store to the worker's scratch arena.
+    /// Return the tile's backing store to the thread's scratch arena.
     pub fn release(self, ctx: &mut BlockCtx) {
         ctx.recycle(self.data);
     }

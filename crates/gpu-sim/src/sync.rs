@@ -54,6 +54,8 @@ use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use crate::elem::DeviceElem;
+use crate::global::GlobalBuffer;
 use crate::launch::BlockCtx;
 use crate::trace::EventKind;
 
@@ -119,6 +121,19 @@ impl DeviceCounter {
     pub fn peek(&self) -> u32 {
         self.value.load(Ordering::Relaxed)
     }
+}
+
+/// One predecessor of a decoupled look-back walk
+/// ([`StatusBoard::look_back`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pred {
+    /// Its status flag's slot on the board.
+    pub slot: usize,
+    /// Where its values start, in the partial and in the full buffer alike.
+    pub offset: usize,
+    /// Whether another device of a [`crate::group::DeviceGroup`] publishes
+    /// it (an earlier band's tile, in a cooperative pipeline).
+    pub remote: bool,
 }
 
 /// An array of monotone status flags in global memory, one `u8` per tile
@@ -306,23 +321,53 @@ impl StatusBoard {
         self.wait_inner(ctx, i, min, true)
     }
 
-    /// The wait of a decoupled look-back walk on its `step`-th predecessor
-    /// (0 is the nearest), on the remote ladder of
-    /// [`StatusBoard::wait_at_least_remote`] when `remote`.
+    /// A decoupled look-back walk (Merrill & Garland; the paper's Figs. 10
+    /// and 11): visit `preds`, nearest first, await each until its flag
+    /// reaches `min`, and add its `acc.len()` values into `acc`, from
+    /// `full` if its flag reached `done` and from `part` otherwise. The
+    /// walk stops after the first predecessor whose flag reached `done`.
+    /// Accumulation runs in walk order, so the sum is bit-identical under
+    /// any schedule, floats included.
     ///
-    /// Step 0 is the step the walk is charged for: one flag wait, exactly
-    /// [`StatusBoard::wait_at_least`] or its remote twin. A later step
-    /// exists only because the host had not yet run the predecessor that
-    /// would have ended the walk, so it runs the same ladder but counts
-    /// `host_walk_steps` instead of `flag_waits`; its caller reads the
-    /// predecessor's value through an unaccounted host accessor.
-    pub fn wait_walk_step(&self, ctx: &mut BlockCtx, i: usize, min: u8, remote: bool, step: usize) -> u8 {
-        if step == 0 {
-            ctx.stats.flag_waits += 1;
-        } else {
-            ctx.stats.host_walk_steps += 1;
+    /// Only the first step is charged, as the one step the paper's walk
+    /// takes on the device: one flag wait and one coalesced read of
+    /// `acc.len()` elements, or, for a remote predecessor, one wait on the
+    /// remote ladder of [`StatusBoard::wait_at_least_remote`] and one D2D
+    /// transfer of those bytes. A later step exists only because the host
+    /// had not yet run the predecessor that would have ended the walk: it
+    /// runs the same wait ladder but counts `host_walk_steps` in place of
+    /// `flag_waits`, and reads its values unaccounted.
+    pub fn look_back<T: DeviceElem>(
+        &self,
+        ctx: &mut BlockCtx,
+        preds: impl IntoIterator<Item = Pred>,
+        (part, full): (&GlobalBuffer<T>, &GlobalBuffer<T>),
+        (min, done): (u8, u8),
+        acc: &mut [T],
+    ) {
+        for (step, p) in preds.into_iter().enumerate() {
+            if step == 0 {
+                ctx.stats.flag_waits += 1;
+            } else {
+                ctx.stats.host_walk_steps += 1;
+            }
+            let st = self.wait_inner(ctx, p.slot, min, p.remote);
+            let src = if st >= done { full } else { part };
+            match (step, p.remote) {
+                (0, false) => src.add_row_into(ctx, p.offset, acc),
+                (0, true) => {
+                    // The bytes cross the interconnect as one transfer,
+                    // priced by the timing model's own d2d term, never as
+                    // DRAM reads.
+                    ctx.stats.charge_d2d(1, acc.len() as u64 * T::BYTES);
+                    src.add_row_raw(p.offset, acc);
+                }
+                _ => src.add_row_raw(p.offset, acc),
+            }
+            if st >= done {
+                return;
+            }
         }
-        self.wait_inner(ctx, i, min, remote)
     }
 
     fn wait_inner(&self, ctx: &mut BlockCtx, i: usize, min: u8, remote: bool) -> u8 {
@@ -419,8 +464,10 @@ impl StatusBoard {
 mod tests {
     use super::*;
     use crate::device::DeviceConfig;
-    use crate::global::GlobalBuffer;
+    use crate::global::set_force_scalar;
     use crate::launch::{DispatchOrder, ExecMode, Gpu, LaunchConfig};
+    use crate::metrics::BlockStats;
+    use std::sync::Mutex;
 
     #[test]
     fn counter_hands_out_unique_ids() {
@@ -531,29 +578,38 @@ mod tests {
         });
     }
 
-    #[test]
-    fn long_waits_record_backoff_transitions() {
-        // Drive `wait_at_least` directly with hand-built worker contexts so
-        // the wait duration is controlled by the test, not the pool: the
-        // producer publishes after several milliseconds, forcing the waiter
-        // through hot spin, exponential backoff, and parking.
-        use crate::launch::ScratchArena;
-        use std::sync::atomic::AtomicBool;
-        let cfg = DeviceConfig::tiny();
-        let board = StatusBoard::new(1);
-        let abort = AtomicBool::new(false);
-        let stats = std::thread::scope(|s| {
+    /// The counters of a one-block launch of `body` on `gpu`. A one-block
+    /// grid runs inline on the calling thread, so the caller decides when
+    /// the block starts.
+    fn one_block(gpu: &Gpu, body: impl Fn(&mut BlockCtx) + Sync) -> BlockStats {
+        gpu.launch(LaunchConfig::new("one-block", 1, 32), body).stats
+    }
+
+    /// A Concurrent device, whose waits spin, back off and park rather than
+    /// panic as a Sequential one's would.
+    fn concurrent() -> Gpu {
+        Gpu::new(DeviceConfig::tiny()).with_mode(ExecMode::Concurrent)
+    }
+
+    /// The counters of a one-block launch of `wait`, while another thread
+    /// publishes `board[slot] = 1` from a one-block launch 5 ms in.
+    fn wait_for_late_publish(board: &StatusBoard, slot: usize, wait: impl Fn(&mut BlockCtx) + Sync) -> BlockStats {
+        let gpu = concurrent();
+        std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(std::time::Duration::from_millis(5));
-                let mut arena = ScratchArena::new();
-                let mut ctx = crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort);
-                board.publish(&mut ctx, 0, 1);
+                one_block(&gpu, |ctx| board.publish(ctx, slot, 1));
             });
-            let mut arena = ScratchArena::new();
-            let mut ctx = crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort);
-            assert_eq!(board.wait_at_least(&mut ctx, 0, 1), 1);
-            ctx.stats.clone()
-        });
+            one_block(&gpu, wait)
+        })
+    }
+
+    #[test]
+    fn long_waits_record_backoff_transitions() {
+        // The producer publishes after several milliseconds, forcing the
+        // waiter through hot spin, exponential backoff, and parking.
+        let board = StatusBoard::new(1);
+        let stats = wait_for_late_publish(&board, 0, |ctx| assert_eq!(board.wait_at_least(ctx, 0, 1), 1));
         assert_eq!(stats.flag_waits, 1);
         assert!(
             (1..=3).contains(&stats.flag_backoff_events),
@@ -567,10 +623,8 @@ mod tests {
         );
 
         // An already-satisfied wait never leaves the hot path.
-        let mut arena = ScratchArena::new();
-        let mut ctx = crate::launch::BlockCtx::for_worker(2, 32, &cfg, None, &mut arena, &abort);
-        assert_eq!(board.wait_at_least(&mut ctx, 0, 1), 1);
-        assert_eq!(ctx.stats.flag_backoff_events, 0);
+        let stats = one_block(&concurrent(), |ctx| assert_eq!(board.wait_at_least(ctx, 0, 1), 1));
+        assert_eq!(stats.flag_backoff_events, 0);
     }
 
     #[test]
@@ -579,23 +633,8 @@ mod tests {
         // but through `wait_at_least_remote`: transitions land on
         // `d2d_backoff_events`, the local counter stays untouched, and the
         // remote counter is likewise masked from deterministic().
-        use crate::launch::ScratchArena;
-        use std::sync::atomic::AtomicBool;
-        let cfg = DeviceConfig::tiny();
         let board = StatusBoard::new(1);
-        let abort = AtomicBool::new(false);
-        let stats = std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                let mut arena = ScratchArena::new();
-                let mut ctx = crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort);
-                board.publish(&mut ctx, 0, 1);
-            });
-            let mut arena = ScratchArena::new();
-            let mut ctx = crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort);
-            assert_eq!(board.wait_at_least_remote(&mut ctx, 0, 1), 1);
-            ctx.stats.clone()
-        });
+        let stats = wait_for_late_publish(&board, 0, |ctx| assert_eq!(board.wait_at_least_remote(ctx, 0, 1), 1));
         assert_eq!(stats.flag_waits, 1, "remote waits still count as waits");
         assert_eq!(stats.flag_backoff_events, 0, "local backoff counter untouched");
         assert!(
@@ -606,10 +645,8 @@ mod tests {
         assert_eq!(stats.deterministic().d2d_backoff_events, 0);
 
         // A satisfied remote wait is pure hot path on either counter.
-        let mut arena = ScratchArena::new();
-        let mut ctx = crate::launch::BlockCtx::for_worker(2, 32, &cfg, None, &mut arena, &abort);
-        assert_eq!(board.wait_at_least_remote(&mut ctx, 0, 1), 1);
-        assert_eq!(ctx.stats.flag_backoff_events + ctx.stats.d2d_backoff_events, 0);
+        let stats = one_block(&concurrent(), |ctx| assert_eq!(board.wait_at_least_remote(ctx, 0, 1), 1));
+        assert_eq!(stats.flag_backoff_events + stats.d2d_backoff_events, 0);
     }
 
     #[test]
@@ -619,25 +656,8 @@ mod tests {
         // afterwards (no leaked registration to mis-wake a later wait on
         // the same stripe), and both park counters are masked from
         // deterministic() like the backoff events they replace.
-        use crate::launch::ScratchArena;
-        use std::sync::atomic::AtomicBool;
-        let cfg = DeviceConfig::tiny();
         let board = StatusBoard::new(3);
-        let abort = AtomicBool::new(false);
-        let stats = std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                let mut arena = ScratchArena::new();
-                let mut ctx =
-                    crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort);
-                board.publish(&mut ctx, 2, 1);
-            });
-            let mut arena = ScratchArena::new();
-            let mut ctx =
-                crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort);
-            assert_eq!(board.wait_at_least(&mut ctx, 2, 1), 1);
-            ctx.stats.clone()
-        });
+        let stats = wait_for_late_publish(&board, 2, |ctx| assert_eq!(board.wait_at_least(ctx, 2, 1), 1));
         assert!(
             stats.park_events >= 1,
             "a multi-ms wait must reach the park phase, got {} park events",
@@ -666,31 +686,67 @@ mod tests {
         // exactly the eligible waiters" half of the park/wake contract;
         // the threshold half (min > v stays registered) rides along by
         // waiting for 2 while first publishing 1.
-        use crate::launch::ScratchArena;
-        use std::sync::atomic::AtomicBool;
-        let cfg = DeviceConfig::tiny();
+        let gpu = concurrent();
         // One flag -> one stripe: both waiters share a registry stripe,
         // exercising the retain-based selective wake.
         let board = StatusBoard::new(1);
-        let abort = AtomicBool::new(false);
         std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut arena = ScratchArena::new();
-                let mut ctx =
-                    crate::launch::BlockCtx::for_worker(1, 32, &cfg, None, &mut arena, &abort);
-                assert_eq!(board.wait_at_least(&mut ctx, 0, 2), 2);
+            s.spawn(|| one_block(&gpu, |ctx| assert_eq!(board.wait_at_least(ctx, 0, 2), 2)));
+            one_block(&gpu, |ctx| {
+                std::thread::sleep(std::time::Duration::from_millis(3));
+                board.publish(ctx, 0, 1); // below the waiter's threshold
+                std::thread::sleep(std::time::Duration::from_millis(3));
+                board.publish(ctx, 0, 2); // releases it
             });
-            let mut arena = ScratchArena::new();
-            let mut ctx =
-                crate::launch::BlockCtx::for_worker(0, 32, &cfg, None, &mut arena, &abort);
-            std::thread::sleep(std::time::Duration::from_millis(3));
-            board.publish(&mut ctx, 0, 1); // below the waiter's threshold
-            std::thread::sleep(std::time::Duration::from_millis(3));
-            board.publish(&mut ctx, 0, 2); // releases it
         });
         for stripe in board.stripes.iter() {
             assert_eq!(stripe.parked.load(Ordering::SeqCst), 0);
             assert!(stripe.waiters.lock().unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn look_back_charges_its_first_step_alone() {
+        // Four predecessors: slots 3 and 2 hold partial values (flag 1),
+        // slots 1 and 0 full ones (flag 2). A walk from slot 3 adds
+        // part[3] + part[2] + full[1] and stops there; one from slot 1
+        // stops at once. Either way it is charged its first step alone:
+        // one wait and one `width`-element read, or one D2D transfer of
+        // those bytes when that predecessor is remote.
+        let gpu = Gpu::new(DeviceConfig::tiny());
+        let board = StatusBoard::new(4);
+        one_block(&gpu, |ctx| {
+            for (slot, flag) in [(0, 2), (1, 2), (2, 1), (3, 1)] {
+                board.publish(ctx, slot, flag);
+            }
+        });
+        for width in [1, 4] {
+            let part = GlobalBuffer::from_slice(&(1..=4 * width as u64).collect::<Vec<_>>());
+            let full = GlobalBuffer::from_slice(&(1..=4 * width as u64).map(|v| 1000 * v).collect::<Vec<_>>());
+            let at = |buf: &GlobalBuffer<u64>, slot: usize, k: usize| buf.host_read(slot * width + k);
+            for (from, want, steps) in [
+                (3, (0..width).map(|k| at(&part, 3, k) + at(&part, 2, k) + at(&full, 1, k)).collect::<Vec<_>>(), 2),
+                (1, (0..width).map(|k| at(&full, 1, k)).collect(), 0),
+            ] {
+                for (remote, scalar) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let got = Mutex::new(Vec::new());
+                    set_force_scalar(scalar);
+                    let stats = one_block(&gpu, |ctx| {
+                        let preds = (0..=from).rev().map(|slot| Pred { slot, offset: slot * width, remote });
+                        let mut acc = vec![0; width];
+                        board.look_back(ctx, preds, (&part, &full), (1, 2), &mut acc);
+                        *got.lock().unwrap() = acc;
+                    });
+                    set_force_scalar(false);
+                    let case = format!("width {width} from slot {from}, remote {remote}, force_scalar {scalar}");
+                    let bytes = 8 * width as u64;
+                    let (read, d2d) = if remote { ((0, 0), (1, bytes)) } else { ((width as u64, bytes), (0, 0)) };
+                    assert_eq!(got.into_inner().unwrap(), want, "{case}");
+                    assert_eq!((stats.flag_waits, stats.host_walk_steps), (1, steps), "{case}");
+                    assert_eq!((stats.global_reads, stats.bytes_read), read, "{case}");
+                    assert_eq!((stats.d2d_transfers, stats.d2d_bytes), d2d, "{case}");
+                }
+            }
         }
     }
 

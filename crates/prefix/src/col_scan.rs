@@ -115,32 +115,13 @@ pub fn device_col_scan<T: DeviceElem>(
             aggregates.store_row(ctx, strip * cols + c0, &buf[agg_base..agg_base + width]);
             status.publish(ctx, vid, COL_STATUS_AGGREGATE);
 
-            // Only the first step is charged (one flag wait and one
-            // vector read); a step past it is host scheduling, counted in
-            // `host_walk_steps` and read unaccounted. Strip 0 always
-            // publishes a prefix, so the walk always ends on one.
-            let mut tmp: Vec<T> = ctx.scratch(width);
-            for (step, p) in (0..strip).rev().enumerate() {
-                let st = status.wait_walk_step(ctx, p * bands + band, COL_STATUS_AGGREGATE, false, step);
-                let src = if st >= COL_STATUS_PREFIX { &prefixes } else { &aggregates };
-                if step == 0 {
-                    src.load_row(ctx, p * cols + c0, &mut tmp);
-                } else {
-                    for (k, v) in tmp.iter_mut().enumerate() {
-                        *v = src.host_read(p * cols + c0 + k);
-                    }
-                }
-                for (e, v) in exclusive.iter_mut().zip(&tmp) {
-                    *e = e.add(*v);
-                }
-                if st >= COL_STATUS_PREFIX {
-                    break;
-                }
-            }
-            let mut inclusive = tmp;
-            for (out, (e, a)) in inclusive.iter_mut().zip(exclusive.iter().zip(&buf[agg_base..agg_base + width])) {
-                *out = e.add(*a);
-            }
+            // Strip 0 always publishes a prefix, so the walk always ends
+            // on one.
+            let preds = (0..strip).rev().map(|p| Pred { slot: p * bands + band, offset: p * cols + c0, remote: false });
+            let states = (COL_STATUS_AGGREGATE, COL_STATUS_PREFIX);
+            status.look_back(ctx, preds, (&aggregates, &prefixes), states, &mut exclusive);
+            let mut inclusive: Vec<T> = ctx.scratch_overwrite(width);
+            gpu_sim::simd::zip_add_into(&mut inclusive, &exclusive, &buf[agg_base..agg_base + width]);
             prefixes.store_row(ctx, strip * cols + c0, &inclusive);
             status.publish(ctx, vid, COL_STATUS_PREFIX);
             ctx.recycle(inclusive);

@@ -112,22 +112,14 @@ pub fn device_row_scan<T: DeviceElem>(
         } else {
             aggregates.write(ctx, vid, aggregate);
             status.publish(ctx, vid, STATUS_AGGREGATE);
-            // Only the first step is charged (one flag wait and one
-            // read); a step past it is host scheduling, counted in
-            // `host_walk_steps` and read unaccounted. Tile 0 of every row
-            // publishes a prefix, so the walk always ends on one.
-            let mut acc = T::zero();
-            for (step, j) in (r..vid).step_by(rows).rev().enumerate() {
-                let st = status.wait_walk_step(ctx, j, STATUS_AGGREGATE, false, step);
-                let src = if st >= STATUS_PREFIX { &prefixes } else { &aggregates };
-                acc = acc.add(if step == 0 { src.read(ctx, j) } else { src.host_read(j) });
-                if st >= STATUS_PREFIX {
-                    break;
-                }
-            }
-            prefixes.write(ctx, vid, acc.add(aggregate));
+            // Tile 0 of every row publishes a prefix, so the walk always
+            // ends on one.
+            let preds = (r..vid).step_by(rows).rev().map(|j| Pred { slot: j, offset: j, remote: false });
+            let mut acc = [T::zero()];
+            status.look_back(ctx, preds, (&aggregates, &prefixes), (STATUS_AGGREGATE, STATUS_PREFIX), &mut acc);
+            prefixes.write(ctx, vid, acc[0].add(aggregate));
             status.publish(ctx, vid, STATUS_PREFIX);
-            acc
+            acc[0]
         };
 
         ctx.syncthreads();

@@ -53,26 +53,26 @@ fn table3_config(args: &[String]) -> table3::Config {
 }
 
 fn usage() -> &'static str {
-    "usage: sat-cli <command> [options]\n\
-     commands:\n\
-       table1     Table I: kernel calls / threads / reads / writes, theory vs measured\n\
-                  options: --n N (default 256), --w W (default 32), --csv\n\
-       table3     Table III: modeled running times and overhead vs duplication\n\
-                  options: --sizes a,b,c  --widths a,b,c  --synthetic  --paper  --csv\n\
-                           --device titan-v|v100|gtx1080 (projection presets)\n\
-                  --synthetic runs every kernel on a zero-sized counting element\n\
-                  (no data, no SAT check); its default sizes are 256..32K\n\
-       fig2       the 9x9 SAT example of Figure 2\n\
-       fig3       shared-memory bank maps of Figure 3 (--w, default 8)\n\
-       fig4       warp prefix-sum trace of Figure 4 (--w, default 8)\n\
-       fig9       diagonal-major serial numbers of Figure 9 (--t, default 5)\n\
-       ablations  arrangement / look-back / block-size / dispatch studies\n\
-                  options: --n N (default 512), --w W (default 32)\n\
-       f32-error  single-precision SAT error profile vs the f64 oracle\n\
-                  options: --sizes a,b,c (default 64,256,512,1024)\n\
-       trace      concurrent SKSS-LB run with a block timeline\n\
-                  options: --n N (default 256), --w W (default 32), --seed S\n\
-       all        every report above, in order"
+    "usage: sat-cli <command> [options]
+commands:
+  table1     Table I: kernel calls / threads / reads / writes, theory vs measured
+             options: --n N (default 256), --w W (default 32), --csv
+  table3     Table III: modeled running times and overhead vs duplication
+             options: --sizes a,b,c  --widths a,b,c  --synthetic  --paper  --csv
+                      --device titan-v|v100|gtx1080 (projection presets)
+             --synthetic runs every kernel on a zero-sized counting element
+             (no data, no SAT check); its default sizes are 256..32K
+  fig2       the 9x9 SAT example of Figure 2
+  fig3       shared-memory bank maps of Figure 3 (--w, default 8)
+  fig4       warp prefix-sum trace of Figure 4 (--w, default 8)
+  fig9       diagonal-major serial numbers of Figure 9 (--t, default 5)
+  ablations  arrangement / look-back / block-size / dispatch studies
+             options: --n N (default 512), --w W (default 32)
+  f32-error  single-precision SAT error profile vs the f64 oracle
+             options: --sizes a,b,c (default 64,256,512,1024)
+  trace      concurrent SKSS-LB run with a block timeline
+             options: --n N (default 256), --w W (default 32), --seed S
+  all        every report above, in order"
 }
 
 fn main() -> ExitCode {
@@ -143,4 +143,16 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::usage;
+
+    #[test]
+    fn usage_keeps_its_layout() {
+        let lines: Vec<&str> = usage().lines().collect();
+        assert!(lines.contains(&"  table1     Table I: kernel calls / threads / reads / writes, theory vs measured"));
+        assert!(lines.contains(&"             options: --n N (default 256), --w W (default 32), --csv"));
+    }
 }

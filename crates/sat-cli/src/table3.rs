@@ -130,10 +130,7 @@ fn render_cells(cfg: &Config, device: &str, data: &[Cell]) -> String {
     fn push_series(table: &mut Table, data: &[Cell], sizes: &[usize], label: &str, w: usize) {
         let mut row = vec![label.to_string(), if w == 0 { "-".into() } else { format!("{w}^2") }];
         for &n in sizes {
-            let ms = data
-                .iter()
-                .find(|c| c.algorithm == label && c.n == n && (c.w == w || (w > n)))
-                .map(|c| c.ms);
+            let ms = data.iter().find(|c| c.algorithm == label && c.n == n && c.w == w).map(|c| c.ms);
             row.push(ms.map_or("-".into(), fmt_ms));
         }
         table.row(row);
@@ -278,6 +275,24 @@ mod tests {
             let sh = best_ms(data, "1R1W-SKSS-SH", n).unwrap();
             assert!(sh <= lb, "n={n}: SKSS-SH {sh} vs SKSS-LB {lb}");
         }
+    }
+
+    #[test]
+    fn a_width_above_the_side_prints_no_time() {
+        // At 64² only W = 32 and W = 64 run; the W = 128 row prints "-"
+        // there and its own time at 256².
+        let cfg = Config { sizes: vec![64, 256], widths: vec![32, 64, 128], ..quick_cfg(Mode::Synthetic) };
+        let data = cells(&cfg, &Gpu::new(DeviceConfig::titan_v()));
+        let s = render_cells(&cfg, DeviceConfig::titan_v().name, &data);
+        let row = |w: &str| -> Vec<String> {
+            let line = s.lines().find(|l| l.split_whitespace().take(2).eq(["2R1W", w])).expect("a 2R1W row");
+            line.split_whitespace().skip(2).map(String::from).collect()
+        };
+        let ms = |w: usize, n: usize| {
+            fmt_ms(data.iter().find(|c| c.algorithm == "2R1W" && c.w == w && c.n == n).expect("a 2R1W cell").ms)
+        };
+        assert_eq!(row("32^2"), [ms(32, 64), ms(32, 256)]);
+        assert_eq!(row("128^2"), ["-".to_string(), ms(128, 256)]);
     }
 
     #[test]

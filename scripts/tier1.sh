@@ -54,8 +54,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # unit tests (the token-balance test with its group batch, its caller-run
 # pool launch, its pool-run lane grid and its two-lane batch of one
 # device, the pool dropped on its own thread, the park/wake tests in
-# sync.rs, and in group.rs the lane thread tests of a group and of one
-# device and the lane wake-rule test). All are also part of
+# sync.rs, whose waiters and publishers are one-block launches on a
+# Concurrent device that run inline on the test's own threads, and in
+# group.rs the lane thread tests of a group and of one device and the
+# lane wake-rule test). All are also part of
 # `cargo test --workspace`; run standalone in release so a break is named
 # directly in the tier-1 log.
 cargo test --release -q --test concurrency --test counter_parity --test parking --test scheduling_parity
